@@ -11,6 +11,14 @@
 //! `Result<JobResult, ExecError>` — cancellation, deadline expiry, panics and
 //! malformed specs all come back as values, which is what lets a server thread
 //! survive arbitrary requests.
+//!
+//! A job has two phases, timed separately: *prepare* obtains the input
+//! (from the registry's shared [`InputCache`], or by generating it) and
+//! *run* is the kernel body — the paper's timed parallel region.
+
+mod cache;
+
+pub use cache::{InputCache, InputCacheStats, INPUT_CACHE_BUDGET_BYTES, MIN_CACHED_BYTES};
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -44,9 +52,14 @@ pub struct JobResult {
     /// Kernel-defined scalar output (sum, checksum, node count, …) so
     /// clients can sanity-check results across models.
     pub value: f64,
-    /// Wall-clock execution time of the kernel body (allocation and
-    /// input generation excluded).
+    /// Wall-clock time of the run phase only: the kernel body, the paper's
+    /// timed region. Input lookup, allocation and generation are in
+    /// [`prepare`](Self::prepare), not here.
     pub elapsed: Duration,
+    /// Wall-clock time of the prepare phase: input-cache lookup plus, on a
+    /// miss, allocation and generation. Zero for jobs registered without
+    /// one.
+    pub prepare: Duration,
 }
 
 /// Everything a job body gets to run with.
@@ -59,9 +72,11 @@ pub struct JobCtx<'a> {
     /// Cancellation/deadline token; bodies poll it between work grains
     /// (the runtimes additionally poll at chunk/steal boundaries).
     pub token: &'a CancelToken,
+    /// The registry's input cache, shared by every job and worker.
+    pub inputs: &'a InputCache,
 }
 
-type JobFn = Box<dyn Fn(&JobCtx<'_>) -> Result<f64, ExecError> + Send + Sync>;
+type JobFn = Box<dyn Fn(&JobCtx<'_>) -> Result<JobResult, ExecError> + Send + Sync>;
 
 struct JobEntry {
     description: &'static str,
@@ -74,19 +89,29 @@ struct JobEntry {
 #[derive(Default)]
 pub struct JobRegistry {
     jobs: BTreeMap<&'static str, JobEntry>,
+    inputs: InputCache,
 }
 
 impl JobRegistry {
-    /// An empty registry.
+    /// An empty registry with the standard input cache
+    /// ([`INPUT_CACHE_BUDGET_BYTES`]).
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Registers `run` under `name`. `max_size` bounds `JobSpec::size` so a
-    /// hostile request cannot demand a terabyte allocation; oversized specs
-    /// fail validation as [`ExecError::BadConfig`]. Re-registering a name
-    /// replaces the entry.
+    /// An empty registry over `inputs` (tests bring a small-budget cache so
+    /// eviction and bypass are reachable at small sizes).
+    #[must_use]
+    pub fn with_inputs(inputs: InputCache) -> Self {
+        Self {
+            jobs: BTreeMap::new(),
+            inputs,
+        }
+    }
+
+    /// Registers a job with no prepare phase: `run` is timed whole as the
+    /// body. See [`register_prepared`](Self::register_prepared).
     pub fn register<F>(
         &mut self,
         name: &'static str,
@@ -96,14 +121,56 @@ impl JobRegistry {
     ) where
         F: Fn(&JobCtx<'_>) -> Result<f64, ExecError> + Send + Sync + 'static,
     {
+        self.register_prepared(
+            name,
+            description,
+            max_size,
+            |_| Ok(()),
+            move |ctx, _: &()| run(ctx),
+        );
+    }
+
+    /// Registers a two-phase job under `name`: `prepare` produces the input
+    /// (timed into [`JobResult::prepare`]) and `run` computes on it (timed
+    /// into [`JobResult::elapsed`]). `max_size` bounds `JobSpec::size` so a
+    /// hostile request cannot demand a terabyte allocation; oversized specs
+    /// fail validation as [`ExecError::BadConfig`]. Re-registering a name
+    /// replaces the entry.
+    pub fn register_prepared<I, P, F>(
+        &mut self,
+        name: &'static str,
+        description: &'static str,
+        max_size: usize,
+        prepare: P,
+        run: F,
+    ) where
+        P: Fn(&JobCtx<'_>) -> Result<I, ExecError> + Send + Sync + 'static,
+        F: Fn(&JobCtx<'_>, &I) -> Result<f64, ExecError> + Send + Sync + 'static,
+    {
+        let timed = move |ctx: &JobCtx<'_>| {
+            let start = Instant::now();
+            let input = prepare(ctx)?;
+            let prepared = Instant::now();
+            let value = run(ctx, &input)?;
+            Ok(JobResult {
+                value,
+                elapsed: prepared.elapsed(),
+                prepare: prepared - start,
+            })
+        };
         self.jobs.insert(
             name,
             JobEntry {
                 description,
                 max_size,
-                run: Box::new(run),
+                run: Box::new(timed),
             },
         );
+    }
+
+    /// The input cache every job of this registry shares.
+    pub fn inputs(&self) -> &InputCache {
+        &self.inputs
     }
 
     /// Registered kernel names, sorted.
@@ -138,7 +205,8 @@ impl JobRegistry {
         Ok(())
     }
 
-    /// Validates `spec` and runs it on `exec` under `token`, timing the body.
+    /// Validates `spec` and runs it on `exec` under `token`, timing the
+    /// prepare and run phases separately.
     /// `exec` must be sized to `spec.threads` (the caller owns executor
     /// caching; a mismatch is a [`ExecError::BadConfig`]).
     pub fn run(
@@ -157,13 +225,13 @@ impl JobRegistry {
         }
         token.check()?;
         let entry = &self.jobs[spec.kernel.as_str()];
-        let ctx = JobCtx { exec, spec, token };
-        let start = Instant::now();
-        let value = (entry.run)(&ctx)?;
-        Ok(JobResult {
-            value,
-            elapsed: start.elapsed(),
-        })
+        let ctx = JobCtx {
+            exec,
+            spec,
+            token,
+            inputs: &self.inputs,
+        };
+        (entry.run)(&ctx)
     }
 }
 
@@ -206,6 +274,52 @@ mod tests {
             .run(&exec, &spec("double", 21, 1), &CancelToken::new())
             .unwrap();
         assert_eq!(r.value, 42.0);
+    }
+
+    #[test]
+    fn prepare_and_body_are_timed_separately() {
+        let mut reg = JobRegistry::new();
+        reg.register_prepared(
+            "slow-input",
+            "sleeps in prepare",
+            10,
+            |ctx| {
+                std::thread::sleep(Duration::from_millis(20));
+                Ok(ctx.spec.size as f64)
+            },
+            |_, &input| Ok(input + 1.0),
+        );
+        let exec = Executor::new(1);
+        let r = reg
+            .run(&exec, &spec("slow-input", 2, 1), &CancelToken::new())
+            .unwrap();
+        assert_eq!(r.value, 3.0);
+        assert!(r.prepare >= Duration::from_millis(20), "{r:?}");
+        assert!(r.elapsed < r.prepare, "{r:?}");
+    }
+
+    #[test]
+    fn jobs_reach_the_registry_cache_through_their_context() {
+        let mut reg = JobRegistry::new();
+        reg.register_prepared(
+            "cached",
+            "caches its size",
+            10,
+            |ctx| {
+                ctx.inputs
+                    .get_or_try_build("cached", ctx.spec.size, MIN_CACHED_BYTES, || {
+                        Ok(ctx.spec.size)
+                    })
+            },
+            |_, input| Ok(**input as f64),
+        );
+        let exec = Executor::new(1);
+        for _ in 0..3 {
+            let r = reg.run(&exec, &spec("cached", 7, 1), &CancelToken::new());
+            assert_eq!(r.unwrap().value, 7.0);
+        }
+        let stats = reg.inputs().stats();
+        assert_eq!((stats.hits, stats.misses), (2, 1));
     }
 
     #[test]

@@ -15,8 +15,18 @@
 //! * Phase-structured kernels (`fib`, `bfs`, `hotspot`) check before and
 //!   after the run (their inner loops are the runtimes' own, which poll at
 //!   chunk boundaries).
+//!
+//! Every job that reads an input is registered in two phases
+//! ([`JobRegistry::register_prepared`]): *prepare* obtains the input through
+//! `input` — shared from the registry's [`tpm_core::job::InputCache`] when it
+//! is big enough to be worth sharing — and *run* is the kernel body alone.
+//! Inputs are a pure function of `(kernel, size)` (fixed seeds; model,
+//! variant and thread count play no part) and the bodies only read them,
+//! which is what makes one copy valid for every model and worker.
 
-use tpm_core::job::JobCtx;
+use std::sync::Arc;
+
+use tpm_core::job::{JobCtx, MIN_CACHED_BYTES};
 use tpm_core::{ExecError, JobRegistry};
 use tpm_kernels::{Axpy, Fib, Matmul, Matvec, Sum};
 use tpm_rodinia::{Bfs, HotSpot};
@@ -24,82 +34,155 @@ use tpm_rodinia::{Bfs, HotSpot};
 /// Elements processed between cancellation polls inside flat loop bodies.
 const POLL_EVERY: usize = 4096;
 
+const F64: usize = std::mem::size_of::<f64>();
+
 /// Checks the job's token, converting a fired reason into the exec error.
 fn poll(ctx: &JobCtx<'_>) -> Result<(), ExecError> {
     ctx.token.check().map_err(ExecError::from)
 }
 
+/// The input of `kernel` at `ctx.spec.size`, `bytes` big.
+///
+/// Under [`MIN_CACHED_BYTES`] it is built by `sequential` on this thread,
+/// per request: such an input is L2-resident and comes out of the thread's
+/// malloc arena without a page fault, so a parallel region or a shared
+/// lookup would cost more than the microseconds it takes. From there up it
+/// comes from the registry's cache; a miss runs `parallel`, the kernel's
+/// cancellable first-touch generator under the job's own executor, model
+/// and token (bitwise the same values as `sequential`).
+fn input<T: Send + Sync + 'static>(
+    ctx: &JobCtx<'_>,
+    kernel: &'static str,
+    bytes: usize,
+    sequential: impl FnOnce() -> T,
+    parallel: impl FnOnce() -> Result<T, ExecError>,
+) -> Result<Arc<T>, ExecError> {
+    let input = if bytes < MIN_CACHED_BYTES {
+        Arc::new(sequential())
+    } else {
+        ctx.inputs
+            .get_or_try_build(kernel, ctx.spec.size, bytes, parallel)?
+    };
+    poll(ctx)?;
+    Ok(input)
+}
+
+/// The `hotspot` job's instance: 4 time steps at the requested grid size.
+fn hotspot(ctx: &JobCtx<'_>) -> HotSpot {
+    HotSpot::native(ctx.spec.size, 4)
+}
+
 /// Builds the registry of every kernel `tpm-harness serve` exposes.
 pub fn registry() -> JobRegistry {
     let mut reg = JobRegistry::new();
+    register_all(&mut reg);
+    reg
+}
 
-    reg.register("sum", "sum of a*x[i] (flat reduction)", 1 << 26, |ctx| {
-        let k = Sum::native(ctx.spec.size);
-        let x = k.alloc();
-        poll(ctx)?;
-        let (a, token) = (k.a, ctx.token);
-        ctx.exec.try_parallel_reduce(
-            ctx.spec.model,
-            0..k.n,
-            token,
-            || 0.0f64,
-            |l, r| l + r,
-            |chunk, acc: &mut f64| {
-                let mut i = chunk.start;
-                while i < chunk.end {
-                    if token.is_cancelled() {
-                        return;
+/// Registers the whole suite into `reg`.
+pub fn register_all(reg: &mut JobRegistry) {
+    reg.register_prepared(
+        "sum",
+        "sum of a*x[i] (flat reduction)",
+        1 << 26,
+        |ctx| {
+            let k = Sum::native(ctx.spec.size);
+            input(
+                ctx,
+                "sum",
+                k.n * F64,
+                || k.alloc(),
+                || k.try_alloc_on(ctx.exec, ctx.spec.model, ctx.token),
+            )
+        },
+        |ctx, x| {
+            let k = Sum::native(ctx.spec.size);
+            let (a, token) = (k.a, ctx.token);
+            ctx.exec.try_parallel_reduce(
+                ctx.spec.model,
+                0..k.n,
+                token,
+                || 0.0f64,
+                |l, r| l + r,
+                |chunk, acc: &mut f64| {
+                    let mut i = chunk.start;
+                    while i < chunk.end {
+                        if token.is_cancelled() {
+                            return;
+                        }
+                        let end = (i + POLL_EVERY).min(chunk.end);
+                        let mut local = 0.0;
+                        for &xi in &x[i..end] {
+                            local += a * xi;
+                        }
+                        *acc += local;
+                        i = end;
                     }
-                    let end = (i + POLL_EVERY).min(chunk.end);
-                    let mut local = 0.0;
-                    for &xi in &x[i..end] {
-                        local += a * xi;
-                    }
-                    *acc += local;
-                    i = end;
-                }
-            },
-        )
-    });
+                },
+            )
+        },
+    );
 
-    reg.register("axpy", "checksum of a*x[i] + y[i]", 1 << 26, |ctx| {
-        let k = Axpy::native(ctx.spec.size);
-        let (x, y) = k.alloc();
-        poll(ctx)?;
-        let (a, token) = (k.a, ctx.token);
-        ctx.exec.try_parallel_reduce(
-            ctx.spec.model,
-            0..k.n,
-            token,
-            || 0.0f64,
-            |l, r| l + r,
-            |chunk, acc: &mut f64| {
-                let mut i = chunk.start;
-                while i < chunk.end {
-                    if token.is_cancelled() {
-                        return;
+    reg.register_prepared(
+        "axpy",
+        "checksum of a*x[i] + y[i]",
+        1 << 26,
+        |ctx| {
+            let k = Axpy::native(ctx.spec.size);
+            input(
+                ctx,
+                "axpy",
+                2 * k.n * F64,
+                || k.alloc(),
+                || k.try_alloc_on(ctx.exec, ctx.spec.model, ctx.token),
+            )
+        },
+        |ctx, xy| {
+            let k = Axpy::native(ctx.spec.size);
+            let (x, y) = &**xy;
+            let (a, token) = (k.a, ctx.token);
+            ctx.exec.try_parallel_reduce(
+                ctx.spec.model,
+                0..k.n,
+                token,
+                || 0.0f64,
+                |l, r| l + r,
+                |chunk, acc: &mut f64| {
+                    let mut i = chunk.start;
+                    while i < chunk.end {
+                        if token.is_cancelled() {
+                            return;
+                        }
+                        let end = (i + POLL_EVERY).min(chunk.end);
+                        let mut local = 0.0;
+                        for j in i..end {
+                            local += a * x[j] + y[j];
+                        }
+                        *acc += local;
+                        i = end;
                     }
-                    let end = (i + POLL_EVERY).min(chunk.end);
-                    let mut local = 0.0;
-                    for j in i..end {
-                        local += a * x[j] + y[j];
-                    }
-                    *acc += local;
-                    i = end;
-                }
-            },
-        )
-    });
+                },
+            )
+        },
+    );
 
-    reg.register(
+    reg.register_prepared(
         "matvec",
         "checksum of y = A*x (row-parallel)",
         1 << 13,
         |ctx| {
+            let k = Matvec::native(ctx.spec.size);
+            input(
+                ctx,
+                "matvec",
+                (k.n * k.n + k.n) * F64,
+                || k.alloc(),
+                || k.try_alloc_on(ctx.exec, ctx.spec.model, ctx.token),
+            )
+        },
+        |ctx, ax| {
             let n = ctx.spec.size;
-            let k = Matvec::native(n);
-            let (a, x) = k.alloc();
-            poll(ctx)?;
+            let (a, x) = &**ax;
             let token = ctx.token;
             ctx.exec.try_parallel_reduce(
                 ctx.spec.model,
@@ -124,15 +207,23 @@ pub fn registry() -> JobRegistry {
         },
     );
 
-    reg.register(
+    reg.register_prepared(
         "matmul",
         "checksum of C = A*B (row-parallel)",
         1 << 11,
         |ctx| {
+            let k = Matmul::native(ctx.spec.size);
+            input(
+                ctx,
+                "matmul",
+                2 * k.n * k.n * F64,
+                || k.alloc(),
+                || k.try_alloc_on(ctx.exec, ctx.spec.model, ctx.token),
+            )
+        },
+        |ctx, ab| {
             let n = ctx.spec.size;
-            let k = Matmul::native(n);
-            let (a, b) = k.alloc();
-            poll(ctx)?;
+            let (a, b) = &**ab;
             let token = ctx.token;
             ctx.exec.try_parallel_reduce(
                 ctx.spec.model,
@@ -176,35 +267,52 @@ pub fn registry() -> JobRegistry {
         Ok(v as f64)
     });
 
-    reg.register(
+    reg.register_prepared(
         "bfs",
         "breadth-first search (reached nodes)",
         1 << 20,
         |ctx| {
             let k = Bfs::native(ctx.spec.size);
-            let g = k.generate();
-            poll(ctx)?;
-            let (cost, _levels) = k.run(ctx.exec, ctx.spec.model, &g);
+            // Graph generation is one sequential stream either way; the
+            // charge is the bound known before generating.
+            input(
+                ctx,
+                "bfs",
+                k.max_input_bytes(),
+                || k.generate(),
+                || k.try_generate(ctx.token),
+            )
+        },
+        |ctx, g| {
+            let k = Bfs::native(ctx.spec.size);
+            let (cost, _levels) = k.run(ctx.exec, ctx.spec.model, g);
             poll(ctx)?;
             Ok(cost.iter().filter(|&&c| c >= 0).count() as f64)
         },
     );
 
-    reg.register(
+    reg.register_prepared(
         "hotspot",
         "2-D thermal stencil, 4 steps (mean temp)",
         1 << 10,
         |ctx| {
-            let k = HotSpot::native(ctx.spec.size, 4);
-            let (temp, power) = k.generate();
-            poll(ctx)?;
-            let out = k.run_v(ctx.exec, ctx.spec.model, ctx.spec.variant, &temp, &power);
+            let k = hotspot(ctx);
+            input(
+                ctx,
+                "hotspot",
+                2 * k.n * k.n * F64,
+                || k.generate(),
+                || k.try_generate_on(ctx.exec, ctx.spec.model, ctx.token),
+            )
+        },
+        |ctx, grids| {
+            let k = hotspot(ctx);
+            let (temp, power) = &**grids;
+            let out = k.run_v(ctx.exec, ctx.spec.model, ctx.spec.variant, temp, power);
             poll(ctx)?;
             Ok(out.iter().sum::<f64>() / out.len() as f64)
         },
     );
-
-    reg
 }
 
 #[cfg(test)]

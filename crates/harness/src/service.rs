@@ -13,8 +13,11 @@ use crate::jobs;
 
 /// Runs the job server until a client sends `{"cmd":"shutdown"}`.
 pub fn run_serve(opts: &ServiceOpts) -> i32 {
-    let registry = Arc::new(jobs::registry());
-    let names: Vec<&str> = registry.names();
+    // Held (not moved into `serve`) until this function returns: the
+    // input-cache series read the job registry through a Weak, and the final
+    // snapshot below should see their totals.
+    let job_registry = Arc::new(jobs::registry());
+    let names: Vec<&str> = job_registry.names();
     let config = ServerConfig {
         addr: opts.addr.clone(),
         workers: opts.workers,
@@ -26,7 +29,7 @@ pub fn run_serve(opts: &ServiceOpts) -> i32 {
         ..ServerConfig::default()
     };
     let heap_before = tpm_alloc::snapshot();
-    let handle = match serve(registry, config) {
+    let handle = match serve(Arc::clone(&job_registry), config) {
         Ok(h) => h,
         Err(e) => {
             eprintln!("error: cannot start server on {}: {e}", opts.addr);

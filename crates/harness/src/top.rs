@@ -154,6 +154,21 @@ pub fn render(cur: &Scrape, prev: &Scrape, dt_s: f64) -> String {
         fmt_bytes(d.sum("serve_bytes_written_total") / dt),
     ));
 
+    // ── input cache (interval hit ratio, current residency) ───────────
+    let hits = d.sum("tpm_input_cache_hits_total");
+    let misses = d.sum("tpm_input_cache_misses_total");
+    out.push_str(&format!(
+        "inputs hit/s {:7.1}  miss/s {:6.1} ({:3.0}% hit)  evict/s {:5.1}  resident {:>9}\n",
+        hits / dt,
+        misses / dt,
+        100.0 * hits / (hits + misses).max(1.0),
+        d.sum("tpm_input_cache_evictions_total") / dt,
+        fmt_bytes(
+            cur.get("tpm_input_cache_resident_bytes", &[])
+                .unwrap_or(0.0)
+        ),
+    ));
+
     // ── latency (interval quantiles from histogram deltas) ────────────
     let exec_p50 = agg_quantile(&d, "tpm_request_duration_seconds", 0.50).unwrap_or(0.0);
     let exec_p99 = agg_quantile(&d, "tpm_request_duration_seconds", 0.99).unwrap_or(0.0);
@@ -338,6 +353,24 @@ mod tests {
         assert!(frame.contains("conns 256"), "{frame}");
         assert!(frame.contains("1.0KiB/s"), "{frame}");
         assert!(frame.contains("1.0MiB/s"), "{frame}");
+    }
+
+    #[test]
+    fn render_shows_input_cache_hit_ratio_and_residency() {
+        let prev = scrape_of(
+            "tpm_input_cache_hits_total 10\n\
+             tpm_input_cache_misses_total 2\n",
+        );
+        let cur = scrape_of(
+            "tpm_input_cache_hits_total 100\n\
+             tpm_input_cache_misses_total 12\n\
+             tpm_input_cache_resident_bytes 8388608\n",
+        );
+        let frame = render(&cur, &prev, 2.0);
+        // 90 hits and 10 misses over 2 s.
+        assert!(frame.contains("hit/s    45.0"), "{frame}");
+        assert!(frame.contains("( 90% hit)"), "{frame}");
+        assert!(frame.contains("resident    8.0MiB"), "{frame}");
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! memory-bandwidth-bound streaming kernel, where `cilk_for`'s steal-based
 //! chunk distribution costs ~2× against every other variant.
 
-use tpm_core::{Executor, KernelVariant, Model};
+use tpm_core::{ExecError, Executor, KernelVariant, Model};
 use tpm_sim::{Imbalance, LoopWorkload};
+use tpm_sync::CancelToken;
 
 use crate::util::UnsafeSlice;
 
@@ -65,10 +66,22 @@ impl Axpy {
     /// [`Self::alloc`] with parallel first-touch under `model` (same values,
     /// pages placed by the threads that will stream them).
     pub fn alloc_on(&self, exec: &Executor, model: Model) -> (Vec<f64>, Vec<f64>) {
-        (
-            crate::util::random_vec_on(exec, model, self.n, 0xA11),
-            crate::util::random_vec_on(exec, model, self.n, 0xB22),
-        )
+        crate::util::infallible(model, self.try_alloc_on(exec, model, &CancelToken::new()))
+    }
+
+    /// Cancellable [`Self::alloc_on`] (see
+    /// [`try_random_vec_on`](crate::util::try_random_vec_on)): the service's
+    /// input-cache miss path.
+    pub fn try_alloc_on(
+        &self,
+        exec: &Executor,
+        model: Model,
+        token: &CancelToken,
+    ) -> Result<(Vec<f64>, Vec<f64>), ExecError> {
+        Ok((
+            crate::util::try_random_vec_on(exec, model, self.n, 0xA11, token)?,
+            crate::util::try_random_vec_on(exec, model, self.n, 0xB22, token)?,
+        ))
     }
 
     /// Sequential reference.

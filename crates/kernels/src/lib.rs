@@ -18,8 +18,8 @@
 //! unrolled multi-accumulator inner loops (Axpy/Sum/Matvec) and a
 //! cache-blocked, register-blocked multiply (Matmul) so the per-iteration
 //! compute floor sits at hardware speed. Inputs can be allocated with
-//! parallel first-touch via each kernel's `alloc_on` /
-//! [`util::random_vec_on`].
+//! parallel first-touch via each kernel's `alloc_on` / `try_alloc_on`
+//! ([`util::try_random_vec_on`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -7,8 +7,9 @@
 
 use std::ops::Range;
 
-use tpm_core::{Executor, KernelVariant, Model};
+use tpm_core::{ExecError, Executor, KernelVariant, Model};
 use tpm_sim::{Imbalance, LoopWorkload};
+use tpm_sync::CancelToken;
 
 use crate::util::UnsafeSlice;
 
@@ -110,10 +111,22 @@ impl Matmul {
 
     /// [`Self::alloc`] with parallel first-touch under `model`.
     pub fn alloc_on(&self, exec: &Executor, model: Model) -> (Vec<f64>, Vec<f64>) {
-        (
-            crate::util::random_vec_on(exec, model, self.n * self.n, 0xAB),
-            crate::util::random_vec_on(exec, model, self.n * self.n, 0xCD),
-        )
+        crate::util::infallible(model, self.try_alloc_on(exec, model, &CancelToken::new()))
+    }
+
+    /// Cancellable [`Self::alloc_on`] (see
+    /// [`try_random_vec_on`](crate::util::try_random_vec_on)): the service's
+    /// input-cache miss path.
+    pub fn try_alloc_on(
+        &self,
+        exec: &Executor,
+        model: Model,
+        token: &CancelToken,
+    ) -> Result<(Vec<f64>, Vec<f64>), ExecError> {
+        Ok((
+            crate::util::try_random_vec_on(exec, model, self.n * self.n, 0xAB, token)?,
+            crate::util::try_random_vec_on(exec, model, self.n * self.n, 0xCD, token)?,
+        ))
     }
 
     /// Sequential reference (i-k-j loop order for cache behaviour).

@@ -4,8 +4,9 @@
 //! performs around 25% worse than the other versions" — more arithmetic per
 //! iteration than Axpy, so scheduling overhead matters less.
 
-use tpm_core::{Executor, KernelVariant, Model};
+use tpm_core::{ExecError, Executor, KernelVariant, Model};
 use tpm_sim::{Imbalance, LoopWorkload};
+use tpm_sync::CancelToken;
 
 use crate::util::UnsafeSlice;
 
@@ -62,10 +63,22 @@ impl Matvec {
 
     /// [`Self::alloc`] with parallel first-touch under `model`.
     pub fn alloc_on(&self, exec: &Executor, model: Model) -> (Vec<f64>, Vec<f64>) {
-        (
-            crate::util::random_vec_on(exec, model, self.n * self.n, 0x3A7),
-            crate::util::random_vec_on(exec, model, self.n, 0x9E1),
-        )
+        crate::util::infallible(model, self.try_alloc_on(exec, model, &CancelToken::new()))
+    }
+
+    /// Cancellable [`Self::alloc_on`] (see
+    /// [`try_random_vec_on`](crate::util::try_random_vec_on)): the service's
+    /// input-cache miss path.
+    pub fn try_alloc_on(
+        &self,
+        exec: &Executor,
+        model: Model,
+        token: &CancelToken,
+    ) -> Result<(Vec<f64>, Vec<f64>), ExecError> {
+        Ok((
+            crate::util::try_random_vec_on(exec, model, self.n * self.n, 0x3A7, token)?,
+            crate::util::try_random_vec_on(exec, model, self.n, 0x9E1, token)?,
+        ))
     }
 
     /// Sequential reference.

@@ -4,8 +4,9 @@
 //! workstealing for worksharing+reduction is not the right choice" —
 //! `omp_task` wins, `cilk_for` loses by ~5×.
 
-use tpm_core::{Executor, KernelVariant, Model};
+use tpm_core::{ExecError, Executor, KernelVariant, Model};
 use tpm_sim::{Imbalance, LoopWorkload};
+use tpm_sync::CancelToken;
 
 /// Accumulator lanes of the optimized body: 8 independent partial sums break
 /// the loop-carried addition chain so the compiler can vectorize and the
@@ -64,7 +65,19 @@ impl Sum {
 
     /// [`Self::alloc`] with parallel first-touch under `model`.
     pub fn alloc_on(&self, exec: &Executor, model: Model) -> Vec<f64> {
-        crate::util::random_vec_on(exec, model, self.n, 0x50AD)
+        crate::util::infallible(model, self.try_alloc_on(exec, model, &CancelToken::new()))
+    }
+
+    /// Cancellable [`Self::alloc_on`] (see
+    /// [`try_random_vec_on`](crate::util::try_random_vec_on)): the service's
+    /// input-cache miss path.
+    pub fn try_alloc_on(
+        &self,
+        exec: &Executor,
+        model: Model,
+        token: &CancelToken,
+    ) -> Result<Vec<f64>, ExecError> {
+        crate::util::try_random_vec_on(exec, model, self.n, 0x50AD, token)
     }
 
     /// Sequential reference.

@@ -2,7 +2,8 @@
 
 use std::ops::Range;
 
-use tpm_core::{Executor, Model};
+use tpm_core::{ExecError, Executor, Model};
+use tpm_sync::CancelToken;
 
 /// A shared mutable slice view for data-parallel writers.
 ///
@@ -110,13 +111,65 @@ pub fn random_vec(n: usize, seed: u64) -> Vec<f64> {
 /// every `(n, seed)` regardless of model, thread count, or chunk boundaries:
 /// each chunk seeks the SplitMix64 stream to its start index in O(1)
 /// ([`tpm_sync::SplitMix64::new_at`]).
-pub fn random_vec_on(exec: &Executor, model: Model, n: usize, seed: u64) -> Vec<f64> {
+///
+/// Cancellable: the fill runs through [`Executor::try_parallel_for`] under
+/// `token` and additionally polls it every [`FILL_POLL_EVERY`] elements
+/// inside a chunk, so a deadline is honoured within one poll interval even
+/// when a static schedule hands each thread a single huge chunk. On `Err`
+/// the partly filled vector is dropped. The kernels' infallible `alloc_on`
+/// passes a fresh token.
+pub fn try_random_vec_on(
+    exec: &Executor,
+    model: Model,
+    n: usize,
+    seed: u64,
+    token: &CancelToken,
+) -> Result<Vec<f64>, ExecError> {
+    try_random_vec_map_on(exec, model, n, seed, token, &|v| v)
+}
+
+/// [`try_random_vec_on`] with `map` applied to each element as it is
+/// written (one sweep, one first touch).
+pub fn try_random_vec_map_on<M>(
+    exec: &Executor,
+    model: Model,
+    n: usize,
+    seed: u64,
+    token: &CancelToken,
+    map: &M,
+) -> Result<Vec<f64>, ExecError>
+where
+    M: Fn(f64) -> f64 + Sync,
+{
     // `vec![0.0; n]` allocates zeroed pages lazily (no touch); the parallel
     // fill below performs the first touch with the kernel's own schedule.
     let mut v = vec![0.0f64; n];
     advise_hugepages_for(&v);
-    fill_random_on(exec, model, &mut v, seed);
-    v
+    let dst = UnsafeSlice::new(&mut v);
+    exec.try_parallel_for(model, 0..n, token, &|chunk: Range<usize>| {
+        let mut rng = tpm_sync::SplitMix64::new_at(seed, chunk.start as u64);
+        // SAFETY: the executor hands out disjoint chunks.
+        let slice = unsafe { dst.slice_mut(chunk) };
+        for block in slice.chunks_mut(FILL_POLL_EVERY) {
+            if token.is_cancelled() {
+                return;
+            }
+            for v in block {
+                *v = map(rng.next_f64());
+            }
+        }
+    })?;
+    Ok(v)
+}
+
+/// Elements written between cancellation polls inside one fill chunk
+/// (32 KiB of `f64`: a few microseconds of RNG).
+pub const FILL_POLL_EVERY: usize = 4096;
+
+/// Unwraps the result of a loop that ran under a fresh, never-cancelled
+/// token: a failure there is a kernel bug, reported by panicking.
+pub(crate) fn infallible<T>(model: Model, r: Result<T, ExecError>) -> T {
+    r.unwrap_or_else(|e| panic!("{model} kernel loop failed: {e}"))
 }
 
 /// Buffers at least this large get a transparent-huge-page hint before
@@ -137,21 +190,6 @@ pub fn advise_hugepages_for<T>(buf: &[T]) -> bool {
     tpm_sync::topology::advise_hugepages(buf.as_ptr().cast(), bytes)
 }
 
-/// Fills `out` with the [`random_vec`] stream for `seed` via a parallel
-/// first-touch sweep (see [`random_vec_on`]).
-pub fn fill_random_on(exec: &Executor, model: Model, out: &mut [f64], seed: u64) {
-    let n = out.len();
-    let dst = UnsafeSlice::new(out);
-    crate::util::pfor(exec, model, 0..n, &|chunk| {
-        let mut rng = tpm_sync::SplitMix64::new_at(seed, chunk.start as u64);
-        // SAFETY: the executor hands out disjoint chunks.
-        let slice = unsafe { dst.slice_mut(chunk) };
-        for v in slice {
-            *v = rng.next_f64();
-        }
-    });
-}
-
 /// Runs an un-cancellable parallel loop through the fallible executor path.
 /// The kernels' `run` surface is infallible by contract — no token is
 /// attached and the bodies do not panic — so a failure here is a kernel
@@ -161,8 +199,10 @@ pub fn pfor<F>(exec: &Executor, model: Model, range: Range<usize>, body: &F)
 where
     F: Fn(Range<usize>) + Sync,
 {
-    exec.try_parallel_for(model, range, &tpm_sync::CancelToken::new(), body)
-        .unwrap_or_else(|e| panic!("{model} kernel loop failed: {e}"));
+    infallible(
+        model,
+        exec.try_parallel_for(model, range, &CancelToken::new(), body),
+    );
 }
 
 /// Reduction sibling of [`pfor`]: un-cancellable, panics on failure.
@@ -180,15 +220,8 @@ where
     Op: Fn(T, T) -> T + Send + Sync,
     F: Fn(Range<usize>, &mut T) + Sync,
 {
-    exec.try_parallel_reduce(
-        model,
-        range,
-        &tpm_sync::CancelToken::new(),
-        identity,
-        combine,
-        body,
-    )
-    .unwrap_or_else(|e| panic!("{model} kernel reduction failed: {e}"))
+    exec.try_parallel_reduce(model, range, &CancelToken::new(), identity, combine, body)
+        .unwrap_or_else(|e| panic!("{model} kernel reduction failed: {e}"))
 }
 
 /// Max-abs-difference between two vectors (for verification).
@@ -247,9 +280,25 @@ mod tests {
         for threads in [1, 3] {
             let exec = Executor::new(threads);
             for model in Model::ALL {
-                let got = random_vec_on(&exec, model, 10_007, 0xF1257);
-                assert_eq!(got, expected, "{model} @{threads}t");
+                let got = try_random_vec_on(&exec, model, 10_007, 0xF1257, &CancelToken::new());
+                assert_eq!(got.as_ref(), Ok(&expected), "{model} @{threads}t");
             }
+        }
+    }
+
+    #[test]
+    fn cancellable_fill_honours_the_token_and_maps_elements() {
+        let exec = Executor::new(2);
+        let n = 10 * FILL_POLL_EVERY + 7;
+        for model in Model::ALL {
+            let expired = CancelToken::with_deadline(std::time::Duration::ZERO);
+            let r = try_random_vec_on(&exec, model, n, 3, &expired);
+            assert_eq!(r.unwrap_err(), ExecError::Deadline, "{model}");
+            let mapped =
+                try_random_vec_map_on(&exec, model, n, 3, &CancelToken::new(), &|v| 2.0 * v)
+                    .unwrap();
+            let want: Vec<f64> = random_vec(n, 3).into_iter().map(|v| 2.0 * v).collect();
+            assert_eq!(mapped, want, "{model}");
         }
     }
 
@@ -267,7 +316,14 @@ mod tests {
     #[test]
     fn fill_random_on_empty_and_single() {
         let exec = Executor::new(2);
-        assert!(random_vec_on(&exec, Model::CilkFor, 0, 1).is_empty());
-        assert_eq!(random_vec_on(&exec, Model::OmpTask, 1, 9), random_vec(1, 9));
+        let token = CancelToken::new();
+        assert_eq!(
+            try_random_vec_on(&exec, Model::CilkFor, 0, 1, &token),
+            Ok(vec![])
+        );
+        assert_eq!(
+            try_random_vec_on(&exec, Model::OmpTask, 1, 9, &token),
+            Ok(random_vec(1, 9))
+        );
     }
 }

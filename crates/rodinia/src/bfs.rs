@@ -13,8 +13,9 @@
 
 use std::sync::atomic::{AtomicBool, AtomicI32, Ordering};
 
-use tpm_core::{Executor, Model};
+use tpm_core::{ExecError, Executor, Model};
 use tpm_sim::{Imbalance, LoopWorkload, PhasedWorkload};
+use tpm_sync::CancelToken;
 
 use crate::graph::Graph;
 
@@ -56,6 +57,19 @@ impl Bfs {
     /// Generates the input graph.
     pub fn generate(&self) -> Graph {
         Graph::random(self.nodes, self.degree.0, self.degree.1, self.seed)
+    }
+
+    /// [`Self::generate`] under a cancellation token.
+    pub fn try_generate(&self, token: &CancelToken) -> Result<Graph, ExecError> {
+        Graph::try_random(self.nodes, self.degree.0, self.degree.1, self.seed, token)
+            .map_err(ExecError::from)
+    }
+
+    /// Upper bound on the generated graph's heap bytes (every node at the
+    /// maximum degree), known before generating.
+    pub fn max_input_bytes(&self) -> usize {
+        (self.nodes + 1) * std::mem::size_of::<usize>()
+            + self.nodes * self.degree.1 * std::mem::size_of::<u32>()
     }
 
     /// Sequential reference: cost (level) per node, `-1` if unreachable.

@@ -4,7 +4,10 @@
 //! Rodinia's BFS inputs are random graphs with uniform out-degree in a small
 //! range; the generator reproduces that shape deterministically in CSR form.
 
-use tpm_sync::SplitMix64;
+use tpm_sync::{CancelReason, CancelToken, SplitMix64};
+
+/// Nodes generated between cancellation polls in [`Graph::try_random`].
+const POLL_EVERY_NODES: usize = 1024;
 
 /// A directed graph in CSR (compressed sparse row) form.
 #[derive(Debug, Clone)]
@@ -20,20 +23,38 @@ impl Graph {
     /// `[min_deg, max_deg]` with uniformly random neighbors (Rodinia's
     /// generator shape). Deterministic in `seed`.
     pub fn random(nodes: usize, min_deg: usize, max_deg: usize, seed: u64) -> Self {
+        Self::try_random(nodes, min_deg, max_deg, seed, &CancelToken::new())
+            .expect("a fresh token never fires")
+    }
+
+    /// [`Self::random`] under a cancellation token, polled every
+    /// `POLL_EVERY_NODES` (1024) nodes. Generation is sequential by nature:
+    /// each node's degree decides where the next node's draws start in the
+    /// stream.
+    pub fn try_random(
+        nodes: usize,
+        min_deg: usize,
+        max_deg: usize,
+        seed: u64,
+        token: &CancelToken,
+    ) -> Result<Self, CancelReason> {
         assert!(nodes > 0);
         assert!(min_deg <= max_deg);
         let mut rng = SplitMix64::new(seed);
         let mut offsets = Vec::with_capacity(nodes + 1);
         let mut edges = Vec::new();
         offsets.push(0);
-        for _ in 0..nodes {
+        for node in 0..nodes {
+            if node % POLL_EVERY_NODES == 0 {
+                token.check()?;
+            }
             let deg = min_deg + rng.next_bounded((max_deg - min_deg + 1) as u64) as usize;
             for _ in 0..deg {
                 edges.push(rng.next_bounded(nodes as u64) as u32);
             }
             offsets.push(edges.len());
         }
-        Self { offsets, edges }
+        Ok(Self { offsets, edges })
     }
 
     /// Number of nodes.
@@ -62,6 +83,19 @@ mod tests {
         let b = Graph::random(100, 2, 7, 42);
         assert_eq!(a.offsets, b.offsets);
         assert_eq!(a.edges, b.edges);
+    }
+
+    #[test]
+    fn cancelled_generation_stops_and_sizes_stay_under_the_bound() {
+        let token = CancelToken::new();
+        token.cancel();
+        let r = Graph::try_random(5_000, 2, 7, 42, &token);
+        assert_eq!(r.unwrap_err(), CancelReason::Cancelled);
+        let b = crate::Bfs::native(5_000);
+        let g = b.try_generate(&CancelToken::new()).unwrap();
+        assert_eq!(g.edges, b.generate().edges);
+        let bytes = g.offsets.len() * 8 + g.edges.len() * 4;
+        assert!(bytes <= b.max_input_bytes());
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! from the 5-point stencil, then commit it), `steps` times — many small
 //! phases, which is what punishes per-region overhead.
 
-use tpm_core::{Executor, KernelVariant, Model};
+use tpm_core::{ExecError, Executor, KernelVariant, Model};
 use tpm_sim::{Imbalance, LoopWorkload, PhasedWorkload};
+use tpm_sync::CancelToken;
 
 use tpm_kernels::util::UnsafeSlice;
 
@@ -73,6 +74,23 @@ impl HotSpot {
             .map(|v| 0.01 * v)
             .collect();
         (temp, power)
+    }
+
+    /// [`Self::generate`] — same bits — filled by a cancellable parallel
+    /// first-touch sweep under `model` (see
+    /// [`tpm_kernels::util::try_random_vec_on`]).
+    pub fn try_generate_on(
+        &self,
+        exec: &Executor,
+        model: Model,
+        token: &CancelToken,
+    ) -> Result<(Vec<f64>, Vec<f64>), ExecError> {
+        use tpm_kernels::util::try_random_vec_map_on;
+        let cells = self.n * self.n;
+        Ok((
+            try_random_vec_map_on(exec, model, cells, self.seed, token, &|v| 320.0 + 10.0 * v)?,
+            try_random_vec_map_on(exec, model, cells, self.seed ^ 0xF00, token, &|v| 0.01 * v)?,
+        ))
     }
 
     fn step_cell(&self, temp: &[f64], power: &[f64], i: usize, j: usize) -> f64 {
@@ -257,6 +275,20 @@ impl HotSpot {
 mod tests {
     use super::*;
     use tpm_kernels::util::max_abs_diff;
+
+    #[test]
+    fn parallel_generation_is_bitwise_identical_and_cancellable() {
+        let h = HotSpot::native(37, 1);
+        let expected = h.generate();
+        let exec = Executor::new(3);
+        for model in Model::ALL {
+            let got = h.try_generate_on(&exec, model, &CancelToken::new());
+            assert_eq!(got.as_ref(), Ok(&expected), "{model}");
+            let expired = CancelToken::with_deadline(std::time::Duration::ZERO);
+            let err = h.try_generate_on(&exec, model, &expired).unwrap_err();
+            assert_eq!(err, ExecError::Deadline, "{model}");
+        }
+    }
 
     #[test]
     fn all_six_versions_match_sequential() {

@@ -12,8 +12,10 @@
 //! * **Rate** — `tpm_requests_total{outcome=...}`, one count per reply.
 //! * **Errors** — the same series, split by wire code (`deadline`,
 //!   `overloaded`, `panic`, …) plus `watchdog` for backstop kills.
-//! * **Duration** — `tpm_request_duration_seconds{kernel=...}` (execution)
-//!   and `tpm_queue_wait_seconds` (admission-queue time), both histograms.
+//! * **Duration** — `tpm_request_duration_seconds{kernel=...}` (a worker's
+//!   whole `JobRegistry::run` call: input prepare plus kernel body; the
+//!   reply's `elapsed_ms` is the body alone) and `tpm_queue_wait_seconds`
+//!   (admission-queue time), both histograms.
 //!
 //! Runtime health rides along: per-runtime scheduler event counters fed by
 //! snapshot deltas around each job, per-worker busy time, queue/inflight
@@ -22,7 +24,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use tpm_core::Family;
+use tpm_core::job::InputCacheStats;
+use tpm_core::{Family, JobRegistry};
 use tpm_metrics::{Counter, Gauge, Histogram, Hll, Registry};
 use tpm_sync::StatsSnapshot as RuntimeSnapshot;
 
@@ -107,7 +110,7 @@ impl ServeMetrics {
                 kernel.to_string(),
                 registry.histogram_scaled(
                     "tpm_request_duration_seconds",
-                    "Job execution time (queue wait excluded), per kernel.",
+                    "Worker time per job: input prepare (cache lookup or generation) plus kernel body; queue wait excluded. The reply's elapsed_ms is the body alone.",
                     &[("kernel", kernel)],
                     1e-9,
                 ),
@@ -217,6 +220,49 @@ impl ServeMetrics {
             bytes_read,
             bytes_written,
         }
+    }
+
+    /// Exports `jobs`' input cache as `tpm_input_cache_*`, read at scrape
+    /// time from the cache's own atomics. The closures hold a `Weak`, so
+    /// the metrics registry (which outlives the server for the final
+    /// snapshot) never keeps cached inputs alive.
+    pub fn export_input_cache(&self, jobs: &Arc<JobRegistry>) {
+        let export = |name, help, monotonic, read: fn(&InputCacheStats) -> u64| {
+            let w = Arc::downgrade(jobs);
+            let sample = move || {
+                w.upgrade()
+                    .map_or(0.0, |j| read(&j.inputs().stats()) as f64)
+            };
+            if monotonic {
+                self.registry.counter_fn(name, help, &[], sample);
+            } else {
+                self.registry.gauge_fn(name, help, &[], sample);
+            }
+        };
+        export(
+            "tpm_input_cache_hits_total",
+            "Jobs whose input came from the shared input cache.",
+            true,
+            |s| s.hits,
+        );
+        export(
+            "tpm_input_cache_misses_total",
+            "Jobs that generated their input (cold, evicted or over half the budget).",
+            true,
+            |s| s.misses,
+        );
+        export(
+            "tpm_input_cache_evictions_total",
+            "Cached inputs dropped, least recently used first, to stay within the byte budget.",
+            true,
+            |s| s.evictions,
+        );
+        export(
+            "tpm_input_cache_resident_bytes",
+            "Bytes of generated kernel inputs currently held by the input cache.",
+            false,
+            |s| s.resident_bytes,
+        );
     }
 
     /// The backing registry (for gauge registration and scraping).

@@ -145,7 +145,8 @@ pub enum Response {
         id: u64,
         /// Kernel-defined scalar output.
         value: f64,
-        /// Kernel execution time.
+        /// Kernel body time (`JobResult::elapsed`): the timed parallel
+        /// region only, input lookup/generation excluded.
         elapsed_ms: f64,
         /// Time spent queued before a worker picked the job up.
         queue_ms: f64,

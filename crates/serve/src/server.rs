@@ -427,6 +427,7 @@ pub fn serve(registry: Arc<JobRegistry>, config: ServerConfig) -> std::io::Resul
     let addr = listener.local_addr()?;
     let workers = config.workers.max(1);
     let metrics = ServeMetrics::new(workers, &registry.names());
+    metrics.export_input_cache(&registry);
     let pool = config.arena.then(|| BufPool::for_serve(workers));
     let shared = Arc::new(Shared {
         queue: BoundedQueue::new(config.queue_capacity),

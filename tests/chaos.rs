@@ -287,3 +287,44 @@ fn seeded_plans_replay_the_same_decisions() {
         assert!(longer.contains(f), "replay diverged at {f:?}");
     }
 }
+
+/// An input generation that panics under an injected `task-exec` fault
+/// comes back as a contained error and inserts nothing into the registry's
+/// input cache; the next request for the same key generates, succeeds and
+/// is cached.
+#[test]
+fn injected_panic_during_input_generation_leaves_the_cache_empty() {
+    if !fault::compiled_in() {
+        return;
+    }
+    let _serial = fault::session_serial();
+    let exec = Executor::new(2);
+    let spec = |model| threadcmp::JobSpec {
+        kernel: "sum".to_string(),
+        model,
+        variant: threadcmp::KernelVariant::Reference,
+        size: 1 << 18,
+        threads: 2,
+    };
+    let token = threadcmp::sync::CancelToken::new();
+    // The models whose chunks are spawned tasks, where `task-exec` probes.
+    for model in [Model::OmpTask, Model::CilkSpawn] {
+        let reg = threadcmp::harness::jobs::registry();
+        let session = FaultSession::install(&FaultPlan::single(SiteRule {
+            max_fires: 1,
+            ..SiteRule::nth(Site::TaskExec, FaultKind::Panic, 1)
+        }));
+        let err = reg.run(&exec, &spec(model), &token).unwrap_err();
+        assert_eq!(session.report().fired.len(), 1, "{model}");
+        match err {
+            ExecError::Panic(msg) => assert!(fault::is_injected_message(&msg), "{model}: {msg}"),
+            other => panic!("{model}: {other:?}"),
+        }
+        assert!(reg.inputs().resident().is_empty(), "{model}");
+
+        let ok = reg.run(&exec, &spec(model), &token).unwrap();
+        let k = threadcmp::kernels::Sum::native(1 << 18);
+        threadcmp::approx::scalar_close(ok.value, k.seq(&k.alloc()), 1e-9).unwrap();
+        assert_eq!(reg.inputs().resident().len(), 1, "{model}");
+    }
+}

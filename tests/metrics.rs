@@ -220,6 +220,63 @@ fn live_scrape_is_valid_prometheus_and_counts_the_traffic() {
     handle.shutdown();
 }
 
+/// Repeated `sum`@1 M requests against the harness registry: the first
+/// generates the 8 MiB input, the rest are served from the shared input
+/// cache, and the scrape says so from the cache's own counters.
+#[test]
+fn live_scrape_reports_input_cache_hits() {
+    let handle = serve(
+        Arc::new(threadcmp::harness::jobs::registry()),
+        ServerConfig::default(),
+    )
+    .expect("bind");
+    let stream = TcpStream::connect(handle.addr()).expect("connect");
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    let mut exchange = |request: &str| {
+        writer.write_all(request.as_bytes()).unwrap();
+        writer.write_all(b"\n").unwrap();
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        Response::parse(line.trim()).unwrap_or_else(|e| panic!("{e}: {line}"))
+    };
+    let spec = JobSpec {
+        kernel: "sum".into(),
+        model: Model::OmpFor,
+        variant: KernelVariant::Reference,
+        size: 1 << 20,
+        threads: 2,
+    };
+    for id in 0..5 {
+        let reply = exchange(&Request::run_line_as(id, &spec, None, None));
+        assert!(matches!(reply, Response::Ok { .. }), "{reply:?}");
+    }
+    let Response::Metrics { exposition } = exchange(r#"{"cmd":"metrics"}"#) else {
+        panic!("expected a metrics reply");
+    };
+    let scrape = text::validate(&exposition).expect("live exposition must validate");
+    assert_eq!(scrape.get("tpm_input_cache_hits_total", &[]), Some(4.0));
+    assert_eq!(scrape.get("tpm_input_cache_misses_total", &[]), Some(1.0));
+    assert_eq!(
+        scrape.get("tpm_input_cache_evictions_total", &[]),
+        Some(0.0)
+    );
+    assert_eq!(
+        scrape.get("tpm_input_cache_resident_bytes", &[]),
+        Some((8 << 20) as f64)
+    );
+    assert_eq!(
+        scrape.type_of("tpm_input_cache_hits_total"),
+        Some("counter")
+    );
+    assert_eq!(
+        scrape.type_of("tpm_input_cache_resident_bytes"),
+        Some("gauge")
+    );
+    handle.shutdown();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
