@@ -7,7 +7,7 @@
 //! | Piece | Replaces | Used by |
 //! |---|---|---|
 //! | [`Arena`] | per-task `Box`/`Vec` churn | per-worker scratch (loadgen encode, job staging) |
-//! | [`BufPool`] / [`PooledBuf`] | per-reply `Vec<u8>` allocations | `tpm-serve` reply path (both data paths) |
+//! | [`BufPool`] / [`PooledBuf`] | per-reply `Vec<u8>` allocations | `tpm-serve` reply path |
 //! | [`CountingAlloc`] | — | harness binaries, to *measure* allocations/request |
 //!
 //! Design notes:
@@ -18,7 +18,7 @@
 //!   outlives its generation — "no stale reads across resets" is a
 //!   compile-time fact, re-checked dynamically by the generation counter.
 //! * [`BufPool`] is the cross-thread variant: replies are encoded on worker
-//!   threads but freed on the reactor/writer thread, so region reuse rides
+//!   threads but freed on the reactor thread, so region reuse rides
 //!   on a [`PooledBuf`] drop-return instead of a lifetime. Each return is a
 //!   bulk reset of that buffer (`clear`, capacity kept), counted in
 //!   [`PoolStats::returns`].

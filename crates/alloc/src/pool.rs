@@ -127,39 +127,19 @@ impl std::fmt::Debug for BufPool {
     }
 }
 
-/// A `Vec<u8>` that returns its capacity to a [`BufPool`] on drop — or
-/// behaves as a plain vector when constructed [`unpooled`](Self::unpooled),
-/// so channels can carry one type whether arenas are on or off.
+/// A `Vec<u8>` that returns its capacity to its [`BufPool`] on drop.
 pub struct PooledBuf {
     buf: Vec<u8>,
+    /// `None` only once [`detach`](Self::detach)ed (and mid-drop).
     pool: Option<Arc<BufPool>>,
 }
 
 impl PooledBuf {
-    /// A buffer with no backing pool; drop frees it normally.
-    pub fn unpooled() -> Self {
-        Self {
-            buf: Vec::new(),
-            pool: None,
-        }
-    }
-
     /// Detaches the bytes from the pool (the pool sees neither a return
     /// nor a discard; the caller owns the vector outright).
     pub fn detach(mut self) -> Vec<u8> {
         self.pool = None;
         std::mem::take(&mut self.buf)
-    }
-
-    /// Whether this buffer returns to a pool on drop.
-    pub fn is_pooled(&self) -> bool {
-        self.pool.is_some()
-    }
-}
-
-impl From<Vec<u8>> for PooledBuf {
-    fn from(buf: Vec<u8>) -> Self {
-        Self { buf, pool: None }
     }
 }
 
@@ -188,7 +168,6 @@ impl std::fmt::Debug for PooledBuf {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PooledBuf")
             .field("len", &self.buf.len())
-            .field("pooled", &self.pool.is_some())
             .finish()
     }
 }
@@ -235,13 +214,8 @@ mod tests {
     }
 
     #[test]
-    fn unpooled_and_detached_buffers_never_touch_the_pool() {
+    fn detached_buffers_never_return_to_the_pool() {
         let pool = BufPool::new(8, 1 << 20);
-        let mut u = PooledBuf::unpooled();
-        u.extend_from_slice(b"hello");
-        assert!(!u.is_pooled());
-        drop(u);
-
         let mut p = pool.take();
         p.extend_from_slice(b"world");
         let v = p.detach();

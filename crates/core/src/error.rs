@@ -1,11 +1,10 @@
 //! Execution errors for the fallible (`try_`) executor API.
 //!
-//! The panicking [`Executor`](crate::Executor) methods predate the job
-//! service; a server cannot afford a panic (or a wedged loop) per bad
-//! request, so the `try_` entry points fold every way an execution can stop
-//! early into one value the caller can match on: cooperative cancellation,
-//! deadline expiry, a panicking body, or a request that was wrong before any
-//! thread started.
+//! A server cannot afford a panic (or a wedged loop) per bad request, so
+//! the [`Executor`](crate::Executor)'s `try_` entry points fold every way an
+//! execution can stop early into one value the caller can match on:
+//! cooperative cancellation, deadline expiry, a panicking body, or a request
+//! that was wrong before any thread started.
 
 use tpm_sync::CancelReason;
 

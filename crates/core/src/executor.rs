@@ -266,25 +266,6 @@ impl Executor {
         raw::base_cutoff(n, self.threads)
     }
 
-    /// Runs the data-parallel loop `body` over `range` under `model`'s
-    /// distribution mechanism. `body` receives contiguous chunks.
-    ///
-    /// Deprecated: panics on any failure. Use
-    /// [`try_parallel_for`](Self::try_parallel_for), which reports
-    /// cancellation, deadlines and contained body panics as [`ExecError`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use try_parallel_for (Result-based; this wrapper panics on failure)"
-    )]
-    pub fn parallel_for<F>(&self, model: Model, range: Range<usize>, body: &F)
-    where
-        F: Fn(Range<usize>) + Sync,
-    {
-        if let Err(e) = self.try_parallel_for(model, range, &CancelToken::new(), body) {
-            panic!("{model} parallel_for failed: {e}");
-        }
-    }
-
     /// Fallible parallel loop: polls `token` at every chunk/steal boundary
     /// and stops within one grain of work per thread once it fires; a
     /// panicking body is caught (the runtimes stay usable) and reported as
@@ -399,35 +380,6 @@ impl Executor {
                 // activations down to BASE.
                 tpm_actors::recursive_for_cancel(self.actors(), range, base, token, body);
             }
-        }
-    }
-
-    /// Runs a data-parallel reduction under `model`: `body` folds each chunk
-    /// into a `T` accumulator; partials combine with `combine` (associative).
-    ///
-    /// Deprecated: panics on any failure. Use
-    /// [`try_parallel_reduce`](Self::try_parallel_reduce).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use try_parallel_reduce (Result-based; this wrapper panics on failure)"
-    )]
-    pub fn parallel_reduce<T, F, Id, Op>(
-        &self,
-        model: Model,
-        range: Range<usize>,
-        identity: Id,
-        combine: Op,
-        body: F,
-    ) -> T
-    where
-        T: Send,
-        Id: Fn() -> T + Send + Sync,
-        Op: Fn(T, T) -> T + Send + Sync,
-        F: Fn(Range<usize>, &mut T) + Sync,
-    {
-        match self.try_parallel_reduce(model, range, &CancelToken::new(), identity, combine, body) {
-            Ok(v) => v,
-            Err(e) => panic!("{model} parallel_reduce failed: {e}"),
         }
     }
 
@@ -692,29 +644,6 @@ mod tests {
                 assert_eq!(c.into_inner(), 10);
             }
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_still_work() {
-        let exec = Executor::new(2);
-        let c = AtomicU64::new(0);
-        exec.parallel_for(Model::OmpFor, 0..10, &|chunk| {
-            c.fetch_add(chunk.len() as u64, Ordering::Relaxed);
-        });
-        assert_eq!(c.into_inner(), 10);
-        let sum = exec.parallel_reduce(
-            Model::ActorFor,
-            0..100,
-            || 0u64,
-            |a, b| a + b,
-            |chunk, acc| {
-                for i in chunk {
-                    *acc += i as u64;
-                }
-            },
-        );
-        assert_eq!(sum, 4950);
     }
 
     #[test]

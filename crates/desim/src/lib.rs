@@ -2,10 +2,14 @@
 //!
 //! FoundationDB-style simulation testing for the `tpm-serve` job service:
 //! simulated clients, a seeded virtual network (delay, jitter, drop,
-//! duplication, partition), and a simulated server node that runs the
-//! *real* admission/deadline/watchdog/drain/reply state machines from
-//! [`tpm_serve::engine`] — all on the virtual clock from
-//! [`tpm_sim`], so a run is a pure function of its seed.
+//! duplication, partition), and a simulated server node built on the code
+//! the real server runs — [`tpm_serve::engine`]'s session pump, admission
+//! decision, reply gate, watchdog arithmetic and reply vocabulary — all on
+//! the virtual clock from [`tpm_sim`], so a run is a pure function of its
+//! seed. What the node says in each reply and which counter it lands in is
+//! `engine`'s code; *when* things happen (queueing, workers, the watchdog's
+//! scan, worker death) is this crate's model of the server's threads (the
+//! header of `src/sim.rs` spells out the split).
 //!
 //! What that buys:
 //!
@@ -192,6 +196,9 @@ pub struct DesimReport {
     pub violations: Vec<String>,
     /// The node's own counters plus network tallies.
     pub stats: SimStats,
+    /// Every reply a simulated client decoded, as `(client, reply)` in
+    /// arrival order — what the node *said*, next to what it counted.
+    pub replies: Vec<(usize, tpm_serve::Response)>,
     /// Human-readable dump of the fault plan that shaped the run
     /// ([`FaultPlan::describe`]), for failure reports.
     pub plan_summary: String,

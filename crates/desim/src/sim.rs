@@ -1,15 +1,26 @@
 //! The event-driven service simulator.
 //!
 //! One [`Sim`] is one run: simulated clients fire real wire-encoded
-//! requests through the seeded virtual network at a simulated server node
-//! that runs the *real* `tpm-serve` machinery — the protocol-sniffing
-//! [`Decoder`] via [`engine::pump_session`], [`engine::admit`] for
-//! admission, [`ReplyGate`] for the exactly-one-reply claim,
-//! [`engine::kill_offset`] for the watchdog's kill point — on a virtual
-//! clock. Only the *scheduling* is simulated (virtual queue, virtual
-//! workers, virtual durations); every protocol decision and state
-//! transition is the production code path, and the registered kernels
-//! really execute.
+//! requests through the seeded virtual network at a simulated server node.
+//!
+//! **Shared with production** (the same functions `tpm-serve`'s server
+//! calls, not copies): the wire codecs and the protocol-sniffing
+//! [`Decoder`] via [`engine::pump_session`]; [`engine::admit`] for
+//! admission; [`ReplyGate`] for the exactly-one-reply claim;
+//! [`engine::kill_offset`] for the watchdog's kill point; and
+//! [`engine::Reply`] / [`engine::health`] for *what every reply says and
+//! which counter it lands in* — this file builds no error reply and picks
+//! no counter. The registered kernels really execute, through the real
+//! `JobRegistry`.
+//!
+//! **Simulated here** (this file's own code, modelled on `server.rs` but
+//! not shared with it): scheduling. The queue is a `VecDeque`, workers are
+//! slots with virtual job durations drawn from the seed, the watchdog is a
+//! periodic event, worker death and respawn are events, and fault-plan
+//! decisions come from [`PlanEval`] rather than the process-global prober
+//! (so an admission `panic` is *decided*, not unwound). A bug in when
+//! something happens can therefore be a simulator bug; a bug in what is
+//! said about it cannot.
 //!
 //! Determinism: the run is single-threaded, every event pops in `(time,
 //! scheduling order)`, and all randomness (network jitter, job durations,
@@ -26,12 +37,9 @@ use crate::{Bug, DesimConfig, DesimReport, SimStats};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::time::Duration;
-use tpm_core::{Executor, JobRegistry, JobSpec, KernelVariant, Model};
+use tpm_core::{ExecError, Executor, JobRegistry, JobSpec, KernelVariant, Model};
 use tpm_fault::{FaultKind, FaultPlan, PlanEval, Site, SiteRule};
-use tpm_serve::engine::{
-    self, ReplyGate, Transport, MSG_DROPPED, MSG_QUEUE_FULL, MSG_WATCHDOG_SHED,
-};
-use tpm_serve::protocol::{CODE_INJECTED, CODE_OVERLOADED};
+use tpm_serve::engine::{self, Bucket, HealthView, JobOutcome, Reply, ReplyGate, Transport};
 use tpm_serve::wire::{self, Decoder, ResponseDecoder, Step};
 use tpm_serve::{Protocol, Request, Response};
 use tpm_sim::{Clock, EventQueue, VirtualClock};
@@ -106,11 +114,6 @@ struct SimJob {
     gate: ReplyGate,
 }
 
-enum Outcome {
-    Ok { value: f64 },
-    Fail { code: &'static str, message: String },
-}
-
 struct Inflight {
     conn: usize,
     id: u64,
@@ -121,8 +124,7 @@ struct Inflight {
     deadline_ns: Option<u64>,
     admitted_ns: u64,
     started_ns: u64,
-    elapsed_ns: u64,
-    outcome: Outcome,
+    outcome: JobOutcome,
 }
 
 struct ClientState {
@@ -186,6 +188,7 @@ pub(crate) struct Sim<'a> {
     rng: SplitMix64,
     log: String,
     violations: Vec<String>,
+    replies: Vec<(usize, Response)>,
     stats: SimStats,
     ledger: Ledger,
     clients: Vec<ClientState>,
@@ -217,6 +220,7 @@ impl<'a> Sim<'a> {
             rng: SplitMix64::new(cfg.seed ^ 0x6a6f_625f_6475_7273), // "job_durs"
             log: String::new(),
             violations: Vec::new(),
+            replies: Vec::new(),
             stats: SimStats::default(),
             ledger: Ledger::default(),
             clients: (0..cfg.clients)
@@ -275,6 +279,7 @@ impl<'a> Sim<'a> {
             log: self.log,
             violations: self.violations,
             stats: self.stats,
+            replies: self.replies,
             plan_summary: self.plan_summary,
         }
     }
@@ -423,16 +428,16 @@ impl<'a> Sim<'a> {
             }
         }
         for m in got {
-            match m {
+            match &m {
                 Ok(Response::Ok { id, .. }) => {
-                    self.ledger.track(conn, id).replies_decoded += 1;
+                    self.ledger.track(conn, *id).replies_decoded += 1;
                     self.stats.replies_decoded += 1;
                     self.logln(now, format_args!("client {conn} decoded id={id} ok"));
                 }
                 Ok(Response::Error {
                     id: Some(id), code, ..
                 }) => {
-                    self.ledger.track(conn, id).replies_decoded += 1;
+                    self.ledger.track(conn, *id).replies_decoded += 1;
                     self.stats.replies_decoded += 1;
                     self.logln(
                         now,
@@ -454,6 +459,9 @@ impl<'a> Sim<'a> {
                 Err(e) => self
                     .violations
                     .push(format!("client {conn} reply stream broke: {e}")),
+            }
+            if let Ok(reply) = m {
+                self.replies.push((conn, reply));
             }
         }
     }
@@ -599,23 +607,7 @@ impl<'a> Sim<'a> {
 
     fn handle_frame(&mut self, now: u64, conn: usize, parsed: Result<Request, String>) {
         match parsed {
-            Err(message) => {
-                self.stats.parse_errors += 1;
-                self.send_response(
-                    now,
-                    conn,
-                    &Response::Error {
-                        id: None,
-                        code: tpm_serve::protocol::CODE_PARSE,
-                        message,
-                    },
-                    Meta::Reply {
-                        client: conn,
-                        id: None,
-                    },
-                    false,
-                );
-            }
+            Err(message) => self.answer(now, conn, None, Reply::unparsed(message)),
             Ok(Request::Run {
                 id,
                 spec,
@@ -626,7 +618,7 @@ impl<'a> Sim<'a> {
                 self.send_response(now, conn, &Response::Pong, Meta::Control, false);
             }
             Ok(Request::Health) => {
-                let resp = Response::Health {
+                let resp = engine::health(&HealthView {
                     live_workers: self.workers.iter().filter(|w| **w != Worker::Dead).count()
                         as u64,
                     dead_workers: self.stats.worker_deaths,
@@ -635,8 +627,9 @@ impl<'a> Sim<'a> {
                     admitted: self.stats.admitted,
                     completed: self.stats.completed,
                     shed: self.stats.shed,
+                    watchdog_shed: self.stats.watchdog_shed,
                     distinct_clients: self.cfg.clients as u64,
-                };
+                });
                 self.send_response(now, conn, &resp, Meta::Control, false);
             }
             Ok(Request::Metrics) => {
@@ -665,108 +658,38 @@ impl<'a> Sim<'a> {
         deadline_ms: Option<u64>,
     ) {
         // Admission-site faults, decided by the same seeded plan that
-        // shapes the network. Panics here are contained by the real
-        // server's frame handler; the simulator mirrors the observable
-        // result (an `injected` error reply).
+        // shapes the network. The real server unwinds an injected panic
+        // into its frame handler's containment; here the fault is only
+        // decided, and `engine` says what either driver replies.
         if let Some(d) = self.eval.decide(Site::JobAdmission) {
-            match d.kind {
-                FaultKind::Panic | FaultKind::TaskDrop => {
-                    self.stats.refused += 1;
-                    self.logln(
-                        now,
-                        format_args!("admission fault ({}) client {conn} id={id}", d.kind.name()),
-                    );
-                    self.send_response(
-                        now,
-                        conn,
-                        &Response::Error {
-                            id: Some(id),
-                            code: CODE_INJECTED,
-                            message: format!("injected {} at job-admission", d.kind.name()),
-                        },
-                        Meta::Reply {
-                            client: conn,
-                            id: Some(id),
-                        },
-                        false,
-                    );
-                    return;
-                }
-                FaultKind::StealMiss => {
-                    self.stats.shed += 1;
-                    self.logln(
+            if let Some(reply) = Reply::admission_fault(id, d.kind) {
+                match reply.bucket {
+                    Bucket::Shed => self.logln(
                         now,
                         format_args!("admission fault (shed) client {conn} id={id}"),
-                    );
-                    self.send_response(
+                    ),
+                    _ => self.logln(
                         now,
-                        conn,
-                        &Response::Error {
-                            id: Some(id),
-                            code: CODE_OVERLOADED,
-                            message: "injected admission shed".to_string(),
-                        },
-                        Meta::Reply {
-                            client: conn,
-                            id: Some(id),
-                        },
-                        false,
-                    );
-                    return;
+                        format_args!("admission fault ({}) client {conn} id={id}", d.kind.name()),
+                    ),
                 }
-                FaultKind::Delay | FaultKind::Duplicate | FaultKind::Partition => {}
+                return self.answer(now, conn, Some(id), reply);
             }
         }
         let policy = engine::AdmissionPolicy {
             max_threads: self.cfg.max_threads,
             default_deadline_ms: None,
         };
-        match engine::admit(self.registry, &policy, &spec, deadline_ms) {
-            engine::Admission::Refuse {
-                code,
-                message,
-                shed,
-            } => {
-                if shed {
-                    self.stats.shed += 1;
-                } else {
-                    self.stats.refused += 1;
-                }
+        match engine::admit(self.registry, &policy, &spec, deadline_ms).resolve(id) {
+            Err(reply) => {
+                let code = reply.outcome;
                 self.logln(now, format_args!("refused client {conn} id={id}: {code}"));
-                self.send_response(
-                    now,
-                    conn,
-                    &Response::Error {
-                        id: Some(id),
-                        code,
-                        message,
-                    },
-                    Meta::Reply {
-                        client: conn,
-                        id: Some(id),
-                    },
-                    false,
-                );
+                self.answer(now, conn, Some(id), reply);
             }
-            engine::Admission::Accept { deadline_ms } => {
+            Ok(deadline_ms) => {
                 if self.shutdown_started || self.queue.len() >= self.cfg.queue_capacity {
-                    self.stats.shed += 1;
                     self.logln(now, format_args!("shed client {conn} id={id} (queue)"));
-                    self.send_response(
-                        now,
-                        conn,
-                        &Response::Error {
-                            id: Some(id),
-                            code: CODE_OVERLOADED,
-                            message: MSG_QUEUE_FULL.to_string(),
-                        },
-                        Meta::Reply {
-                            client: conn,
-                            id: Some(id),
-                        },
-                        false,
-                    );
-                    return;
+                    return self.answer(now, conn, Some(id), Reply::queue_full(id));
                 }
                 self.stats.admitted += 1;
                 let deadline_ns = deadline_ms.map(|ms| now + ms * 1_000_000);
@@ -827,7 +750,6 @@ impl<'a> Sim<'a> {
             if let Some(dl) = job.deadline_ns {
                 if now >= dl {
                     if job.gate.claim() {
-                        self.stats.failed += 1;
                         self.assert_deadline_monotonic(now, job.conn, job.id, Some(dl));
                         self.logln(
                             now,
@@ -836,20 +758,8 @@ impl<'a> Sim<'a> {
                                 job.conn, job.id
                             ),
                         );
-                        self.send_response(
-                            now,
-                            job.conn,
-                            &Response::Error {
-                                id: Some(job.id),
-                                code: "deadline",
-                                message: "deadline expired before execution".to_string(),
-                            },
-                            Meta::Reply {
-                                client: job.conn,
-                                id: Some(job.id),
-                            },
-                            false,
-                        );
+                        let reply = Reply::expired_in_queue(job.id);
+                        self.answer(now, job.conn, Some(job.id), reply);
                     }
                     continue;
                 }
@@ -880,21 +790,7 @@ impl<'a> Sim<'a> {
         } else if job.gate.claim() {
             // The real WorkItem drop backstop: the dying worker's item
             // answers on the way out.
-            self.stats.failed += 1;
-            self.send_response(
-                now,
-                job.conn,
-                &Response::Error {
-                    id: Some(job.id),
-                    code: "panic",
-                    message: MSG_DROPPED.to_string(),
-                },
-                Meta::Reply {
-                    client: job.conn,
-                    id: Some(job.id),
-                },
-                false,
-            );
+            self.answer(now, job.conn, Some(job.id), Reply::dropped(job.id));
         }
         self.events
             .schedule(now + RESPAWN_NS, Ev::WorkerRespawn { worker: w });
@@ -911,11 +807,12 @@ impl<'a> Sim<'a> {
             .or_insert_with(|| Executor::new(job.spec.threads));
         let token = CancelToken::new();
         let mut outcome = match self.registry.run(exec, &job.spec, &token) {
-            Ok(r) => Outcome::Ok { value: r.value },
-            Err(e) => Outcome::Fail {
-                code: e.code(),
-                message: e.to_string(),
+            // The virtual duration is filled in once it is known, below.
+            Ok(r) => JobOutcome::Done {
+                value: r.value,
+                elapsed_ms: 0.0,
             },
+            Err(e) => JobOutcome::Failed(e),
         };
         let mut dur = JOB_BASE_NS + self.rng.next_bounded(JOB_JITTER_NS) + start_lag;
         let mut wedged = false;
@@ -927,10 +824,10 @@ impl<'a> Sim<'a> {
                     dur += d.delay_us * 1_000;
                 }
                 FaultKind::Panic | FaultKind::TaskDrop => {
-                    outcome = Outcome::Fail {
-                        code: CODE_INJECTED,
-                        message: format!("injected {} at task-exec", d.kind.name()),
-                    };
+                    // Modelled as a fault that escapes the runtime and is
+                    // contained by the worker, payload and all.
+                    outcome =
+                        JobOutcome::Panicked(tpm_fault::injected_payload(d.kind, Site::TaskExec));
                 }
                 _ => {}
             }
@@ -947,11 +844,11 @@ impl<'a> Sim<'a> {
                 // The runtimes poll the token between chunks: the job
                 // stops shortly after its deadline passes.
                 t_end = dl + POLL_LAG_NS;
-                outcome = Outcome::Fail {
-                    code: "deadline",
-                    message: "deadline exceeded".to_string(),
-                };
+                outcome = JobOutcome::Failed(ExecError::Deadline);
             }
+        }
+        if let JobOutcome::Done { elapsed_ms, .. } = &mut outcome {
+            *elapsed_ms = (t_end - now) as f64 / 1e6;
         }
         self.logln(
             now,
@@ -973,7 +870,6 @@ impl<'a> Sim<'a> {
                 deadline_ns: job.deadline_ns,
                 admitted_ns: job.admitted_ns,
                 started_ns: now,
-                elapsed_ns: t_end - now,
                 outcome,
             },
         );
@@ -993,59 +889,23 @@ impl<'a> Sim<'a> {
             .expect("WorkerDone for unknown job");
         self.workers[w] = Worker::Idle;
         if entry.gate.claim() {
-            match entry.outcome {
-                Outcome::Ok { value } => {
-                    self.stats.completed += 1;
-                    self.logln(
-                        now,
-                        format_args!("reply client {} id={} ok", entry.conn, entry.id),
-                    );
-                    self.send_response(
-                        now,
-                        entry.conn,
-                        &Response::Ok {
-                            id: entry.id,
-                            value,
-                            elapsed_ms: entry.elapsed_ns as f64 / 1e6,
-                            queue_ms: (entry.started_ns - entry.admitted_ns) as f64 / 1e6,
-                        },
-                        Meta::Reply {
-                            client: entry.conn,
-                            id: Some(entry.id),
-                        },
-                        false,
-                    );
-                }
-                Outcome::Fail { code, message } => {
-                    self.stats.failed += 1;
-                    if code == "deadline" {
-                        self.assert_deadline_monotonic(
-                            now,
-                            entry.conn,
-                            entry.id,
-                            entry.deadline_ns,
-                        );
-                    }
-                    self.logln(
-                        now,
-                        format_args!("reply client {} id={} error={code}", entry.conn, entry.id),
-                    );
-                    self.send_response(
-                        now,
-                        entry.conn,
-                        &Response::Error {
-                            id: Some(entry.id),
-                            code,
-                            message,
-                        },
-                        Meta::Reply {
-                            client: entry.conn,
-                            id: Some(entry.id),
-                        },
-                        false,
-                    );
-                }
+            let queue_ms = (entry.started_ns - entry.admitted_ns) as f64 / 1e6;
+            let reply = Reply::finished(entry.id, entry.outcome, queue_ms);
+            let code = reply.outcome;
+            if code == "deadline" {
+                self.assert_deadline_monotonic(now, entry.conn, entry.id, entry.deadline_ns);
             }
+            match reply.bucket {
+                Bucket::Completed => self.logln(
+                    now,
+                    format_args!("reply client {} id={} ok", entry.conn, entry.id),
+                ),
+                _ => self.logln(
+                    now,
+                    format_args!("reply client {} id={} error={code}", entry.conn, entry.id),
+                ),
+            }
+            self.answer(now, entry.conn, Some(entry.id), reply);
         } else {
             self.logln(
                 now,
@@ -1091,30 +951,34 @@ impl<'a> Sim<'a> {
             // One shot per job either way.
             self.inflight.get_mut(&seq).expect("due entry").kill_at = None;
             if fire {
-                self.stats.watchdog_shed += 1;
                 self.assert_deadline_monotonic(now, conn, id, deadline_ns);
                 self.logln(
                     now,
                     format_args!("watchdog kills client {conn} id={id} (past grace)"),
                 );
-                self.send_response(
-                    now,
-                    conn,
-                    &Response::Error {
-                        id: Some(id),
-                        code: "deadline",
-                        message: MSG_WATCHDOG_SHED.to_string(),
-                    },
-                    Meta::Reply {
-                        client: conn,
-                        id: Some(id),
-                    },
-                    false,
-                );
+                self.answer(now, conn, Some(id), Reply::watchdog_shed(id));
             }
         }
         let at = now + self.watchdog_interval_ns();
         self.events.schedule(at, Ev::WatchdogTick);
+    }
+
+    /// Applies one [`Reply`] the way `Shared::answer` does in the server:
+    /// counts it in the bucket `engine` chose, then sends it. `id` is the
+    /// request it answers (`None` only for unparseable bytes), for ledger
+    /// attribution.
+    fn answer(&mut self, now: u64, conn: usize, id: Option<u64>, reply: Reply) {
+        let counter = match reply.bucket {
+            Bucket::Completed => &mut self.stats.completed,
+            Bucket::Failed => &mut self.stats.failed,
+            Bucket::Refused => &mut self.stats.refused,
+            Bucket::Shed => &mut self.stats.shed,
+            Bucket::WatchdogShed => &mut self.stats.watchdog_shed,
+            Bucket::Unparsed => &mut self.stats.parse_errors,
+        };
+        *counter += 1;
+        let meta = Meta::Reply { client: conn, id };
+        self.send_response(now, conn, &reply.response, meta, false);
     }
 
     fn send_response(

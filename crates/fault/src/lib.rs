@@ -101,18 +101,25 @@ pub const fn compiled_in() -> bool {
     cfg!(feature = "inject")
 }
 
-/// Panics with the uniform injected-fault payload for `site`.
+/// The uniform injected-fault payload for `kind` at `site`.
 ///
-/// The payload always starts with `"injected"`, which tests and operators
-/// use to tell injected faults from genuine bugs.
+/// It always starts with `"injected"`, which tests and operators use to
+/// tell injected faults from genuine bugs. Public so a driver that only
+/// *decides* a fault (the `tpm-desim` simulator) reports the very message a
+/// driver that really unwinds would carry.
+pub fn injected_payload(kind: FaultKind, site: Site) -> String {
+    format!("injected {} at {}", kind.name(), site.name())
+}
+
+/// Panics with the uniform injected-fault payload for `site`.
 pub fn injected_panic(site: Site) -> ! {
-    panic!("injected panic at {}", site.name())
+    panic!("{}", injected_payload(FaultKind::Panic, site))
 }
 
 /// Panics with the uniform task-drop payload for `site` (the runtimes turn
 /// `TaskDrop` into a contained panic so dropped work is observable).
 pub fn injected_drop(site: Site) -> ! {
-    panic!("injected task-drop at {}", site.name())
+    panic!("{}", injected_payload(FaultKind::TaskDrop, site))
 }
 
 /// True if a panic payload (as formatted into an error message) came from

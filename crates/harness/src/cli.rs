@@ -20,7 +20,7 @@ use crate::native::NativeConfig;
 pub const USAGE: &str = "usage: tpm-harness <experiment> [kernel] [--native] [--threads 1,2,4] \
 [--reps N] [--scale S] [--trace out.json] [--json-out bench.json] [--pin] \
 [--kernel-variant reference|optimized] [service flags]
-experiments: table1 table2 table3 fig1..fig10 figures tables all check ht numasim calibrate
+experiments: table1 table2 table3 fig1..fig10 figures tables all check ht numasim
              profile serve loadgen top metrics chaos desim
   numasim            sweep NUMA placement (packed|scatter) x steal-victim
                      policy (random|node_aware) on the simulated two-socket
@@ -51,7 +51,7 @@ experiments: table1 table2 table3 fig1..fig10 figures tables all check ht numasi
                      Chrome-trace JSON loadable in Perfetto
   --json-out f.json  write machine-readable per-kernel/per-model results
                      (median + stddev seconds) for figure experiments, or
-                     the loadgen report (BENCH_4.json format)
+                     the loadgen report
   --pin              pin runtime worker threads to cores (TPM_PIN=1)
   --numa mode        NUMA-aware victim ordering in the worksteal/forkjoin
                      runtimes: on (TPM_NUMA=1), off (TPM_NUMA=0), or auto
@@ -73,9 +73,6 @@ service flags (serve + loadgen):
   --protocol p       loadgen: wire protocol, json|binary [json]
   --window N         loadgen: requests kept in flight per connection
                      (pipelining; 1 = closed loop) [1]
-  --data-path p      serve: socket data path, auto|epoll|threaded [auto]
-  --arena mode       serve: recycle reply buffers through the per-worker
-                     pool (tpm-alloc), on|off [on]
   --size N           loadgen: problem size sent in each job request [4096]
   --model sel        model selection: 'all', one registry name, or a comma
                      list (e.g. omp_for,actor_task); figures/profile/chaos
@@ -138,8 +135,6 @@ pub struct ServiceOpts {
     pub protocol: tpm_serve::Protocol,
     /// Loadgen: requests kept in flight per connection (1 = closed loop).
     pub window: usize,
-    /// Serve: socket data path.
-    pub data_path: tpm_serve::DataPath,
     /// Loadgen: problem size sent in each job request.
     pub size: usize,
     /// Loadgen: threading model each job runs under.
@@ -154,8 +149,6 @@ pub struct ServiceOpts {
     pub interval_ms: u64,
     /// Top: render this many frames then exit (`None` = until killed).
     pub frames: Option<usize>,
-    /// Serve: recycle reply buffers through the per-worker pool.
-    pub arena: bool,
     /// Desim: first seed of the sweep.
     pub seed: u64,
     /// Desim: how many consecutive seeds to run.
@@ -181,7 +174,6 @@ impl Default for ServiceOpts {
             requests: 20,
             protocol: tpm_serve::Protocol::Json,
             window: 1,
-            data_path: tpm_serve::DataPath::Auto,
             size: 4096,
             model: Model::OmpFor,
             deadline_ms: None,
@@ -189,7 +181,6 @@ impl Default for ServiceOpts {
             metrics_out: None,
             interval_ms: 1000,
             frames: None,
-            arena: true,
             seed: 1,
             seeds: 1,
             until_failure: false,
@@ -311,12 +302,6 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
             "--window" => {
                 service.window = positive(args, &mut i, "--window")?;
             }
-            "--data-path" => {
-                let v = flag_value(args, &mut i, "--data-path")?;
-                service.data_path = tpm_serve::DataPath::parse(v).ok_or_else(|| {
-                    format!("invalid --data-path value '{v}': expected auto|epoll|threaded")
-                })?;
-            }
             "--size" => {
                 service.size = positive(args, &mut i, "--size")?;
             }
@@ -334,14 +319,6 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
             }
             "--job-threads" => {
                 service.job_threads = positive(args, &mut i, "--job-threads")?;
-            }
-            "--arena" => {
-                let v = flag_value(args, &mut i, "--arena")?;
-                service.arena = match v {
-                    "on" => true,
-                    "off" => false,
-                    _ => return Err(format!("invalid --arena value '{v}': expected on|off")),
-                };
             }
             "--metrics-out" => {
                 let v = flag_value(args, &mut i, "--metrics-out")?;
@@ -592,7 +569,7 @@ mod tests {
 
     #[test]
     fn parses_wire_protocol_flags() {
-        use tpm_serve::{DataPath, Protocol};
+        use tpm_serve::Protocol;
         let cli = p(&[
             "loadgen",
             "--connections",
@@ -607,15 +584,9 @@ mod tests {
         assert_eq!(cli.service.protocol, Protocol::Binary);
         assert_eq!(cli.service.window, 16);
 
-        let cli = p(&["serve", "--data-path", "threaded"]).unwrap();
-        assert_eq!(cli.service.data_path, DataPath::Threaded);
-        let cli = p(&["serve", "--data-path", "epoll"]).unwrap();
-        assert_eq!(cli.service.data_path, DataPath::Epoll);
-
         let plain = p(&["serve"]).unwrap();
         assert_eq!(plain.service.protocol, Protocol::Json);
         assert_eq!(plain.service.window, 1);
-        assert_eq!(plain.service.data_path, DataPath::Auto);
     }
 
     #[test]
@@ -625,11 +596,12 @@ mod tests {
             err.contains("--protocol") && err.contains("json|binary"),
             "{err}"
         );
-        let err = p(&["serve", "--data-path", "io_uring"]).unwrap_err();
-        assert!(
-            err.contains("--data-path") && err.contains("auto|epoll|threaded"),
-            "{err}"
-        );
+        // The server has one data path and one reply-buffer policy: the
+        // switches that used to select others are unknown flags now.
+        for gone in ["--data-path", "--arena"] {
+            let err = p(&["serve", gone, "on"]).unwrap_err();
+            assert!(err.contains("unknown flag") && err.contains(gone), "{err}");
+        }
         let err = p(&["loadgen", "--connections", "0"]).unwrap_err();
         assert!(err.contains("--connections"), "{err}");
         assert!(p(&["loadgen", "--window", "none"]).is_err());
@@ -639,31 +611,20 @@ mod tests {
     }
 
     #[test]
-    fn parses_arena_and_numa_modes() {
-        let cli = p(&["serve", "--arena", "off", "--numa", "on"]).unwrap();
-        assert!(!cli.service.arena);
+    fn parses_numa_modes() {
+        let cli = p(&["serve", "--numa", "on"]).unwrap();
         assert_eq!(cli.common.numa, Some(true));
-        let cli = p(&["serve", "--arena", "on", "--numa", "off"]).unwrap();
-        assert!(cli.service.arena);
+        let cli = p(&["serve", "--numa", "off"]).unwrap();
         assert_eq!(cli.common.numa, Some(false));
         let cli = p(&["fig5", "--numa", "auto"]).unwrap();
         assert_eq!(cli.common.numa, None);
+        assert_eq!(p(&["serve"]).unwrap().common.numa, None);
 
-        // Defaults: arena on, numa auto.
-        let plain = p(&["serve"]).unwrap();
-        assert!(plain.service.arena);
-        assert_eq!(plain.common.numa, None);
-
-        let err = p(&["serve", "--arena", "maybe"]).unwrap_err();
-        assert!(err.contains("--arena") && err.contains("on|off"), "{err}");
         let err = p(&["fig5", "--numa", "both"]).unwrap_err();
         assert!(
             err.contains("--numa") && err.contains("on|off|auto"),
             "{err}"
         );
-        assert!(p(&["serve", "--arena"])
-            .unwrap_err()
-            .contains("requires a value"));
         assert!(p(&["serve", "--numa"])
             .unwrap_err()
             .contains("requires a value"));

@@ -233,7 +233,7 @@ fn unpadded_cost() -> CostModel {
 
 /// Machine-readable `numasim` sweep — one row per placement × policy ×
 /// thread count with steal counts, plus the padded-vs-unpadded deque-layout
-/// comparison on the same steal-heavy tree, for `BENCH_<n>.json` tracking.
+/// comparison on the same steal-heavy tree.
 pub fn numasim_json() -> String {
     let sim = Simulator::paper_testbed();
     let fw = Fib::paper().sim_workload();

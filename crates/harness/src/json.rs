@@ -1,9 +1,8 @@
 //! Machine-readable benchmark output (`--json-out`).
 //!
 //! Serializes figure results as JSON — per kernel, per model, per thread
-//! count, with the median and stddev over the timed repetitions — so the
-//! repository's performance trajectory can be tracked as committed
-//! `BENCH_<n>.json` files and diffed across PRs. Hand-rolled (like the
+//! count, with the median and stddev over the timed repetitions — so a
+//! figure run can be kept and diffed. Hand-rolled (like the
 //! Chrome-trace writer in `tpm-trace`): this workspace builds offline with
 //! no serde.
 

@@ -15,7 +15,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod calibrate;
 pub mod chaos;
 pub mod cli;
 pub mod desim;

@@ -6,7 +6,7 @@ use tpm_harness::native::{self, NativeConfig};
 use tpm_harness::{chaos, desim, profile, service, top};
 
 /// Count every heap operation so `serve` can report measured
-/// allocations-per-request (the `--arena` win) instead of estimates.
+/// allocations-per-request instead of estimates.
 #[global_allocator]
 static ALLOC: tpm_alloc::CountingAlloc = tpm_alloc::CountingAlloc;
 
@@ -197,11 +197,6 @@ fn run(cli: &Cli, fault_plan: Option<tpm_fault::FaultPlan>) -> i32 {
     };
 
     match experiment.as_str() {
-        "calibrate" => {
-            let cals = tpm_harness::calibrate::run();
-            println!("{}", tpm_harness::calibrate::render(&cals));
-            0
-        }
         "ht" => {
             let fig = experiments::ht_extension();
             println!("{}", fig.to_table());

@@ -24,8 +24,6 @@ pub fn run_serve(opts: &ServiceOpts) -> i32 {
         queue_capacity: opts.queue,
         max_threads: opts.max_threads,
         default_deadline_ms: opts.deadline_ms,
-        data_path: opts.data_path,
-        arena: opts.arena,
         ..ServerConfig::default()
     };
     let heap_before = tpm_alloc::snapshot();
@@ -37,12 +35,10 @@ pub fn run_serve(opts: &ServiceOpts) -> i32 {
         }
     };
     println!(
-        "[serve] listening on {} ({} data path, {} workers, queue {}, arena {}, jobs: {})",
+        "[serve] listening on {} ({} workers, queue {}, jobs: {})",
         handle.addr(),
-        handle.data_path().name(),
         opts.workers,
         opts.queue,
-        if opts.arena { "on" } else { "off" },
         names.join(" ")
     );
     println!("[serve] stop with: {{\"cmd\":\"shutdown\"}} on any connection");
@@ -57,17 +53,16 @@ pub fn run_serve(opts: &ServiceOpts) -> i32 {
     );
     // Measured (not estimated) allocator traffic per request: the counters
     // are live because the harness binary installs tpm-alloc's CountingAlloc
-    // as #[global_allocator]. This is the --arena before/after number.
+    // as #[global_allocator].
     let heap = tpm_alloc::snapshot().since(&heap_before);
     if stats.admitted > 0 {
         println!(
             "[serve] heap: {:.1} allocs/request, {:.0} bytes/request \
-             ({} allocs, {} reallocs total; arena {})",
+             ({} allocs, {} reallocs total)",
             heap.allocations as f64 / stats.admitted as f64,
             heap.bytes_allocated as f64 / stats.admitted as f64,
             heap.allocations,
-            heap.reallocations,
-            if opts.arena { "on" } else { "off" }
+            heap.reallocations
         );
     }
     let snapshot = registry.snapshot().to_json();
@@ -96,7 +91,7 @@ pub fn loadgen_spec(job: &str, opts: &ServiceOpts, variant: KernelVariant) -> Jo
 }
 
 /// Runs the closed-loop load generator against `opts.addr` and prints the
-/// report; with `json_out`, also writes the `BENCH_4.json`-format report.
+/// report; with `json_out`, also writes the report as one JSON object.
 pub fn run_loadgen(
     job: &str,
     opts: &ServiceOpts,
@@ -139,7 +134,7 @@ pub fn run_loadgen(
         let body = format!(
             "{{\"experiment\":\"loadgen\",\"job\":{:?},\"model\":{:?},\"size\":{},\
              \"clients\":{},\"requests\":{},\"protocol\":{:?},\"window\":{},\
-             \"arena\":{},\"numa\":{:?},\"report\":{}}}\n",
+             \"numa\":{:?},\"report\":{}}}\n",
             job,
             opts.model.name(),
             opts.size,
@@ -147,7 +142,6 @@ pub fn run_loadgen(
             opts.requests,
             opts.protocol.name(),
             opts.window,
-            opts.arena,
             numa_mode,
             report.to_json()
         );

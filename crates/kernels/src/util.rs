@@ -193,8 +193,7 @@ pub fn advise_hugepages_for<T>(buf: &[T]) -> bool {
 /// Runs an un-cancellable parallel loop through the fallible executor path.
 /// The kernels' `run` surface is infallible by contract — no token is
 /// attached and the bodies do not panic — so a failure here is a kernel
-/// bug, reported by panicking (the deprecated `Executor::parallel_for`
-/// behaved the same way).
+/// bug, reported by panicking.
 pub fn pfor<F>(exec: &Executor, model: Model, range: Range<usize>, body: &F)
 where
     F: Fn(Range<usize>) + Sync,

@@ -7,13 +7,16 @@
 //!
 //! * [`serve`] / [`ServerConfig`] / [`ServerHandle`] — the server: bounded
 //!   admission queue (load shedding, never unbounded backlog), per-worker
-//!   executor caches, graceful drain on shutdown. Two data paths
-//!   ([`DataPath`]): an epoll reactor (connections are buffers, not
-//!   threads) and the thread-per-connection baseline.
+//!   executor caches, graceful drain on shutdown. One data path: a
+//!   single-thread level-triggered reactor (connections are buffers, not
+//!   threads) over [`tpm_sync::epoll`] — kernel epoll on Linux x86-64, a
+//!   tick poller on other Unix targets.
 //! * [`protocol`] — the request/response model; JSON-lines is its text
 //!   encoding.
+//! * [`engine`] — the transport-independent state machines and the one
+//!   reply vocabulary the server and the `tpm-desim` simulator both use.
 //! * [`frame`] / [`wire`] — the length-prefixed binary encoding and the
-//!   protocol-sniffing incremental decoder both data paths share. Clients
+//!   protocol-sniffing incremental decoder. Clients
 //!   pick a protocol per connection ([`Protocol`]); requests pipeline and
 //!   may complete out of order (match replies by `id`).
 //! * [`loadgen`] — a load generator over persistent connections with a
@@ -44,7 +47,6 @@ pub mod loadgen;
 pub mod metrics;
 pub mod protocol;
 mod queue;
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod reactor;
 mod server;
 pub mod wire;
@@ -53,5 +55,7 @@ pub use loadgen::{LoadgenConfig, LoadgenReport};
 pub use metrics::ServeMetrics;
 pub use protocol::{Request, Response};
 pub use queue::BoundedQueue;
-pub use server::{serve, DataPath, ServeStats, ServerConfig, ServerHandle, StatsSnapshot};
+pub use server::{
+    serve, serve_over_tick_poller, ServeStats, ServerConfig, ServerHandle, StatsSnapshot,
+};
 pub use wire::Protocol;

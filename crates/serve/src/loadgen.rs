@@ -5,9 +5,9 @@
 //! flight (pipelined — replies may come back out of order and are matched
 //! to their send time by request id). `window = 1` is the classic
 //! closed-loop model whose offered load self-throttles as the server slows;
-//! larger windows measure the pipelining headroom the epoll data path
-//! exists for. Either wire protocol works ([`Protocol`]): JSON lines, or
-//! the length-prefixed binary framing (the generator performs the preamble
+//! larger windows measure the pipelining headroom the reactor exists for.
+//! Either wire protocol works ([`Protocol`]): JSON lines, or the
+//! length-prefixed binary framing (the generator performs the preamble
 //! handshake). Every outcome is counted (including `overloaded` rejections:
 //! shed load is *reported*, never dropped) and round-trip latencies
 //! aggregate into throughput and p50/p99 quantiles.
@@ -128,8 +128,7 @@ pub struct LoadgenReport {
 }
 
 impl LoadgenReport {
-    /// Serializes the report as one JSON object (the `BENCH_4.json` row
-    /// format).
+    /// Serializes the report as one JSON object.
     pub fn to_json(&self) -> String {
         format!(
             "{{\"sent\":{},\"ok\":{},\"rejected\":{},\"deadline\":{},\"failed\":{},\
@@ -429,9 +428,11 @@ fn absorb(
             hists.server.record((elapsed_ms.max(0.0) * 1e6) as u64);
         }
         Ok(Response::Error { id, code, .. }) => {
-            // An id-less error (the server's panic containment) still
-            // answered *some* request; retire the oldest so the window
-            // can't wedge waiting for a reply that already came.
+            // Only a parse error is legitimately id-less (the server could
+            // not decode which request it was); every other error names its
+            // request, contained admission panics included. A parse error
+            // still answered *some* request, so retire the oldest and the
+            // window can't wedge waiting for a reply that already came.
             let id = id.or_else(|| in_flight.keys().min().copied());
             if let Some(sent_at) = id.and_then(|id| in_flight.remove(&id)) {
                 hists.client.record(sent_at.elapsed().as_nanos() as u64);

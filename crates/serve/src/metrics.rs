@@ -193,7 +193,7 @@ impl ServeMetrics {
         );
         let connections_open = registry.gauge(
             "serve_connections_open",
-            "Client connections currently open (both data paths).",
+            "Client connections currently open.",
             &[],
         );
         let bytes_read = registry.counter(

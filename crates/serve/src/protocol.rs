@@ -14,7 +14,7 @@
 //! `error` one of `parse`, `overloaded`, `bad_config`, `deadline`,
 //! `cancelled`, `panic`.
 
-use tpm_core::{ExecError, JobSpec, KernelVariant, Model};
+use tpm_core::{JobSpec, KernelVariant, Model};
 
 use crate::json::{self, Json};
 
@@ -176,7 +176,12 @@ pub enum Response {
         admitted: u64,
         /// Jobs completed successfully since startup.
         completed: u64,
-        /// Jobs refused at admission (overload shedding) since startup.
+        /// Requests the node answered `overloaded`/`deadline` itself since
+        /// startup, as one sum: refused at admission for load **plus**
+        /// executing jobs the watchdog gave up on past their deadline grace
+        /// (`shed + watchdog_shed` of the node's counters). Built only by
+        /// [`engine::health`](crate::engine::health), so every node means
+        /// the same sum.
         shed: u64,
         /// Estimated distinct clients seen (HLL sketch; ~1% error).
         distinct_clients: u64,
@@ -198,11 +203,6 @@ pub const CODE_OVERLOADED: &str = "overloaded";
 /// Error code for failures injected by an active fault plan (`tpm-fault`):
 /// distinguishable from organic `panic` so chaos runs can tell them apart.
 pub const CODE_INJECTED: &str = "injected";
-
-/// Maps an execution error to its stable wire code.
-pub fn exec_code(e: &ExecError) -> &'static str {
-    e.code()
-}
 
 impl Response {
     /// Serializes to one JSON line (no trailing newline).
@@ -446,7 +446,7 @@ mod tests {
     fn exec_errors_map_to_codes() {
         let line = Response::Error {
             id: Some(1),
-            code: exec_code(&ExecError::Deadline),
+            code: tpm_core::ExecError::Deadline.code(),
             message: String::new(),
         }
         .to_line();

@@ -1,13 +1,14 @@
-//! The epoll data path: one thread multiplexing every connection.
+//! The data path: one thread multiplexing every connection.
 //!
-//! Layout: the listener is token 0, a wake eventfd is token 1, connections
-//! get tokens from 2 up. Everything is level-triggered — on every readiness
+//! Layout: the listener is token 0, the wake is token 1, connections get
+//! tokens from 2 up. Everything is level-triggered — on every readiness
 //! report the reactor reads (or writes) until `WouldBlock`, so there is no
-//! edge-tracking state. Decoded requests dispatch through the same
-//! [`handle_frame`] as the threaded path; workers hand finished replies back
-//! over an mpsc channel tagged with the connection token and signal the
-//! eventfd, which pops the reactor out of `epoll_wait` to append the bytes
-//! to that connection's write buffer.
+//! edge-tracking state, and a poller that over-reports (the tick poller
+//! [`tpm_sync::epoll`] provides off Linux x86-64) is as correct as the
+//! kernel's. Decoded requests dispatch through [`handle_frame`]; workers
+//! hand finished replies back over an mpsc channel tagged with the
+//! connection token and signal the wake, which pops the reactor out of its
+//! wait to append the bytes to that connection's write buffer.
 //!
 //! Lifecycle invariants:
 //!
@@ -30,7 +31,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 
 use tpm_alloc::PooledBuf;
-use tpm_sync::epoll::{Epoll, Event, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use tpm_sync::epoll::{Epoll, Event, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 
 use crate::engine::{self, Transport};
 use crate::server::{handle_frame, ReplySink, Shared};
@@ -89,23 +90,18 @@ impl Conn {
     }
 }
 
-/// The reactor thread body. Owns the listener, the epoll instance, and the
-/// completion channel's receive side; runs until shutdown fully drains.
-pub(crate) fn run(
-    ep: &Epoll,
-    listener: TcpListener,
-    shared: &Arc<Shared>,
-    tx: &mpsc::Sender<(u64, PooledBuf)>,
-    rx: &mpsc::Receiver<(u64, PooledBuf)>,
-    wake: &Arc<EventFd>,
-) {
+/// The reactor thread body. Owns the (nonblocking) listener, the poller,
+/// and the completion channel; runs until shutdown fully drains.
+pub(crate) fn run(ep: &Epoll, listener: TcpListener, shared: &Arc<Shared>) {
+    let wake = &shared.reactor_wake;
     if ep
         .add(listener.as_raw_fd(), TOKEN_LISTENER, EPOLLIN)
         .is_err()
-        || ep.add(wake.raw_fd(), TOKEN_WAKE, EPOLLIN).is_err()
+        || ep.add_wake(wake, TOKEN_WAKE).is_err()
     {
         return;
     }
+    let (tx, rx) = mpsc::channel();
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_token = FIRST_CONN_TOKEN;
     let mut events = vec![Event::zeroed(); 256];
@@ -115,7 +111,7 @@ pub(crate) fn run(
     let mut dead = Vec::new();
 
     loop {
-        // The 100 ms timeout is a backstop: the wake eventfd makes shutdown
+        // The 100 ms timeout is a backstop: the wake makes shutdown
         // and completions prompt, but a lost race is only ever a tick late.
         let n = match ep.wait(&mut events, 100) {
             Ok(n) => n,
@@ -130,12 +126,12 @@ pub(crate) fn run(
                 }
                 token => {
                     if let Some(conn) = conns.get_mut(&token) {
-                        on_conn_ready(conn, ev.events(), shared, tx, wake, &mut chunk);
+                        on_conn_ready(conn, ev.events(), shared, &tx, &mut chunk);
                     }
                 }
             }
         }
-        drain_completions(&mut conns, rx);
+        drain_completions(&mut conns, &rx);
         sweep(ep, shared, &mut conns, &mut dead);
 
         if shared.shutdown.load(Ordering::SeqCst)
@@ -145,7 +141,7 @@ pub(crate) fn run(
             // pending hit zero after our drain above may have missed its
             // reply; every send happens-before the decrement, so one more
             // drain now is guaranteed to see everything.
-            drain_completions(&mut conns, rx);
+            drain_completions(&mut conns, &rx);
             sweep(ep, shared, &mut conns, &mut dead);
             if conns.values().all(Conn::flushed) {
                 break;
@@ -168,8 +164,7 @@ fn accept_ready(
     loop {
         match listener.accept() {
             Ok((stream, addr)) => {
-                // Post-shutdown arrivals (including begin_shutdown's own
-                // wake-up connection) are accepted and immediately dropped
+                // Post-shutdown arrivals are accepted and immediately dropped
                 // so the listener never reports a stale pending accept.
                 if shared.shutdown.load(Ordering::SeqCst) {
                     continue;
@@ -213,7 +208,6 @@ fn on_conn_ready(
     events: u32,
     shared: &Arc<Shared>,
     tx: &mpsc::Sender<(u64, PooledBuf)>,
-    wake: &Arc<EventFd>,
     chunk: &mut [u8],
 ) {
     if events & EPOLLERR != 0 {
@@ -232,7 +226,7 @@ fn on_conn_ready(
                 Ok(n) => {
                     shared.metrics.add_bytes_read(n as u64);
                     conn.decoder.feed(&chunk[..n]);
-                    pump_conn(conn, shared, tx, wake);
+                    pump_conn(conn, shared, tx);
                     if conn.closing {
                         break;
                     }
@@ -264,12 +258,7 @@ impl Transport for WbufTransport<'_> {
 }
 
 /// Decodes and dispatches everything the connection's buffer holds.
-fn pump_conn(
-    conn: &mut Conn,
-    shared: &Arc<Shared>,
-    tx: &mpsc::Sender<(u64, PooledBuf)>,
-    wake: &Arc<EventFd>,
-) {
+fn pump_conn(conn: &mut Conn, shared: &Arc<Shared>, tx: &mpsc::Sender<(u64, PooledBuf)>) {
     // Split-borrow the connection: the transport owns the write buffer
     // while the frame callback reads the token/peer and counts replies owed.
     let Conn {
@@ -283,12 +272,12 @@ fn pump_conn(
     let mut transport = WbufTransport { wbuf };
     let alive = engine::pump_session(decoder, &mut transport, |proto, parsed| {
         *awaiting += 1;
-        let sink = ReplySink::Reactor {
+        let sink = ReplySink {
             conn: *token,
             proto,
-            pool: shared.pool.clone(),
+            pool: Arc::clone(&shared.pool),
             tx: tx.clone(),
-            wake: Arc::clone(wake),
+            wake: Arc::clone(&shared.reactor_wake),
         };
         handle_frame(parsed, shared, &sink, peer);
     });

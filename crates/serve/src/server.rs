@@ -1,22 +1,26 @@
-//! The job server: two interchangeable socket data paths feeding one worker
-//! pool through the bounded admission queue.
+//! The job server: one reactor thread feeding one worker pool through the
+//! bounded admission queue.
 //!
-//! * **Epoll reactor** (the default where supported): one reactor thread
-//!   multiplexes the listener and every connection through raw `epoll`
-//!   syscalls ([`tpm_sync::epoll`]) — nonblocking accept, per-connection
-//!   read/write buffers, incremental frame decoding, responses flushed back
-//!   through the same thread. Connections cost a buffer, not an OS thread,
-//!   so thousands can be open at once.
-//! * **Thread-per-connection** (the fallback, and the paper's baseline):
-//!   one reader and one writer thread per connection, blocking IO.
+//! The reactor ([`crate::reactor`]) multiplexes the listener and every
+//! connection through [`tpm_sync::epoll`] — nonblocking accept,
+//! per-connection read/write buffers, incremental frame decoding, responses
+//! flushed back through the same thread. Connections cost a buffer, not an
+//! OS thread, so thousands can be open at once. It is the only data path:
+//! the platform difference (kernel epoll on Linux x86-64, a tick poller
+//! elsewhere) lives inside `tpm_sync::epoll`, below anything this crate
+//! decides.
 //!
-//! Both paths speak both wire protocols (JSON lines and the binary framing
-//! — sniffed per connection, see [`crate::wire`]), decode through the same
-//! [`Decoder`], and dispatch through the same [`handle_frame`], so protocol
-//! behaviour is identical; only the socket mechanics differ. `workers`
-//! executor threads drain the shared [`BoundedQueue`]; each worker owns its
-//! executors (one per requested thread count) because a `Team`/`Runtime`
-//! cannot run two regions concurrently.
+//! Connections speak either wire protocol (JSON lines or the binary framing
+//! — sniffed per connection, see [`crate::wire`]) through the same
+//! [`Decoder`](crate::wire::Decoder) and dispatch through [`handle_frame`].
+//! `workers` executor threads drain the shared [`BoundedQueue`]; each
+//! worker owns its executors (one per requested thread count) because a
+//! `Team`/`Runtime` cannot run two regions concurrently.
+//!
+//! This file owns *scheduling* — threads, the queue, `Instant`s, the
+//! watchdog's scan. What a reply says and which counter it lands in is
+//! [`engine::Reply`]'s business; every site below applies what `engine`
+//! returns through [`Shared::answer`].
 //!
 //! Every admitted request carries a [`CancelToken`] whose deadline covers
 //! queue wait *and* execution: an expired job is answered `deadline` without
@@ -30,8 +34,7 @@
 //! is truly over.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -40,50 +43,15 @@ use std::time::{Duration, Instant};
 
 use tpm_alloc::{BufPool, PooledBuf};
 use tpm_core::{panic_message, Executor, JobRegistry, JobSpec};
-use tpm_sync::epoll::EventFd;
+use tpm_fault::{Action, FaultKind, Site};
+use tpm_sync::epoll::{Epoll, EventFd};
 use tpm_sync::CancelToken;
 
-use crate::engine::{self, ReplyGate, Transport};
+use crate::engine::{self, Bucket, HealthView, JobOutcome, Reply, ReplyGate};
 use crate::metrics::ServeMetrics;
-use crate::protocol::{Request, Response, CODE_INJECTED, CODE_OVERLOADED, CODE_PARSE};
+use crate::protocol::{Request, Response};
 use crate::queue::BoundedQueue;
-use crate::wire::{self, Decoder, Protocol};
-
-/// Which socket data path the server runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DataPath {
-    /// Epoll reactor where the platform supports it, threaded elsewhere.
-    #[default]
-    Auto,
-    /// Epoll reactor; [`serve`] fails on platforms without the shim.
-    Epoll,
-    /// One reader + one writer OS thread per connection (the baseline the
-    /// reactor is benchmarked against).
-    Threaded,
-}
-
-impl DataPath {
-    /// The CLI spelling (`auto` / `epoll` / `threaded`).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            DataPath::Auto => "auto",
-            DataPath::Epoll => "epoll",
-            DataPath::Threaded => "threaded",
-        }
-    }
-
-    /// Parses the CLI spelling.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<DataPath> {
-        match s {
-            "auto" => Some(DataPath::Auto),
-            "epoll" => Some(DataPath::Epoll),
-            "threaded" => Some(DataPath::Threaded),
-            _ => None,
-        }
-    }
-}
+use crate::wire::{self, Protocol};
 
 /// Tuning knobs for [`serve`].
 #[derive(Debug, Clone)]
@@ -107,13 +75,6 @@ pub struct ServerConfig {
     pub deadline_grace: f64,
     /// How often the watchdog scans in-flight jobs, in milliseconds.
     pub watchdog_interval_ms: u64,
-    /// Socket data path (see [`DataPath`]).
-    pub data_path: DataPath,
-    /// Recycle reply buffers through a shared pool instead of allocating a
-    /// fresh `Vec` per response (`--arena on|off`; on by default). Reply
-    /// bytes are identical either way — only the buffer's provenance
-    /// changes.
-    pub arena: bool,
 }
 
 impl Default for ServerConfig {
@@ -126,8 +87,6 @@ impl Default for ServerConfig {
             default_deadline_ms: None,
             deadline_grace: 2.0,
             watchdog_interval_ms: 20,
-            data_path: DataPath::Auto,
-            arena: true,
         }
     }
 }
@@ -137,9 +96,7 @@ impl Default for ServerConfig {
 pub struct ServeStats {
     admitted: AtomicU64,
     completed: AtomicU64,
-    /// Shared with every in-flight [`WorkItem`] so the `Drop` backstop can
-    /// count the jobs it answers for dead workers.
-    failed: Arc<AtomicU64>,
+    failed: AtomicU64,
     shed: AtomicU64,
     watchdog_shed: AtomicU64,
 }
@@ -151,7 +108,9 @@ pub struct StatsSnapshot {
     pub admitted: u64,
     /// Jobs answered `ok`.
     pub completed: u64,
-    /// Jobs answered with an execution error (deadline, panic, …).
+    /// Requests answered with an error other than load shedding: execution
+    /// errors (deadline, panic, …) and requests refused before the queue
+    /// (bad spec, admission-site fault).
     pub failed: u64,
     /// Requests refused `overloaded` at admission.
     pub shed: u64,
@@ -161,6 +120,19 @@ pub struct StatsSnapshot {
 }
 
 impl ServeStats {
+    /// Counts one reply in the counter its [`Bucket`] names.
+    fn count(&self, bucket: Bucket) {
+        let counter = match bucket {
+            Bucket::Completed => &self.completed,
+            // No counter of their own here: a refusal is a failed request.
+            Bucket::Failed | Bucket::Refused => &self.failed,
+            Bucket::Shed => &self.shed,
+            Bucket::WatchdogShed => &self.watchdog_shed,
+            Bucket::Unparsed => return,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
     fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
             admitted: self.admitted.load(Ordering::Relaxed),
@@ -172,66 +144,32 @@ impl ServeStats {
     }
 }
 
-/// Where a reply goes, independent of which data path produced the request.
+/// Where a reply goes: the reactor's completion channel, tagged with the
+/// connection token so the reactor can append the bytes to that
+/// connection's write buffer; the eventfd wakes it out of its wait.
 /// Serialization (per the connection's negotiated protocol) happens at send
 /// time on the replying thread, so the reactor never serializes under load.
 #[derive(Clone)]
-pub(crate) enum ReplySink {
-    /// Threaded path: the connection's writer thread drains this channel.
-    Thread {
-        /// Wire encoding the connection sniffed to.
-        proto: Protocol,
-        /// Reply-buffer pool (`None` when `--arena off`).
-        pool: Option<Arc<BufPool>>,
-        /// Pre-encoded bytes for the writer thread.
-        tx: mpsc::Sender<PooledBuf>,
-    },
-    /// Reactor path: completions flow to the reactor (tagged with the
-    /// connection token), which appends them to that connection's write
-    /// buffer; the eventfd wakes it out of `epoll_wait`.
-    Reactor {
-        /// Reactor-assigned connection token.
-        conn: u64,
-        /// Wire encoding the connection sniffed to.
-        proto: Protocol,
-        /// Reply-buffer pool (`None` when `--arena off`).
-        pool: Option<Arc<BufPool>>,
-        /// Completion channel into the reactor.
-        tx: mpsc::Sender<(u64, PooledBuf)>,
-        /// Wakes the reactor's `epoll_wait`.
-        wake: Arc<EventFd>,
-    },
-}
-
-/// Encodes one reply into a pool-recycled buffer (or a plain vector when
-/// arenas are off). The buffer's capacity returns to the pool when the
-/// writer/reactor thread drops it after flushing.
-fn encode_reply(pool: &Option<Arc<BufPool>>, proto: Protocol, resp: &Response) -> PooledBuf {
-    let mut buf = match pool {
-        Some(p) => p.take(),
-        None => PooledBuf::unpooled(),
-    };
-    wire::encode_response_into(proto, resp, &mut buf);
-    buf
+pub(crate) struct ReplySink {
+    /// Reactor-assigned connection token.
+    pub(crate) conn: u64,
+    /// Wire encoding the connection sniffed to.
+    pub(crate) proto: Protocol,
+    /// Reply-buffer pool; the buffer's capacity returns to it when the
+    /// reactor drops it after flushing.
+    pub(crate) pool: Arc<BufPool>,
+    /// Completion channel into the reactor.
+    pub(crate) tx: mpsc::Sender<(u64, PooledBuf)>,
+    /// Wakes the reactor's wait.
+    pub(crate) wake: Arc<EventFd>,
 }
 
 impl ReplySink {
     pub(crate) fn send(&self, resp: &Response) {
-        match self {
-            ReplySink::Thread { proto, pool, tx } => {
-                let _ = tx.send(encode_reply(pool, *proto, resp));
-            }
-            ReplySink::Reactor {
-                conn,
-                proto,
-                pool,
-                tx,
-                wake,
-            } => {
-                let _ = tx.send((*conn, encode_reply(pool, *proto, resp)));
-                wake.signal();
-            }
-        }
+        let mut buf = self.pool.take();
+        wire::encode_response_into(self.proto, resp, &mut buf);
+        let _ = self.tx.send((self.conn, buf));
+        self.wake.signal();
     }
 }
 
@@ -251,10 +189,10 @@ pub(crate) struct WorkItem {
     /// drains until it reads zero, so a reply can never be lost between
     /// "queue looks empty" and "worker actually sent it".
     pub(crate) pending: Arc<AtomicU64>,
-    /// `ServeStats::failed`, so the `Drop` backstop's reply is counted and
-    /// `admitted == completed + failed + shed + watchdog_shed` holds across
-    /// worker death (the desim invariant checker audits exactly this).
-    pub(crate) failed: Arc<AtomicU64>,
+    /// The server's counters, so the `Drop` backstop's reply is counted and
+    /// `admitted == completed + failed + watchdog_shed` holds across worker
+    /// death (the desim invariant checker audits exactly this).
+    pub(crate) stats: Arc<ServeStats>,
 }
 
 impl Drop for WorkItem {
@@ -264,12 +202,9 @@ impl Drop for WorkItem {
         // a silently hung client. Reply first, then decrement — the reactor
         // treats pending == 0 as "every reply is already in my channel".
         if self.replied.claim() {
-            self.failed.fetch_add(1, Ordering::Relaxed);
-            self.reply.send(&Response::Error {
-                id: Some(self.id),
-                code: "panic",
-                message: engine::MSG_DROPPED.to_string(),
-            });
+            let reply = Reply::dropped(self.id);
+            self.stats.count(reply.bucket);
+            self.reply.send(&reply.response);
         }
         self.pending.fetch_sub(1, Ordering::SeqCst);
     }
@@ -291,7 +226,7 @@ pub(crate) struct Shared {
     pub(crate) config: ServerConfig,
     pub(crate) queue: BoundedQueue<WorkItem>,
     pub(crate) shutdown: AtomicBool,
-    pub(crate) stats: ServeStats,
+    pub(crate) stats: Arc<ServeStats>,
     pub(crate) addr: SocketAddr,
     /// Jobs currently executing, keyed by a server-global sequence number
     /// (client ids are only unique per connection).
@@ -303,27 +238,30 @@ pub(crate) struct Shared {
     /// Live [`WorkItem`]s (admitted or shed-in-progress, queued or
     /// executing). See [`WorkItem::pending`].
     pub(crate) pending: Arc<AtomicU64>,
-    /// The reactor's wake eventfd, when the reactor path is running —
-    /// `begin_shutdown` signals it so a quiescent reactor re-checks.
-    pub(crate) reactor_wake: Mutex<Option<Arc<EventFd>>>,
-    /// Reply-buffer pool shared by every sink (`None` when `--arena off`).
-    pub(crate) pool: Option<Arc<BufPool>>,
+    /// The reactor's wake — `begin_shutdown` signals it so a quiescent
+    /// reactor re-checks its drain condition.
+    pub(crate) reactor_wake: Arc<EventFd>,
+    /// Reply-buffer pool shared by every sink.
+    pub(crate) pool: Arc<BufPool>,
 }
 
 impl Shared {
     /// Stops admission and wakes everyone: future pushes shed, workers drain
-    /// what's queued, threaded readers exit at their next poll tick, the
-    /// reactor re-checks its drain condition, and a throwaway connection
-    /// unblocks a blocking accept loop.
+    /// what's queued, and the reactor re-checks its drain condition.
     pub(crate) fn begin_shutdown(&self) {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
         self.queue.close();
-        if let Some(wake) = self.reactor_wake.lock().unwrap().as_ref() {
-            wake.signal();
-        }
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
+        self.reactor_wake.signal();
+    }
+
+    /// Applies one [`Reply`]: counts it in its bucket, labels the outcome
+    /// metric, and sends it down `sink`.
+    fn answer(&self, sink: &ReplySink, reply: &Reply) {
+        self.stats.count(reply.bucket);
+        self.metrics.observe_outcome(reply.outcome);
+        sink.send(&reply.response);
     }
 }
 
@@ -333,19 +271,15 @@ impl Shared {
 #[must_use = "join the server via .shutdown() or .wait(), or it keeps running"]
 pub struct ServerHandle {
     shared: Arc<Shared>,
-    /// The accept thread (threaded path) or the reactor thread (epoll path).
-    accept: Option<JoinHandle<()>>,
+    reactor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     watchdog: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    data_path: DataPath,
 }
 
 impl std::fmt::Debug for ServerHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServerHandle")
             .field("addr", &self.shared.addr)
-            .field("data_path", &self.data_path)
             .field("stats", &self.stats())
             .finish()
     }
@@ -355,12 +289,6 @@ impl ServerHandle {
     /// The bound address (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
         self.shared.addr
-    }
-
-    /// The data path actually running (`Auto` resolved to what the platform
-    /// supports).
-    pub fn data_path(&self) -> DataPath {
-        self.data_path
     }
 
     /// Current request counters.
@@ -402,7 +330,7 @@ impl ServerHandle {
     /// Joins every server thread without initiating shutdown — blocks until
     /// something else (a shutdown request over the wire) stops the server.
     pub fn wait(mut self) -> StatsSnapshot {
-        if let Some(h) = self.accept.take() {
+        if let Some(h) = self.reactor.take() {
             let _ = h.join();
         }
         for h in self.workers.drain(..) {
@@ -411,30 +339,46 @@ impl ServerHandle {
         if let Some(h) = self.watchdog.take() {
             let _ = h.join();
         }
-        // The accept thread is done, so no new connections can be added.
-        let conns = std::mem::take(&mut *self.conns.lock().unwrap());
-        for h in conns {
-            let _ = h.join();
-        }
         self.shared.stats.snapshot()
     }
 }
 
-/// Binds `config.addr` and starts the data path and worker pool. Jobs are
+/// Binds `config.addr` and starts the reactor and worker pool. Jobs are
 /// dispatched through `registry`.
 pub fn serve(registry: Arc<JobRegistry>, config: ServerConfig) -> std::io::Result<ServerHandle> {
+    serve_over(Epoll::new()?, EventFd::new()?, registry, config)
+}
+
+/// [`serve`] over the portable tick poller instead of the platform's own.
+/// Exists only so the reactor's tests can run, on Linux, over the poller
+/// every other target gets from `serve` — not a mode: no flag, config field
+/// or environment variable reaches it.
+#[doc(hidden)]
+pub fn serve_over_tick_poller(
+    registry: Arc<JobRegistry>,
+    config: ServerConfig,
+) -> std::io::Result<ServerHandle> {
+    serve_over(Epoll::tick(), EventFd::tick(), registry, config)
+}
+
+fn serve_over(
+    ep: Epoll,
+    wake: EventFd,
+    registry: Arc<JobRegistry>,
+    config: ServerConfig,
+) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
+    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let workers = config.workers.max(1);
     let metrics = ServeMetrics::new(workers, &registry.names());
     metrics.export_input_cache(&registry);
-    let pool = config.arena.then(|| BufPool::for_serve(workers));
     let shared = Arc::new(Shared {
         queue: BoundedQueue::new(config.queue_capacity),
         registry,
         config,
         shutdown: AtomicBool::new(false),
-        stats: ServeStats::default(),
+        stats: Arc::default(),
         addr,
         inflight: Mutex::new(HashMap::new()),
         seq: AtomicU64::new(0),
@@ -442,8 +386,8 @@ pub fn serve(registry: Arc<JobRegistry>, config: ServerConfig) -> std::io::Resul
         dead_workers: AtomicU64::new(0),
         metrics,
         pending: Arc::new(AtomicU64::new(0)),
-        reactor_wake: Mutex::new(None),
-        pool,
+        reactor_wake: Arc::new(wake),
+        pool: BufPool::for_serve(workers),
     });
     // Levels that already exist on `Shared` are sampled at scrape time.
     // The closures capture a Weak so the registry (cloneable out of the
@@ -487,47 +431,43 @@ pub fn serve(registry: Arc<JobRegistry>, config: ServerConfig) -> std::io::Resul
                     .map_or(0.0, |s| s.dead_workers.load(Ordering::Relaxed) as f64)
             },
         );
-        // Arena instruments exist only when the pool does, so `--arena off`
-        // is visible in the exposition as their absence.
-        if let Some(pool) = &shared.pool {
-            let w = Arc::downgrade(pool);
-            reg.counter_fn(
-                "tpm_arena_pool_hits_total",
-                "Reply-buffer takes served from the pool free list.",
-                &[],
-                move || w.upgrade().map_or(0.0, |p| p.stats().hits as f64),
-            );
-            let w = Arc::downgrade(pool);
-            reg.counter_fn(
-                "tpm_arena_pool_misses_total",
-                "Reply-buffer takes that allocated a fresh buffer.",
-                &[],
-                move || w.upgrade().map_or(0.0, |p| p.stats().misses as f64),
-            );
-            let w = Arc::downgrade(pool);
-            reg.counter_fn(
-                "tpm_arena_resets_total",
-                "Bulk region resets (each buffer return rewinds one region).",
-                &[],
-                move || w.upgrade().map_or(0.0, |p| p.stats().returns as f64),
-            );
-            let w = Arc::downgrade(pool);
-            reg.counter_fn(
-                "tpm_arena_bytes_recycled_total",
-                "Buffer capacity handed back out of the pool, in bytes.",
-                &[],
-                move || w.upgrade().map_or(0.0, |p| p.stats().recycled_bytes as f64),
-            );
-            let w = Arc::downgrade(pool);
-            reg.gauge_fn(
-                "tpm_arena_buffers_retained",
-                "Reply buffers currently parked on the pool free list.",
-                &[],
-                move || w.upgrade().map_or(0.0, |p| p.stats().retained as f64),
-            );
-        }
+        let pool = &shared.pool;
+        let w = Arc::downgrade(pool);
+        reg.counter_fn(
+            "tpm_arena_pool_hits_total",
+            "Reply-buffer takes served from the pool free list.",
+            &[],
+            move || w.upgrade().map_or(0.0, |p| p.stats().hits as f64),
+        );
+        let w = Arc::downgrade(pool);
+        reg.counter_fn(
+            "tpm_arena_pool_misses_total",
+            "Reply-buffer takes that allocated a fresh buffer.",
+            &[],
+            move || w.upgrade().map_or(0.0, |p| p.stats().misses as f64),
+        );
+        let w = Arc::downgrade(pool);
+        reg.counter_fn(
+            "tpm_arena_resets_total",
+            "Bulk region resets (each buffer return rewinds one region).",
+            &[],
+            move || w.upgrade().map_or(0.0, |p| p.stats().returns as f64),
+        );
+        let w = Arc::downgrade(pool);
+        reg.counter_fn(
+            "tpm_arena_bytes_recycled_total",
+            "Buffer capacity handed back out of the pool, in bytes.",
+            &[],
+            move || w.upgrade().map_or(0.0, |p| p.stats().recycled_bytes as f64),
+        );
+        let w = Arc::downgrade(pool);
+        reg.gauge_fn(
+            "tpm_arena_buffers_retained",
+            "Reply buffers currently parked on the pool free list.",
+            &[],
+            move || w.upgrade().map_or(0.0, |p| p.stats().retained as f64),
+        );
     }
-    let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
     let worker_handles: Vec<JoinHandle<()>> = (0..workers)
         .map(|i| {
@@ -565,101 +505,20 @@ pub fn serve(registry: Arc<JobRegistry>, config: ServerConfig) -> std::io::Resul
             .expect("spawn watchdog")
     };
 
-    let want_reactor = match shared.config.data_path {
-        DataPath::Threaded => false,
-        DataPath::Epoll | DataPath::Auto => true,
-    };
-    let (accept, resolved_path) = if want_reactor {
-        match try_spawn_reactor(listener, &shared) {
-            Ok(h) => (h, DataPath::Epoll),
-            Err((listener, e)) => {
-                if shared.config.data_path == DataPath::Epoll {
-                    // The caller demanded the reactor; don't run degraded.
-                    shared.begin_shutdown();
-                    for h in worker_handles {
-                        let _ = h.join();
-                    }
-                    let _ = watchdog.join();
-                    drop(listener);
-                    return Err(e);
-                }
-                (
-                    spawn_accept_thread(listener, &shared, &conns),
-                    DataPath::Threaded,
-                )
-            }
-        }
-    } else {
-        (
-            spawn_accept_thread(listener, &shared, &conns),
-            DataPath::Threaded,
-        )
+    let reactor = {
+        let shared = Arc::clone(&shared);
+        std::thread::Builder::new()
+            .name("tpm-serve-reactor".to_string())
+            .spawn(move || crate::reactor::run(&ep, listener, &shared))
+            .expect("spawn reactor")
     };
 
     Ok(ServerHandle {
         shared,
-        accept: Some(accept),
+        reactor: Some(reactor),
         workers: worker_handles,
         watchdog: Some(watchdog),
-        conns,
-        data_path: resolved_path,
     })
-}
-
-fn spawn_accept_thread(
-    listener: TcpListener,
-    shared: &Arc<Shared>,
-    conns: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) -> JoinHandle<()> {
-    let shared = Arc::clone(shared);
-    let conns = Arc::clone(conns);
-    std::thread::Builder::new()
-        .name("tpm-serve-accept".to_string())
-        .spawn(move || accept_loop(&listener, &shared, &conns))
-        .expect("spawn accept loop")
-}
-
-/// Spawns the epoll reactor, or hands the listener back with the error so
-/// `Auto` can fall back to the threaded path.
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-fn try_spawn_reactor(
-    listener: TcpListener,
-    shared: &Arc<Shared>,
-) -> Result<JoinHandle<()>, (TcpListener, std::io::Error)> {
-    use tpm_sync::epoll::Epoll;
-    let ep = match Epoll::new() {
-        Ok(ep) => ep,
-        Err(e) => return Err((listener, e)),
-    };
-    let wake = match EventFd::new() {
-        Ok(w) => Arc::new(w),
-        Err(e) => return Err((listener, e)),
-    };
-    if let Err(e) = listener.set_nonblocking(true) {
-        return Err((listener, e));
-    }
-    let (tx, rx) = mpsc::channel();
-    *shared.reactor_wake.lock().unwrap() = Some(Arc::clone(&wake));
-    let shared = Arc::clone(shared);
-    let handle = std::thread::Builder::new()
-        .name("tpm-serve-reactor".to_string())
-        .spawn(move || crate::reactor::run(&ep, listener, &shared, &tx, &rx, &wake))
-        .expect("spawn reactor");
-    Ok(handle)
-}
-
-#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-fn try_spawn_reactor(
-    listener: TcpListener,
-    _shared: &Arc<Shared>,
-) -> Result<JoinHandle<()>, (TcpListener, std::io::Error)> {
-    Err((
-        listener,
-        std::io::Error::new(
-            std::io::ErrorKind::Unsupported,
-            "epoll data path is Linux x86-64 only",
-        ),
-    ))
 }
 
 /// Scans in-flight jobs and sheds any that overran their deadline by the
@@ -693,196 +552,31 @@ fn watchdog_loop(shared: &Arc<Shared>) {
                 overdue.push((entry.id, entry.reply.clone()));
             }
         }
-        for (id, reply) in overdue.drain(..) {
-            shared.stats.watchdog_shed.fetch_add(1, Ordering::Relaxed);
-            shared.metrics.observe_outcome("watchdog");
-            reply.send(&Response::Error {
-                id: Some(id),
-                code: "deadline",
-                message: engine::MSG_WATCHDOG_SHED.to_string(),
-            });
+        for (id, sink) in overdue.drain(..) {
+            shared.answer(&sink, &Reply::watchdog_shed(id));
         }
         std::thread::sleep(interval);
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    conns: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    // The wake-up connection (or a late client): refuse.
-                    break;
-                }
-                let shared = Arc::clone(shared);
-                let handle = std::thread::Builder::new()
-                    .name("tpm-serve-conn".to_string())
-                    .spawn(move || connection_loop(stream, &shared))
-                    .expect("spawn connection thread");
-                conns.lock().unwrap().push(handle);
-            }
-            Err(_) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
-        }
-    }
-}
-
-/// Poll interval at which blocked reads re-check the shutdown flag.
-const READ_TICK: Duration = Duration::from_millis(100);
-
-fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(READ_TICK));
-    // The peer's IP identifies clients that don't send an explicit
-    // `client` field (the port would make every connection "distinct").
-    let peer = stream
-        .peer_addr()
-        .map(|a| a.ip().to_string())
-        .unwrap_or_else(|_| "unknown".to_string());
-    let write_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let (tx, rx) = mpsc::channel::<PooledBuf>();
-    let writer = {
-        let shared = Arc::clone(shared);
-        std::thread::Builder::new()
-            .name("tpm-serve-writer".to_string())
-            .spawn(move || writer_loop(write_half, &rx, &shared))
-            .expect("spawn connection writer")
-    };
-
-    shared.metrics.conn_opened();
-    read_loop(stream, shared, &tx, &peer);
-    shared.metrics.conn_closed();
-
-    // Queued jobs hold reply-sink clones; the writer exits once the last
-    // one drops (after the drain), so every admitted request gets answered.
-    drop(tx);
-    let _ = writer.join();
-}
-
-fn writer_loop(mut stream: TcpStream, rx: &mpsc::Receiver<PooledBuf>, shared: &Arc<Shared>) {
-    while let Ok(bytes) = rx.recv() {
-        if stream.write_all(&bytes).is_err() {
-            // Client gone: keep draining the channel so senders never block
-            // (they don't — mpsc is unbounded — but exiting early would make
-            // workers' sends error out, which they already tolerate).
-            break;
-        }
-        shared.metrics.add_bytes_written(bytes.len() as u64);
-        // Dropping `bytes` here returns its capacity to the pool.
-    }
-    let _ = stream.flush();
-}
-
-/// The threaded read loop: bytes → [`Decoder`] → [`handle_frame`]. Shared
-/// decode logic with the reactor means both wire protocols (and pipelining)
-/// work identically on both data paths.
-fn read_loop(
-    mut stream: TcpStream,
-    shared: &Arc<Shared>,
-    tx: &mpsc::Sender<PooledBuf>,
-    peer: &str,
-) {
-    let mut decoder = Decoder::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => {
-                shared.metrics.add_bytes_read(n as u64);
-                decoder.feed(&chunk[..n]);
-                if !pump_decoder(&mut decoder, shared, tx, peer) {
-                    break; // framing lost: error already queued, close
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => break,
-        }
-    }
-}
-
-/// The threaded path's [`Transport`]: copies engine output into a pooled
-/// buffer and hands it to the connection's writer thread.
-struct ThreadTransport<'a> {
-    pool: &'a Option<Arc<BufPool>>,
-    tx: &'a mpsc::Sender<PooledBuf>,
-}
-
-impl Transport for ThreadTransport<'_> {
-    fn send_bytes(&mut self, bytes: &[u8]) {
-        let mut buf = match self.pool {
-            Some(p) => p.take(),
-            None => PooledBuf::unpooled(),
-        };
-        buf.extend_from_slice(bytes);
-        let _ = self.tx.send(buf);
-    }
-}
-
-/// Drains every decodable message out of `decoder`. Returns `false` when the
-/// stream is corrupt (the caller closes the connection).
-fn pump_decoder(
-    decoder: &mut Decoder,
-    shared: &Arc<Shared>,
-    tx: &mpsc::Sender<PooledBuf>,
-    peer: &str,
-) -> bool {
-    let mut transport = ThreadTransport {
-        pool: &shared.pool,
-        tx,
-    };
-    engine::pump_session(decoder, &mut transport, |proto, parsed| {
-        let sink = ReplySink::Thread {
-            proto,
-            pool: shared.pool.clone(),
-            tx: tx.clone(),
-        };
-        handle_frame(parsed, shared, &sink, peer);
-    })
-}
-
 /// Dispatches one decoded message (or its parse error) with panic
 /// containment: a panic here — injected via the job-admission fault site,
-/// or organic — must cost one error reply, not the data path's thread.
+/// or organic — must cost one error reply, not the reactor thread. A `run`
+/// request was already decoded, so its id travels into that reply.
 pub(crate) fn handle_frame(
     parsed: Result<Request, String>,
     shared: &Arc<Shared>,
     sink: &ReplySink,
     peer: &str,
 ) {
+    let id = match &parsed {
+        Ok(Request::Run { id, .. }) => Some(*id),
+        _ => None,
+    };
     if let Err(p) = catch_unwind(AssertUnwindSafe(|| {
         handle_request(parsed, shared, sink, peer)
     })) {
-        let message = panic_message(p);
-        let code = if tpm_fault::is_injected_message(&message) {
-            CODE_INJECTED
-        } else {
-            "panic"
-        };
-        shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-        shared.metrics.observe_outcome(code);
-        sink.send(&Response::Error {
-            id: None,
-            code,
-            message,
-        });
+        shared.answer(sink, &Reply::admission_panic(id, panic_message(p)));
     }
 }
 
@@ -893,27 +587,21 @@ fn handle_request(
     peer: &str,
 ) {
     match parsed {
-        Err(msg) => {
-            shared.metrics.observe_outcome(CODE_PARSE);
-            sink.send(&Response::Error {
-                id: None,
-                code: CODE_PARSE,
-                message: msg,
-            });
-        }
+        Err(message) => shared.answer(sink, &Reply::unparsed(message)),
         Ok(Request::Ping) => sink.send(&Response::Pong),
         Ok(Request::Health) => {
             let stats = shared.stats.snapshot();
-            sink.send(&Response::Health {
+            sink.send(&engine::health(&HealthView {
                 live_workers: shared.live_workers.load(Ordering::Relaxed) as u64,
                 dead_workers: shared.dead_workers.load(Ordering::Relaxed),
                 queue_depth: shared.queue.len() as u64,
                 inflight: shared.inflight.lock().unwrap().len() as u64,
                 admitted: stats.admitted,
                 completed: stats.completed,
-                shed: stats.shed + stats.watchdog_shed,
+                shed: stats.shed,
+                watchdog_shed: stats.watchdog_shed,
                 distinct_clients: shared.metrics.distinct_clients(),
-            });
+            }));
         }
         Ok(Request::Metrics) => {
             sink.send(&Response::Metrics {
@@ -935,35 +623,18 @@ fn handle_request(
             shared
                 .metrics
                 .observe_client(client.as_deref().unwrap_or(peer));
-            // Fault-injection point: job admission. A panic rule unwinds
-            // into handle_frame's catch (one error reply); a steal-miss rule
-            // models load shedding; a task-drop rule refuses the job with an
-            // `injected` reply — observable, never a silent drop.
-            match tpm_fault::probe(tpm_fault::Site::JobAdmission) {
-                tpm_fault::Action::Panic => {
-                    tpm_fault::injected_panic(tpm_fault::Site::JobAdmission)
-                }
-                tpm_fault::Action::TaskDrop => {
-                    shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-                    shared.metrics.observe_outcome(CODE_INJECTED);
-                    sink.send(&Response::Error {
-                        id: Some(id),
-                        code: CODE_INJECTED,
-                        message: "injected task-drop at job-admission".to_string(),
-                    });
-                    return;
-                }
-                tpm_fault::Action::StealMiss => {
-                    shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-                    shared.metrics.observe_outcome(CODE_OVERLOADED);
-                    sink.send(&Response::Error {
-                        id: Some(id),
-                        code: CODE_OVERLOADED,
-                        message: "injected admission shed".to_string(),
-                    });
-                    return;
-                }
-                tpm_fault::Action::None => {}
+            // Fault-injection point: job admission. A panic rule really
+            // unwinds into handle_frame's catch (one error reply); a
+            // steal-miss rule models load shedding; a task-drop rule
+            // refuses the job — observable, never a silent drop.
+            let fault = match tpm_fault::probe(Site::JobAdmission) {
+                Action::Panic => tpm_fault::injected_panic(Site::JobAdmission),
+                Action::TaskDrop => Reply::admission_fault(id, FaultKind::TaskDrop),
+                Action::StealMiss => Reply::admission_fault(id, FaultKind::StealMiss),
+                Action::None => None,
+            };
+            if let Some(reply) = fault {
+                return shared.answer(sink, &reply);
             }
             // The transport-independent admission decision (thread limit,
             // spec validation, deadline resolution) — shared with the
@@ -972,28 +643,11 @@ fn handle_request(
                 max_threads: shared.config.max_threads,
                 default_deadline_ms: shared.config.default_deadline_ms,
             };
-            let deadline = match engine::admit(&shared.registry, &policy, &spec, deadline_ms) {
-                engine::Admission::Refuse {
-                    code,
-                    message,
-                    shed,
-                } => {
-                    let counter = if shed {
-                        &shared.stats.shed
-                    } else {
-                        &shared.stats.failed
-                    };
-                    counter.fetch_add(1, Ordering::Relaxed);
-                    shared.metrics.observe_outcome(code);
-                    sink.send(&Response::Error {
-                        id: Some(id),
-                        code,
-                        message,
-                    });
-                    return;
-                }
-                engine::Admission::Accept { deadline_ms } => deadline_ms,
-            };
+            let deadline =
+                match engine::admit(&shared.registry, &policy, &spec, deadline_ms).resolve(id) {
+                    Ok(deadline_ms) => deadline_ms,
+                    Err(reply) => return shared.answer(sink, &reply),
+                };
             let token = match deadline {
                 Some(ms) => CancelToken::with_deadline(Duration::from_millis(ms)),
                 None => CancelToken::new(),
@@ -1008,23 +662,17 @@ fn handle_request(
                 deadline_budget: deadline.map(Duration::from_millis),
                 replied: ReplyGate::new(),
                 pending: Arc::clone(&shared.pending),
-                failed: Arc::clone(&shared.stats.failed),
+                stats: Arc::clone(&shared.stats),
             };
             match shared.queue.try_push(item) {
                 Ok(()) => {
                     shared.stats.admitted.fetch_add(1, Ordering::Relaxed);
                 }
                 Err(item) => {
-                    shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-                    shared.metrics.observe_outcome(CODE_OVERLOADED);
                     // Claim the reply before sending so the Drop backstop
                     // (which runs right after) doesn't answer a second time.
                     item.replied.claim();
-                    item.reply.send(&Response::Error {
-                        id: Some(item.id),
-                        code: CODE_OVERLOADED,
-                        message: engine::MSG_QUEUE_FULL.to_string(),
-                    });
+                    shared.answer(&item.reply, &Reply::queue_full(item.id));
                 }
             }
         }
@@ -1107,51 +755,24 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
         if !item.replied.claim() {
             continue;
         }
-        let response = match run {
-            Ok(Ok(result)) => {
-                shared.stats.completed.fetch_add(1, Ordering::Relaxed);
-                shared.metrics.observe_outcome("ok");
-                Response::Ok {
-                    id: item.id,
-                    value: result.value,
-                    elapsed_ms: result.elapsed.as_secs_f64() * 1e3,
-                    queue_ms,
-                }
-            }
-            Ok(Err(e)) => {
-                shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-                shared.metrics.observe_outcome(e.code());
-                Response::Error {
-                    id: Some(item.id),
-                    code: e.code(),
-                    message: e.to_string(),
-                }
-            }
-            Err(p) => {
-                shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-                let message = panic_message(p);
-                let code = if tpm_fault::is_injected_message(&message) {
-                    CODE_INJECTED
-                } else {
-                    "panic"
-                };
-                shared.metrics.observe_outcome(code);
-                Response::Error {
-                    id: Some(item.id),
-                    code,
-                    message,
-                }
-            }
+        let outcome = match run {
+            Ok(Ok(result)) => JobOutcome::Done {
+                value: result.value,
+                elapsed_ms: result.elapsed.as_secs_f64() * 1e3,
+            },
+            Ok(Err(e)) => JobOutcome::Failed(e),
+            Err(p) => JobOutcome::Panicked(panic_message(p)),
         };
         // A dead client is fine; the job already ran.
-        item.reply.send(&response);
+        shared.answer(&item.reply, &Reply::finished(item.id, outcome, queue_ms));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{BufRead, BufReader};
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
 
     /// A registry with one well-behaved job and one that ignores its cancel
     /// token entirely (sleeps `size` ms) — the wedged-job case the watchdog
@@ -1189,6 +810,10 @@ mod tests {
         w.write_all(b"\n").unwrap();
     }
 
+    // Fault plans are process-global: every test here that drives a server
+    // holds `tpm_fault::session_serial()` so an `inject` test's plan fires
+    // on its own requests, not a neighbour's.
+
     fn read_response(r: &mut BufReader<TcpStream>) -> Response {
         let mut line = String::new();
         r.read_line(&mut line).unwrap();
@@ -1196,20 +821,8 @@ mod tests {
     }
 
     #[test]
-    fn auto_resolves_to_a_concrete_path() {
-        let handle = serve(test_registry(), ServerConfig::default()).expect("bind");
-        let resolved = handle.data_path();
-        assert_ne!(resolved, DataPath::Auto);
-        if tpm_sync::epoll::supported() {
-            assert_eq!(resolved, DataPath::Epoll);
-        } else {
-            assert_eq!(resolved, DataPath::Threaded);
-        }
-        handle.shutdown();
-    }
-
-    #[test]
     fn watchdog_sheds_a_wedged_job_before_it_finishes() {
+        let _serial = tpm_fault::session_serial();
         let (handle, mut reader, mut writer) = start(ServerConfig {
             workers: 1,
             deadline_grace: 2.0,
@@ -1246,6 +859,7 @@ mod tests {
 
     #[test]
     fn health_reports_liveness_and_load_over_the_wire() {
+        let _serial = tpm_fault::session_serial();
         let (handle, mut reader, mut writer) = start(ServerConfig {
             workers: 2,
             ..ServerConfig::default()
@@ -1294,13 +908,14 @@ mod tests {
 
             send_line(&mut writer, r#"{"id":1,"kernel":"quick","size":3}"#);
             match read_response(&mut reader) {
-                Response::Error { code, message, .. } => {
-                    assert_eq!(code, CODE_INJECTED);
+                Response::Error { id, code, message } => {
+                    assert_eq!(id, Some(1), "the decoded id travels into the reply");
+                    assert_eq!(code, crate::protocol::CODE_INJECTED);
                     assert!(message.contains("injected"), "{message}");
                 }
                 other => panic!("expected injected error, got {other:?}"),
             }
-            // Same connection, same data-path thread: still serving.
+            // Same connection, same reactor thread: still serving.
             send_line(&mut writer, r#"{"id":2,"kernel":"quick","size":5}"#);
             match read_response(&mut reader) {
                 Response::Ok { id, value, .. } => {
@@ -1309,14 +924,52 @@ mod tests {
                 }
                 other => panic!("{other:?}"),
             }
-            handle.shutdown();
+            let stats = handle.shutdown();
             let report = session.report();
             assert_eq!(report.fired.len(), 1);
+            // Refused before the queue: a failed request, never admitted.
+            assert_eq!((stats.admitted, stats.completed, stats.failed), (1, 1, 1));
+        }
+
+        #[test]
+        fn admission_panic_under_pipelining_names_the_request_it_hit() {
+            let _serial = tpm_fault::session_serial();
+            let session = FaultSession::install(&FaultPlan::single(SiteRule::nth(
+                Site::JobAdmission,
+                FaultKind::Panic,
+                2,
+            )));
+            let (handle, mut reader, mut writer) = start(ServerConfig::default());
+            // Three requests in flight on one connection; the fault hits
+            // the second. Its error must carry id 2 — not no id, and not
+            // "the oldest in flight".
+            writer
+                .write_all(
+                    b"{\"id\":1,\"kernel\":\"quick\",\"size\":1}\n\
+                      {\"id\":2,\"kernel\":\"quick\",\"size\":2}\n\
+                      {\"id\":3,\"kernel\":\"quick\",\"size\":3}\n",
+                )
+                .unwrap();
+            let mut errors = Vec::new();
+            let mut oks = Vec::new();
+            for _ in 0..3 {
+                match read_response(&mut reader) {
+                    Response::Error { id, code, .. } => errors.push((id, code)),
+                    Response::Ok { id, value, .. } => oks.push((id, value)),
+                    other => panic!("{other:?}"),
+                }
+            }
+            oks.sort_by_key(|(id, _)| *id);
+            assert_eq!(errors, [(Some(2), crate::protocol::CODE_INJECTED)]);
+            assert_eq!(oks, [(1, 1.0), (3, 3.0)]);
+            handle.shutdown();
+            assert_eq!(session.report().fired.len(), 1);
         }
     }
 
     #[test]
     fn job_panic_is_contained_and_the_worker_stays_live() {
+        let _serial = tpm_fault::session_serial();
         let (handle, mut reader, mut writer) = start(ServerConfig {
             workers: 1,
             ..ServerConfig::default()
@@ -1347,23 +1000,5 @@ mod tests {
         let stats = handle.shutdown();
         assert_eq!(stats.failed, 1);
         assert_eq!(stats.completed, 1);
-    }
-
-    #[test]
-    fn threaded_path_still_serves_when_forced() {
-        let (handle, mut reader, mut writer) = start(ServerConfig {
-            data_path: DataPath::Threaded,
-            ..ServerConfig::default()
-        });
-        assert_eq!(handle.data_path(), DataPath::Threaded);
-        send_line(&mut writer, r#"{"id":1,"kernel":"quick","size":11}"#);
-        match read_response(&mut reader) {
-            Response::Ok { id, value, .. } => {
-                assert_eq!(id, 1);
-                assert_eq!(value, 11.0);
-            }
-            other => panic!("{other:?}"),
-        }
-        handle.shutdown();
     }
 }

@@ -1,8 +1,8 @@
 //! Protocol sniffing and incremental decoding over a byte stream.
 //!
-//! Both data paths (threaded readers and the epoll reactor) receive bytes in
-//! arbitrary chunks — a frame or line can arrive split at any byte boundary,
-//! or many can arrive fused in one read. [`Decoder`] (server side, yields
+//! The reactor (and every client) receives bytes in arbitrary chunks — a
+//! frame or line can arrive split at any byte boundary, or many can arrive
+//! fused in one read. [`Decoder`] (server side, yields
 //! [`Request`]s) and [`ResponseDecoder`] (client side, yields [`Response`]s)
 //! absorb those chunks and emit complete messages, sniffing the protocol
 //! from the first byte: [`frame::MAGIC`] opens the binary preamble, anything

@@ -1,8 +1,8 @@
-//! Graceful-drain edge cases on the **threaded** data path.
+//! Graceful-drain edge cases.
 //!
-//! `tests/epoll_server.rs` proves the reactor's drain lossless; these tests
-//! pin down the same guarantees for the thread-per-connection path, in the
-//! corners where drain interleaves with something else:
+//! `tests/epoll_server.rs` proves the reactor's drain lossless under
+//! pipelining; these tests pin down the corners where drain interleaves with
+//! something else:
 //!
 //! * a request that arrives *after* drain begins is explicitly refused, and
 //!   jobs already queued (not yet picked up by a worker) are still answered;
@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use tpm_core::JobRegistry;
-use tpm_serve::{serve, DataPath, Response, ServerConfig, ServerHandle, StatsSnapshot};
+use tpm_serve::{serve, Response, ServerConfig, ServerHandle, StatsSnapshot};
 
 fn test_registry() -> Arc<JobRegistry> {
     let mut reg = JobRegistry::new();
@@ -42,17 +42,12 @@ fn test_registry() -> Arc<JobRegistry> {
     Arc::new(reg)
 }
 
+// Fault plans are process-global, so every test here holds
+// `tpm_fault::session_serial()`: the `inject` test's plan must fire on its
+// own requests, not a neighbour's.
+
 fn start(config: ServerConfig) -> ServerHandle {
-    let handle = serve(
-        test_registry(),
-        ServerConfig {
-            data_path: DataPath::Threaded,
-            ..config
-        },
-    )
-    .expect("bind");
-    assert_eq!(handle.data_path(), DataPath::Threaded);
-    handle
+    serve(test_registry(), config).expect("bind")
 }
 
 fn connect(handle: &ServerHandle) -> (BufReader<TcpStream>, TcpStream) {
@@ -101,6 +96,7 @@ fn assert_conserved(stats: &StatsSnapshot) {
 
 #[test]
 fn drain_answers_queued_jobs_and_refuses_late_arrivals() {
+    let _serial = tpm_fault::session_serial();
     let handle = start(ServerConfig {
         workers: 1,
         ..ServerConfig::default()
@@ -112,9 +108,8 @@ fn drain_answers_queued_jobs_and_refuses_late_arrivals() {
     for id in 2..=4 {
         send_run(&mut writer, id, "quick", id as usize, None);
     }
-    // A ping round-trip proves all four requests reached admission (same
-    // thread handles the connection in order) and resets the read-tick
-    // clock so the late request below is read before the drain closes us.
+    // A ping round-trip proves all four requests reached admission (the
+    // reactor handles a connection's messages in order).
     writer.write_all(b"{\"cmd\":\"ping\"}\n").unwrap();
     assert_eq!(read_response(&mut reader), Some(Response::Pong));
 
@@ -146,6 +141,7 @@ fn drain_answers_queued_jobs_and_refuses_late_arrivals() {
 
 #[test]
 fn drain_racing_deadline_expiry_answers_deadline_not_silence() {
+    let _serial = tpm_fault::session_serial();
     let handle = start(ServerConfig {
         workers: 1,
         ..ServerConfig::default()

@@ -1,8 +1,8 @@
-//! End-to-end tests for the epoll data path: binary protocol over the
-//! reactor, pipelining with out-of-order completion, many concurrent
-//! connections, graceful drain, and parity of both protocols across both
-//! data paths.
-#![cfg(all(target_os = "linux", target_arch = "x86_64"))]
+//! End-to-end tests for the reactor: binary protocol, pipelining with
+//! out-of-order completion, many concurrent connections, graceful drain,
+//! both wire protocols side by side — and the same pipelining / exactly-once
+//! / drain / corrupt-frame cases again over the portable tick poller, the
+//! one every target without the epoll shim runs on.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -13,8 +13,8 @@ use std::time::{Duration, Instant};
 use tpm_core::{JobRegistry, JobSpec, KernelVariant, Model};
 use tpm_serve::wire::{self, ResponseDecoder, Step};
 use tpm_serve::{
-    loadgen, serve, DataPath, LoadgenConfig, Protocol, Request, Response, ServerConfig,
-    ServerHandle,
+    loadgen, serve, serve_over_tick_poller, LoadgenConfig, Protocol, Request, Response,
+    ServerConfig, ServerHandle,
 };
 
 fn test_registry() -> Arc<JobRegistry> {
@@ -44,15 +44,19 @@ fn spec(kernel: &str, size: usize) -> JobSpec {
     }
 }
 
+type Start = fn(ServerConfig) -> ServerHandle;
+
+/// The server as every caller gets it: the reactor over the platform's
+/// poller (kernel epoll on Linux x86-64).
 fn start(config: ServerConfig) -> ServerHandle {
-    let want = config.data_path;
-    let handle = serve(test_registry(), config).expect("bind");
-    // This file is gated to Linux x86-64, so Auto must resolve to Epoll.
-    match want {
-        DataPath::Threaded => assert_eq!(handle.data_path(), DataPath::Threaded),
-        DataPath::Auto | DataPath::Epoll => assert_eq!(handle.data_path(), DataPath::Epoll),
-    }
-    handle
+    serve(test_registry(), config).expect("bind")
+}
+
+/// Runs `case` over the platform's poller, then over the tick poller. On a
+/// target without the epoll shim the two are the same poller.
+fn on_both_pollers(case: fn(Start)) {
+    case(start);
+    case(|config| serve_over_tick_poller(test_registry(), config).expect("bind"));
 }
 
 /// A binary-protocol client: handshakes on connect, pipelines requests,
@@ -195,120 +199,128 @@ fn deadline_is_enforced_over_the_binary_path() {
 
 #[test]
 fn pipelined_requests_complete_out_of_order_exactly_once() {
-    let handle = start(ServerConfig {
-        workers: 2,
-        ..ServerConfig::default()
-    });
-    let mut client = BinClient::connect(handle.addr());
-    // A slow job then a fast one, pipelined on one connection with two
-    // workers: the fast reply overtakes the slow one.
-    client.send_run(1, &spec("napper", 300), None);
-    client.send_run(2, &spec("quick", 7), None);
-    let first = client.recv();
-    let second = client.recv();
-    let mut by_id = HashMap::new();
-    for resp in [first.clone(), second] {
-        match resp {
-            Response::Ok { id, value, .. } => {
-                assert!(
-                    by_id.insert(id, value).is_none(),
-                    "duplicate reply for {id}"
-                );
+    on_both_pollers(|start| {
+        let handle = start(ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        });
+        let mut client = BinClient::connect(handle.addr());
+        // A slow job then a fast one, pipelined on one connection with two
+        // workers: the fast reply overtakes the slow one.
+        client.send_run(1, &spec("napper", 300), None);
+        client.send_run(2, &spec("quick", 7), None);
+        let first = client.recv();
+        let second = client.recv();
+        let mut by_id = HashMap::new();
+        for resp in [first.clone(), second] {
+            match resp {
+                Response::Ok { id, value, .. } => {
+                    assert!(
+                        by_id.insert(id, value).is_none(),
+                        "duplicate reply for {id}"
+                    );
+                }
+                other => panic!("{other:?}"),
             }
-            other => panic!("{other:?}"),
         }
-    }
-    assert_eq!(by_id.len(), 2, "both pipelined requests answered");
-    assert_eq!(by_id[&1], 300.0);
-    assert_eq!(by_id[&2], 7.0);
-    match first {
-        Response::Ok { id, .. } => assert_eq!(id, 2, "fast job overtakes the slow one"),
-        _ => unreachable!(),
-    }
-    handle.shutdown();
+        assert_eq!(by_id.len(), 2, "both pipelined requests answered");
+        assert_eq!(by_id[&1], 300.0);
+        assert_eq!(by_id[&2], 7.0);
+        match first {
+            Response::Ok { id, .. } => assert_eq!(id, 2, "fast job overtakes the slow one"),
+            _ => unreachable!(),
+        }
+        handle.shutdown();
+    });
 }
 
 #[test]
 fn graceful_drain_flushes_pipelined_replies_before_close() {
-    let handle = start(ServerConfig {
-        workers: 1,
-        ..ServerConfig::default()
-    });
-    let mut client = BinClient::connect(handle.addr());
-    const JOBS: u64 = 8;
-    for id in 0..JOBS {
-        client.send_run(id, &spec("napper", 10), None);
-    }
-    // Let the jobs reach the queue, then drain the server while most are
-    // still waiting: every one of them must still be answered, then EOF.
-    std::thread::sleep(Duration::from_millis(30));
-    let shutdown = std::thread::spawn(move || handle.shutdown());
-    let mut seen = std::collections::HashSet::new();
-    while let Some(resp) = client.recv_eof() {
-        match resp {
-            Response::Ok { id, .. } => {
-                assert!(seen.insert(id), "duplicate reply for {id}");
+    on_both_pollers(|start| {
+        let handle = start(ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        });
+        let mut client = BinClient::connect(handle.addr());
+        const JOBS: u64 = 8;
+        for id in 0..JOBS {
+            client.send_run(id, &spec("napper", 10), None);
+        }
+        // Let the jobs reach the queue, then drain the server while most are
+        // still waiting: every one of them must still be answered, then EOF.
+        std::thread::sleep(Duration::from_millis(30));
+        let shutdown = std::thread::spawn(move || handle.shutdown());
+        let mut seen = std::collections::HashSet::new();
+        while let Some(resp) = client.recv_eof() {
+            match resp {
+                Response::Ok { id, .. } => {
+                    assert!(seen.insert(id), "duplicate reply for {id}");
+                }
+                other => panic!("{other:?}"),
             }
-            other => panic!("{other:?}"),
+            if seen.len() == JOBS as usize {
+                break;
+            }
         }
-        if seen.len() == JOBS as usize {
-            break;
-        }
-    }
-    assert_eq!(
-        seen.len(),
-        JOBS as usize,
-        "drain answered every admitted job"
-    );
-    let stats = shutdown.join().unwrap();
-    assert_eq!(stats.admitted, JOBS);
-    assert_eq!(stats.completed, JOBS);
+        assert_eq!(
+            seen.len(),
+            JOBS as usize,
+            "drain answered every admitted job"
+        );
+        let stats = shutdown.join().unwrap();
+        assert_eq!(stats.admitted, JOBS);
+        assert_eq!(stats.completed, JOBS);
+    });
 }
 
 #[test]
 fn corrupt_framing_gets_an_error_reply_then_close() {
-    let handle = start(ServerConfig::default());
-    let mut client = BinClient::connect(handle.addr());
-    // A zero length prefix is unrecoverable framing corruption.
-    client.stream.write_all(&0u32.to_le_bytes()).unwrap();
-    match client.recv_eof() {
-        Some(Response::Error { id, code, .. }) => {
-            assert_eq!(id, None);
-            assert_eq!(code, "parse");
+    on_both_pollers(|start| {
+        let handle = start(ServerConfig::default());
+        let mut client = BinClient::connect(handle.addr());
+        // A zero length prefix is unrecoverable framing corruption.
+        client.stream.write_all(&0u32.to_le_bytes()).unwrap();
+        match client.recv_eof() {
+            Some(Response::Error { id, code, .. }) => {
+                assert_eq!(id, None);
+                assert_eq!(code, "parse");
+            }
+            other => panic!("{other:?}"),
         }
-        other => panic!("{other:?}"),
-    }
-    assert_eq!(
-        client.recv_eof(),
-        None,
-        "connection closes after corruption"
-    );
-    // The server survives and takes new connections.
-    let mut fresh = BinClient::connect(handle.addr());
-    fresh.send(&Request::Ping);
-    assert_eq!(fresh.recv(), Response::Pong);
-    handle.shutdown();
+        assert_eq!(
+            client.recv_eof(),
+            None,
+            "connection closes after corruption"
+        );
+        // The server survives and takes new connections.
+        let mut fresh = BinClient::connect(handle.addr());
+        fresh.send(&Request::Ping);
+        assert_eq!(fresh.recv(), Response::Pong);
+        handle.shutdown();
+    });
 }
 
 #[test]
 fn many_concurrent_binary_connections_all_answered_exactly_once() {
-    let handle = start(ServerConfig {
-        workers: 2,
-        queue_capacity: 512,
-        ..ServerConfig::default()
+    on_both_pollers(|start| {
+        let handle = start(ServerConfig {
+            workers: 2,
+            queue_capacity: 512,
+            ..ServerConfig::default()
+        });
+        let config = LoadgenConfig {
+            protocol: Protocol::Binary,
+            window: 4,
+            ..LoadgenConfig::new(handle.addr().to_string(), 64, 5, spec("quick", 3))
+        };
+        let report = loadgen::run(&config).expect("loadgen");
+        assert_eq!(report.sent, 64 * 5);
+        assert_eq!(report.ok, 64 * 5, "{report:?}");
+        assert!(!report.has_unexpected_failures(), "{report:?}");
+        let stats = handle.shutdown();
+        assert_eq!(stats.admitted, 64 * 5);
+        assert_eq!(stats.completed, 64 * 5);
     });
-    let config = LoadgenConfig {
-        protocol: Protocol::Binary,
-        window: 4,
-        ..LoadgenConfig::new(handle.addr().to_string(), 64, 5, spec("quick", 3))
-    };
-    let report = loadgen::run(&config).expect("loadgen");
-    assert_eq!(report.sent, 64 * 5);
-    assert_eq!(report.ok, 64 * 5, "{report:?}");
-    assert!(!report.has_unexpected_failures(), "{report:?}");
-    let stats = handle.shutdown();
-    assert_eq!(stats.admitted, 64 * 5);
-    assert_eq!(stats.completed, 64 * 5);
 }
 
 #[test]
@@ -341,29 +353,6 @@ fn json_and_binary_coexist_on_the_reactor() {
         Response::Ok { id, value, .. } => {
             assert_eq!(id, 2);
             assert_eq!(value, 6.0);
-        }
-        other => panic!("{other:?}"),
-    }
-    handle.shutdown();
-}
-
-#[test]
-fn threaded_path_speaks_binary_too() {
-    let handle = serve(
-        test_registry(),
-        ServerConfig {
-            data_path: DataPath::Threaded,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind");
-    assert_eq!(handle.data_path(), DataPath::Threaded);
-    let mut client = BinClient::connect(handle.addr());
-    client.send_run(3, &spec("quick", 17), None);
-    match client.recv() {
-        Response::Ok { id, value, .. } => {
-            assert_eq!(id, 3);
-            assert_eq!(value, 17.0);
         }
         other => panic!("{other:?}"),
     }

@@ -1,19 +1,24 @@
-//! Raw `epoll` and `eventfd` syscall shims for readiness-driven IO.
+//! Readiness polling for the `tpm-serve` reactor: raw `epoll`/`eventfd`
+//! syscalls where the shim exists, a portable tick poller elsewhere.
 //!
 //! The workspace builds offline with no `libc` (same discipline as
-//! [`crate::affinity`]'s `sched_setaffinity`), so the Linux implementation
-//! issues the syscalls directly and everywhere else the constructors return
-//! [`std::io::ErrorKind::Unsupported`] — callers fall back to a threaded
-//! data path. Only the subset the `tpm-serve` reactor needs is bound:
-//! `epoll_create1`, `epoll_ctl`, `epoll_wait`, `eventfd2`, and `read` /
-//! `write` / `close` on the eventfd.
-//!
-//! The API is deliberately level-triggered (the epoll default): the reactor
-//! reads and writes until `WouldBlock` on every readiness report, so a
-//! partially-drained socket simply reports ready again on the next wait —
-//! no edge-tracking state to get wrong.
+//! [`crate::affinity`]'s `sched_setaffinity`), so on Linux x86-64
+//! [`Epoll::new`] and [`EventFd::new`] are kernel objects driven by direct
+//! syscalls — only the subset the reactor needs is bound: `epoll_create1`,
+//! `epoll_ctl`, `epoll_wait`, `eventfd2`, and `read` / `write` / `close` on
+//! the eventfd. Every other target gets the tick poller from the same
+//! constructors: it keeps the interest list and reports *every* armed token
+//! once per ≤ 1 ms tick, or at once when the wake is signalled. That is a
+//! legal (if wasteful) implementation of this interface because the
+//! interface is level-triggered: a caller already reads, accepts and writes
+//! until `WouldBlock` on each report, so a spurious report costs one failed
+//! syscall and a missed edge cannot exist. Which one runs is decided by
+//! `cfg`, never by a caller.
 
 use std::io;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::time::Duration;
 
 /// Readiness: the fd has bytes to read (or a pending accept).
 pub const EPOLLIN: u32 = 0x001;
@@ -65,98 +70,261 @@ impl std::fmt::Debug for Event {
     }
 }
 
-/// Whether this platform has the epoll shim (Linux x86-64 only).
-#[must_use]
-pub fn supported() -> bool {
-    cfg!(all(target_os = "linux", target_arch = "x86_64"))
-}
-
-/// An epoll instance. Closed on drop.
+/// A readiness poller. The kernel instance is closed on drop.
 #[derive(Debug)]
-pub struct Epoll {
-    fd: i32,
+pub struct Epoll(Poller);
+
+#[derive(Debug)]
+enum Poller {
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    Kernel(i32),
+    Tick(Tick),
 }
 
 impl Epoll {
-    /// Creates an epoll instance (`EPOLL_CLOEXEC`).
+    /// Creates the platform's poller: an epoll instance (`EPOLL_CLOEXEC`)
+    /// on Linux x86-64, the tick poller elsewhere.
     pub fn new() -> io::Result<Self> {
-        let fd = sys::epoll_create1()?;
-        Ok(Self { fd })
+        #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+        return sys::epoll_create1().map(|fd| Self(Poller::Kernel(fd)));
+        #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
+        return Ok(Self::tick());
+    }
+
+    /// The tick poller on any target. Exists only so Linux CI can run the
+    /// reactor over the poller other platforms get from [`new`](Self::new);
+    /// pair it with [`EventFd::tick`].
+    #[doc(hidden)]
+    #[must_use]
+    pub fn tick() -> Self {
+        Self(Poller::Tick(Tick::default()))
     }
 
     /// Registers `fd` for `events`, reporting `token` back on readiness.
     pub fn add(&self, fd: i32, token: u64, events: u32) -> io::Result<()> {
-        sys::epoll_ctl(self.fd, sys::EPOLL_CTL_ADD, fd, events, token)
+        match &self.0 {
+            #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+            Poller::Kernel(ep) => sys::epoll_ctl(*ep, sys::EPOLL_CTL_ADD, fd, events, token),
+            Poller::Tick(t) => t.arm(fd, Some((token, events))),
+        }
+    }
+
+    /// Registers `wake` as readable-interest under `token`: a
+    /// [`signal`](EventFd::signal) ends a [`wait`](Self::wait) early.
+    /// `wake` must come from the same kind of constructor as `self`.
+    pub fn add_wake(&self, wake: &EventFd, token: u64) -> io::Result<()> {
+        match (&self.0, &wake.0) {
+            #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+            (Poller::Kernel(_), Wake::Kernel(fd)) => self.add(*fd, token, EPOLLIN),
+            (Poller::Tick(t), Wake::Tick(w)) => t
+                .wake
+                .set((token, Arc::clone(w)))
+                .map_err(|_| io::Error::new(io::ErrorKind::AlreadyExists, "wake already set")),
+            #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+            _ => Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "kernel and tick pollers do not mix",
+            )),
+        }
     }
 
     /// Changes the armed event set for an already-registered `fd`.
     pub fn modify(&self, fd: i32, token: u64, events: u32) -> io::Result<()> {
-        sys::epoll_ctl(self.fd, sys::EPOLL_CTL_MOD, fd, events, token)
+        match &self.0 {
+            #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+            Poller::Kernel(ep) => sys::epoll_ctl(*ep, sys::EPOLL_CTL_MOD, fd, events, token),
+            Poller::Tick(t) => t.arm(fd, Some((token, events))),
+        }
     }
 
-    /// Deregisters `fd`. Closing the fd removes it implicitly; an explicit
-    /// delete keeps the interest list honest while the fd is still open.
+    /// Deregisters `fd`. Closing the fd removes it implicitly from the
+    /// kernel's list; an explicit delete keeps the interest list honest
+    /// while the fd is still open (and is the only removal the tick poller
+    /// sees).
     pub fn delete(&self, fd: i32) -> io::Result<()> {
-        sys::epoll_ctl(self.fd, sys::EPOLL_CTL_DEL, fd, 0, 0)
+        match &self.0 {
+            #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+            Poller::Kernel(ep) => sys::epoll_ctl(*ep, sys::EPOLL_CTL_DEL, fd, 0, 0),
+            Poller::Tick(t) => t.arm(fd, None),
+        }
     }
 
     /// Blocks up to `timeout_ms` (-1 = forever) for readiness; fills
     /// `events` and returns how many entries are valid. Interruption by a
-    /// signal returns `ErrorKind::Interrupted` — callers retry.
+    /// signal returns `ErrorKind::Interrupted` — callers retry. The tick
+    /// poller never blocks longer than its tick.
     pub fn wait(&self, events: &mut [Event], timeout_ms: i32) -> io::Result<usize> {
-        sys::epoll_wait(self.fd, events, timeout_ms)
+        match &self.0 {
+            #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+            Poller::Kernel(ep) => sys::epoll_wait(*ep, events, timeout_ms),
+            Poller::Tick(t) => Ok(t.wait(events, timeout_ms)),
+        }
     }
 }
 
 impl Drop for Epoll {
     fn drop(&mut self) {
-        let _ = sys::close(self.fd);
+        #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+        if let Poller::Kernel(fd) = self.0 {
+            let _ = sys::close(fd);
+        }
     }
 }
 
-/// A wakeup fd: any thread [`signal`](Self::signal)s it, the reactor's
-/// `epoll_wait` reports it readable, and [`drain`](Self::drain) resets it.
-/// Created nonblocking so a drain of an unsignalled fd never hangs.
+/// A wakeup handle: any thread [`signal`](Self::signal)s it, the poller's
+/// wait reports it readable, and [`drain`](Self::drain) resets it. The
+/// kernel eventfd is created nonblocking so a drain of an unsignalled fd
+/// never hangs.
 #[derive(Debug)]
-pub struct EventFd {
-    fd: i32,
+pub struct EventFd(Wake);
+
+#[derive(Debug)]
+enum Wake {
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    Kernel(i32),
+    Tick(Arc<TickWake>),
 }
 
 impl EventFd {
-    /// Creates an eventfd (`EFD_CLOEXEC | EFD_NONBLOCK`, counter 0).
+    /// Creates the platform's wake: an eventfd (`EFD_CLOEXEC |
+    /// EFD_NONBLOCK`, counter 0) on Linux x86-64, the tick poller's
+    /// counter elsewhere.
     pub fn new() -> io::Result<Self> {
-        let fd = sys::eventfd2()?;
-        Ok(Self { fd })
+        #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+        return sys::eventfd2().map(|fd| Self(Wake::Kernel(fd)));
+        #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
+        return Ok(Self::tick());
     }
 
-    /// The raw fd, for registration with an [`Epoll`].
+    /// The tick poller's wake on any target; see [`Epoll::tick`].
+    #[doc(hidden)]
     #[must_use]
-    pub fn raw_fd(&self) -> i32 {
-        self.fd
+    pub fn tick() -> Self {
+        Self(Wake::Tick(Arc::default()))
     }
 
     /// Wakes any waiter: adds 1 to the counter. Safe from any thread; a
-    /// full counter (never in practice) is ignored — the fd is already
-    /// readable, which is all a wake needs.
+    /// full kernel counter (never in practice) is ignored — the fd is
+    /// already readable, which is all a wake needs.
     pub fn signal(&self) {
-        let one: u64 = 1;
-        let _ = sys::write(self.fd, &one.to_ne_bytes());
+        match &self.0 {
+            #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+            Wake::Kernel(fd) => {
+                let one: u64 = 1;
+                let _ = sys::write(*fd, &one.to_ne_bytes());
+            }
+            Wake::Tick(w) => {
+                *w.signals.lock().expect("tick wake poisoned") += 1;
+                w.cv.notify_one();
+            }
+        }
     }
 
-    /// Resets the counter so the fd stops reporting readable. Returns how
+    /// Resets the counter so the wake stops reporting readable. Returns how
     /// many signals had accumulated (0 when none — nonblocking).
     pub fn drain(&self) -> u64 {
-        let mut buf = [0u8; 8];
-        match sys::read(self.fd, &mut buf) {
-            Ok(8) => u64::from_ne_bytes(buf),
-            _ => 0,
+        match &self.0 {
+            #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+            Wake::Kernel(fd) => {
+                let mut buf = [0u8; 8];
+                match sys::read(*fd, &mut buf) {
+                    Ok(8) => u64::from_ne_bytes(buf),
+                    _ => 0,
+                }
+            }
+            Wake::Tick(w) => std::mem::take(&mut *w.signals.lock().expect("tick wake poisoned")),
         }
     }
 }
 
 impl Drop for EventFd {
     fn drop(&mut self) {
-        let _ = sys::close(self.fd);
+        #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+        if let Wake::Kernel(fd) = self.0 {
+            let _ = sys::close(fd);
+        }
+    }
+}
+
+/// The tick poller's wake state: a signal count and the condvar a tick
+/// sleeps on.
+#[derive(Debug, Default)]
+struct TickWake {
+    signals: Mutex<u64>,
+    cv: Condvar,
+}
+
+/// The portable poller: an interest list and a clock, nothing else. It
+/// never looks at a socket — it reports every armed token each tick and
+/// lets the level-triggered caller find out what is actually ready.
+#[derive(Debug, Default)]
+struct Tick {
+    /// `(fd, token, events)` in registration order.
+    armed: Mutex<Vec<(i32, u64, u32)>>,
+    /// Where in `armed` the next report starts: rotated so a full `events`
+    /// buffer starves no one. Only the waiting thread touches it.
+    cursor: AtomicUsize,
+    wake: OnceLock<(u64, Arc<TickWake>)>,
+}
+
+impl Tick {
+    /// The longest one `wait` sleeps.
+    const PERIOD: Duration = Duration::from_millis(1);
+
+    /// Sets (`Some`) or clears (`None`) the interest registered for `fd`.
+    fn arm(&self, fd: i32, interest: Option<(u64, u32)>) -> io::Result<()> {
+        let mut list = self.armed.lock().expect("tick poller poisoned");
+        list.retain(|(f, ..)| *f != fd);
+        if let Some((token, events)) = interest {
+            list.push((fd, token, events));
+        }
+        Ok(())
+    }
+
+    fn wait(&self, events: &mut [Event], timeout_ms: i32) -> usize {
+        let nap = if timeout_ms == 0 {
+            Duration::ZERO
+        } else {
+            Self::PERIOD
+        };
+        let mut n = 0;
+        match self.wake.get() {
+            Some((token, wake)) => {
+                let mut signals = wake.signals.lock().expect("tick wake poisoned");
+                if *signals == 0 {
+                    let woken = wake.cv.wait_timeout(signals, nap);
+                    signals = woken.expect("tick wake poisoned").0;
+                }
+                if *signals > 0 && n < events.len() {
+                    events[n] = Event {
+                        events: EPOLLIN,
+                        data: *token,
+                    };
+                    n += 1;
+                }
+            }
+            None => std::thread::sleep(nap),
+        }
+        let list = self.armed.lock().expect("tick poller poisoned");
+        let start = self.cursor.load(Ordering::Relaxed);
+        for i in 0..list.len() {
+            let at = (start + i) % list.len();
+            let (_, token, armed) = list[at];
+            let ready = armed & (EPOLLIN | EPOLLOUT);
+            if ready == 0 {
+                continue;
+            }
+            if n == events.len() {
+                self.cursor.store(at, Ordering::Relaxed);
+                break;
+            }
+            events[n] = Event {
+                events: ready,
+                data: token,
+            };
+            n += 1;
+        }
+        n
     }
 }
 
@@ -280,71 +448,13 @@ mod sys {
     }
 }
 
-#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-mod sys {
-    //! Stubs for platforms without the shim: constructors fail with
-    //! `Unsupported` so callers take the threaded fallback path.
-
-    use super::Event;
-    use std::io;
-
-    pub const EPOLL_CTL_ADD: i32 = 1;
-    pub const EPOLL_CTL_DEL: i32 = 2;
-    pub const EPOLL_CTL_MOD: i32 = 3;
-
-    fn unsupported<T>() -> io::Result<T> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "epoll shim is Linux x86-64 only",
-        ))
-    }
-
-    pub fn epoll_create1() -> io::Result<i32> {
-        unsupported()
-    }
-
-    pub fn epoll_ctl(_: i32, _: i32, _: i32, _: u32, _: u64) -> io::Result<()> {
-        unsupported()
-    }
-
-    pub fn epoll_wait(_: i32, _: &mut [Event], _: i32) -> io::Result<usize> {
-        unsupported()
-    }
-
-    pub fn eventfd2() -> io::Result<i32> {
-        unsupported()
-    }
-
-    pub fn read(_: i32, _: &mut [u8]) -> io::Result<usize> {
-        unsupported()
-    }
-
-    pub fn write(_: i32, _: &[u8]) -> io::Result<usize> {
-        unsupported()
-    }
-
-    pub fn close(_: i32) -> io::Result<usize> {
-        unsupported()
-    }
-}
-
-#[cfg(all(test, target_os = "linux", target_arch = "x86_64"))]
+#[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{Read, Write};
-    use std::net::{TcpListener, TcpStream};
-    use std::os::fd::AsRawFd;
 
-    #[test]
-    fn supported_matches_platform() {
-        assert!(supported());
-    }
-
-    #[test]
-    fn eventfd_signal_wakes_epoll_and_drain_resets() {
-        let ep = Epoll::new().unwrap();
-        let ev = EventFd::new().unwrap();
-        ep.add(ev.raw_fd(), 7, EPOLLIN).unwrap();
+    /// Both implementations honour the same wake contract.
+    fn signal_wakes_wait_and_drain_resets(ep: &Epoll, ev: &EventFd) {
+        ep.add_wake(ev, 7).unwrap();
 
         let mut buf = [Event::zeroed(); 4];
         // Unsignalled: a zero-timeout wait reports nothing.
@@ -363,7 +473,62 @@ mod tests {
     }
 
     #[test]
+    fn signal_wakes_the_platform_poller() {
+        signal_wakes_wait_and_drain_resets(&Epoll::new().unwrap(), &EventFd::new().unwrap());
+    }
+
+    #[test]
+    fn signal_wakes_the_tick_poller() {
+        signal_wakes_wait_and_drain_resets(&Epoll::tick(), &EventFd::tick());
+    }
+
+    #[test]
+    fn tick_poller_reports_every_armed_token_each_tick_in_rotation() {
+        let ep = Epoll::tick();
+        // Fds are only keys to the tick poller; nothing is ever read.
+        ep.add(10, 100, EPOLLIN | EPOLLRDHUP).unwrap();
+        ep.add(11, 101, EPOLLIN).unwrap();
+        ep.add(12, 102, 0).unwrap(); // armed for nothing: never reported
+        let seen = |buf: &[Event]| -> Vec<(u64, u32)> {
+            buf.iter().map(|e| (e.data(), e.events())).collect()
+        };
+        let mut buf = [Event::zeroed(); 4];
+        let n = ep.wait(&mut buf, 100).unwrap();
+        assert_eq!(seen(&buf[..n]), [(100, EPOLLIN), (101, EPOLLIN)]);
+
+        ep.modify(11, 101, EPOLLIN | EPOLLOUT).unwrap();
+        ep.delete(10).unwrap();
+        let n = ep.wait(&mut buf, 0).unwrap();
+        assert_eq!(seen(&buf[..n]), [(101, EPOLLIN | EPOLLOUT)]);
+
+        // A buffer smaller than the interest list: the next wait resumes
+        // where this one stopped, so nobody starves.
+        ep.add(13, 103, EPOLLOUT).unwrap();
+        ep.add(14, 104, EPOLLIN).unwrap();
+        let mut two = [Event::zeroed(); 2];
+        let n = ep.wait(&mut two, 0).unwrap();
+        let first: Vec<u64> = seen(&two[..n]).iter().map(|e| e.0).collect();
+        let n = ep.wait(&mut two, 0).unwrap();
+        let second: Vec<u64> = seen(&two[..n]).iter().map(|e| e.0).collect();
+        assert_eq!((first, second), (vec![101, 103], vec![104, 101]));
+    }
+
+    #[test]
+    fn kernel_and_tick_objects_do_not_mix() {
+        assert!(Epoll::tick().add_wake(&EventFd::tick(), 1).is_ok());
+        if cfg!(all(target_os = "linux", target_arch = "x86_64")) {
+            assert!(Epoll::new().unwrap().add_wake(&EventFd::tick(), 1).is_err());
+            assert!(Epoll::tick().add_wake(&EventFd::new().unwrap(), 1).is_err());
+        }
+    }
+
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    #[test]
     fn socket_readiness_add_modify_delete() {
+        use std::io::{Read, Write};
+        use std::net::{TcpListener, TcpStream};
+        use std::os::fd::AsRawFd;
+
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let ep = Epoll::new().unwrap();

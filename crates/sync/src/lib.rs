@@ -21,7 +21,7 @@
 //! | [`PoolConfig`] | all pooled runtimes | shared builder knobs (threads/pin/numa/idle) |
 //! | [`CancelToken`] | all three | cooperative cancellation + deadlines (job service) |
 //! | [`affinity`] | all three | core pinning (`TPM_PIN`, `OMP_PROC_BIND` analogue) |
-//! | [`epoll`] | `tpm-serve` | readiness-driven socket reactor (raw syscall shim) |
+//! | [`epoll`] | `tpm-serve` | readiness polling for the socket reactor (raw epoll syscalls on Linux x86-64, a tick poller elsewhere) |
 //! | [`Backoff`], [`CachePadded`], [`rng`], [`stats`] | all | mechanics |
 
 #![warn(missing_docs)]
@@ -44,10 +44,7 @@ mod mutex;
 pub mod oneshot;
 mod pool;
 mod reducer;
-mod reentrant;
 pub mod rng;
-mod rwlock;
-mod semaphore;
 mod spinlock;
 pub mod stats;
 pub mod topology;
@@ -66,9 +63,6 @@ pub use mutex::{Mutex, MutexGuard};
 pub use oneshot::{channel as oneshot_channel, Receiver, RecvError, Sender};
 pub use pool::PoolConfig;
 pub use reducer::Reducer;
-pub use reentrant::{ReentrantGuard, ReentrantLock};
 pub use rng::{SplitMix64, XorShift64Star};
-pub use rwlock::{ReadGuard, RwLock, WriteGuard};
-pub use semaphore::{Permit, Semaphore};
 pub use spinlock::{SpinGuard, SpinLock};
 pub use stats::{Counter, SchedulerStats, StatsSnapshot, WorkerStats};

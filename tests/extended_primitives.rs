@@ -1,74 +1,12 @@
-//! Integration + property tests for the extended primitives and features:
-//! RwLock, Semaphore, ReentrantLock, OmpLock/OmpNestLock, task dependencies,
-//! `par_map`, `sections`, cancellation, and future chaining.
+//! Integration + property tests for the extended features: task
+//! dependencies, `par_map`, `sections`, cancellation, and future chaining.
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use threadcmp::forkjoin::{DepTracker, Schedule, Team};
 use threadcmp::rawthreads::{async_task, Launch};
-use threadcmp::sync::{ReentrantLock, RwLock, Semaphore};
 use threadcmp::worksteal::{par_map, Grain, Runtime};
-
-#[test]
-fn rwlock_readers_see_consistent_pairs_under_writers() {
-    let lock = RwLock::new((0u64, 0u64));
-    std::thread::scope(|s| {
-        for _ in 0..2 {
-            let lock = &lock;
-            s.spawn(move || {
-                for i in 1..=1_000u64 {
-                    let mut g = lock.write();
-                    g.0 = i;
-                    g.1 = i * 3;
-                }
-            });
-        }
-        for _ in 0..2 {
-            let lock = &lock;
-            s.spawn(move || {
-                for _ in 0..1_000 {
-                    let g = lock.read();
-                    assert_eq!(g.1, g.0 * 3);
-                }
-            });
-        }
-    });
-}
-
-#[test]
-fn semaphore_bounds_rawthread_fanout() {
-    // The sane version of the paper's exploding C++ recursion: a semaphore
-    // capping live threads.
-    let sem = Semaphore::new(4);
-    let peak = AtomicU64::new(0);
-    let live = AtomicU64::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..16 {
-            let (sem, peak, live) = (&sem, &peak, &live);
-            s.spawn(move || {
-                let _p = sem.acquire();
-                let n = live.fetch_add(1, Ordering::Relaxed) + 1;
-                peak.fetch_max(n, Ordering::Relaxed);
-                std::thread::yield_now();
-                live.fetch_sub(1, Ordering::Relaxed);
-            });
-        }
-    });
-    assert!(peak.into_inner() <= 4);
-}
-
-#[test]
-fn reentrant_lock_via_public_api() {
-    let lock = ReentrantLock::new(std::cell::Cell::new(0));
-    let g1 = lock.lock();
-    let g2 = lock.lock();
-    g2.set(g2.get() + 1);
-    drop(g2);
-    g1.set(g1.get() + 1);
-    drop(g1);
-    assert_eq!(lock.lock().get(), 2);
-}
 
 #[test]
 fn dependencies_order_a_diamond() {
@@ -143,28 +81,6 @@ proptest! {
         });
         let expected: Vec<u64> = input.iter().map(|&x| x as u64 + 1).collect();
         prop_assert_eq!(got, expected);
-    }
-
-    /// Semaphore: the live count never exceeds the permit count, for any
-    /// acquisition pattern.
-    #[test]
-    fn semaphore_never_oversubscribes(permits in 1usize..6, tasks in 1usize..20) {
-        let sem = Semaphore::new(permits);
-        let live = AtomicU64::new(0);
-        let peak = AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..tasks {
-                let (sem, live, peak) = (&sem, &live, &peak);
-                s.spawn(move || {
-                    let _p = sem.acquire();
-                    let n = live.fetch_add(1, Ordering::Relaxed) + 1;
-                    peak.fetch_max(n, Ordering::Relaxed);
-                    live.fetch_sub(1, Ordering::Relaxed);
-                });
-            }
-        });
-        prop_assert!(peak.into_inner() <= permits as u64);
-        prop_assert_eq!(sem.available(), permits);
     }
 
     /// A random chain of dependent inout tasks applies its operations in
