@@ -6,8 +6,7 @@
 //! match the paper's analysis: lock-based deque ops cost ~2× the lock-free
 //! protocol; a steal costs several cache-miss round trips; an OS thread
 //! spawn costs ~3 orders of magnitude more than a task push; a fork-join
-//! region dispatch sits in between. The `ablation_simcost` bench perturbs
-//! these to show which conclusions are sensitive to which constants.
+//! region dispatch sits in between.
 
 /// Per-mechanism costs in nanoseconds of virtual time.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -2,9 +2,9 @@
 //!
 //! The hardware substitute of the `threadcmp` workspace (see DESIGN.md §2):
 //! the paper's evaluation ran on a two-socket, 36-core Xeon E5-2699v3; this
-//! workspace's CI host has one core, so real speedup curves are impossible.
-//! The simulator reproduces the *shape* of every figure by modeling the
-//! scheduling mechanisms explicitly:
+//! workspace's CI host has 2 vCPUs, so real 36-core speedup curves are
+//! impossible. The simulator reproduces the *shape* of every figure by
+//! modeling the scheduling mechanisms explicitly:
 //!
 //! * [`Machine`] — cores, sockets, memory-bandwidth roofline, NUMA de-rating.
 //! * [`CostModel`] — calibrated per-mechanism costs (steal windows, deque
@@ -42,6 +42,7 @@ mod loop_sim;
 mod machine;
 mod placement;
 mod result;
+mod steal;
 pub mod trace;
 mod tree_sim;
 mod workload;

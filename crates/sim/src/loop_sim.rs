@@ -7,15 +7,14 @@
 //! (per-victim serialized) steals, task pools pay a serial creation phase on
 //! the producer, and the C++11 variants pay OS-thread creation.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::collections::VecDeque;
-
-use tpm_sync::SplitMix64;
 
 use crate::cost::{CostModel, DequeKind};
 use crate::machine::Machine;
+use crate::placement::VictimPolicy;
 use crate::result::SimResult;
+use crate::steal::{hold, run_workers, Owner, Stealing};
+use crate::trace::{Activity, Trace};
 use crate::workload::LoopWorkload;
 
 /// How a simulated runtime distributes a parallel loop.
@@ -45,25 +44,6 @@ pub enum LoopPolicy {
     RecursiveSpawn,
 }
 
-/// Min-heap of `(time, worker)` events in f64 virtual ns. (Bit-pattern
-/// ordering equals numeric ordering for non-negative floats.)
-pub(crate) struct EventQueue(BinaryHeap<Reverse<(u64, usize)>>);
-
-impl EventQueue {
-    pub(crate) fn new() -> Self {
-        Self(BinaryHeap::new())
-    }
-
-    pub(crate) fn push(&mut self, time: f64, worker: usize) {
-        debug_assert!(time >= 0.0);
-        self.0.push(Reverse((time.to_bits(), worker)));
-    }
-
-    pub(crate) fn pop(&mut self) -> Option<(f64, usize)> {
-        self.0.pop().map(|Reverse((t, w))| (f64::from_bits(t), w))
-    }
-}
-
 /// The simulator: a machine plus a cost model.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Simulator {
@@ -83,15 +63,10 @@ impl Simulator {
     }
 
     /// Duration of executing iterations `[start, end)` of `wl` with `active`
-    /// concurrent threads (bandwidth roofline + imbalance).
-    fn chunk_time(&self, wl: &LoopWorkload, start: u64, end: u64, active: usize) -> f64 {
-        self.chunk_time_derated(wl, start, end, active, 1.0)
-    }
-
-    /// As [`chunk_time`](Self::chunk_time), with an additional streaming-
-    /// efficiency factor (< 1 for chunks whose locality was destroyed by
-    /// fine-grained stealing).
-    fn chunk_time_derated(
+    /// concurrent threads (bandwidth roofline + imbalance), the bandwidth
+    /// scaled by `bw_factor` (< 1 for chunks whose locality was destroyed
+    /// by fine-grained stealing).
+    fn chunk_time(
         &self,
         wl: &LoopWorkload,
         start: u64,
@@ -118,12 +93,7 @@ impl Simulator {
             LoopPolicy::WorksharingStatic => self.sim_static(wl, threads),
             LoopPolicy::WorksharingDynamic { chunk } => self.sim_dynamic(wl, threads, chunk.max(1)),
             LoopPolicy::WorkstealingSplit { grain } => {
-                let g = if grain == 0 {
-                    (wl.iters / (8 * threads as u64)).clamp(1, 2048)
-                } else {
-                    grain
-                };
-                self.sim_worksteal_split(wl, threads, g)
+                self.sim_worksteal_split(wl, threads, grain, None)
             }
             LoopPolicy::TaskChunks { kind } => self.sim_task_chunks(wl, threads, kind),
             LoopPolicy::ThreadPerChunk => self.sim_thread_per_chunk(wl, threads),
@@ -142,29 +112,33 @@ impl Simulator {
         self.cost.barrier_per_thread_ns * threads as f64
     }
 
+    /// The `schedule(static)` partition: thread `t` of `p` runs the `t`-th
+    /// of `p` contiguous blocks whose sizes differ by at most one; yields
+    /// each block's duration in thread order.
+    fn block_times<'a>(&'a self, wl: &'a LoopWorkload, p: usize) -> impl Iterator<Item = f64> + 'a {
+        let (per, extra) = (wl.iters / p as u64, wl.iters % p as u64);
+        (0..p as u64).scan(0u64, move |start, t| {
+            let (s, size) = (*start, per + u64::from(t < extra));
+            *start += size;
+            Some(if size > 0 {
+                self.chunk_time(wl, s, s + size, p, 1.0)
+            } else {
+                0.0
+            })
+        })
+    }
+
     // ---- policy: OpenMP static worksharing -------------------------------
 
     fn sim_static(&self, wl: &LoopWorkload, p: usize) -> SimResult {
         let mut r = SimResult::default();
         let mut max_finish = 0.0f64;
-        let per = wl.iters / p as u64;
-        let extra = wl.iters % p as u64;
-        let mut start = 0u64;
-        for t in 0..p {
-            let size = per + u64::from((t as u64) < extra);
-            let end = start + size;
+        for (t, work) in self.block_times(wl, p).enumerate() {
             let fork = self.cost.region_fork_per_thread_ns * t as f64;
-            let work = if size > 0 {
-                self.chunk_time(wl, start, end, p)
-            } else {
-                0.0
-            };
-            let finish = fork + self.cost.static_dispatch_ns + work;
             r.busy_ns += work;
             r.overhead_ns += self.cost.static_dispatch_ns + self.cost.region_fork_per_thread_ns;
-            max_finish = max_finish.max(finish);
-            start = end;
             r.tasks += 1;
+            max_finish = max_finish.max(fork + self.cost.static_dispatch_ns + work);
         }
         r.overhead_ns += self.barrier_cost(p);
         r.makespan_ns = max_finish + self.barrier_cost(p);
@@ -175,32 +149,28 @@ impl Simulator {
 
     fn sim_dynamic(&self, wl: &LoopWorkload, p: usize, chunk: u64) -> SimResult {
         let mut r = SimResult::default();
-        let mut queue = EventQueue::new();
-        for t in 0..p {
-            queue.push(self.cost.region_fork_per_thread_ns * t as f64, t);
-        }
         let mut next = 0u64;
         let mut counter_free = 0.0f64;
-        let mut max_finish = 0.0f64;
-        while let Some((time, _w)) = queue.pop() {
-            if next >= wl.iters {
-                max_finish = max_finish.max(time);
-                continue;
-            }
-            // The shared counter is an exclusive resource: concurrent
-            // fetches serialize.
-            let fetch_start = time.max(counter_free);
-            counter_free = fetch_start + self.cost.dynamic_fetch_ns;
-            let start = next;
-            let end = (start + chunk).min(wl.iters);
-            next = end;
-            let work = self.chunk_time(wl, start, end, p);
-            r.busy_ns += work;
-            r.overhead_ns += self.cost.dynamic_fetch_ns;
-            r.tasks += 1;
-            queue.push(fetch_start + self.cost.dynamic_fetch_ns + work, _w);
-        }
-        r.makespan_ns = max_finish + self.barrier_cost(p);
+        let finish = run_workers(
+            p,
+            |t| self.cost.region_fork_per_thread_ns * t as f64,
+            |_, time| {
+                if next >= wl.iters {
+                    return None;
+                }
+                // The shared counter is an exclusive resource: concurrent
+                // fetches serialize.
+                let fetch_start = hold(&mut counter_free, time, self.cost.dynamic_fetch_ns);
+                let start = next;
+                next = (start + chunk).min(wl.iters);
+                let work = self.chunk_time(wl, start, next, p, 1.0);
+                r.busy_ns += work;
+                r.overhead_ns += self.cost.dynamic_fetch_ns;
+                r.tasks += 1;
+                Some(fetch_start + self.cost.dynamic_fetch_ns + work)
+            },
+        );
+        r.makespan_ns = finish + self.barrier_cost(p);
         r.overhead_ns += self.barrier_cost(p);
         r
     }
@@ -215,129 +185,58 @@ impl Simulator {
         wl: &LoopWorkload,
         threads: usize,
         grain: u64,
-    ) -> (SimResult, crate::trace::Trace) {
-        let g = if grain == 0 {
-            (wl.iters / (8 * threads.max(1) as u64)).clamp(1, 2048)
-        } else {
-            grain
-        };
-        let mut trace = crate::trace::Trace::new(threads.max(1));
-        let r = self.sim_worksteal_split_inner(wl, threads.max(1), g, Some(&mut trace));
+    ) -> (SimResult, Trace) {
+        let mut trace = Trace::new(threads.max(1));
+        let r = self.sim_worksteal_split(wl, threads.max(1), grain, Some(&mut trace));
         (r, trace)
     }
 
-    fn sim_worksteal_split(&self, wl: &LoopWorkload, p: usize, grain: u64) -> SimResult {
-        self.sim_worksteal_split_inner(wl, p, grain, None)
-    }
-
-    fn sim_worksteal_split_inner(
+    /// Lazy binary splitting over the stealing core. Ranges carry a
+    /// "reached me by a steal" flag: stolen chunks (and their sub-splits)
+    /// lose streaming locality.
+    fn sim_worksteal_split(
         &self,
         wl: &LoopWorkload,
         p: usize,
         grain: u64,
-        mut trace: Option<&mut crate::trace::Trace>,
+        trace: Option<&mut Trace>,
     ) -> SimResult {
-        let mut r = SimResult::default();
-        let mut rng = SplitMix64::new(0x0C11_CF02 ^ (p as u64) << 8 ^ grain);
-        let mut queue = EventQueue::new();
-        // Range entries carry a "reached me via steal" flag: stolen chunks
-        // (and their sub-splits) lose streaming locality.
-        let mut deques: Vec<VecDeque<(u64, u64, bool)>> = vec![VecDeque::new(); p];
-        let mut steal_free = vec![0.0f64; p];
-        let mut remaining = wl.iters;
-        let mut max_finish = 0.0f64;
-        // Worker 0 receives the whole range via install.
-        deques[0].push_back((0, wl.iters, false));
-        queue.push(self.cost.region_fork_per_thread_ns, 0);
-        for t in 1..p {
-            queue.push(0.0, t);
-        }
-        while let Some((time, w)) = queue.pop() {
-            if let Some((start, end, stolen)) = deques[w].pop_back() {
-                if end - start > grain {
-                    // Split: keep left, expose right to thieves.
-                    let mid = start + (end - start) / 2;
-                    deques[w].push_back((mid, end, stolen));
-                    deques[w].push_back((start, mid, stolen));
-                    let cost = self.cost.split_ns + self.cost.push_lockfree_ns;
-                    r.overhead_ns += cost;
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.record(w, time, time + cost, crate::trace::Activity::Overhead);
-                    }
-                    queue.push(time + cost, w);
-                } else {
-                    let bw = if stolen {
-                        self.cost.steal_locality_derate
-                    } else {
-                        1.0
-                    };
-                    let work = self.chunk_time_derated(wl, start, end, p, bw);
-                    remaining -= end - start;
-                    r.busy_ns += work;
-                    r.overhead_ns += self.cost.pop_lockfree_ns;
-                    r.tasks += 1;
-                    if let Some(t) = trace.as_deref_mut() {
-                        let s0 = time + self.cost.pop_lockfree_ns;
-                        t.record(w, s0, s0 + work, crate::trace::Activity::Work);
-                    }
-                    queue.push(time + self.cost.pop_lockfree_ns + work, w);
-                }
-                continue;
-            }
-            if remaining == 0 {
-                max_finish = max_finish.max(time);
-                continue;
-            }
-            // Steal attempt at a random victim.
-            let v = rng.next_bounded(p as u64) as usize;
-            if v != w && !deques[v].is_empty() {
-                // Success: serialized window on the victim's deque top —
-                // the chunk-distribution serialization the paper describes.
-                let begin = time.max(steal_free[v]);
-                steal_free[v] = begin + self.cost.steal_success_ns;
-                // Re-check: by `begin` the deque could have been drained by
-                // its owner; model optimistically (taken if still nonempty).
-                if let Some((s, e, _)) = deques[v].pop_front() {
-                    deques[w].push_back((s, e, true));
-                    r.steals += 1;
-                    r.overhead_ns += self.cost.steal_success_ns;
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.record(
-                            w,
-                            begin,
-                            begin + self.cost.steal_success_ns,
-                            crate::trace::Activity::Steal,
-                        );
-                    }
-                    queue.push(begin + self.cost.steal_success_ns, w);
-                } else {
-                    r.failed_steals += 1;
-                    r.overhead_ns += self.cost.steal_attempt_ns;
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.record(
-                            w,
-                            begin,
-                            begin + self.cost.steal_attempt_ns,
-                            crate::trace::Activity::Idle,
-                        );
-                    }
-                    queue.push(begin + self.cost.steal_attempt_ns, w);
-                }
+        let grain = if grain == 0 {
+            (wl.iters / (8 * p as u64)).clamp(1, 2048)
+        } else {
+            grain
+        };
+        let split = self.cost.split_ns + self.cost.push_lockfree_ns;
+        let pop = self.cost.pop_lockfree_ns;
+        let stealing = Stealing {
+            nodes: &vec![0; p],
+            policy: VictimPolicy::Random,
+            seed: 0x0C11_CF02 ^ ((p as u64) << 8) ^ grain,
+            steal_ns: self.cost.steal_success_ns,
+        };
+        let run = |o: &mut Owner<'_, (u64, u64, bool)>, (start, end, stolen), time: f64| {
+            if end - start > grain {
+                // Split: keep left, expose right to thieves.
+                let mid = start + (end - start) / 2;
+                o.push((mid, end, stolen));
+                o.push((start, mid, stolen));
+                o.r.overhead_ns += split;
+                (Activity::Overhead, time, time + split)
             } else {
-                r.failed_steals += 1;
-                r.overhead_ns += self.cost.steal_attempt_ns;
-                if let Some(t) = trace.as_deref_mut() {
-                    t.record(
-                        w,
-                        time,
-                        time + self.cost.steal_attempt_ns,
-                        crate::trace::Activity::Idle,
-                    );
-                }
-                queue.push(time + self.cost.steal_attempt_ns, w);
+                let bw = if stolen {
+                    self.cost.steal_locality_derate
+                } else {
+                    1.0
+                };
+                let work = self.chunk_time(wl, start, end, p, bw);
+                o.r.busy_ns += work;
+                o.r.overhead_ns += pop;
+                o.r.tasks += 1;
+                (Activity::Work, time + pop, time + pop + work)
             }
-        }
-        r.makespan_ns = max_finish;
+        };
+        let on_steal = |(start, end, _)| (start, end, true);
+        let (r, _) = self.run_stealing(stealing, (0, wl.iters, false), run, on_steal, trace);
         r
     }
 
@@ -346,7 +245,6 @@ impl Simulator {
     fn sim_task_chunks(&self, wl: &LoopWorkload, p: usize, kind: DequeKind) -> SimResult {
         let mut r = SimResult::default();
         let base = self.base_chunk(wl, p);
-        let mut rng = SplitMix64::new(0x7A5C ^ (p as u64) << 4);
         // Producer (worker 0) creates all chunk tasks serially; task i
         // becomes stealable at its creation time.
         let mut tasks: VecDeque<(f64, u64, u64)> = VecDeque::new(); // (ready, start, end)
@@ -364,62 +262,42 @@ impl Simulator {
         // op (owner pop and thief steal) serializes on its lock; lock-free
         // serializes only thieves.
         let mut deque_free = 0.0f64; // lock (Locked) or top-CAS window (LockFree)
-        let mut queue = EventQueue::new();
-        queue.push(t0, 0); // producer turns consumer after creation
-        for t in 1..p {
-            queue.push(0.0, t);
-        }
-        let total_tasks = tasks.len();
-        let mut consumed = 0usize;
-        let mut max_finish = 0.0f64;
-        while let Some((time, w)) = queue.pop() {
-            if consumed == total_tasks {
-                max_finish = max_finish.max(time);
-                continue;
-            }
-            // Find a ready task (front first: FIFO for thieves; the owner
-            // would take the back — the distinction is immaterial here
-            // because chunks are uniform).
-            let (op_cost, serialized) = if w == 0 {
-                (self.cost.pop_cost(kind), matches!(kind, DequeKind::Locked))
-            } else {
-                (
-                    self.cost.steal_success_ns.max(self.cost.pop_cost(kind)),
-                    true,
-                )
-            };
-            let begin = if serialized {
-                let b = time.max(deque_free);
-                deque_free = b + op_cost;
-                b
-            } else {
-                time
-            };
-            match tasks.front().copied() {
-                Some((ready, s, e)) if ready <= begin + op_cost => {
-                    tasks.pop_front();
-                    consumed += 1;
-                    let work = self.chunk_time(wl, s, e, p);
-                    r.busy_ns += work;
-                    r.overhead_ns += op_cost;
-                    if w != 0 {
-                        r.steals += 1;
-                    }
-                    queue.push(begin + op_cost + work, w);
-                }
-                Some((ready, _, _)) => {
+        let finish = run_workers(
+            p,
+            // The producer turns consumer after creation.
+            |w| if w == 0 { t0 } else { 0.0 },
+            |w, time| {
+                // Front first: FIFO for thieves; the owner would take the
+                // back — immaterial here because chunks are uniform.
+                let &(ready, s, e) = tasks.front()?;
+                let (op_cost, serialized) = if w == 0 {
+                    (self.cost.pop_cost(kind), matches!(kind, DequeKind::Locked))
+                } else {
+                    (
+                        self.cost.steal_success_ns.max(self.cost.pop_cost(kind)),
+                        true,
+                    )
+                };
+                let begin = if serialized {
+                    hold(&mut deque_free, time, op_cost)
+                } else {
+                    time
+                };
+                if ready > begin + op_cost {
                     // Not yet published: retry when it is.
                     r.failed_steals += 1;
                     r.overhead_ns += self.cost.steal_attempt_ns;
-                    queue.push(ready.max(time + self.cost.steal_attempt_ns), w);
-                    let _ = rng.next_u64();
+                    return Some(ready.max(time + self.cost.steal_attempt_ns));
                 }
-                None => {
-                    max_finish = max_finish.max(time);
-                }
-            }
-        }
-        r.makespan_ns = max_finish + self.barrier_cost(p); // taskwait + region end
+                tasks.pop_front();
+                let work = self.chunk_time(wl, s, e, p, 1.0);
+                r.busy_ns += work;
+                r.overhead_ns += op_cost;
+                r.steals += u64::from(w != 0);
+                Some(begin + op_cost + work)
+            },
+        );
+        r.makespan_ns = finish + self.barrier_cost(p); // taskwait + region end
         r.overhead_ns += self.barrier_cost(p);
         r
     }
@@ -428,25 +306,14 @@ impl Simulator {
 
     fn sim_thread_per_chunk(&self, wl: &LoopWorkload, p: usize) -> SimResult {
         let mut r = SimResult::default();
-        let per = wl.iters / p as u64;
-        let extra = wl.iters % p as u64;
-        let mut start = 0u64;
         let mut max_finish = 0.0f64;
-        for t in 0..p {
-            let size = per + u64::from((t as u64) < extra);
-            let end = start + size;
+        for (t, work) in self.block_times(wl, p).enumerate() {
             // Thread t is created after t+1 serial spawn calls.
             let spawn_done = self.cost.thread_spawn_ns * (t + 1) as f64;
-            let work = if size > 0 {
-                self.chunk_time(wl, start, end, p)
-            } else {
-                0.0
-            };
             r.busy_ns += work;
             r.overhead_ns += self.cost.thread_spawn_ns;
             r.tasks += 1;
             max_finish = max_finish.max(spawn_done + work);
-            start = end;
         }
         r.makespan_ns = max_finish;
         r
@@ -461,53 +328,45 @@ impl Simulator {
         // Global ready pool of (ready_time, start, end); OS assigns to the
         // earliest-free core.
         let mut pool: Vec<(f64, u64, u64)> = vec![(0.0, 0, wl.iters)];
-        let mut queue = EventQueue::new();
-        for c in 0..cores {
-            queue.push(0.0, c);
-        }
         let mut remaining = wl.iters;
-        let mut max_finish = 0.0f64;
-        while let Some((time, c)) = queue.pop() {
-            if remaining == 0 {
-                max_finish = max_finish.max(time);
-                continue;
-            }
-            // Earliest-ready entry this core can take.
-            let best = pool
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1 .0.total_cmp(&b.1 .0))
-                .map(|(i, &(ready, _, _))| (i, ready));
-            match best {
-                Some((i, ready)) => {
-                    if ready > time {
-                        // Wait for it to be spawned.
-                        queue.push(ready, c);
-                        continue;
-                    }
-                    let (_, mut s, e) = pool.swap_remove(i);
-                    let mut t = time;
-                    // Descend the right spine, spawning left subtrees.
-                    while e - s > base {
-                        let mid = s + (e - s) / 2;
-                        t += self.cost.thread_spawn_ns;
-                        r.overhead_ns += self.cost.thread_spawn_ns;
-                        r.tasks += 1;
-                        pool.push((t, s, mid));
-                        s = mid;
-                    }
-                    let work = self.chunk_time(wl, s, e, p.min(self.machine.cores));
-                    remaining -= e - s;
-                    r.busy_ns += work;
-                    queue.push(t + work, c);
+        let finish = run_workers(
+            cores,
+            |_| 0.0,
+            |_, time| {
+                if remaining == 0 {
+                    return None;
                 }
-                None => {
+                // Earliest-ready entry this core can take.
+                let Some((i, &(ready, _, _))) = pool
+                    .iter()
+                    .enumerate()
+                    .min_by(|a, b| a.1 .0.total_cmp(&b.1 .0))
+                else {
                     // Work is in flight on other cores; check back shortly.
-                    queue.push(time + self.cost.steal_attempt_ns, c);
+                    return Some(time + self.cost.steal_attempt_ns);
+                };
+                if ready > time {
+                    // Wait for it to be spawned.
+                    return Some(ready);
                 }
-            }
-        }
-        r.makespan_ns = max_finish;
+                let (_, mut s, e) = pool.swap_remove(i);
+                let mut t = time;
+                // Descend the right spine, spawning left subtrees.
+                while e - s > base {
+                    let mid = s + (e - s) / 2;
+                    t += self.cost.thread_spawn_ns;
+                    r.overhead_ns += self.cost.thread_spawn_ns;
+                    r.tasks += 1;
+                    pool.push((t, s, mid));
+                    s = mid;
+                }
+                let work = self.chunk_time(wl, s, e, cores, 1.0);
+                remaining -= e - s;
+                r.busy_ns += work;
+                Some(t + work)
+            },
+        );
+        r.makespan_ns = finish;
         r
     }
 }

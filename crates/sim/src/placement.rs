@@ -2,9 +2,9 @@
 //!
 //! The real runtimes in this workspace gained node-aware victim ordering
 //! (`tpm-worksteal`'s `VictimPlan`, `tpm-forkjoin`'s local-victim rounds);
-//! this module predicts when that matters. It re-runs the Fig. 5 fib task
-//! tree with two extra degrees of freedom the plain [`Simulator::run_fib`]
-//! abstracts away:
+//! this module predicts when that matters. It runs the Fig. 5 fib task tree
+//! under [`Simulator::run_fib`]'s charges, plus the two degrees of freedom
+//! `run_fib` leaves out (it puts every worker on one node):
 //!
 //! * [`Placement`] — how software threads map onto physical cores: `Packed`
 //!   fills socket 0 before touching socket 1 (Linux's default `taskset`
@@ -19,12 +19,8 @@
 //! other socket's cache crosses the interconnect. [`placement_sweep`]
 //! tabulates all four combinations for the figure pipeline.
 
-use std::collections::VecDeque;
-
-use tpm_sync::SplitMix64;
-
 use crate::cost::DequeKind;
-use crate::loop_sim::{EventQueue, Simulator};
+use crate::loop_sim::Simulator;
 use crate::result::SimResult;
 use crate::workload::FibWorkload;
 
@@ -112,136 +108,11 @@ impl Simulator {
         placement: Placement,
         policy: VictimPolicy,
     ) -> (SimResult, u64) {
-        let p = threads.max(1);
-        let node_of: Vec<usize> = (0..p)
-            .map(|tid| {
-                self.machine
-                    .node_of_core(placement.core_of_worker(&self.machine, tid))
-            })
+        let m = &self.machine;
+        let nodes: Vec<usize> = (0..threads.max(1))
+            .map(|tid| m.node_of_core(placement.core_of_worker(m, tid)))
             .collect();
-        // Same-node victim candidates per worker. On one socket this is
-        // everyone-but-self, so NodeAware's local rounds draw from the same
-        // pool as uniform rounds and the policy becomes unobservable.
-        let local: Vec<Vec<usize>> = (0..p)
-            .map(|w| {
-                (0..p)
-                    .filter(|&v| v != w && node_of[v] == node_of[w])
-                    .collect()
-            })
-            .collect();
-
-        let remote_mult = |a: usize, b: usize| -> f64 {
-            if node_of[a] == node_of[b] {
-                1.0
-            } else {
-                self.cost.steal_remote_penalty.max(1.0)
-            }
-        };
-
-        let mut r = SimResult::default();
-        let mut remote_steals: u64 = 0;
-        let mut rng = SplitMix64::new(0x9_1ACE ^ ((p as u64) << 6) ^ fw.n);
-        let mut queue = EventQueue::new();
-        let mut deques: Vec<VecDeque<u64>> = vec![VecDeque::new(); p];
-        let mut deque_free = vec![0.0f64; p];
-        // Per-worker attempt parity: even rounds go node-local (when the
-        // policy and topology allow), odd rounds go uniform so cross-node
-        // work still migrates — mirrors forkjoin's 2n-round schedule.
-        let mut attempts = vec![0u64; p];
-        let mut outstanding: u64 = 1;
-        deques[0].push_back(fw.n);
-        queue.push(self.cost.region_fork_per_thread_ns, 0);
-        for t in 1..p {
-            queue.push(0.0, t);
-        }
-        let mut max_finish = 0.0f64;
-        while let Some((time, w)) = queue.pop() {
-            if !deques[w].is_empty() {
-                let pop_cost = self.cost.pop_cost(kind);
-                let begin = if matches!(kind, DequeKind::Locked) {
-                    let b = time.max(deque_free[w]);
-                    deque_free[w] = b + pop_cost;
-                    b
-                } else {
-                    time
-                };
-                let node = deques[w].pop_back().expect("checked nonempty");
-                outstanding -= 1;
-                r.overhead_ns += pop_cost;
-                let mut t = begin + pop_cost;
-                let mut n = node;
-                while n > fw.leaf_cutoff && n >= 2 {
-                    let push_cost = self.cost.push_cost(kind) + self.cost.task_frame_ns;
-                    if matches!(kind, DequeKind::Locked) {
-                        let b = t.max(deque_free[w]);
-                        deque_free[w] = b + push_cost;
-                        t = b + push_cost;
-                    } else {
-                        t += push_cost;
-                    }
-                    deques[w].push_back(n - 1);
-                    outstanding += 1;
-                    r.tasks += 1;
-                    r.overhead_ns += push_cost;
-                    t += fw.call_ns;
-                    r.busy_ns += fw.call_ns;
-                    n -= 2;
-                }
-                let leaf = fw.leaf_work_ns(n);
-                t += leaf;
-                r.busy_ns += leaf;
-                queue.push(t, w);
-                continue;
-            }
-            if outstanding == 0 {
-                max_finish = max_finish.max(time);
-                continue;
-            }
-            attempts[w] += 1;
-            let v = if matches!(policy, VictimPolicy::NodeAware)
-                && !local[w].is_empty()
-                && attempts[w] % 2 == 1
-            {
-                local[w][rng.next_bounded(local[w].len() as u64) as usize]
-            } else {
-                rng.next_bounded(p as u64) as usize
-            };
-            if v != w && !deques[v].is_empty() {
-                let cost = remote_mult(w, v)
-                    * match kind {
-                        DequeKind::LockFree => self.cost.steal_success_ns,
-                        DequeKind::Locked => self.cost.steal_success_ns + self.cost.pop_locked_ns,
-                    };
-                let begin = time.max(deque_free[v]);
-                deque_free[v] = begin + cost;
-                if let Some(node) = deques[v].pop_front() {
-                    deques[w].push_back(node);
-                    r.steals += 1;
-                    if node_of[w] != node_of[v] {
-                        remote_steals += 1;
-                    }
-                    r.overhead_ns += cost;
-                    queue.push(begin + cost, w);
-                } else {
-                    r.failed_steals += 1;
-                    queue.push(begin + self.cost.steal_attempt_ns, w);
-                }
-            } else {
-                // A failed probe still snoops the victim's cache line; remote
-                // probes pay the interconnect round trip too.
-                let cost = if v == w {
-                    self.cost.steal_attempt_ns
-                } else {
-                    remote_mult(w, v) * self.cost.steal_attempt_ns
-                };
-                r.failed_steals += 1;
-                r.overhead_ns += cost;
-                queue.push(time + cost, w);
-            }
-        }
-        r.makespan_ns = max_finish + self.cost.barrier_per_thread_ns * p as f64;
-        r.overhead_ns += self.cost.barrier_per_thread_ns * p as f64;
-        (r, remote_steals)
+        self.sim_fib(kind, fw, &nodes, policy)
     }
 }
 
@@ -396,6 +267,22 @@ mod tests {
             VictimPolicy::Random,
         );
         assert_eq!(base, scattered);
+    }
+
+    #[test]
+    fn packed_random_on_one_socket_is_run_fib() {
+        // numasim and Fig. 5 simulate the same tree under the same charge;
+        // packed workers that fit one socket never steal remotely, so the
+        // two entry points agree on every field, bit for bit.
+        let sim = Simulator::paper_testbed();
+        let w = fw(28, 14);
+        for kind in [DequeKind::LockFree, DequeKind::Locked] {
+            for p in [1, 2, 8, 18] {
+                let placed =
+                    sim.run_fib_placed(kind, &w, p, Placement::Packed, VictimPolicy::Random);
+                assert_eq!(placed, (sim.run_fib(kind, &w, p), 0), "{kind:?} p={p}");
+            }
+        }
     }
 
     #[test]

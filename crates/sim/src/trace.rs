@@ -15,16 +15,8 @@ pub enum Activity {
     Idle,
 }
 
-impl Activity {
-    fn glyph(self) -> char {
-        match self {
-            Activity::Work => '#',
-            Activity::Overhead => '+',
-            Activity::Steal => 's',
-            Activity::Idle => '.',
-        }
-    }
-}
+/// Gantt glyph of each [`Activity`], indexed by `activity as usize`.
+const GLYPHS: [char; 4] = ['#', '+', 's', '.'];
 
 /// One recorded interval.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -113,13 +105,7 @@ impl Trace {
                     let lo = (c as f64) * cell;
                     let hi = lo + cell;
                     let overlap = (s.end.min(hi) - s.start.max(lo)).max(0.0);
-                    let idx = match s.activity {
-                        Activity::Work => 0,
-                        Activity::Overhead => 1,
-                        Activity::Steal => 2,
-                        Activity::Idle => 3,
-                    };
-                    cell_acc[idx] += overlap;
+                    cell_acc[s.activity as usize] += overlap;
                 }
             }
             out.push_str(&format!("w{w:<3}|"));
@@ -134,13 +120,7 @@ impl Trace {
                     .enumerate()
                     .max_by(|a, b| a.1.total_cmp(b.1))
                     .unwrap();
-                let act = [
-                    Activity::Work,
-                    Activity::Overhead,
-                    Activity::Steal,
-                    Activity::Idle,
-                ][idx];
-                out.push(act.glyph());
+                out.push(GLYPHS[idx]);
             }
             out.push_str("|\n");
         }

@@ -7,14 +7,13 @@
 //! This simulator executes the *same* truncated Fibonacci tree under both
 //! cost regimes.
 
-use std::collections::VecDeque;
-
-use tpm_sync::SplitMix64;
-
 use crate::cost::DequeKind;
 use crate::loop_sim::Simulator;
+use crate::placement::VictimPolicy;
 use crate::result::SimResult;
-use crate::workload::FibWorkload;
+use crate::steal::{hold, Owner, Stealing};
+use crate::trace::Activity;
+use crate::workload::{fib_value, FibWorkload};
 
 impl Simulator {
     /// Per-task deque overhead (push + pop + frame) for the aggregate
@@ -37,104 +36,73 @@ impl Simulator {
     }
 
     /// Simulates `fib(n)` with child-stealing tasks on `threads` workers
-    /// using deque discipline `kind`.
+    /// using deque discipline `kind`, all on one NUMA node.
     pub fn run_fib(&self, kind: DequeKind, fw: &FibWorkload, threads: usize) -> SimResult {
-        let p = threads.max(1);
-        let mut r = SimResult::default();
-        let mut rng = SplitMix64::new(0xF1B ^ ((p as u64) << 6) ^ fw.n);
-        let mut queue = crate::loop_sim::EventQueue::new();
-        let mut deques: Vec<VecDeque<u64>> = vec![VecDeque::new(); p];
-        // Exclusive resource per deque: lock (Locked) / top CAS (LockFree).
-        let mut deque_free = vec![0.0f64; p];
-        let mut outstanding: u64 = 1;
-        deques[0].push_back(fw.n);
-        queue.push(self.cost.region_fork_per_thread_ns, 0);
-        for t in 1..p {
-            queue.push(0.0, t);
-        }
-        let mut max_finish = 0.0f64;
-        while let Some((time, w)) = queue.pop() {
-            // Own pop. Locked deques serialize owner ops with thieves.
-            let pop_available = !deques[w].is_empty();
-            if pop_available {
-                let pop_cost = self.cost.pop_cost(kind);
-                let begin = if matches!(kind, DequeKind::Locked) {
-                    let b = time.max(deque_free[w]);
-                    deque_free[w] = b + pop_cost;
-                    b
-                } else {
-                    time
-                };
-                let node = deques[w].pop_back().expect("checked nonempty");
-                outstanding -= 1;
-                r.overhead_ns += pop_cost;
-                let mut t = begin + pop_cost;
-                // Execute: descend the (n-2) spine, spawning (n-1) children,
-                // until the leaf cutoff; then run the leaf sequentially.
-                let mut n = node;
-                while n > fw.leaf_cutoff && n >= 2 {
-                    let push_cost = self.cost.push_cost(kind) + self.cost.task_frame_ns;
-                    if matches!(kind, DequeKind::Locked) {
-                        let b = t.max(deque_free[w]);
-                        deque_free[w] = b + push_cost;
-                        t = b + push_cost;
-                    } else {
-                        t += push_cost;
-                    }
-                    deques[w].push_back(n - 1);
-                    outstanding += 1;
-                    r.tasks += 1;
-                    r.overhead_ns += push_cost;
-                    // The internal node's own arithmetic.
-                    t += fw.call_ns;
-                    r.busy_ns += fw.call_ns;
-                    n -= 2;
-                }
-                // Leaf: the sub-cutoff subtree still spawns a task per node
-                // in the paper's (cutoff-free) codes. Charging its aggregate
-                // protocol cost here is exact for time while keeping the DES
-                // event count tractable at fib(40) scale.
-                let leaf = fw.leaf_work_ns(n);
-                let sub_tasks = crate::workload::fib_value(n + 1).saturating_sub(1);
-                let sub_overhead = sub_tasks as f64 * self.per_task_overhead(kind, p);
-                t += leaf + sub_overhead;
-                r.busy_ns += leaf;
-                r.overhead_ns += sub_overhead;
-                queue.push(t, w);
-                continue;
-            }
-            if outstanding == 0 {
-                max_finish = max_finish.max(time);
-                continue;
-            }
-            // Steal from a random victim; steals always serialize on the
-            // victim's deque (lock or top-CAS window).
-            let v = rng.next_bounded(p as u64) as usize;
-            if v != w && !deques[v].is_empty() {
-                let cost = match kind {
-                    DequeKind::LockFree => self.cost.steal_success_ns,
-                    DequeKind::Locked => self.cost.steal_success_ns + self.cost.pop_locked_ns,
-                };
-                let begin = time.max(deque_free[v]);
-                deque_free[v] = begin + cost;
-                if let Some(node) = deques[v].pop_front() {
-                    deques[w].push_back(node);
-                    r.steals += 1;
-                    r.overhead_ns += cost;
-                    queue.push(begin + cost, w);
-                } else {
-                    r.failed_steals += 1;
-                    queue.push(begin + self.cost.steal_attempt_ns, w);
-                }
+        self.sim_fib(kind, fw, &vec![0; threads.max(1)], VictimPolicy::Random)
+            .0
+    }
+
+    /// The fib task tree over the stealing core, worker `w` on NUMA node
+    /// `nodes[w]`. Returns the result and the number of cross-node steals.
+    pub(crate) fn sim_fib(
+        &self,
+        kind: DequeKind,
+        fw: &FibWorkload,
+        nodes: &[usize],
+        policy: VictimPolicy,
+    ) -> (SimResult, u64) {
+        let p = nodes.len();
+        // A locked deque serializes owner ops with thieves on its lock.
+        let locked = kind == DequeKind::Locked;
+        let pop = self.cost.pop_cost(kind);
+        let push = self.cost.push_cost(kind) + self.cost.task_frame_ns;
+        let per_task = self.per_task_overhead(kind, p);
+        let stealing = Stealing {
+            nodes,
+            policy,
+            seed: 0xF1B ^ ((p as u64) << 6) ^ fw.n,
+            steal_ns: match kind {
+                DequeKind::LockFree => self.cost.steal_success_ns,
+                DequeKind::Locked => self.cost.steal_success_ns + self.cost.pop_locked_ns,
+            },
+        };
+        let run = |o: &mut Owner<'_, u64>, node: u64, time: f64| {
+            let begin = if locked {
+                hold(o.window, time, pop)
             } else {
-                r.failed_steals += 1;
-                r.overhead_ns += self.cost.steal_attempt_ns;
-                queue.push(time + self.cost.steal_attempt_ns, w);
+                time
+            };
+            o.r.overhead_ns += pop;
+            let mut t = begin + pop;
+            // Descend the (n-2) spine, spawning (n-1) children, until the
+            // leaf cutoff; then run the leaf sequentially.
+            let mut n = node;
+            while n > fw.leaf_cutoff && n >= 2 {
+                t = if locked { hold(o.window, t, push) } else { t } + push;
+                o.push(n - 1);
+                o.r.tasks += 1;
+                o.r.overhead_ns += push;
+                // The internal node's own arithmetic.
+                t += fw.call_ns;
+                o.r.busy_ns += fw.call_ns;
+                n -= 2;
             }
-        }
-        r.makespan_ns = max_finish + self.cost.barrier_per_thread_ns * p as f64;
-        r.overhead_ns += self.cost.barrier_per_thread_ns * p as f64;
-        r
+            // Leaf: the sub-cutoff subtree still spawns a task per node in
+            // the paper's (cutoff-free) codes. Charging its aggregate
+            // protocol cost here is exact for time while keeping the event
+            // count tractable at fib(40) scale.
+            let leaf = fw.leaf_work_ns(n);
+            let sub_overhead = fib_value(n + 1).saturating_sub(1) as f64 * per_task;
+            t += leaf + sub_overhead;
+            o.r.busy_ns += leaf;
+            o.r.overhead_ns += sub_overhead;
+            (Activity::Work, begin, t)
+        };
+        let (mut r, remote) = self.run_stealing(stealing, fw.n, run, |n| n, None);
+        let barrier = self.cost.barrier_per_thread_ns * p as f64;
+        r.makespan_ns += barrier;
+        r.overhead_ns += barrier;
+        (r, remote)
     }
 }
 
