@@ -13,9 +13,8 @@
 //!   actor ([`Actor`], [`Addr`]).
 //! * **Work stealing of activations** — per-worker Chase–Lev deques, batch
 //!   stealing, NUMA-aware victim order, timed parking, self-healing
-//!   workers: the same scheduler shape as `tpm-worksteal`, scheduling
-//!   mailbox drains and one-shot parcels instead of spawned frames
-//!   ([`ActorRuntime`]).
+//!   workers: `tpm-worksteal`'s own pool, scheduling mailbox drains and
+//!   one-shot parcels instead of spawned frames ([`ActorRuntime`]).
 //! * **Futures/continuations** for task dependencies ([`future`],
 //!   [`Promise::on_complete`]) — the last child to complete propagates
 //!   upward on its own worker; nothing blocks.

@@ -93,7 +93,7 @@ impl ActorCtx<'_, '_> {
 
     /// Spawns a sibling actor on the same runtime.
     pub fn spawn_actor<A: Actor>(&self, actor: A) -> Addr<A> {
-        ActorCell::spawn(actor, self.worker.rt.self_weak.clone())
+        ActorCell::spawn(actor, self.worker.core.shared().downgrade())
     }
 }
 
@@ -166,7 +166,7 @@ impl<A: Actor> Runnable for ActorCell<A> {
                         if catch_unwind(AssertUnwindSafe(|| behavior.on_message(msg, &actx)))
                             .is_err()
                         {
-                            ctx.rt.note_task_panic();
+                            ctx.note_task_panic();
                         }
                     }
                     None => break,
@@ -176,7 +176,7 @@ impl<A: Actor> Runnable for ActorCell<A> {
         if processed == MAILBOX_BATCH && !self.mailbox.is_empty() {
             // Fairness yield: stay SCHEDULED (senders must not double-
             // schedule us) and requeue at the back of our worker's deque.
-            ctx.push(Activation::Cell(self));
+            ctx.core.push(Activation::Cell(self));
             return;
         }
         self.state.store(IDLE, Ordering::Release);
@@ -184,7 +184,7 @@ impl<A: Actor> Runnable for ActorCell<A> {
         // after our last pop but before the IDLE store has a sender that
         // lost the swap — so the re-schedule is on us.
         if !self.mailbox.is_empty() && self.state.swap(SCHEDULED, Ordering::AcqRel) == IDLE {
-            ctx.push(Activation::Cell(self));
+            ctx.core.push(Activation::Cell(self));
         }
     }
 }

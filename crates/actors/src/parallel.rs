@@ -18,25 +18,16 @@
 
 use std::any::Any;
 use std::ops::Range;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
 
 use tpm_fault::{Action as FaultAction, Site as FaultSite};
 use tpm_sync::{CancelToken, CountLatch, SpinLock};
+use tpm_worksteal::pool::harness_panic;
 
 use crate::runtime::{Activation, ActorRuntime, WorkerCtx};
 
 type PanicSlot = SpinLock<Option<Box<dyn Any + Send>>>;
 type ErasedTask = Box<dyn FnOnce(&WorkerCtx<'_>) + Send + 'static>;
-
-/// Runs `f` with panic containment, recording the payload (first wins).
-fn harness_panic(slot: &PanicSlot, f: impl FnOnce()) {
-    if let Err(p) = catch_unwind(AssertUnwindSafe(f)) {
-        let mut guard = slot.lock();
-        if guard.is_none() {
-            *guard = Some(p);
-        }
-    }
-}
 
 /// Erases a task's borrow lifetime so it can enter the `'static` deques.
 ///
@@ -75,39 +66,10 @@ pub fn scatter_for_indexed_cancel<F>(
         return;
     }
     let chunk = chunk.max(1);
-    let chunks = range.len().div_ceil(chunk);
-    let latch = CountLatch::new(chunks);
-    let slot: PanicSlot = SpinLock::new(None);
-    for ci in 0..chunks {
-        let lo = range.start + ci * chunk;
-        let hi = (lo + chunk).min(range.end);
-        // Capture the bounds by value (`move`) and the frame by reference:
-        // `lo`/`hi` die with this iteration, the frame outlives the wait.
-        let (latch, slot, body) = (&latch, &slot, &body);
-        let task: Box<dyn FnOnce(&WorkerCtx<'_>) + Send + '_> = Box::new(move |ctx| {
-            harness_panic(slot, || {
-                match tpm_fault::probe(FaultSite::TaskExec) {
-                    FaultAction::Panic => tpm_fault::injected_panic(FaultSite::TaskExec),
-                    FaultAction::TaskDrop => tpm_fault::injected_drop(FaultSite::TaskExec),
-                    _ => {}
-                }
-                if token.is_cancelled() {
-                    return;
-                }
-                ctx.stats().chunks.inc();
-                tpm_trace::record(tpm_trace::EventKind::ChunkDispatch, (hi - lo) as u64, 0);
-                body(ctx.index(), lo..hi);
-            });
-            latch.decrement();
-        });
-        // SAFETY: the latch wait below outlives every erased task.
-        rt.inner().inject(Activation::Task(unsafe { erase(task) }));
-    }
-    latch.wait();
-    let payload = slot.lock().take();
-    if let Some(p) = payload {
-        resume_unwind(p);
-    }
+    let end = range.end;
+    let pieces = range.step_by(chunk).map(|lo| lo..(lo + chunk).min(end));
+    // Every piece is at most `chunk` long, so each activation is a leaf.
+    run_pieces(rt, pieces, chunk, token, &body);
 }
 
 /// [`scatter_for_indexed_cancel`] without the worker index.
@@ -123,8 +85,9 @@ pub fn scatter_for_cancel<F>(
     scatter_for_indexed_cancel(rt, range, chunk, token, |_, r| body(r));
 }
 
-/// Builds the recursive split activation for `range` (children go to the
-/// splitting worker's own deque, so thieves steal whole subtrees).
+/// Builds the activation for `range`: a leaf runs the body, a longer range
+/// splits in two, its children going to the splitting worker's own deque
+/// (so thieves steal whole subtrees).
 fn split_task<'e, F>(
     env: &'e ForEnv<'e, F>,
     range: Range<usize>,
@@ -143,7 +106,7 @@ where
                 return;
             }
             if range.len() <= env.base {
-                ctx.stats().chunks.inc();
+                ctx.core.stats().chunks.inc();
                 tpm_trace::record(tpm_trace::EventKind::ChunkDispatch, range.len() as u64, 0);
                 (env.body)(ctx.index(), range.clone());
             } else {
@@ -153,10 +116,10 @@ where
                 // transiting zero early).
                 env.latch.increment(2);
                 // SAFETY: same latch contract as the caller's.
-                ctx.push(Activation::Task(unsafe {
+                ctx.core.push(Activation::Task(unsafe {
                     erase(split_task(env, range.start..mid))
                 }));
-                ctx.push(Activation::Task(unsafe {
+                ctx.core.push(Activation::Task(unsafe {
                     erase(split_task(env, mid..range.end))
                 }));
             }
@@ -179,24 +142,7 @@ pub fn recursive_for_indexed_cancel<F>(
     if range.is_empty() {
         return;
     }
-    let latch = CountLatch::new(1);
-    let slot: PanicSlot = SpinLock::new(None);
-    let env = ForEnv {
-        latch: &latch,
-        slot: &slot,
-        token,
-        body: &body,
-        base: base.max(1),
-    };
-    // SAFETY: the latch wait below outlives every erased task (each split
-    // increments before pushing its children).
-    rt.inner()
-        .inject(Activation::Task(unsafe { erase(split_task(&env, range)) }));
-    latch.wait();
-    let payload = slot.lock().take();
-    if let Some(p) = payload {
-        resume_unwind(p);
-    }
+    run_pieces(rt, std::iter::once(range), base.max(1), token, &body);
 }
 
 /// [`recursive_for_indexed_cancel`] without the worker index.
@@ -212,9 +158,44 @@ pub fn recursive_for_cancel<F>(
     recursive_for_indexed_cancel(rt, range, base, token, |_, r| body(r));
 }
 
+/// Injects one activation per piece, joins them all, and re-raises the
+/// first panic. A piece longer than `base` splits on whichever worker runs
+/// it (see [`split_task`]).
+fn run_pieces<F>(
+    rt: &ActorRuntime,
+    pieces: impl ExactSizeIterator<Item = Range<usize>>,
+    base: usize,
+    token: &CancelToken,
+    body: &F,
+) where
+    F: Fn(usize, Range<usize>) + Sync,
+{
+    let latch = CountLatch::new(pieces.len());
+    let slot: PanicSlot = SpinLock::new(None);
+    let env = ForEnv {
+        latch: &latch,
+        slot: &slot,
+        token,
+        body,
+        base,
+    };
+    for piece in pieces {
+        // SAFETY: the latch wait below outlives every erased task (each
+        // split increments before pushing its children).
+        rt.pool
+            .inject(Activation::Task(unsafe { erase(split_task(&env, piece)) }));
+    }
+    latch.wait();
+    let payload = slot.lock().take();
+    if let Some(p) = payload {
+        resume_unwind(p);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
     #[test]

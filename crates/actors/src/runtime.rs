@@ -3,37 +3,24 @@
 //! Charm++ and HPX schedule *activations* — "run this actor against its
 //! mailbox", "run this one-shot task" — rather than loop chunks, but the
 //! load-balancing substrate is the same randomized work stealing the Cilk
-//! runtime uses (Kulkarni–Lumsdaine §4): each worker owns a Chase–Lev deque
-//! of activations, thieves steal in batches from rotating victims (NUMA
-//! local segment first), and idle workers escalate spin → yield → timed
-//! park. External threads inject through a shared locked deque.
-//!
-//! The worker loop is deliberately the same shape as `tpm-worksteal`'s —
-//! same fault-probe sites, same self-healing death/respawn path, same
-//! trace events — so every chaos plan and profile recipe that runs against
-//! the Cilk analogue runs unmodified against the actor runtime and the
-//! figures compare schedulers, not harness plumbing.
+//! runtime uses (Kulkarni–Lumsdaine §4). Here it is not merely the same
+//! shape but the same code: [`ActorRuntime`] is a front end over
+//! `tpm-worksteal`'s pool (per-worker Chase–Lev deques, batch stealing from
+//! rotating NUMA-ordered victims, spin → yield → timed park, self-healing
+//! workers, external submissions through a locked injector), queueing
+//! `Activation`s where `tpm-worksteal` queues erased jobs. Every chaos
+//! plan and profile recipe that runs against the Cilk analogue therefore
+//! runs against the actor runtime, and the figures compare schedulers, not
+//! harness plumbing.
 
-use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Weak};
-use std::thread::{JoinHandle, Thread};
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
-use tpm_fault::{Action as FaultAction, Site as FaultSite};
-use tpm_sync::chase_lev::{self, Stealer, Worker};
-use tpm_sync::topology::NumaTopology;
-use tpm_sync::{CachePadded, IdleStrategy, LockedDeque, PoolConfig, SchedulerStats};
+use tpm_sync::{PoolConfig, SchedulerStats};
+use tpm_worksteal::pool::{self, Pool, Shared};
 
 use crate::mailbox::{ActorCell, Runnable};
-
-/// Initial deque capacity per worker.
-const DEQUE_CAPACITY: usize = 256;
-/// Most activations one steal episode may transfer.
-const STEAL_BATCH_LIMIT: usize = 32;
-/// Timed-park duration while idle.
-const PARK_INTERVAL: Duration = Duration::from_micros(200);
 
 /// One unit of schedulable work: a one-shot task (the many-tasking
 /// "parcel") or a scheduled actor draining its mailbox.
@@ -45,6 +32,30 @@ pub(crate) enum Activation {
     /// activation per actor — the mailbox state machine enforces that).
     Cell(Arc<dyn Runnable>),
 }
+
+impl pool::Task for Activation {
+    const NAME: &'static str = "tpm-actors";
+    /// Panics that escaped a *fire-and-forget* activation (contained here —
+    /// the worker survives; structured entry points carry their own panic
+    /// slots instead and never hit this).
+    type State = AtomicUsize;
+
+    /// Runs one activation, containing any escaped panic (fire-and-forget
+    /// work must not kill the worker).
+    fn run(self, core: &pool::Ctx<'_, Self>) {
+        let ctx = WorkerCtx { core };
+        let contained = catch_unwind(AssertUnwindSafe(|| match self {
+            Activation::Task(f) => f(&ctx),
+            Activation::Cell(cell) => cell.run(&ctx),
+        }));
+        if contained.is_err() {
+            ctx.note_task_panic();
+        }
+    }
+}
+
+/// The scheduler state actor cells hold (weakly) to enqueue activations.
+pub(crate) type RuntimeInner = Shared<Activation>;
 
 /// The message-driven runtime: a fixed pool of workers executing
 /// activations.
@@ -67,32 +78,7 @@ pub(crate) enum Activation {
 /// }
 /// ```
 pub struct ActorRuntime {
-    inner: Arc<RuntimeInner>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-pub(crate) struct RuntimeInner {
-    pub(crate) stealers: Vec<Stealer<Activation>>,
-    pub(crate) injector: LockedDeque<Activation>,
-    /// Self-reference so worker contexts can mint `Weak` handles for actor
-    /// cells without holding the pool alive.
-    pub(crate) self_weak: Weak<RuntimeInner>,
-    idle: (u32, u32),
-    shutdown: AtomicBool,
-    sleepers: AtomicUsize,
-    asleep: Vec<CachePadded<AtomicBool>>,
-    threads: tpm_sync::SpinLock<Vec<Thread>>,
-    pub(crate) stats: SchedulerStats,
-    victim_plans: Vec<VictimPlan>,
-    numa: bool,
-    pin: bool,
-    live: AtomicUsize,
-    deaths: AtomicUsize,
-    /// Panics that escaped a *fire-and-forget* activation (contained here —
-    /// the worker survives; structured entry points carry their own panic
-    /// slots instead and never hit this).
-    task_panics: AtomicUsize,
-    replacements: tpm_sync::SpinLock<Vec<JoinHandle<()>>>,
+    pub(crate) pool: Pool<Activation>,
 }
 
 /// Builder for [`ActorRuntime`] over the shared [`PoolConfig`] knobs
@@ -148,7 +134,9 @@ impl ActorRuntimeBuilder {
     /// Builds the runtime, spawning its workers.
     #[must_use = "dropping the ActorRuntime joins its workers"]
     pub fn build(self) -> ActorRuntime {
-        ActorRuntime::with_config(self.cfg)
+        ActorRuntime {
+            pool: Pool::new(self.cfg),
+        }
     }
 }
 
@@ -166,58 +154,9 @@ impl ActorRuntime {
         Self::builder().threads(num_workers).build()
     }
 
-    fn with_config(cfg: PoolConfig) -> Self {
-        let num_workers = cfg.threads;
-        assert!(num_workers >= 1, "runtime needs at least one worker");
-        let mut workers = Vec::with_capacity(num_workers);
-        let mut stealers = Vec::with_capacity(num_workers);
-        for _ in 0..num_workers {
-            let (w, s) = chase_lev::deque(DEQUE_CAPACITY);
-            workers.push(w);
-            stealers.push(s);
-        }
-        let topo = NumaTopology::probe();
-        let numa = cfg
-            .numa
-            .unwrap_or_else(|| tpm_sync::topology::numa_from_env(cfg.pin && topo.num_nodes() > 1));
-        let inner = Arc::new_cyclic(|self_weak| RuntimeInner {
-            stealers,
-            injector: LockedDeque::new(),
-            self_weak: self_weak.clone(),
-            idle: cfg.idle,
-            shutdown: AtomicBool::new(false),
-            sleepers: AtomicUsize::new(0),
-            asleep: (0..num_workers)
-                .map(|_| CachePadded::new(AtomicBool::new(false)))
-                .collect(),
-            threads: tpm_sync::SpinLock::new(Vec::new()),
-            stats: SchedulerStats::new(num_workers),
-            victim_plans: build_victim_plans(&topo, num_workers, numa),
-            numa,
-            pin: cfg.pin,
-            live: AtomicUsize::new(num_workers),
-            deaths: AtomicUsize::new(0),
-            task_panics: AtomicUsize::new(0),
-            replacements: tpm_sync::SpinLock::new(Vec::new()),
-        });
-        let handles: Vec<JoinHandle<()>> = workers
-            .into_iter()
-            .enumerate()
-            .map(|(index, deque)| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("tpm-actors-{index}"))
-                    .spawn(move || worker_entry(inner, index, deque))
-                    .expect("failed to spawn worker")
-            })
-            .collect();
-        *inner.threads.lock() = handles.iter().map(|h| h.thread().clone()).collect();
-        Self { inner, handles }
-    }
-
     /// Number of worker threads.
     pub fn num_workers(&self) -> usize {
-        self.inner.stealers.len()
+        self.pool.num_workers()
     }
 
     /// Workers currently alive (briefly below [`num_workers`] while a
@@ -225,28 +164,28 @@ impl ActorRuntime {
     ///
     /// [`num_workers`]: ActorRuntime::num_workers
     pub fn live_workers(&self) -> usize {
-        self.inner.live.load(Ordering::Acquire)
+        self.pool.live_workers()
     }
 
     /// Total workers lost to escaped panics since construction.
     pub fn worker_deaths(&self) -> usize {
-        self.inner.deaths.load(Ordering::Acquire)
+        self.pool.worker_deaths()
     }
 
     /// Panics contained from fire-and-forget activations (spawned tasks or
     /// actor message handlers; the worker survives each one).
     pub fn task_panics(&self) -> usize {
-        self.inner.task_panics.load(Ordering::Acquire)
+        self.pool.state().load(Ordering::Acquire)
     }
 
     /// Scheduler event counters.
     pub fn stats(&self) -> &SchedulerStats {
-        &self.inner.stats
+        self.pool.stats()
     }
 
     /// Whether node-aware victim ordering is active.
     pub fn numa_enabled(&self) -> bool {
-        self.inner.numa
+        self.pool.numa_enabled()
     }
 
     /// Spawns a fire-and-forget task activation. A panic in `f` is
@@ -256,41 +195,13 @@ impl ActorRuntime {
     where
         F: FnOnce(&WorkerCtx<'_>) + Send + 'static,
     {
-        self.inner.inject(Activation::Task(Box::new(f)));
+        self.pool.inject(Activation::Task(Box::new(f)));
     }
 
     /// Spawns an actor, returning its address. The actor runs on the pool's
     /// workers, one activation at a time, whenever its mailbox is non-empty.
     pub fn spawn_actor<A: crate::Actor>(&self, actor: A) -> crate::Addr<A> {
-        ActorCell::spawn(actor, Arc::downgrade(&self.inner))
-    }
-
-    pub(crate) fn inner(&self) -> &Arc<RuntimeInner> {
-        &self.inner
-    }
-}
-
-impl Drop for ActorRuntime {
-    fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        for t in self.inner.threads.lock().iter() {
-            t.unpark();
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-        // Self-healing replacements can themselves die and push further
-        // replacements, so drain until empty.
-        loop {
-            let handle = self.inner.replacements.lock().pop();
-            match handle {
-                Some(h) => {
-                    h.thread().unpark();
-                    let _ = h.join();
-                }
-                None => break,
-            }
-        }
+        ActorCell::spawn(actor, self.pool.downgrade())
     }
 }
 
@@ -302,79 +213,20 @@ impl std::fmt::Debug for ActorRuntime {
     }
 }
 
-/// One worker's precomputed steal-scan order (same construction as
-/// `tpm-worksteal`: same-node victims neighbour-first, remote after).
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct VictimPlan {
-    local: Vec<usize>,
-    remote: Vec<usize>,
-}
-
-fn build_victim_plans(topo: &NumaTopology, workers: usize, numa: bool) -> Vec<VictimPlan> {
-    let cpus = topo.num_cpus().max(1);
-    (0..workers)
-        .map(|w| {
-            let my_node = topo.node_of_cpu(w % cpus);
-            let mut local = Vec::new();
-            let mut remote = Vec::new();
-            for v in (w + 1..workers).chain(0..w) {
-                if numa && topo.node_of_cpu(v % cpus) != my_node {
-                    remote.push(v);
-                } else {
-                    local.push(v);
-                }
-            }
-            VictimPlan { local, remote }
-        })
-        .collect()
-}
-
-impl RuntimeInner {
-    /// Queues an activation from outside the pool and wakes a sleeper.
-    pub(crate) fn inject(&self, act: Activation) {
-        self.injector.push_bottom(act);
-        tpm_trace::record(tpm_trace::EventKind::TaskSpawn, 0, 0);
-        self.wake_one();
-    }
-
-    /// Wakes one timed-parked worker (cheap no-op when none sleep).
-    pub(crate) fn wake_one(&self) {
-        if self.sleepers.load(Ordering::Relaxed) == 0 {
-            return;
-        }
-        for (i, flag) in self.asleep.iter().enumerate() {
-            if flag.swap(false, Ordering::AcqRel) {
-                self.sleepers.fetch_sub(1, Ordering::Relaxed);
-                if let Some(t) = self.threads.lock().get(i) {
-                    t.unpark();
-                }
-                return;
-            }
-        }
-    }
-
-    pub(crate) fn note_task_panic(&self) {
-        self.task_panics.fetch_add(1, Ordering::AcqRel);
-    }
-}
-
 /// The per-worker execution context, passed to every activation.
 pub struct WorkerCtx<'w> {
-    pub(crate) rt: &'w RuntimeInner,
-    index: usize,
-    deque: &'w Worker<Activation>,
-    victim_offset: Cell<usize>,
+    pub(crate) core: &'w pool::Ctx<'w, Activation>,
 }
 
-impl<'w> WorkerCtx<'w> {
+impl WorkerCtx<'_> {
     /// This worker's index in `0..num_workers`.
     pub fn index(&self) -> usize {
-        self.index
+        self.core.index()
     }
 
     /// Total number of workers in the runtime.
     pub fn num_workers(&self) -> usize {
-        self.rt.stealers.len()
+        self.core.num_workers()
     }
 
     /// Spawns a fire-and-forget task onto this worker's own deque (it
@@ -383,179 +235,25 @@ impl<'w> WorkerCtx<'w> {
     where
         F: FnOnce(&WorkerCtx<'_>) + Send + 'static,
     {
-        self.push(Activation::Task(Box::new(f)));
-    }
-
-    pub(crate) fn stats(&self) -> &tpm_sync::WorkerStats {
-        self.rt.stats.worker(self.index)
-    }
-
-    /// Pushes an activation onto this worker's deque.
-    pub(crate) fn push(&self, act: Activation) {
-        self.deque.push(act);
-        self.stats().spawned.inc();
-        tpm_trace::record(tpm_trace::EventKind::TaskSpawn, 0, 0);
-        self.rt.wake_one();
-    }
-
-    pub(crate) fn pop(&self) -> Option<Activation> {
-        self.deque.pop()
-    }
-
-    /// One steal episode: scan every other worker once (local NUMA segment
-    /// first, round-robin from a rotating offset), then the injector.
-    pub(crate) fn steal_work(&self) -> Option<Activation> {
-        // Panic rules are inert at this probe (it also runs inside waiting
-        // loops with live borrow-erased frames); the worker-loop top level
-        // hosts the honored one.
-        if tpm_fault::probe_no_panic(FaultSite::StealAttempt) != FaultAction::None {
-            self.stats().failed_steals.inc();
-            tpm_trace::record(tpm_trace::EventKind::FailedSteal, self.index as u64, 0);
-            return None;
-        }
-        let plan = &self.rt.victim_plans[self.index];
-        let start = self.victim_offset.get();
-        self.victim_offset.set(start.wrapping_add(1));
-        for segment in [&plan.local, &plan.remote] {
-            let m = segment.len();
-            for k in 0..m {
-                let v = segment[(start + k) % m];
-                let got = self.rt.stealers[v].steal_batch_into(self.deque, STEAL_BATCH_LIMIT);
-                if got > 0 {
-                    self.stats().steals.inc();
-                    tpm_trace::record(tpm_trace::EventKind::Steal, v as u64, got as u64);
-                    if let Some(act) = self.pop() {
-                        return Some(act);
-                    }
-                } else {
-                    self.stats().failed_steals.inc();
-                    tpm_trace::record(tpm_trace::EventKind::FailedSteal, v as u64, 0);
-                }
-            }
-        }
-        self.rt.injector.steal_top()
-    }
-
-    /// Executes one activation, containing any escaped panic (fire-and-
-    /// forget work must not kill the worker; structured entry points route
-    /// panics through their own slots before they ever reach here).
-    pub(crate) fn execute(&self, act: Activation) {
-        self.stats().executed.inc();
-        tpm_trace::record(tpm_trace::EventKind::TaskExec, 0, 0);
-        let contained = catch_unwind(AssertUnwindSafe(|| match act {
-            Activation::Task(f) => f(self),
-            Activation::Cell(cell) => cell.run(self),
-        }));
-        if contained.is_err() {
-            self.rt.note_task_panic();
-        }
+        self.core.push(Activation::Task(Box::new(f)));
     }
 
     /// Works (pop own, then steal) until `probe()` turns true — lets a
     /// worker blocked on a [`Future`](crate::Future) keep executing
     /// activations instead of stalling its deque.
     pub fn wait_until(&self, probe: impl Fn() -> bool) {
-        let idle = IdleStrategy::new(self.rt.idle.0, self.rt.idle.1);
-        while !probe() {
-            if let Some(act) = self.pop().or_else(|| self.steal_work()) {
-                self.execute(act);
-                idle.reset();
-            } else {
-                idle.snooze_no_park();
-            }
-        }
+        self.core.wait_until(probe);
+    }
+
+    /// Counts one contained fire-and-forget panic.
+    pub(crate) fn note_task_panic(&self) {
+        self.core.shared().state().fetch_add(1, Ordering::AcqRel);
     }
 }
 
 impl std::fmt::Debug for WorkerCtx<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerCtx")
-            .field("index", &self.index)
-            .finish()
-    }
-}
-
-/// Worker thread entry: pins, runs the loop under a top-level
-/// `catch_unwind`, and respawns a replacement on the same index (with the
-/// same deque) if an injected worker-loop fault escapes — identical
-/// self-healing to `tpm-worksteal`.
-fn worker_entry(inner: Arc<RuntimeInner>, index: usize, deque: Worker<Activation>) {
-    if inner.pin {
-        tpm_sync::affinity::pin_current_thread(index);
-    }
-    let result = catch_unwind(AssertUnwindSafe(|| worker_loop(&inner, index, &deque)));
-    if result.is_ok() || inner.shutdown.load(Ordering::Acquire) {
-        return;
-    }
-    if inner.asleep[index].swap(false, Ordering::AcqRel) {
-        inner.sleepers.fetch_sub(1, Ordering::Relaxed);
-    }
-    inner.live.fetch_sub(1, Ordering::AcqRel);
-    inner.deaths.fetch_add(1, Ordering::AcqRel);
-    tpm_trace::record(tpm_trace::EventKind::WorkerDeath, index as u64, 0);
-    tpm_trace::record(
-        tpm_trace::EventKind::DegradedWidth,
-        inner.live.load(Ordering::Relaxed) as u64,
-        0,
-    );
-    let respawned = Arc::clone(&inner);
-    match std::thread::Builder::new()
-        .name(format!("tpm-actors-{index}"))
-        .spawn(move || {
-            tpm_trace::record(tpm_trace::EventKind::WorkerRespawn, index as u64, 0);
-            worker_entry(respawned, index, deque)
-        }) {
-        Ok(h) => {
-            if let Some(slot) = inner.threads.lock().get_mut(index) {
-                *slot = h.thread().clone();
-            }
-            inner.live.fetch_add(1, Ordering::AcqRel);
-            inner.replacements.lock().push(h);
-        }
-        Err(_) => {
-            // Stay degraded but alive: the surviving workers drain every
-            // queue.
-        }
-    }
-}
-
-fn worker_loop(inner: &RuntimeInner, index: usize, deque: &Worker<Activation>) {
-    let ctx = WorkerCtx {
-        rt: inner,
-        index,
-        deque,
-        victim_offset: Cell::new(0),
-    };
-    let idle = IdleStrategy::new(inner.idle.0, inner.idle.1);
-    loop {
-        if inner.shutdown.load(Ordering::Acquire) {
-            break;
-        }
-        // The one panic-honoring steal-site probe (no activation frame on
-        // the stack): exercises the worker-death + respawn path.
-        if tpm_fault::probe(FaultSite::StealAttempt) == FaultAction::Panic {
-            tpm_fault::injected_panic(FaultSite::StealAttempt);
-        }
-        if let Some(act) = ctx.pop().or_else(|| ctx.steal_work()) {
-            let started = std::time::Instant::now();
-            ctx.execute(act);
-            inner
-                .stats
-                .worker(index)
-                .busy_ns
-                .add(started.elapsed().as_nanos() as u64);
-            idle.reset();
-            continue;
-        }
-        if idle.snooze() {
-            inner.stats.worker(index).parks.inc();
-            inner.asleep[index].store(true, Ordering::Release);
-            inner.sleepers.fetch_add(1, Ordering::Relaxed);
-            std::thread::park_timeout(PARK_INTERVAL);
-            if inner.asleep[index].swap(false, Ordering::AcqRel) {
-                inner.sleepers.fetch_sub(1, Ordering::Relaxed);
-            }
-        }
+        self.core.fmt(f)
     }
 }
 
@@ -563,6 +261,7 @@ fn worker_loop(inner: &RuntimeInner, index: usize, deque: &Worker<Activation>) {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::time::Duration;
 
     fn wait_for(cond: impl Fn() -> bool) {
         let deadline = std::time::Instant::now() + Duration::from_secs(10);

@@ -46,14 +46,15 @@ pub struct TeamConfig {
 }
 
 impl Default for TeamConfig {
+    /// Work-first tasking; `pin` and `idle` are the shared
+    /// [`PoolConfig`](tpm_sync::PoolConfig) defaults every pooled runtime
+    /// starts from.
     fn default() -> Self {
+        let pool = tpm_sync::PoolConfig::from_env();
         Self {
             task_mode: TaskMode::WorkFirst,
-            pin: tpm_sync::affinity::pin_from_env(),
-            idle: (
-                tpm_sync::IdleStrategy::RUNTIME_DEFAULT_SPIN,
-                tpm_sync::IdleStrategy::RUNTIME_DEFAULT_YIELD,
-            ),
+            pin: pool.pin,
+            idle: pool.idle,
         }
     }
 }

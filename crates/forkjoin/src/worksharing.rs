@@ -2,8 +2,10 @@
 //!
 //! The paper's data-parallel OpenMP versions use worksharing with the
 //! *static* schedule ("OpenMP static schedule is applied to all the three
-//! models for data parallelism"); *dynamic* and *guided* are provided for the
-//! `ablation_schedule` bench. Static assignment is computed locally by each
+//! models for data parallelism"); *dynamic* and *guided* are provided for
+//! comparison, and the shared-counter transactions they cost are the
+//! benchmark's per-layer `forkjoin.loop_claims` metric (static never
+//! touches the counter). Static assignment is computed locally by each
 //! thread with zero coordination — the reason the paper finds worksharing
 //! cheaper than work stealing for uniform data parallelism.
 

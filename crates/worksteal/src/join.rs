@@ -50,7 +50,7 @@ where
     // SAFETY: this frame blocks (below) until job_b's latch is set, so the
     // stack storage outlives the queued reference.
     unsafe {
-        ctx.push(job_b.as_job_ref());
+        ctx.core.push(job_b.as_job_ref());
     }
 
     // Run `a` inline. If it panics we must still reclaim or wait out `b`
@@ -77,18 +77,18 @@ fn reclaim_or_wait<RB: Send, B: FnOnce(&WorkerCtx<'_>) -> RB + Send>(
     if job_b.latch.probe() {
         return;
     }
-    if let Some(job) = ctx.pop() {
+    if let Some(job) = ctx.core.pop() {
         if job_b.is(&job) {
             // Not stolen: execute inline on our own stack.
-            ctx.execute(job);
+            ctx.core.execute(job);
             return;
         }
         // A job pushed during `a` that nobody consumed yet (possible when a
         // scope inside `a` left work we help with here). Execute it, then
         // fall through to the waiting loop.
-        ctx.execute(job);
+        ctx.core.execute(job);
     }
-    ctx.wait_until(|| job_b.latch.probe());
+    ctx.core.wait_until(|| job_b.latch.probe());
 }
 
 #[cfg(test)]

@@ -32,6 +32,8 @@ mod job;
 mod join;
 mod par_for;
 mod par_iter;
+#[doc(hidden)]
+pub mod pool;
 mod runtime;
 mod scope;
 

@@ -69,8 +69,7 @@ pub fn par_for<F>(ctx: &WorkerCtx<'_>, range: Range<usize>, grain: Grain, body: 
 where
     F: Fn(Range<usize>) + Sync,
 {
-    let g = grain.resolve(range.len(), ctx.num_workers());
-    split_run(ctx, range, g, depth_cap(ctx.num_workers()), None, body);
+    par_for_ctx(ctx, range, grain, &|_: &WorkerCtx<'_>, chunk| body(chunk));
 }
 
 /// [`par_for`] with cooperative cancellation: `token` is polled before every
@@ -105,6 +104,33 @@ pub fn par_for_cancel<F>(
 where
     F: Fn(Range<usize>) + Sync,
 {
+    par_for_ctx_cancel(ctx, range, grain, token, &|_: &WorkerCtx<'_>, chunk| {
+        body(chunk)
+    })
+}
+
+/// Chunk-level loop where the body also receives the executing worker's
+/// context (needed for reductions and nested parallelism).
+pub fn par_for_ctx<F>(ctx: &WorkerCtx<'_>, range: Range<usize>, grain: Grain, body: &F)
+where
+    F: for<'c> Fn(&WorkerCtx<'c>, Range<usize>) + Sync,
+{
+    let g = grain.resolve(range.len(), ctx.num_workers());
+    split_run(ctx, range, g, depth_cap(ctx.num_workers()), None, body);
+}
+
+/// [`par_for_ctx`] with cooperative cancellation — the ctx-passing analogue
+/// of [`par_for_cancel`], used by cancellable reductions.
+pub fn par_for_ctx_cancel<F>(
+    ctx: &WorkerCtx<'_>,
+    range: Range<usize>,
+    grain: Grain,
+    token: &CancelToken,
+    body: &F,
+) -> Result<(), CancelReason>
+where
+    F: for<'c> Fn(&WorkerCtx<'c>, Range<usize>) + Sync,
+{
     let g = grain.resolve(range.len(), ctx.num_workers());
     split_run(
         ctx,
@@ -125,7 +151,7 @@ fn split_run<F>(
     cancel: Option<&CancelToken>,
     body: &F,
 ) where
-    F: Fn(Range<usize>) + Sync,
+    F: for<'c> Fn(&WorkerCtx<'c>, Range<usize>) + Sync,
 {
     // Polled on the executing worker at every node of the splitting tree:
     // leaves stop within one grain, and interior nodes stop spawning — the
@@ -142,74 +168,7 @@ fn split_run<F>(
             tpm_fault::Action::TaskDrop => tpm_fault::injected_drop(tpm_fault::Site::ChunkClaim),
             _ => {}
         }
-        ctx.stats().chunks.inc();
-        tpm_trace::record(tpm_trace::EventKind::ChunkDispatch, range.len() as u64, 0);
-        body(range);
-        return;
-    }
-    let mid = range.start + range.len() / 2;
-    let (left, right) = (range.start..mid, mid..range.end);
-    join(
-        ctx,
-        move |c| split_run(c, left, grain, depth - 1, cancel, body),
-        move |c| split_run(c, right, grain, depth - 1, cancel, body),
-    );
-}
-
-/// Chunk-level loop where the body also receives the executing worker's
-/// context (needed for reductions and nested parallelism).
-pub fn par_for_ctx<F>(ctx: &WorkerCtx<'_>, range: Range<usize>, grain: Grain, body: &F)
-where
-    F: for<'c> Fn(&WorkerCtx<'c>, Range<usize>) + Sync,
-{
-    let g = grain.resolve(range.len(), ctx.num_workers());
-    split_run_ctx(ctx, range, g, depth_cap(ctx.num_workers()), None, body);
-}
-
-/// [`par_for_ctx`] with cooperative cancellation — the ctx-passing analogue
-/// of [`par_for_cancel`], used by cancellable reductions.
-pub fn par_for_ctx_cancel<F>(
-    ctx: &WorkerCtx<'_>,
-    range: Range<usize>,
-    grain: Grain,
-    token: &CancelToken,
-    body: &F,
-) -> Result<(), CancelReason>
-where
-    F: for<'c> Fn(&WorkerCtx<'c>, Range<usize>) + Sync,
-{
-    let g = grain.resolve(range.len(), ctx.num_workers());
-    split_run_ctx(
-        ctx,
-        range,
-        g,
-        depth_cap(ctx.num_workers()),
-        Some(token),
-        body,
-    );
-    token.check()
-}
-
-fn split_run_ctx<F>(
-    ctx: &WorkerCtx<'_>,
-    range: Range<usize>,
-    grain: usize,
-    depth: u32,
-    cancel: Option<&CancelToken>,
-    body: &F,
-) where
-    F: for<'c> Fn(&WorkerCtx<'c>, Range<usize>) + Sync,
-{
-    if cancel.is_some_and(CancelToken::is_cancelled) {
-        return;
-    }
-    if range.len() <= grain || depth == 0 {
-        match tpm_fault::probe(tpm_fault::Site::ChunkClaim) {
-            tpm_fault::Action::Panic => tpm_fault::injected_panic(tpm_fault::Site::ChunkClaim),
-            tpm_fault::Action::TaskDrop => tpm_fault::injected_drop(tpm_fault::Site::ChunkClaim),
-            _ => {}
-        }
-        ctx.stats().chunks.inc();
+        ctx.core.stats().chunks.inc();
         tpm_trace::record(tpm_trace::EventKind::ChunkDispatch, range.len() as u64, 0);
         body(ctx, range);
         return;
@@ -218,8 +177,8 @@ fn split_run_ctx<F>(
     let (left, right) = (range.start..mid, mid..range.end);
     join(
         ctx,
-        move |c| split_run_ctx(c, left, grain, depth - 1, cancel, body),
-        move |c| split_run_ctx(c, right, grain, depth - 1, cancel, body),
+        move |c| split_run(c, left, grain, depth - 1, cancel, body),
+        move |c| split_run(c, right, grain, depth - 1, cancel, body),
     );
 }
 

@@ -8,7 +8,9 @@
 //! task deques), and idle workers back off to timed parking so an idle
 //! runtime consumes no CPU.
 //!
-//! Two hot-path choices keep steal traffic low:
+//! The scheduler is [`crate::pool`], shared with `tpm-actors`; this module is
+//! its front end for erased `join`/`scope` jobs. Two hot-path choices of the
+//! pool keep steal traffic low:
 //!
 //! * Thieves steal in *batches* (up to half the victim's visible work via
 //!   [`Stealer::steal_batch_into`]), so one successful probe feeds several
@@ -17,30 +19,22 @@
 //!   every episode, so simultaneous thieves fan out across victims instead
 //!   of herding onto the same one (which shows up as `failed` steals in the
 //!   profile tables).
+//!
+//! [`Stealer::steal_batch_into`]: tpm_sync::chase_lev::Stealer::steal_batch_into
 
-use std::cell::Cell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::thread::{JoinHandle, Thread};
-use std::time::Duration;
-
-use tpm_fault::{Action as FaultAction, Site as FaultSite};
-use tpm_sync::chase_lev::{self, Stealer, Worker};
-use tpm_sync::topology::NumaTopology;
-use tpm_sync::{CachePadded, IdleStrategy, LockedDeque, SchedulerStats};
+use tpm_sync::{PoolConfig, SchedulerStats};
 
 use crate::job::{JobRef, StackJob};
+use crate::pool::{self, Pool};
 
-/// Initial deque capacity per worker.
-const DEQUE_CAPACITY: usize = 256;
-/// Most jobs one steal episode may transfer (the half-of-victim rule caps it
-/// further); bounds how much work a single thief can hoard.
-const STEAL_BATCH_LIMIT: usize = 32;
-/// Timed-park duration while idle (bounds wakeup latency without requiring a
-/// loss-free wakeup protocol). The escalation *to* parking is the shared
-/// [`IdleStrategy`] policy.
-const PARK_INTERVAL: Duration = Duration::from_micros(200);
+impl pool::Task for JobRef {
+    const NAME: &'static str = "tpm-worksteal";
+    type State = ();
+
+    fn run(self, core: &pool::Ctx<'_, Self>) {
+        self.execute(&WorkerCtx { core });
+    }
+}
 
 /// A work-stealing runtime with a fixed set of worker threads.
 ///
@@ -65,43 +59,11 @@ const PARK_INTERVAL: Duration = Duration::from_micros(200);
 /// assert_eq!(sum, (0..1000).sum());
 /// ```
 pub struct Runtime {
-    inner: Arc<RuntimeInner>,
-    handles: Vec<JoinHandle<()>>,
+    pool: Pool<JobRef>,
 }
 
-pub(crate) struct RuntimeInner {
-    pub(crate) stealers: Vec<Stealer<JobRef>>,
-    pub(crate) injector: LockedDeque<JobRef>,
-    /// Idle policy (spin rounds, yield rounds) for worker and waiter loops.
-    idle: (u32, u32),
-    shutdown: AtomicBool,
-    /// Number of workers currently in timed park (hint for pushers).
-    sleepers: AtomicUsize,
-    asleep: Vec<CachePadded<AtomicBool>>,
-    /// Worker thread handles for targeted unparking (filled at construction,
-    /// slots overwritten when a replacement worker takes an index over).
-    threads: tpm_sync::SpinLock<Vec<Thread>>,
-    pub(crate) stats: SchedulerStats,
-    /// Per-worker victim scan order: same-NUMA-node victims first, remote
-    /// nodes after (both segments empty-safe). With NUMA disabled — or one
-    /// node — every victim lands in the local segment and the scan is the
-    /// classic neighbour-first round-robin.
-    victim_plans: Vec<VictimPlan>,
-    /// Whether node-aware victim ordering is active (for introspection).
-    numa: bool,
-    /// Whether workers pin to cores (needed again when respawning).
-    pin: bool,
-    /// Workers currently alive (shrinks on a death, restored on respawn).
-    live: AtomicUsize,
-    /// Total workers lost to escaped panics over the runtime's lifetime.
-    deaths: AtomicUsize,
-    /// Join handles of respawned replacement workers (drained on drop).
-    replacements: tpm_sync::SpinLock<Vec<JoinHandle<()>>>,
-}
-
-/// Builder for [`Runtime`] — the one place every construction knob lives
-/// (worker count, pinning, idle policy), replacing the ad-hoc
-/// `Runtime::new` + `TPM_PIN` env-var combination.
+/// Builder for [`Runtime`] over the shared [`PoolConfig`] knobs (worker
+/// count, pinning, NUMA victim ordering, idle policy).
 ///
 /// # Examples
 ///
@@ -114,23 +76,20 @@ pub(crate) struct RuntimeInner {
 #[derive(Debug, Clone)]
 #[must_use = "call .build() to create the Runtime"]
 pub struct RuntimeBuilder {
-    threads: usize,
-    pin: bool,
-    numa: Option<bool>,
-    idle: (u32, u32),
+    cfg: PoolConfig,
 }
 
 impl RuntimeBuilder {
     /// Number of worker threads (default 1).
     pub fn threads(mut self, n: usize) -> Self {
-        self.threads = n;
+        self.cfg = self.cfg.threads(n);
         self
     }
 
     /// Pin worker `i` to core `i % cores` (a no-op on platforms without
     /// `sched_setaffinity`). Defaults to the `TPM_PIN` environment variable.
     pub fn pin(mut self, pin: bool) -> Self {
-        self.pin = pin;
+        self.cfg = self.cfg.pin(pin);
         self
     }
 
@@ -142,33 +101,32 @@ impl RuntimeBuilder {
     /// nodes". Workers map to CPUs as `index % cpus`, matching
     /// [`pin`](Self::pin)'s placement.
     pub fn numa(mut self, numa: bool) -> Self {
-        self.numa = Some(numa);
+        self.cfg = self.cfg.numa(numa);
         self
     }
 
     /// Idle escalation policy for worker loops: `spin_rounds` of spinning,
     /// then `yield_rounds` of yielding, then timed parking (see
-    /// [`IdleStrategy::new`]). Defaults to the shared
-    /// [`IdleStrategy::runtime_default`] budget.
+    /// [`tpm_sync::IdleStrategy::new`]). Defaults to the shared
+    /// [`tpm_sync::IdleStrategy::runtime_default`] budget.
     pub fn idle(mut self, spin_rounds: u32, yield_rounds: u32) -> Self {
-        self.idle = (spin_rounds, yield_rounds);
+        self.cfg = self.cfg.idle(spin_rounds, yield_rounds);
         self
     }
 
-    /// Applies a shared [`tpm_sync::PoolConfig`] wholesale (the family-
-    /// registry path: every runtime gets the same knobs).
-    pub fn config(mut self, cfg: tpm_sync::PoolConfig) -> Self {
-        self.threads = cfg.threads;
-        self.pin = cfg.pin;
-        self.numa = cfg.numa;
-        self.idle = cfg.idle;
+    /// Applies a shared [`PoolConfig`] wholesale (the family-registry path:
+    /// every runtime gets the same knobs).
+    pub fn config(mut self, cfg: PoolConfig) -> Self {
+        self.cfg = cfg;
         self
     }
 
     /// Builds the runtime, spawning its workers.
     #[must_use = "dropping the Runtime joins its workers"]
     pub fn build(self) -> Runtime {
-        Runtime::with_options(self.threads, self.pin, self.numa, self.idle)
+        Runtime {
+            pool: Pool::new(self.cfg),
+        }
     }
 }
 
@@ -176,13 +134,7 @@ impl Runtime {
     /// The construction entry point; see [`RuntimeBuilder`].
     pub fn builder() -> RuntimeBuilder {
         RuntimeBuilder {
-            threads: 1,
-            pin: tpm_sync::affinity::pin_from_env(),
-            numa: None,
-            idle: (
-                IdleStrategy::RUNTIME_DEFAULT_SPIN,
-                IdleStrategy::RUNTIME_DEFAULT_YIELD,
-            ),
+            cfg: PoolConfig::from_env(),
         }
     }
 
@@ -200,54 +152,9 @@ impl Runtime {
         Self::builder().threads(num_workers).pin(pin).build()
     }
 
-    fn with_options(num_workers: usize, pin: bool, numa: Option<bool>, idle: (u32, u32)) -> Self {
-        assert!(num_workers >= 1, "runtime needs at least one worker");
-        let mut workers = Vec::with_capacity(num_workers);
-        let mut stealers = Vec::with_capacity(num_workers);
-        for _ in 0..num_workers {
-            let (w, s) = chase_lev::deque(DEQUE_CAPACITY);
-            workers.push(w);
-            stealers.push(s);
-        }
-        let topo = NumaTopology::probe();
-        let numa =
-            numa.unwrap_or_else(|| tpm_sync::topology::numa_from_env(pin && topo.num_nodes() > 1));
-        let inner = Arc::new(RuntimeInner {
-            stealers,
-            injector: LockedDeque::new(),
-            idle,
-            shutdown: AtomicBool::new(false),
-            sleepers: AtomicUsize::new(0),
-            asleep: (0..num_workers)
-                .map(|_| CachePadded::new(AtomicBool::new(false)))
-                .collect(),
-            threads: tpm_sync::SpinLock::new(Vec::new()),
-            stats: SchedulerStats::new(num_workers),
-            victim_plans: build_victim_plans(&topo, num_workers, numa),
-            numa,
-            pin,
-            live: AtomicUsize::new(num_workers),
-            deaths: AtomicUsize::new(0),
-            replacements: tpm_sync::SpinLock::new(Vec::new()),
-        });
-        let handles: Vec<JoinHandle<()>> = workers
-            .into_iter()
-            .enumerate()
-            .map(|(index, deque)| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("tpm-worksteal-{index}"))
-                    .spawn(move || worker_entry(inner, index, deque))
-                    .expect("failed to spawn worker")
-            })
-            .collect();
-        *inner.threads.lock() = handles.iter().map(|h| h.thread().clone()).collect();
-        Self { inner, handles }
-    }
-
     /// Number of worker threads.
     pub fn num_workers(&self) -> usize {
-        self.inner.stealers.len()
+        self.pool.num_workers()
     }
 
     /// Workers currently alive. Briefly below [`num_workers`] while a dead
@@ -256,24 +163,24 @@ impl Runtime {
     ///
     /// [`num_workers`]: Runtime::num_workers
     pub fn live_workers(&self) -> usize {
-        self.inner.live.load(Ordering::Acquire)
+        self.pool.live_workers()
     }
 
     /// Total workers lost to escaped panics since construction (each one is
     /// replaced by a respawned thread on the same index).
     pub fn worker_deaths(&self) -> usize {
-        self.inner.deaths.load(Ordering::Acquire)
+        self.pool.worker_deaths()
     }
 
     /// Scheduler event counters.
     pub fn stats(&self) -> &SchedulerStats {
-        &self.inner.stats
+        self.pool.stats()
     }
 
     /// Whether node-aware victim ordering is active (see
     /// [`RuntimeBuilder::numa`]).
     pub fn numa_enabled(&self) -> bool {
-        self.inner.numa
+        self.pool.numa_enabled()
     }
 
     /// Runs `f` on a worker thread, blocking the calling (external) thread
@@ -288,38 +195,10 @@ impl Runtime {
         // SAFETY: we block on the latch below, so the stack frame outlives
         // the job; the JobRef is queued exactly once.
         unsafe {
-            self.inner.inject(job.as_job_ref());
+            self.pool.inject(job.as_job_ref());
         }
         job.latch.wait();
         job.take_result()
-    }
-}
-
-impl Drop for Runtime {
-    fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        for t in self.inner.threads.lock().iter() {
-            t.unpark();
-        }
-        for h in self.handles.drain(..) {
-            // A worker that died and was replaced exited cleanly (its panic
-            // was caught in `worker_entry`), so this cannot hang on a dead
-            // worker's arrival.
-            let _ = h.join();
-        }
-        // Replacement workers spawned by the self-healing path. A
-        // replacement can itself die and push a further replacement, so
-        // drain until empty rather than iterating once.
-        loop {
-            let handle = self.inner.replacements.lock().pop();
-            match handle {
-                Some(h) => {
-                    h.thread().unpark();
-                    let _ = h.join();
-                }
-                None => break,
-            }
-        }
     }
 }
 
@@ -331,293 +210,28 @@ impl std::fmt::Debug for Runtime {
     }
 }
 
-/// One worker's precomputed steal-scan order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct VictimPlan {
-    /// Victims on this worker's NUMA node, neighbour-first.
-    local: Vec<usize>,
-    /// Victims on remote nodes, neighbour-first (empty when NUMA-unaware
-    /// or single-node: then *every* victim is "local").
-    remote: Vec<usize>,
-}
-
-/// Precomputes each worker's victim order. Worker `w` notionally occupies
-/// CPU `w % cpus` (the same mapping `affinity::pin_current_thread` uses),
-/// and scans victims starting from its right neighbour — so `p`
-/// simultaneous thieves start at `p` distinct victims — visiting same-node
-/// victims before crossing the interconnect.
-fn build_victim_plans(topo: &NumaTopology, workers: usize, numa: bool) -> Vec<VictimPlan> {
-    let cpus = topo.num_cpus().max(1);
-    (0..workers)
-        .map(|w| {
-            let my_node = topo.node_of_cpu(w % cpus);
-            let mut local = Vec::new();
-            let mut remote = Vec::new();
-            for v in (w + 1..workers).chain(0..w) {
-                if numa && topo.node_of_cpu(v % cpus) != my_node {
-                    remote.push(v);
-                } else {
-                    local.push(v);
-                }
-            }
-            VictimPlan { local, remote }
-        })
-        .collect()
-}
-
-impl RuntimeInner {
-    /// Queues an external job and wakes a sleeping worker if any.
-    pub(crate) fn inject(&self, job: JobRef) {
-        self.injector.push_bottom(job);
-        self.wake_one();
-    }
-
-    /// Wakes one timed-parked worker (cheap no-op when none sleep).
-    pub(crate) fn wake_one(&self) {
-        if self.sleepers.load(Ordering::Relaxed) == 0 {
-            return;
-        }
-        for (i, flag) in self.asleep.iter().enumerate() {
-            if flag.swap(false, Ordering::AcqRel) {
-                self.sleepers.fetch_sub(1, Ordering::Relaxed);
-                if let Some(t) = self.threads.lock().get(i) {
-                    t.unpark();
-                }
-                return;
-            }
-        }
-    }
-}
-
 /// The per-worker execution context, passed to every job. All scheduling
 /// operations ([`crate::join`], [`crate::scope`], [`crate::par_for`]) take it
 /// as their first argument — it identifies the deque to push to.
 pub struct WorkerCtx<'w> {
-    rt: &'w RuntimeInner,
-    index: usize,
-    deque: &'w Worker<JobRef>,
-    /// First victim of the next steal episode; advances every episode so
-    /// concurrent thieves starting from different indices stay fanned out.
-    victim_offset: Cell<usize>,
+    pub(crate) core: &'w pool::Ctx<'w, JobRef>,
 }
 
-impl<'w> WorkerCtx<'w> {
+impl WorkerCtx<'_> {
     /// This worker's index in `0..num_workers`.
     pub fn index(&self) -> usize {
-        self.index
+        self.core.index()
     }
 
     /// Total number of workers in the runtime.
     pub fn num_workers(&self) -> usize {
-        self.rt.stealers.len()
-    }
-
-    pub(crate) fn stats(&self) -> &tpm_sync::WorkerStats {
-        self.rt.stats.worker(self.index)
-    }
-
-    /// Pushes a job onto this worker's deque (it becomes stealable).
-    pub(crate) fn push(&self, job: JobRef) {
-        self.deque.push(job);
-        self.stats().spawned.inc();
-        tpm_trace::record(tpm_trace::EventKind::TaskSpawn, 0, 0);
-        self.rt.wake_one();
-    }
-
-    /// Pops this worker's newest job, if any.
-    pub(crate) fn pop(&self) -> Option<JobRef> {
-        self.deque.pop()
-    }
-
-    /// One steal episode: scan every other worker once — same-NUMA-node
-    /// victims first, then remote nodes, each segment round-robin from this
-    /// worker's rotating offset — then the injector. `None` if nothing
-    /// was found (callers loop, with escalating idle backoff between
-    /// episodes — re-sweeping immediately here would only re-probe deques
-    /// observed empty microseconds ago).
-    ///
-    /// A hit transfers a *batch* — up to half the victim's visible jobs, at
-    /// most [`STEAL_BATCH_LIMIT`] — into our own deque and returns one of
-    /// them; the rest are served by local pops (or stolen onward by others),
-    /// so one episode can feed many executions.
-    pub(crate) fn steal_work(&self) -> Option<JobRef> {
-        // Steal probes can run inside `wait_until` while an unfinished stack
-        // job is still queued: unwinding here would free a job a thief may
-        // yet execute, so panic rules are inert at this probe (they fire at
-        // the worker-loop top level instead, where no such frame exists).
-        if tpm_fault::probe_no_panic(FaultSite::StealAttempt) != FaultAction::None {
-            self.stats().failed_steals.inc();
-            tpm_trace::record(tpm_trace::EventKind::FailedSteal, self.index as u64, 0);
-            return None;
-        }
-        let plan = &self.rt.victim_plans[self.index];
-        let start = self.victim_offset.get();
-        self.victim_offset.set(start.wrapping_add(1));
-        for segment in [&plan.local, &plan.remote] {
-            let m = segment.len();
-            for k in 0..m {
-                let v = segment[(start + k) % m];
-                let got = self.rt.stealers[v].steal_batch_into(self.deque, STEAL_BATCH_LIMIT);
-                if got > 0 {
-                    self.stats().steals.inc();
-                    tpm_trace::record(tpm_trace::EventKind::Steal, v as u64, got as u64);
-                    // The batch went through our own deque, so the job cannot
-                    // be `None` unless another thief raced it away — then the
-                    // episode still counts as a hit and the caller retries.
-                    if let Some(job) = self.pop() {
-                        return Some(job);
-                    }
-                } else {
-                    self.stats().failed_steals.inc();
-                    tpm_trace::record(tpm_trace::EventKind::FailedSteal, v as u64, 0);
-                }
-            }
-        }
-        self.rt.injector.steal_top()
-    }
-
-    /// Executes `job`, counting it.
-    pub(crate) fn execute(&self, job: JobRef) {
-        self.stats().executed.inc();
-        tpm_trace::record(tpm_trace::EventKind::TaskExec, 0, 0);
-        job.execute(self);
-    }
-
-    /// Works (pop own, then steal) until `probe()` turns true — the heart of
-    /// every blocking point (`join`, scope wait).
-    pub(crate) fn wait_until(&self, probe: impl Fn() -> bool) {
-        // No one unparks a joiner, so the shared idle policy runs in its
-        // no-park mode (the park phase degrades to yielding).
-        let idle = IdleStrategy::new(self.rt.idle.0, self.rt.idle.1);
-        while !probe() {
-            if let Some(job) = self.pop().or_else(|| self.steal_work()) {
-                self.execute(job);
-                idle.reset();
-            } else {
-                idle.snooze_no_park();
-            }
-        }
+        self.core.num_workers()
     }
 }
 
 impl std::fmt::Debug for WorkerCtx<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerCtx")
-            .field("index", &self.index)
-            .finish()
-    }
-}
-
-/// Worker thread entry: pins, then runs [`worker_loop`] under a top-level
-/// `catch_unwind`. An escaped panic (nothing in normal operation reaches
-/// here — job execution has its own containment — but an injected
-/// worker-loop fault does) marks the worker dead and respawns a replacement
-/// thread on the same index with the same deque, so queued jobs survive the
-/// death and the runtime heals back to full width.
-fn worker_entry(inner: Arc<RuntimeInner>, index: usize, deque: Worker<JobRef>) {
-    if inner.pin {
-        tpm_sync::affinity::pin_current_thread(index);
-    }
-    let result = catch_unwind(AssertUnwindSafe(|| worker_loop(&inner, index, &deque)));
-    if result.is_ok() || inner.shutdown.load(Ordering::Acquire) {
-        return;
-    }
-    // Died mid-panic: clear our sleep flag if set (wake_one must not burn a
-    // wakeup on a corpse), account the death, and respawn.
-    if inner.asleep[index].swap(false, Ordering::AcqRel) {
-        inner.sleepers.fetch_sub(1, Ordering::Relaxed);
-    }
-    inner.live.fetch_sub(1, Ordering::AcqRel);
-    inner.deaths.fetch_add(1, Ordering::AcqRel);
-    tpm_trace::record(tpm_trace::EventKind::WorkerDeath, index as u64, 0);
-    tpm_trace::record(
-        tpm_trace::EventKind::DegradedWidth,
-        inner.live.load(Ordering::Relaxed) as u64,
-        0,
-    );
-    let respawned = Arc::clone(&inner);
-    match std::thread::Builder::new()
-        .name(format!("tpm-worksteal-{index}"))
-        .spawn(move || {
-            tpm_trace::record(tpm_trace::EventKind::WorkerRespawn, index as u64, 0);
-            worker_entry(respawned, index, deque)
-        }) {
-        Ok(h) => {
-            // Point wake_one's slot at the replacement before counting it
-            // live, so a waker never unparks the dead thread.
-            if let Some(slot) = inner.threads.lock().get_mut(index) {
-                *slot = h.thread().clone();
-            }
-            inner.live.fetch_add(1, Ordering::AcqRel);
-            inner.replacements.lock().push(h);
-        }
-        Err(_) => {
-            // Could not spawn a replacement: the runtime stays degraded but
-            // alive (remaining workers still drain every queue).
-        }
-    }
-}
-
-fn worker_loop(inner: &RuntimeInner, index: usize, deque: &Worker<JobRef>) {
-    let ctx = WorkerCtx {
-        rt: inner,
-        index,
-        deque,
-        // The victim plan is already neighbour-first per worker; the offset
-        // rotates the scan start within each (local/remote) segment across
-        // episodes so repeat thieves fan out.
-        victim_offset: Cell::new(0),
-    };
-    let idle = IdleStrategy::new(inner.idle.0, inner.idle.1);
-    loop {
-        if inner.shutdown.load(Ordering::Acquire) {
-            break;
-        }
-        // The one panic-safe steal-site probe: no job-owning frame is on the
-        // stack here, so an injected panic exercises the full worker-death +
-        // respawn path (caught in `worker_entry`).
-        if tpm_fault::probe(FaultSite::StealAttempt) == FaultAction::Panic {
-            tpm_fault::injected_panic(FaultSite::StealAttempt);
-        }
-        if let Some(job) = ctx.pop().or_else(|| ctx.steal_work()) {
-            // Busy time is measured around top-level jobs only: nested jobs
-            // run inside this span (via join/wait), so timing them again
-            // would double-count — and per-task clocks would be too hot.
-            let started = std::time::Instant::now();
-            ctx.execute(job);
-            inner
-                .stats
-                .worker(index)
-                .busy_ns
-                .add(started.elapsed().as_nanos() as u64);
-            idle.reset();
-            continue;
-        }
-        if idle.snooze() {
-            // Timed park: flag ourselves asleep so pushers can unpark us;
-            // the timeout bounds the cost of any lost wakeup.
-            inner.stats.worker(index).parks.inc();
-            inner.asleep[index].store(true, Ordering::Release);
-            inner.sleepers.fetch_add(1, Ordering::Relaxed);
-            std::thread::park_timeout(PARK_INTERVAL);
-            if inner.asleep[index].swap(false, Ordering::AcqRel) {
-                inner.sleepers.fetch_sub(1, Ordering::Relaxed);
-            }
-        }
-    }
-}
-
-/// Runs `f` with panic containment, recording any payload into `slot` (first
-/// panic wins). Shared by the scope machinery.
-pub(crate) fn harness_panic(
-    slot: &tpm_sync::SpinLock<Option<Box<dyn std::any::Any + Send>>>,
-    f: impl FnOnce(),
-) {
-    if let Err(p) = catch_unwind(AssertUnwindSafe(f)) {
-        let mut guard = slot.lock();
-        if guard.is_none() {
-            *guard = Some(p);
-        }
+        self.core.fmt(f)
     }
 }
 
@@ -647,7 +261,7 @@ mod tests {
     #[test]
     fn install_propagates_panics() {
         let rt = Runtime::new(2);
-        let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             rt.install(|_| panic!("install boom"));
         }));
         assert!(r.is_err());
@@ -666,41 +280,6 @@ mod tests {
         let rt = Runtime::new(4);
         rt.install(|_| ());
         drop(rt); // must not hang
-    }
-
-    #[test]
-    fn victim_plans_prefer_same_node_then_remote() {
-        let topo = NumaTopology::parse_spec("0-1;2-3").unwrap();
-        let plans = build_victim_plans(&topo, 4, true);
-        assert_eq!(plans[0].local, vec![1]);
-        assert_eq!(plans[0].remote, vec![2, 3]);
-        assert_eq!(plans[1].local, vec![0]);
-        assert_eq!(plans[1].remote, vec![2, 3]);
-        // Neighbour-first within each segment: worker 2 scans 3, then 0, 1.
-        assert_eq!(plans[2].local, vec![3]);
-        assert_eq!(plans[2].remote, vec![0, 1]);
-        assert_eq!(plans[3].local, vec![2]);
-        assert_eq!(plans[3].remote, vec![0, 1]);
-    }
-
-    #[test]
-    fn victim_plans_wrap_oversubscribed_workers_onto_cpus() {
-        let topo = NumaTopology::parse_spec("0-1;2-3").unwrap();
-        let plans = build_victim_plans(&topo, 6, true);
-        // Worker 4 wraps to CPU 0 (node 0): workers 0, 1, 5 are local.
-        assert_eq!(plans[4].local, vec![5, 0, 1]);
-        assert_eq!(plans[4].remote, vec![2, 3]);
-    }
-
-    #[test]
-    fn numa_unaware_plans_scan_every_victim_neighbour_first() {
-        let topo = NumaTopology::parse_spec("0-1;2-3").unwrap();
-        let plans = build_victim_plans(&topo, 4, false);
-        for (w, plan) in plans.iter().enumerate() {
-            assert!(plan.remote.is_empty());
-            let expected: Vec<usize> = (w + 1..4).chain(0..w).collect();
-            assert_eq!(plan.local, expected);
-        }
     }
 
     #[test]
@@ -731,90 +310,5 @@ mod tests {
             rt.install(|_| ());
         }
         assert_eq!(rt.stats().snapshot().executed, 10);
-    }
-
-    #[cfg(feature = "inject")]
-    mod inject {
-        use super::*;
-        use std::time::{Duration, Instant};
-        use tpm_fault::{FaultKind, FaultPlan, FaultSession, Site, SiteRule};
-
-        /// A plan that kills exactly one worker: panic rules are inert at the
-        /// wait-path steal probes, so the single fire lands at a worker-loop
-        /// top-level probe where death + respawn containment exists.
-        fn one_death_plan() -> FaultPlan {
-            FaultPlan::single(SiteRule {
-                max_fires: 1,
-                ..SiteRule::prob(Site::StealAttempt, FaultKind::Panic, 1.0)
-            })
-        }
-
-        fn wait_for(deadline: Duration, cond: impl Fn() -> bool) -> bool {
-            let end = Instant::now() + deadline;
-            while Instant::now() < end {
-                if cond() {
-                    return true;
-                }
-                std::thread::yield_now();
-            }
-            cond()
-        }
-
-        #[test]
-        fn injected_worker_death_respawns_and_runtime_stays_usable() {
-            let _serial = tpm_fault::session_serial();
-            let rt = Runtime::new(3);
-            rt.install(|_| ());
-            assert_eq!(rt.live_workers(), 3);
-            let session = FaultSession::install(&one_death_plan());
-            assert!(
-                wait_for(Duration::from_secs(10), || rt.worker_deaths() == 1
-                    && rt.live_workers() == 3),
-                "worker should die exactly once and be replaced (deaths={}, live={})",
-                rt.worker_deaths(),
-                rt.live_workers()
-            );
-            let report = session.report();
-            assert_eq!(report.fired.len(), 1);
-            assert_eq!(report.fired[0].site, Site::StealAttempt);
-            assert_eq!(report.fired[0].kind, FaultKind::Panic);
-            // The healed pool runs new work at full width.
-            assert_eq!(rt.install(|ctx| ctx.num_workers()), 3);
-            drop(rt); // must join the replacement thread without hanging
-        }
-
-        #[test]
-        fn drop_immediately_after_worker_death_does_not_hang() {
-            let _serial = tpm_fault::session_serial();
-            let rt = Runtime::new(2);
-            let session = FaultSession::install(&one_death_plan());
-            assert!(
-                wait_for(Duration::from_secs(10), || rt.worker_deaths() == 1),
-                "injected death should land"
-            );
-            // Drop races the respawn: whether or not the replacement got
-            // spawned before shutdown, neither path may hang.
-            drop(rt);
-            drop(session);
-        }
-
-        #[test]
-        fn runtime_survives_repeated_deaths() {
-            let _serial = tpm_fault::session_serial();
-            let rt = Runtime::new(2);
-            let session = FaultSession::install(&FaultPlan::single(SiteRule {
-                max_fires: 3,
-                ..SiteRule::prob(Site::StealAttempt, FaultKind::Panic, 1.0)
-            }));
-            assert!(
-                wait_for(Duration::from_secs(10), || rt.worker_deaths() == 3
-                    && rt.live_workers() == 2),
-                "three deaths, each healed (deaths={}, live={})",
-                rt.worker_deaths(),
-                rt.live_workers()
-            );
-            drop(session);
-            assert_eq!(rt.install(|ctx| ctx.num_workers()), 2);
-        }
     }
 }

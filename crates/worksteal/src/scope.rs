@@ -7,7 +7,8 @@ use std::panic::resume_unwind;
 use tpm_sync::{CountLatch, SpinLock};
 
 use crate::job::HeapJob;
-use crate::runtime::{harness_panic, WorkerCtx};
+use crate::pool::harness_panic;
+use crate::runtime::WorkerCtx;
 
 /// A spawn scope: every task spawned through it completes before
 /// [`scope`] returns (the implicit `cilk_sync`).
@@ -61,6 +62,7 @@ impl<'s, 'w> Scope<'s, 'w> {
         let boxed: Box<dyn for<'c> FnOnce(&WorkerCtx<'c>) + Send + 'static> =
             unsafe { std::mem::transmute(boxed) };
         self.ctx
+            .core
             .push(HeapJob::into_job_ref(move |ctx: &WorkerCtx<'_>| boxed(ctx)));
     }
 
@@ -72,7 +74,7 @@ impl<'s, 'w> Scope<'s, 'w> {
     /// Explicit mid-scope sync: waits for all tasks spawned so far,
     /// executing queued work while waiting.
     pub fn wait_all(&self) {
-        self.ctx.wait_until(|| self.latch.probe());
+        self.ctx.core.wait_until(|| self.latch.probe());
     }
 }
 
@@ -106,7 +108,7 @@ pub fn scope<'w, R>(ctx: &WorkerCtx<'w>, f: impl FnOnce(&Scope<'_, 'w>) -> R) ->
     // If `f` itself panics, spawned tasks still borrow this frame: drain
     // before unwinding.
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&s)));
-    ctx.wait_until(|| s.latch.probe());
+    ctx.core.wait_until(|| s.latch.probe());
     if let Some(p) = s.panic.lock().take() {
         resume_unwind(p);
     }

@@ -72,6 +72,36 @@ fn worksteal_join_and_par_for_record_from_multiple_workers() {
     }
 }
 
+/// Both stealing runtimes run on one pool core, so an external submission
+/// is counted the same way in both: it is not a spawn (no `TaskSpawn`, no
+/// `spawned` — those mean a push onto a worker's own deque) and it is one
+/// `TaskExec` when it runs.
+#[test]
+fn external_submissions_record_the_same_events_in_both_stealing_runtimes() {
+    let _gate = GATE.lock().unwrap();
+    let traced = |submit: &dyn Fn()| {
+        let session = TraceSession::start();
+        submit();
+        let summary = session.stop().summary();
+        (
+            summary.total(EventKind::TaskSpawn),
+            summary.total(EventKind::TaskExec),
+        )
+    };
+    let rt = Runtime::new(2);
+    let actors = tpm_actors::ActorRuntime::new(2);
+    let install = traced(&|| rt.install(|_| ()));
+    let spawn = traced(&|| {
+        let (ran, done) = tpm_actors::future();
+        actors.spawn(move |_| done.set(()));
+        ran.wait();
+    });
+    assert_eq!(install, spawn, "(TaskSpawn, TaskExec) per submission");
+    assert_eq!(install, (0, 1));
+    assert_eq!(rt.stats().snapshot().spawned, 0);
+    assert_eq!(actors.stats().snapshot().spawned, 0);
+}
+
 #[test]
 fn forkjoin_worksharing_records_chunks_and_barriers() {
     let _gate = GATE.lock().unwrap();
