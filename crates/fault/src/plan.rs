@@ -7,13 +7,14 @@
 //! interleaving. Replaying the same workload under the same plan fires the
 //! same faults.
 //!
-//! The serve crate's JSON parser is deliberately flat (its wire protocol is
-//! one object per line); plans are nested (an array of rule objects), so this
-//! module carries its own small recursive-descent parser that reports
-//! `line:column` on every error — both syntax errors and semantic ones like
-//! an unknown site name.
+//! Plans are read with the workspace's one JSON reader,
+//! [`tpm_sync::json::Reader`], walked in the plan's schema, so every error —
+//! a syntax error or a semantic one like an unknown site name — is reported
+//! at the `line:column` where the reader met it.
 
 use std::fmt;
+
+use tpm_sync::json::{self, Reader};
 
 /// An injection point in the runtimes or the service path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -226,7 +227,7 @@ impl FaultPlan {
                 out.push_str(&format!(", \"nth\": {n}"));
             }
             if r.probability > 0.0 {
-                out.push_str(&format!(", \"probability\": {}", r.probability));
+                out.push_str(&format!(", \"probability\": {}", json::num(r.probability)));
             }
             if r.max_fires > 0 {
                 out.push_str(&format!(", \"max_fires\": {}", r.max_fires));
@@ -288,8 +289,73 @@ impl FaultPlan {
     /// Unknown keys, unknown site/kind names, and malformed syntax are all
     /// rejected with the `line:column` where the problem sits.
     pub fn parse_json(text: &str) -> Result<Self, PlanError> {
-        Parser::new(text).parse_plan()
+        let mut r = Reader::new(text);
+        let mut plan = FaultPlan::default();
+        let mut saw_rules = false;
+        r.object(|r, key| match key.as_str() {
+            "seed" => r.u64().map(|seed| plan.seed = seed),
+            "rules" => {
+                saw_rules = true;
+                r.array(|r| parse_rule(r).map(|rule| plan.rules.push(rule)))
+            }
+            other => Err(r.error(format!("unknown plan key \"{other}\""))),
+        })
+        .and_then(|()| r.end())
+        .and_then(|()| match saw_rules {
+            true => Ok(()),
+            false => Err(r.error("plan is missing the \"rules\" array")),
+        })
+        .map_err(|e| PlanError::at(text, e))?;
+        Ok(plan)
     }
+}
+
+/// Reads one rule object of a plan.
+fn parse_rule(r: &mut Reader<'_>) -> Result<SiteRule, json::Error> {
+    let (mut site, mut kind, mut nth) = (None, None, None);
+    let (mut probability, mut max_fires, mut delay_us) = (0.0, 0, 0);
+    r.object(|r, key| {
+        match key.as_str() {
+            "site" => {
+                let name = r.string()?;
+                let found = Site::from_name(&name);
+                site = Some(found.ok_or_else(|| r.error(format!("unknown site \"{name}\"")))?);
+            }
+            "kind" => {
+                let name = r.string()?;
+                let found = FaultKind::from_name(&name);
+                kind =
+                    Some(found.ok_or_else(|| r.error(format!("unknown fault kind \"{name}\"")))?);
+            }
+            "nth" => match r.u64()? {
+                0 => return Err(r.error("nth is 1-based and must be >= 1")),
+                n => nth = Some(n),
+            },
+            "probability" => {
+                probability = r.f64()?;
+                if !(0.0..=1.0).contains(&probability) {
+                    return Err(r.error("probability must be within [0, 1]"));
+                }
+            }
+            "max_fires" => max_fires = r.u64()?,
+            "delay_us" => delay_us = r.u64()?,
+            other => return Err(r.error(format!("unknown rule key \"{other}\""))),
+        }
+        Ok(())
+    })?;
+    let site = site.ok_or_else(|| r.error("rule is missing \"site\""))?;
+    let kind = kind.ok_or_else(|| r.error("rule is missing \"kind\""))?;
+    if nth.is_none() && probability == 0.0 {
+        return Err(r.error("rule needs \"nth\" or a non-zero \"probability\" to ever fire"));
+    }
+    Ok(SiteRule {
+        site,
+        kind,
+        nth,
+        probability,
+        max_fires,
+        delay_us,
+    })
 }
 
 /// SplitMix64 finalizer over the (seed, site, rule, hit) tuple: a cheap
@@ -336,254 +402,17 @@ impl fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-/// Schema-directed recursive-descent JSON parser for [`FaultPlan`]. Being
-/// schema-directed (rather than parsing to a generic value tree) means every
-/// semantic error — unknown key, wrong type, bad site name — is reported at
-/// the exact token position.
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    line: usize,
-    line_start: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Self {
-            bytes: text.as_bytes(),
-            pos: 0,
-            line: 1,
-            line_start: 0,
+impl PlanError {
+    /// Locates a reader error's byte offset in `text` as `line:col`
+    /// (the column counts characters).
+    fn at(text: &str, e: json::Error) -> Self {
+        let before = &text[..e.offset];
+        let line_start = before.rfind('\n').map_or(0, |i| i + 1);
+        PlanError {
+            line: 1 + before.matches('\n').count(),
+            col: before[line_start..].chars().count() + 1,
+            message: e.message,
         }
-    }
-
-    fn err<T>(&self, message: impl Into<String>) -> Result<T, PlanError> {
-        Err(PlanError {
-            line: self.line,
-            col: self.pos - self.line_start + 1,
-            message: message.into(),
-        })
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'\n' => {
-                    self.pos += 1;
-                    self.line += 1;
-                    self.line_start = self.pos;
-                }
-                b' ' | b'\t' | b'\r' => self.pos += 1,
-                _ => break,
-            }
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), PlanError> {
-        match self.peek() {
-            Some(c) if c == b => {
-                self.pos += 1;
-                Ok(())
-            }
-            Some(c) => self.err(format!("expected '{}', found '{}'", b as char, c as char)),
-            None => self.err(format!("expected '{}', found end of input", b as char)),
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, PlanError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos).copied() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos).copied() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(other) => {
-                            return self.err(format!("unsupported escape '\\{}'", other as char));
-                        }
-                        None => return self.err("unterminated string"),
-                    }
-                    self.pos += 1;
-                }
-                Some(b'\n') | None => return self.err("unterminated string"),
-                Some(b) => {
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<f64, PlanError> {
-        self.skip_ws();
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        if start == self.pos {
-            return self.err("expected a number");
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("");
-        match text.parse::<f64>() {
-            Ok(v) => Ok(v),
-            Err(_) => self.err(format!("invalid number '{text}'")),
-        }
-    }
-
-    fn parse_u64(&mut self, what: &str) -> Result<u64, PlanError> {
-        let v = self.parse_number()?;
-        if v < 0.0 || v.fract() != 0.0 || v > u64::MAX as f64 {
-            return self.err(format!("{what} must be a non-negative integer"));
-        }
-        Ok(v as u64)
-    }
-
-    fn parse_plan(&mut self) -> Result<FaultPlan, PlanError> {
-        let mut plan = FaultPlan::default();
-        let mut saw_rules = false;
-        self.expect(b'{')?;
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-        } else {
-            loop {
-                let key = self.parse_string()?;
-                self.expect(b':')?;
-                match key.as_str() {
-                    "seed" => plan.seed = self.parse_u64("seed")?,
-                    "rules" => {
-                        saw_rules = true;
-                        plan.rules = self.parse_rules()?;
-                    }
-                    other => return self.err(format!("unknown plan key \"{other}\"")),
-                }
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        break;
-                    }
-                    _ => return self.err("expected ',' or '}' in plan object"),
-                }
-            }
-        }
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return self.err("trailing characters after plan object");
-        }
-        if !saw_rules {
-            return self.err("plan is missing the \"rules\" array");
-        }
-        Ok(plan)
-    }
-
-    fn parse_rules(&mut self) -> Result<Vec<SiteRule>, PlanError> {
-        let mut rules = Vec::new();
-        self.expect(b'[')?;
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(rules);
-        }
-        loop {
-            rules.push(self.parse_rule()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(rules);
-                }
-                _ => return self.err("expected ',' or ']' in rules array"),
-            }
-        }
-    }
-
-    fn parse_rule(&mut self) -> Result<SiteRule, PlanError> {
-        let mut site = None;
-        let mut kind = None;
-        let mut nth = None;
-        let mut probability = 0.0f64;
-        let mut max_fires = 0u64;
-        let mut delay_us = 0u64;
-        self.expect(b'{')?;
-        loop {
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            match key.as_str() {
-                "site" => {
-                    let name = self.parse_string()?;
-                    site = Some(match Site::from_name(&name) {
-                        Some(s) => s,
-                        None => return self.err(format!("unknown site \"{name}\"")),
-                    });
-                }
-                "kind" => {
-                    let name = self.parse_string()?;
-                    kind = Some(match FaultKind::from_name(&name) {
-                        Some(k) => k,
-                        None => return self.err(format!("unknown fault kind \"{name}\"")),
-                    });
-                }
-                "nth" => {
-                    let n = self.parse_u64("nth")?;
-                    if n == 0 {
-                        return self.err("nth is 1-based and must be >= 1");
-                    }
-                    nth = Some(n);
-                }
-                "probability" => {
-                    let p = self.parse_number()?;
-                    if !(0.0..=1.0).contains(&p) {
-                        return self.err("probability must be within [0, 1]");
-                    }
-                    probability = p;
-                }
-                "max_fires" => max_fires = self.parse_u64("max_fires")?,
-                "delay_us" => delay_us = self.parse_u64("delay_us")?,
-                other => return self.err(format!("unknown rule key \"{other}\"")),
-            }
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    break;
-                }
-                _ => return self.err("expected ',' or '}' in rule object"),
-            }
-        }
-        let Some(site) = site else {
-            return self.err("rule is missing \"site\"");
-        };
-        let Some(kind) = kind else {
-            return self.err("rule is missing \"kind\"");
-        };
-        if nth.is_none() && probability == 0.0 {
-            return self.err("rule needs \"nth\" or a non-zero \"probability\" to ever fire");
-        }
-        Ok(SiteRule {
-            site,
-            kind,
-            nth,
-            probability,
-            max_fires,
-            delay_us,
-        })
     }
 }
 
@@ -642,6 +471,24 @@ mod tests {
         let err = FaultPlan::parse_json(text).unwrap_err();
         assert_eq!(err.line, 2);
         assert!(err.message.contains("warp-core"), "{err}");
+    }
+
+    #[test]
+    fn non_ascii_names_are_echoed_intact() {
+        let text = "{\"rules\": [\n  {\"site\": \"caf\u{e9}\", \"kind\": \"panic\", \"nth\": 1}]}";
+        let err = FaultPlan::parse_json(text).unwrap_err();
+        assert_eq!((err.line, err.col), (2, 18), "{err}");
+        assert!(err.message.contains("\"caf\u{e9}\""), "{err}");
+    }
+
+    #[test]
+    fn standard_escapes_are_accepted() {
+        let text = r#"{"rules": [{"site": "task-exec", "kind": "\u0070anic", "nth": 2}]}"#;
+        let plan = FaultPlan::parse_json(text).unwrap();
+        assert_eq!(plan.rules[0].kind, FaultKind::Panic);
+        let text = r#"{"rules": [{"site": "a\r\b\f", "kind": "panic", "nth": 2}]}"#;
+        let err = FaultPlan::parse_json(text).unwrap_err();
+        assert!(err.message.contains("a\r\u{8}\u{c}"), "{err}");
     }
 
     #[test]

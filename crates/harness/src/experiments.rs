@@ -11,6 +11,7 @@ use tpm_sim::{
     CostModel, DequeKind, LoopPolicy, LoopWorkload, PhasedWorkload, Placement, Simulator,
     VictimPolicy,
 };
+use tpm_sync::json;
 
 /// The thread axis of the paper's figures (up to the 36 physical cores).
 pub const THREADS: [usize; 7] = [1, 2, 4, 8, 16, 32, 36];
@@ -248,11 +249,11 @@ pub fn numasim_json() -> String {
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"placement\": \"{}\", \"policy\": \"{}\", \"threads\": {}, \
-             \"makespan_ms\": {:.3}, \"steals\": {}, \"remote_steals\": {}}}{}\n",
+             \"makespan_ms\": {}, \"steals\": {}, \"remote_steals\": {}}}{}\n",
             r.placement.name(),
             r.policy.name(),
             r.threads,
-            r.makespan_ns / 1e6,
+            json::fixed(r.makespan_ns / 1e6, 3),
             r.steals,
             r.remote_steals,
             if i + 1 < rows.len() { "," } else { "" }
@@ -267,11 +268,11 @@ pub fn numasim_json() -> String {
         let pad = sim.run_fib(DequeKind::LockFree, &fw, p);
         let raw = unpadded.run_fib(DequeKind::LockFree, &fw, p);
         out.push_str(&format!(
-            "    {{\"threads\": {p}, \"padded_ms\": {:.3}, \"unpadded_ms\": {:.3}, \
-             \"speedup\": {:.3}}}{}\n",
-            pad.makespan_ns / 1e6,
-            raw.makespan_ns / 1e6,
-            raw.makespan_ns / pad.makespan_ns,
+            "    {{\"threads\": {p}, \"padded_ms\": {}, \"unpadded_ms\": {}, \
+             \"speedup\": {}}}{}\n",
+            json::fixed(pad.makespan_ns / 1e6, 3),
+            json::fixed(raw.makespan_ns / 1e6, 3),
+            json::fixed(raw.makespan_ns / pad.makespan_ns, 3),
             if i + 1 < NUMA_THREADS.len() { "," } else { "" }
         ));
     }

@@ -2,38 +2,14 @@
 //!
 //! Serializes figure results as JSON — per kernel, per model, per thread
 //! count, with the median and stddev over the timed repetitions — so a
-//! figure run can be kept and diffed. Hand-rolled (like the
-//! Chrome-trace writer in `tpm-trace`): this workspace builds offline with
-//! no serde.
+//! figure run can be kept and diffed. Strings and numbers are written by
+//! the workspace's one JSON codec, [`tpm_sync::json`]; seconds carry nine
+//! decimals.
 
 use tpm_core::Figure;
+use tpm_sync::json;
 
 use crate::native::NativeConfig;
-
-/// Escapes a string for a JSON string literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Formats a float as JSON (finite values only; NaN/inf become null).
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.9}")
-    } else {
-        "null".to_string()
-    }
-}
 
 /// Renders a benchmark run — a set of figures measured under one
 /// configuration — as a JSON object.
@@ -61,63 +37,46 @@ pub fn run_json(
     cfg: &NativeConfig,
     figures: &[Figure],
 ) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"experiment\": \"{}\",\n", esc(experiment)));
-    out.push_str(&format!("  \"native\": {native},\n"));
-    out.push_str(&format!("  \"pinned\": {pinned},\n"));
-    out.push_str(&format!("  \"numa\": \"{}\",\n", esc(numa)));
-    out.push_str(&format!(
-        "  \"kernel_variant\": \"{}\",\n",
-        cfg.variant.name()
-    ));
-    out.push_str(&format!(
-        "  \"threads\": [{}],\n",
-        cfg.threads
-            .iter()
-            .map(|t| t.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    out.push_str(&format!("  \"reps\": {},\n", cfg.reps));
-    out.push_str(&format!("  \"scale\": {},\n", cfg.scale));
-    out.push_str("  \"figures\": [\n");
+    let threads: Vec<String> = cfg.threads.iter().map(usize::to_string).collect();
+    let mut out = format!(
+        "{{\n  \"experiment\": \"{}\",\n  \"native\": {native},\n  \"pinned\": {pinned},\n  \
+         \"numa\": \"{}\",\n  \"kernel_variant\": \"{}\",\n  \"threads\": [{}],\n  \
+         \"reps\": {},\n  \"scale\": {},\n  \"figures\": [\n",
+        json::escape(experiment),
+        json::escape(numa),
+        cfg.variant.name(),
+        threads.join(", "),
+        cfg.reps,
+        cfg.scale
+    );
     for (fi, fig) in figures.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"title\": \"{}\",\n", esc(&fig.title)));
-        out.push_str("      \"series\": [\n");
+        let title = json::escape(&fig.title);
+        out.push_str(&format!(
+            "    {{\n      \"title\": \"{title}\",\n      \"series\": [\n"
+        ));
         for (si, s) in fig.series.iter().enumerate() {
-            out.push_str("        { ");
-            out.push_str(&format!("\"model\": \"{}\", \"points\": [", esc(&s.label)));
-            let pts: Vec<String> = s
+            let points: Vec<String> = s
                 .points
                 .iter()
                 .map(|&(t, median)| {
-                    let sd = s.stddev_at(t).unwrap_or(0.0);
                     format!(
                         "{{\"threads\": {t}, \"median_s\": {}, \"stddev_s\": {}}}",
-                        num(median),
-                        num(sd)
+                        json::fixed(median, 9),
+                        json::fixed(s.stddev_at(t).unwrap_or(0.0), 9)
                     )
                 })
                 .collect();
-            out.push_str(&pts.join(", "));
-            out.push_str("] }");
-            out.push_str(if si + 1 < fig.series.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
+            out.push_str(&format!(
+                "        {{ \"model\": \"{}\", \"points\": [{}] }}{}\n",
+                json::escape(&s.label),
+                points.join(", "),
+                if si + 1 < fig.series.len() { "," } else { "" }
+            ));
         }
-        out.push_str("      ]\n");
-        out.push_str(if fi + 1 < figures.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
+        let sep = if fi + 1 < figures.len() { "," } else { "" };
+        out.push_str(&format!("      ]\n    }}{sep}\n"));
     }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
+    out.push_str("  ]\n}\n");
     out
 }
 
@@ -152,18 +111,24 @@ mod tests {
         assert!(j.contains("\"median_s\": 0.250000000"));
         assert!(j.contains("\"stddev_s\": 0.020000000"));
         assert!(j.contains("\"threads\": [1, 2]"));
-        // Balanced braces/brackets (cheap structural sanity check).
-        assert_eq!(
-            j.matches('{').count(),
-            j.matches('}').count(),
-            "unbalanced braces"
-        );
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
+        let mut r = json::Reader::new(&j);
+        r.skip_value().and_then(|()| r.end()).expect("valid JSON");
     }
 
     #[test]
     fn non_finite_values_become_null() {
-        assert_eq!(num(f64::NAN), "null");
-        assert_eq!(num(f64::INFINITY), "null");
+        let mut f = Figure::new("nan");
+        let mut s = Series::new("omp_for");
+        s.push_with_stddev(1, f64::NAN, f64::INFINITY);
+        f.series.push(s);
+        let cfg = NativeConfig {
+            threads: vec![1],
+            scale: 1,
+            reps: 1,
+            variant: tpm_core::KernelVariant::Reference,
+            models: tpm_core::Model::ALL.to_vec(),
+        };
+        let j = run_json("figures", true, false, "off", &cfg, &[f]);
+        assert!(j.contains("\"median_s\": null, \"stddev_s\": null"), "{j}");
     }
 }

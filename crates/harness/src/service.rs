@@ -7,6 +7,7 @@ use std::sync::Arc;
 
 use tpm_core::{JobSpec, KernelVariant};
 use tpm_serve::{loadgen, serve, LoadgenConfig, LoadgenReport, ServerConfig};
+use tpm_sync::json;
 
 use crate::cli::ServiceOpts;
 use crate::jobs;
@@ -132,17 +133,17 @@ pub fn run_loadgen(
     print_report(&report);
     if let Some(path) = json_out {
         let body = format!(
-            "{{\"experiment\":\"loadgen\",\"job\":{:?},\"model\":{:?},\"size\":{},\
-             \"clients\":{},\"requests\":{},\"protocol\":{:?},\"window\":{},\
-             \"numa\":{:?},\"report\":{}}}\n",
-            job,
+            "{{\"experiment\":\"loadgen\",\"job\":\"{}\",\"model\":\"{}\",\"size\":{},\
+             \"clients\":{},\"requests\":{},\"protocol\":\"{}\",\"window\":{},\
+             \"numa\":\"{}\",\"report\":{}}}\n",
+            json::escape(job),
             opts.model.name(),
             opts.size,
             opts.clients,
             opts.requests,
             opts.protocol.name(),
             opts.window,
-            numa_mode,
+            json::escape(numa_mode),
             report.to_json()
         );
         if let Err(e) = std::fs::write(path, body) {
@@ -208,5 +209,29 @@ mod tests {
         };
         let code = run_loadgen("sum", &opts, KernelVariant::Reference, "auto", None);
         assert_eq!(code, 1);
+    }
+
+    #[test]
+    fn json_out_carries_any_job_name_intact() {
+        let opts = ServiceOpts {
+            addr: "127.0.0.1:1".to_string(),
+            clients: 1,
+            requests: 1,
+            ..ServiceOpts::default()
+        };
+        let path = std::env::temp_dir().join(format!("tpm-loadgen-{}.json", std::process::id()));
+        let job = "s\u{1}u\"m\\\u{e9}";
+        run_loadgen(job, &opts, KernelVariant::Reference, "au\tto", Some(&path));
+        let body = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let mut fields = Vec::new();
+        let mut r = json::Reader::new(&body);
+        r.object(|r, key| match key.as_str() {
+            "job" | "numa" => r.string().map(|v| fields.push(v)),
+            _ => r.skip_value(),
+        })
+        .and_then(|()| r.end())
+        .unwrap_or_else(|e| panic!("{e}: {body}"));
+        assert_eq!(fields, [job, "au\tto"]);
     }
 }

@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use tpm_sync::SpinLock;
+use tpm_sync::{json, SpinLock};
 
 use crate::cell::{Counter, Gauge};
 use crate::histogram::{bucket_upper_bound, Histogram, HistogramSnapshot, NUM_BUCKETS};
@@ -517,57 +517,40 @@ impl Snapshot {
 
     /// Renders the snapshot as one line of JSON — the shutdown dump format.
     /// Histograms report `count`, `sum`, `p50`, `p90`, `p99`, `max` (all
-    /// scaled) instead of raw buckets.
+    /// scaled) instead of raw buckets; a non-finite value is written as
+    /// `null`.
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\")
-                .replace('"', "\\\"")
-                .replace('\n', "\\n")
-        }
-        fn num(v: f64) -> String {
-            if v.is_finite() {
-                if v == v.trunc() && v.abs() < 1e15 {
-                    format!("{}", v as i64)
-                } else {
-                    format!("{v}")
-                }
-            } else {
-                "0".to_string()
-            }
-        }
         let mut out = String::from("{\"series\":[");
         for (i, s) in self.series.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str("{\"name\":\"");
-            out.push_str(&esc(&s.name));
-            out.push_str("\",\"labels\":{");
+            out.push_str("{\"name\":");
+            json::write_str(&mut out, &s.name);
+            out.push_str(",\"labels\":{");
             for (j, (k, v)) in s.labels.iter().enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
-                out.push('"');
-                out.push_str(&esc(k));
-                out.push_str("\":\"");
-                out.push_str(&esc(v));
-                out.push('"');
+                json::write_str(&mut out, k);
+                out.push(':');
+                json::write_str(&mut out, v);
             }
             out.push_str("},");
             match &s.value {
                 SeriesValue::Float(v) => {
                     out.push_str("\"value\":");
-                    out.push_str(&num(*v));
+                    out.push_str(&json::num(*v));
                 }
                 SeriesValue::Histogram { counts, scale } => {
                     out.push_str(&format!(
                         "\"count\":{},\"sum\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}",
                         counts.count(),
-                        num(counts.sum as f64 * scale),
-                        num(counts.quantile(0.50) * scale),
-                        num(counts.quantile(0.90) * scale),
-                        num(counts.quantile(0.99) * scale),
-                        num(counts.max as f64 * scale),
+                        json::num(counts.sum as f64 * scale),
+                        json::num(counts.quantile(0.50) * scale),
+                        json::num(counts.quantile(0.90) * scale),
+                        json::num(counts.quantile(0.99) * scale),
+                        json::num(counts.max as f64 * scale),
                     ));
                 }
             }

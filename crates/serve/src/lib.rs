@@ -21,7 +21,8 @@
 //!   may complete out of order (match replies by `id`).
 //! * [`loadgen`] — a load generator over persistent connections with a
 //!   pipelined in-flight window, reporting throughput and p50/p99 latency.
-//! * [`json`] — the offline-workspace flat-JSON reader the protocol uses.
+//! * [`json`] — the workspace's one JSON codec ([`tpm_sync::json`]),
+//!   re-exported here because the protocol's text encoding runs on it.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -42,7 +43,6 @@
 
 pub mod engine;
 pub mod frame;
-pub mod json;
 pub mod loadgen;
 pub mod metrics;
 pub mod protocol;
@@ -58,4 +58,5 @@ pub use queue::BoundedQueue;
 pub use server::{
     serve, serve_over_tick_poller, ServeStats, ServerConfig, ServerHandle, StatsSnapshot,
 };
+pub use tpm_sync::json;
 pub use wire::Protocol;

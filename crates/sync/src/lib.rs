@@ -22,6 +22,7 @@
 //! | [`CancelToken`] | all three | cooperative cancellation + deadlines (job service) |
 //! | [`affinity`] | all three | core pinning (`TPM_PIN`, `OMP_PROC_BIND` analogue) |
 //! | [`epoll`] | `tpm-serve` | readiness polling for the socket reactor (raw epoll syscalls on Linux x86-64, a tick poller elsewhere) |
+//! | [`json`] | every JSON reader and writer | the one escaper, number policy and pull reader (wire, traces, metrics, figures, fault plans) |
 //! | [`Backoff`], [`CachePadded`], [`rng`], [`stats`] | all | mechanics |
 
 #![warn(missing_docs)]
@@ -36,6 +37,7 @@ pub mod chase_lev;
 mod condvar;
 pub mod epoll;
 mod idle;
+pub mod json;
 mod latch;
 pub mod layout;
 mod locked_deque;

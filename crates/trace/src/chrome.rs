@@ -8,6 +8,8 @@
 
 use std::fmt::Write as _;
 
+use tpm_sync::json;
+
 use crate::event::EventKind;
 use crate::session::Trace;
 
@@ -22,8 +24,8 @@ pub fn to_chrome_json(trace: &Trace) -> String {
             let _ = write!(
                 o,
                 "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
-                 \"args\":{{\"name\":{}}}}}",
-                json_string(&worker.name)
+                 \"args\":{{\"name\":\"{}\"}}}}",
+                json::escape(&worker.name)
             );
         });
         // Unbalanced region stack protection: if the trace window cut a span
@@ -39,8 +41,8 @@ pub fn to_chrome_json(trace: &Trace) -> String {
                     push_event(&mut out, &mut first, |o| {
                         let _ = write!(
                             o,
-                            "{{\"name\":{},\"ph\":\"B\",\"pid\":1,\"tid\":{tid},\"ts\":{ts_us}}}",
-                            json_string(name)
+                            "{{\"name\":\"{}\",\"ph\":\"B\",\"pid\":1,\"tid\":{tid},\"ts\":{ts_us}}}",
+                            json::escape(name)
                         );
                     });
                 }
@@ -92,27 +94,6 @@ fn push_event(out: &mut String, first: &mut bool, f: impl FnOnce(&mut String)) {
 /// trailing zeros ambiguity (always three decimals).
 fn micros(ns: u64) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
-}
-
-/// Minimal JSON string escaping (quotes, backslash, control characters).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -142,39 +142,10 @@ fn chrome_json_is_structurally_valid() {
         json.matches("\"ph\":\"E\"").count(),
         "duration begin/end events must pair up"
     );
-    assert_balanced(&json);
-}
-
-/// Checks brace/bracket balance and string termination — enough to catch
-/// any escaping or truncation bug in the hand-rolled serializer.
-fn assert_balanced(json: &str) {
-    let (mut depth_obj, mut depth_arr) = (0i64, 0i64);
-    let mut in_str = false;
-    let mut escaped = false;
-    for c in json.chars() {
-        if in_str {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => in_str = true,
-            '{' => depth_obj += 1,
-            '}' => depth_obj -= 1,
-            '[' => depth_arr += 1,
-            ']' => depth_arr -= 1,
-            _ => {}
-        }
-        assert!(depth_obj >= 0 && depth_arr >= 0, "negative nesting depth");
-    }
-    assert!(!in_str, "unterminated string");
-    assert_eq!(depth_obj, 0, "unbalanced braces");
-    assert_eq!(depth_arr, 0, "unbalanced brackets");
+    let mut r = threadcmp::sync::json::Reader::new(&json);
+    r.skip_value()
+        .and_then(|()| r.end())
+        .expect("the trace is one valid JSON document");
 }
 
 #[test]
