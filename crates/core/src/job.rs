@@ -18,7 +18,9 @@
 
 mod cache;
 
-pub use cache::{InputCache, InputCacheStats, INPUT_CACHE_BUDGET_BYTES, MIN_CACHED_BYTES};
+pub use cache::{
+    InputCache, InputCacheStats, BUILD_WAIT, INPUT_CACHE_BUDGET_BYTES, MIN_CACHED_BYTES,
+};
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};

@@ -19,16 +19,21 @@
 //!   arena without a page fault (and see the constant for why the line is
 //!   drawn where it is).
 //!
-//! The lock covers lookup and insert only, never generation. Concurrent
-//! cold misses on one key may all generate; the first insert wins, the
-//! others adopt the resident value, and nobody waits on anybody. Only a
-//! fully generated input is ever inserted: a build that returns an error
-//! (cancelled, deadline) or panics leaves the cache untouched.
+//! The lock covers lookup and insert only, never generation. A miss on a
+//! key another caller is building waits for that build — for at most
+//! [`BUILD_WAIT`] — instead of generating a second copy, so concurrent cold
+//! misses cost one generation and one input's worth of memory, not one per
+//! caller. A waiter whose wait runs out builds its own copy; the first
+//! insert wins and the others adopt it. Only a fully generated input is
+//! ever inserted: a build that returns an error (cancelled, deadline) or
+//! panics leaves the cache untouched and hands the key to the next waiter,
+//! which builds it itself.
 
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 /// Byte budget of a registry's input cache.
 pub const INPUT_CACHE_BUDGET_BYTES: usize = 64 << 20;
@@ -40,6 +45,13 @@ pub const INPUT_CACHE_BUDGET_BYTES: usize = 64 << 20;
 /// (EXPERIMENTS.md, "Why the floor is 64 KiB"); the floor moves only after
 /// the benchmark stops charging that log to the workload.
 pub const MIN_CACHED_BYTES: usize = 64 << 10;
+
+/// Longest a miss waits for another caller's build of the same key before
+/// it builds its own copy. The largest input the cache admits (half the
+/// budget) generates in tens of milliseconds on two cores, so a build still
+/// running after this is stalled or starved, and the waiter stops tying its
+/// latency to it.
+pub const BUILD_WAIT: Duration = Duration::from_millis(250);
 
 type Key = (&'static str, usize);
 
@@ -54,6 +66,8 @@ struct Entry {
 #[derive(Default)]
 struct Lru {
     entries: HashMap<Key, Entry>,
+    /// Keys a caller is building right now (outside the lock).
+    building: HashSet<Key>,
     clock: u64,
 }
 
@@ -69,7 +83,8 @@ impl Lru {
 /// A point-in-time copy of a cache's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct InputCacheStats {
-    /// Requests served from a resident entry.
+    /// Requests served from a resident entry (including one that waited
+    /// for another request's build of it).
     pub hits: u64,
     /// Requests that generated their input (cold, evicted, or bypassing).
     pub misses: u64,
@@ -84,6 +99,9 @@ pub struct InputCacheStats {
 pub struct InputCache {
     budget: usize,
     lru: Mutex<Lru>,
+    /// Signalled on every insert and whenever a key leaves
+    /// `Lru::building`.
+    built: Condvar,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -105,6 +123,7 @@ impl InputCache {
         Self {
             budget,
             lru: Mutex::new(Lru::default()),
+            built: Condvar::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -144,7 +163,8 @@ impl InputCache {
     /// `bytes` — the caller's charge for the value's heap footprint — is
     /// neither under [`MIN_CACHED_BYTES`] nor over half the budget. `build`
     /// runs outside the lock; its error or panic propagates and inserts
-    /// nothing.
+    /// nothing. While it runs, other callers asking for the same cacheable
+    /// key wait for it (up to [`BUILD_WAIT`]).
     ///
     /// # Panics
     /// If two callers use one key for values of different types.
@@ -159,21 +179,38 @@ impl InputCache {
         T: Send + Sync + 'static,
     {
         let key = (kernel, size);
-        let admitted = self.admits(bytes);
-        if admitted {
-            if let Some(hit) = self.lock().touch(key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(downcast(hit, key));
-            }
+        if !self.admits(bytes) {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return build().map(Arc::new);
         }
+        let claim = {
+            let mut lru = self.lock();
+            let give_up = Instant::now() + BUILD_WAIT;
+            loop {
+                if let Some(hit) = lru.touch(key) {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    return Ok(downcast(hit, key));
+                }
+                if lru.building.insert(key) {
+                    break Some(Building { cache: self, key });
+                }
+                let left = give_up.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    break None;
+                }
+                lru = self
+                    .built
+                    .wait_timeout(lru, left)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0;
+            }
+        };
         self.misses.fetch_add(1, Ordering::Relaxed);
         let built = Arc::new(build()?);
-        if !admitted {
-            return Ok(built);
-        }
         let mut lru = self.lock();
         if let Some(winner) = lru.touch(key) {
-            // A concurrent miss inserted first; share its copy, drop ours.
+            // A caller that stopped waiting for us inserted first, or we
+            // stopped waiting for it; share the resident copy, drop ours.
             return Ok(downcast(winner, key));
         }
         let mut resident = self.resident_bytes.load(Ordering::Relaxed);
@@ -205,15 +242,30 @@ impl InputCache {
         self.resident_bytes
             .store(resident + bytes, Ordering::Relaxed);
         drop(lru);
+        self.built.notify_all();
+        drop(claim);
         Ok(built)
     }
 
     fn lock(&self) -> MutexGuard<'_, Lru> {
         // No caller code runs under the lock and every update leaves the
         // table valid, so a poisoned guard is still a consistent one.
-        self.lru
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.lru.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// A caller's claim on building one key. Dropping it — after the insert,
+/// or on the build's error or panic — releases the key and wakes the
+/// callers waiting for it.
+struct Building<'a> {
+    cache: &'a InputCache,
+    key: Key,
+}
+
+impl Drop for Building<'_> {
+    fn drop(&mut self) {
+        self.cache.lock().building.remove(&self.key);
+        self.cache.built.notify_all();
     }
 }
 
@@ -291,8 +343,110 @@ mod tests {
             cache.get_or_try_build::<usize, ()>("k", 1, 100 * KIB, || panic!("boom"))
         }));
         assert!(p.is_err());
+        assert!(cache.lock().building.is_empty(), "a panic releases the key");
         assert!(cache.resident().is_empty());
         assert_eq!(cache.stats().resident_bytes, 0);
         assert_eq!(*get(&cache, 1, 100 * KIB), 1);
+    }
+
+    type Outcome = Result<usize, &'static str>;
+    type Got = Result<Arc<usize>, &'static str>;
+
+    /// Starts a build of key 1 on another thread and returns once it is
+    /// running. The build ends with whatever outcome is sent on the
+    /// returned channel.
+    fn hold_build<'s>(
+        s: &'s std::thread::Scope<'s, '_>,
+        cache: &'s InputCache,
+        builds: &'s AtomicUsize,
+    ) -> (
+        std::sync::mpsc::Sender<Outcome>,
+        std::thread::ScopedJoinHandle<'s, Got>,
+    ) {
+        let (started_tx, started) = std::sync::mpsc::channel();
+        let (release, outcome) = std::sync::mpsc::channel();
+        let holder = s.spawn(move || {
+            cache.get_or_try_build("k", 1, 100 * KIB, || {
+                builds.fetch_add(1, Ordering::Relaxed);
+                started_tx.send(()).unwrap();
+                outcome.recv().unwrap()
+            })
+        });
+        started.recv().unwrap();
+        (release, holder)
+    }
+
+    /// Gives a caller just spawned time to reach the cache and wait there.
+    fn let_it_wait() {
+        std::thread::sleep(Duration::from_millis(50));
+    }
+
+    #[test]
+    fn concurrent_cold_misses_build_once_and_share() {
+        let cache = InputCache::with_budget(1 << 20);
+        let builds = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            let (release, holder) = hold_build(s, &cache, &builds);
+            let waiter = s.spawn(|| {
+                cache.get_or_try_build("k", 1, 100 * KIB, || {
+                    builds.fetch_add(1, Ordering::Relaxed);
+                    Ok::<_, &'static str>(1)
+                })
+            });
+            let_it_wait();
+            release.send(Ok(1)).unwrap();
+            let (a, b) = (holder.join().unwrap(), waiter.join().unwrap());
+            assert!(Arc::ptr_eq(&a.unwrap(), &b.unwrap()));
+        });
+        assert_eq!(builds.load(Ordering::Relaxed), 1);
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses), (1, 1));
+    }
+
+    #[test]
+    fn a_failed_build_hands_the_key_to_a_waiter() {
+        let cache = InputCache::with_budget(1 << 20);
+        let builds = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            let (release, holder) = hold_build(s, &cache, &builds);
+            let waiter = s.spawn(|| {
+                cache.get_or_try_build("k", 1, 100 * KIB, || {
+                    builds.fetch_add(1, Ordering::Relaxed);
+                    Ok::<_, &'static str>(7)
+                })
+            });
+            let_it_wait();
+            release.send(Err("cancelled")).unwrap();
+            assert_eq!(holder.join().unwrap().unwrap_err(), "cancelled");
+            assert_eq!(*waiter.join().unwrap().unwrap(), 7);
+        });
+        assert_eq!(builds.load(Ordering::Relaxed), 2);
+        assert_eq!(cache.resident().len(), 1);
+    }
+
+    #[test]
+    fn a_stalled_build_is_waited_for_only_so_long() {
+        let cache = InputCache::with_budget(1 << 20);
+        let builds = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            let (release, holder) = hold_build(s, &cache, &builds);
+            let t = Instant::now();
+            let own = cache
+                .get_or_try_build("k", 1, 100 * KIB, || {
+                    builds.fetch_add(1, Ordering::Relaxed);
+                    Ok::<_, &'static str>(1)
+                })
+                .unwrap();
+            assert!(t.elapsed() >= BUILD_WAIT);
+            // The stalled build finishes last and adopts the resident copy.
+            release.send(Ok(1)).unwrap();
+            assert!(Arc::ptr_eq(&own, &holder.join().unwrap().unwrap()));
+        });
+        assert_eq!(builds.load(Ordering::Relaxed), 2);
+        let s = cache.stats();
+        assert_eq!(
+            (s.hits, s.misses, s.resident_bytes),
+            (0, 2, (100 * KIB) as u64)
+        );
     }
 }
