@@ -6,9 +6,9 @@
 //! runtime uses (Kulkarni–Lumsdaine §4). Here it is not merely the same
 //! shape but the same code: [`ActorRuntime`] is a front end over
 //! `tpm-worksteal`'s pool (per-worker Chase–Lev deques, batch stealing from
-//! rotating NUMA-ordered victims, spin → yield → timed park, self-healing
-//! workers, external submissions through a locked injector), queueing
-//! `Activation`s where `tpm-worksteal` queues erased jobs. Every chaos
+//! rotating NUMA-ordered victims, spin → yield → park until woken,
+//! self-healing workers, external submissions through a locked injector),
+//! queueing `Activation`s where `tpm-worksteal` queues erased jobs. Every chaos
 //! plan and profile recipe that runs against the Cilk analogue therefore
 //! runs against the actor runtime, and the figures compare schedulers, not
 //! harness plumbing.

@@ -5,22 +5,23 @@
 //! master thread forks a team of worker threads and all threads execute the
 //! parallel region concurrently. Upon exiting parallel region, all threads
 //! synchronize and join". The team is persistent — workers are created once
-//! and parked between regions — so the per-region cost is a dispatch
+//! and wait between regions, hot for the team's idle window and then parked
+//! until the next region wakes them — so the per-region cost is a dispatch
 //! handshake, not thread creation (the contrast with `tpm-rawthreads`).
 
 use std::any::Any;
 use std::cell::{Cell, UnsafeCell};
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use tpm_fault::{Action as FaultAction, Site as FaultSite};
 use tpm_sync::topology::NumaTopology;
 use tpm_sync::{
-    Barrier, CancelReason, CancelToken, Condvar, CountLatch, LockedDeque, Mutex, Reducer,
-    SchedulerStats, SpinLock,
+    Barrier, CachePadded, CancelReason, CancelToken, CountLatch, IdleStrategy, LockedDeque, Mutex,
+    Reducer, SchedulerStats, Sleepers, SpinLock,
 };
 
 use crate::tasking::{TaskMode, TaskRef, TaskScope};
@@ -40,8 +41,9 @@ pub struct TeamConfig {
     /// analogue). The master is the caller's thread and is never pinned.
     /// Defaults to the `TPM_PIN` environment variable.
     pub pin: bool,
-    /// Idle policy `(spin rounds, yield rounds)` for the team's in-region
-    /// wait loops (worksharing-counter init, task-scope drains).
+    /// Idle policy `(spin rounds, yield rounds)` for the team's wait loops:
+    /// in-region (worksharing-counter init, task-scope drains) and between
+    /// regions, before a worker parks.
     pub idle: (u32, u32),
 }
 
@@ -83,18 +85,18 @@ pub struct Team {
 
 pub(crate) struct TeamInner {
     num_threads: usize,
-    state: Mutex<Dispatch>,
-    cv: Condvar,
+    /// Bumped once per region (and once at shutdown) after `job` or
+    /// `shutdown` is set. The bump is `Release` and the waiting workers'
+    /// loads are `Acquire`, so a worker that sees a new epoch sees both.
+    epoch: CachePadded<AtomicU64>,
+    job: SpinLock<Option<Job>>,
+    shutdown: AtomicBool,
+    /// Workers parked after their idle window ran out.
+    sleepers: Sleepers,
     in_region: AtomicBool,
     pub(crate) stats: SchedulerStats,
     pub(crate) task_mode: TaskMode,
     idle: (u32, u32),
-}
-
-struct Dispatch {
-    generation: u64,
-    job: Option<Job>,
-    shutdown: bool,
 }
 
 /// An erased parallel-region job: `func(tid)` plus a completion latch.
@@ -265,8 +267,8 @@ impl<'a> Ctx<'a> {
     }
 
     /// The team's configured idle policy, for in-region wait loops.
-    pub(crate) fn idle_strategy(&self) -> tpm_sync::IdleStrategy {
-        tpm_sync::IdleStrategy::new(self.team.idle.0, self.team.idle.1)
+    pub(crate) fn idle_strategy(&self) -> IdleStrategy {
+        IdleStrategy::new(self.team.idle.0, self.team.idle.1)
     }
 
     /// Synchronizes all threads of the region (`#pragma omp barrier`).
@@ -662,7 +664,7 @@ impl TeamBuilder {
         self
     }
 
-    /// Idle policy `(spin, yield)` rounds for in-region wait loops
+    /// Idle policy `(spin, yield)` rounds for the team's wait loops
     /// (defaults to [`tpm_sync::IdleStrategy`]'s runtime defaults).
     pub fn idle(mut self, spin: u32, yld: u32) -> Self {
         self.config.idle = (spin, yld);
@@ -708,12 +710,10 @@ impl Team {
         assert!(num_threads >= 1, "team needs at least one thread");
         let inner = Arc::new(TeamInner {
             num_threads,
-            state: Mutex::new(Dispatch {
-                generation: 0,
-                job: None,
-                shutdown: false,
-            }),
-            cv: Condvar::new(),
+            epoch: CachePadded::new(AtomicU64::new(0)),
+            job: SpinLock::new(None),
+            shutdown: AtomicBool::new(false),
+            sleepers: Sleepers::new(num_threads - 1),
             in_region: AtomicBool::new(false),
             stats: SchedulerStats::new(num_threads),
             task_mode: config.task_mode,
@@ -828,14 +828,12 @@ impl Team {
                     },
                     done: &done,
                 };
-                let mut g = self.inner.state.lock();
-                g.generation += 1;
-                g.job = Some(job);
-                drop(g);
-                self.inner.cv.notify_all();
+                *self.inner.job.lock() = Some(job);
+                self.inner.epoch.fetch_add(1, Ordering::Release);
+                self.inner.sleepers.wake_all();
                 run(0);
                 done.wait();
-                self.inner.state.lock().job = None;
+                *self.inner.job.lock() = None;
             }
         }
         self.inner.in_region.store(false, Ordering::Release);
@@ -898,12 +896,9 @@ impl Team {
 
 impl Drop for Team {
     fn drop(&mut self) {
-        {
-            let mut g = self.inner.state.lock();
-            g.shutdown = true;
-            g.generation += 1;
-        }
-        self.inner.cv.notify_all();
+        self.inner.shutdown.store(true, Ordering::Relaxed);
+        self.inner.epoch.fetch_add(1, Ordering::Release);
+        self.inner.sleepers.wake_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
@@ -919,25 +914,28 @@ impl std::fmt::Debug for Team {
 }
 
 fn worker_loop(inner: &TeamInner, tid: usize) {
+    let idle = IdleStrategy::new(inner.idle.0, inner.idle.1);
     let mut seen = 0u64;
     loop {
-        let job = {
-            let mut g = inner.state.lock();
-            loop {
-                if g.shutdown {
-                    return;
-                }
-                if g.generation > seen {
-                    break;
-                }
-                // Between regions workers sleep on the condvar; each wait
-                // episode is a park for utilization accounting.
+        let epoch = inner.epoch.load(Ordering::Acquire);
+        if epoch == seen {
+            // Between regions a worker stays hot for the idle window, so a
+            // back-to-back region costs no wake-up, then parks until the
+            // master publishes the next epoch.
+            let next = || inner.epoch.load(Ordering::Acquire) != seen;
+            if idle.snooze_until(next) && inner.sleepers.sleep_unless(next) {
                 inner.stats.worker(tid).parks.inc();
-                g = inner.cv.wait(g);
             }
-            seen = g.generation;
-            g.job
-        };
+            continue;
+        }
+        // The master waits for every worker before the next region, so
+        // epochs arrive one at a time and `job` is this epoch's.
+        seen = epoch;
+        idle.reset();
+        if inner.shutdown.load(Ordering::Relaxed) {
+            return;
+        }
+        let job = *inner.job.lock();
         if let Some(job) = job {
             // SAFETY: the master keeps `func` alive until we decrement `done`.
             let func = unsafe { &*job.func };

@@ -254,9 +254,12 @@ pub fn fib_with_cutoff(n: u64, cutoff: u64) -> u64 {
         return seq(n);
     }
     std::thread::scope(|s| {
+        tpm_trace::record(tpm_trace::EventKind::ThreadSpawn, 0, 0);
         let h = s.spawn(move || fib_with_cutoff(n - 1, cutoff));
         let b = fib_with_cutoff(n - 2, cutoff);
-        h.join().expect("fib thread panicked") + b
+        let a = h.join().expect("fib thread panicked");
+        tpm_trace::record(tpm_trace::EventKind::ThreadJoin, 0, 0);
+        a + b
     })
 }
 

@@ -9,14 +9,14 @@
 //! | Primitive | Used by | Models |
 //! |---|---|---|
 //! | [`SpinLock`] | everything | short critical sections |
-//! | [`Mutex`] / [`Condvar`] | worker pools | `omp_lock_t`, `std::mutex`, `pthread_mutex` |
+//! | [`Mutex`] | `omp_lock_t`, `critical` | `omp_lock_t`, `std::mutex`, `pthread_mutex` |
 //! | [`Barrier`] | `tpm-forkjoin` | `#pragma omp barrier`, `pthread_barrier_t` |
 //! | [`SpinLatch`] / [`CountLatch`] | both task runtimes | join counters behind `cilk_sync` / `taskwait` |
 //! | [`chase_lev`] deque | `tpm-worksteal` | Cilk Plus's lock-free work-stealing protocol |
 //! | [`LockedDeque`] | `tpm-forkjoin` tasking | Intel OpenMP's lock-based task deques |
 //! | [`oneshot`] channel | `tpm-rawthreads` | `std::future` |
 //! | [`Reducer`] | all three | Cilk reducers / OpenMP `reduction` clause |
-//! | [`IdleStrategy`] | both pooled runtimes | worker idle loops (spin → yield → park) |
+//! | [`IdleStrategy`] / [`Sleepers`] | every pooled runtime | worker idle loops (spin → yield → park until woken) |
 //! | [`MpscQueue`] | `tpm-actors` | Vyukov MPSC mailboxes (Charm++/ParalleX-style messaging) |
 //! | [`PoolConfig`] | all pooled runtimes | shared builder knobs (threads/pin/numa/idle) |
 //! | [`CancelToken`] | all three | cooperative cancellation + deadlines (job service) |
@@ -34,7 +34,6 @@ mod barrier;
 mod cache_padded;
 mod cancel;
 pub mod chase_lev;
-mod condvar;
 pub mod epoll;
 mod idle;
 pub mod json;
@@ -56,8 +55,7 @@ pub use barrier::{Barrier, BarrierWaitResult};
 pub use cache_padded::CachePadded;
 pub use cancel::{CancelReason, CancelToken};
 pub use chase_lev::{deque as chase_lev_deque, Steal, Stealer, Worker};
-pub use condvar::Condvar;
-pub use idle::IdleStrategy;
+pub use idle::{IdleStrategy, Sleepers};
 pub use latch::{CountLatch, SpinLatch};
 pub use locked_deque::LockedDeque;
 pub use mpsc::MpscQueue;

@@ -163,14 +163,6 @@ impl<T: ?Sized> Mutex<T> {
     }
 }
 
-impl<'a, T: ?Sized> MutexGuard<'a, T> {
-    /// The mutex this guard locks. Used by [`crate::Condvar`] to re-acquire
-    /// after waiting.
-    pub(crate) fn mutex(&self) -> &'a Mutex<T> {
-        self.lock
-    }
-}
-
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
 

@@ -1,6 +1,6 @@
 //! A test-and-test-and-set spin lock (the Chapter-4 lock of *Rust Atomics and
 //! Locks*), used where critical sections are a handful of instructions:
-//! the wait queues of [`crate::Mutex`] and [`crate::Condvar`], and the
+//! the wait queues of [`crate::Mutex`] and [`crate::Sleepers`], and the
 //! lock-based task deque that models the Intel OpenMP runtime's tasking path.
 
 use std::cell::UnsafeCell;

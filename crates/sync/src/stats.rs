@@ -65,9 +65,9 @@ pub struct WorkerStats {
     pub barrier_waits: Counter,
     /// Total nanoseconds this worker spent waiting at barriers.
     pub barrier_wait_ns: Counter,
-    /// Times this worker gave up spinning/yielding and parked (condvar wait
-    /// or timed park). A high park rate with steady throughput means the
-    /// pool is over-provisioned; a high rate with poor throughput means
+    /// Times this worker gave up spinning/yielding and parked until woken
+    /// ([`crate::Sleepers`]). A high park rate with steady throughput means
+    /// the pool is over-provisioned; a high rate with poor throughput means
     /// work arrives in bursts the idle policy keeps missing.
     pub parks: Counter,
     /// Nanoseconds this worker spent executing work (top-level tasks or

@@ -9,8 +9,9 @@
 //!   submissions;
 //! * batch stealing over a per-worker `VictimPlan` (same-NUMA-node victims
 //!   first), scanned round-robin from an offset that rotates every episode;
-//! * idle escalation spin → yield → timed park, with the
-//!   `asleep`/`sleepers` flags a pusher uses to unpark one sleeper;
+//! * idle escalation spin → yield → park until woken: a worker parks
+//!   through [`Sleepers`], and every push, injection and multi-item steal
+//!   wakes one sleeper, so no idle worker polls;
 //! * self-healing workers: an escaped panic kills the thread, and a
 //!   replacement takes over the same index and the same deque;
 //! * a draining shutdown that also joins every replacement.
@@ -29,14 +30,13 @@ use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
-use std::thread::{JoinHandle, Thread};
-use std::time::Duration;
+use std::thread::JoinHandle;
 
 use tpm_fault::{Action as FaultAction, Site as FaultSite};
 use tpm_sync::chase_lev::{self, Stealer, Worker};
 use tpm_sync::topology::NumaTopology;
 use tpm_sync::{
-    CachePadded, IdleStrategy, LockedDeque, PoolConfig, SchedulerStats, SpinLock, WorkerStats,
+    IdleStrategy, LockedDeque, PoolConfig, SchedulerStats, Sleepers, SpinLock, WorkerStats,
 };
 
 /// Initial deque capacity per worker.
@@ -44,10 +44,6 @@ const DEQUE_CAPACITY: usize = 256;
 /// Most items one steal episode may transfer (the half-of-victim rule caps
 /// it further); bounds how much work a single thief can hoard.
 const STEAL_BATCH_LIMIT: usize = 32;
-/// Timed-park duration while idle (bounds wakeup latency without requiring a
-/// loss-free wakeup protocol). The escalation *to* parking is the shared
-/// [`IdleStrategy`] policy.
-const PARK_INTERVAL: Duration = Duration::from_micros(200);
 
 /// An item a [`Pool`] schedules.
 pub trait Task: Send + Sized + 'static {
@@ -74,12 +70,8 @@ pub struct Shared<T: Task> {
     /// Idle policy (spin rounds, yield rounds) for worker and waiter loops.
     idle: (u32, u32),
     shutdown: AtomicBool,
-    /// Number of workers currently in timed park (hint for pushers).
-    sleepers: AtomicUsize,
-    asleep: Vec<CachePadded<AtomicBool>>,
-    /// Worker thread handles for targeted unparking (filled at construction,
-    /// slots overwritten when a replacement worker takes an index over).
-    threads: SpinLock<Vec<Thread>>,
+    /// Workers parked after their idle window ran out.
+    sleepers: Sleepers,
     stats: SchedulerStats,
     /// Per-worker victim scan order (see [`build_victim_plans`]).
     victim_plans: Vec<VictimPlan>,
@@ -118,11 +110,7 @@ impl<T: Task> Pool<T> {
             injector: LockedDeque::new(),
             idle: cfg.idle,
             shutdown: AtomicBool::new(false),
-            sleepers: AtomicUsize::new(0),
-            asleep: (0..num_workers)
-                .map(|_| CachePadded::new(AtomicBool::new(false)))
-                .collect(),
-            threads: SpinLock::new(Vec::new()),
+            sleepers: Sleepers::new(num_workers),
             stats: SchedulerStats::new(num_workers),
             victim_plans: build_victim_plans(&topo, num_workers, numa),
             numa,
@@ -140,7 +128,6 @@ impl<T: Task> Pool<T> {
                 spawn_worker(&shared, index, deque, false).expect("failed to spawn worker")
             })
             .collect();
-        *shared.threads.lock() = handles.iter().map(|h| h.thread().clone()).collect();
         Self { shared, handles }
     }
 }
@@ -156,9 +143,7 @@ impl<T: Task> std::ops::Deref for Pool<T> {
 impl<T: Task> Drop for Pool<T> {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        for t in self.shared.threads.lock().iter() {
-            t.unpark();
-        }
+        self.shared.sleepers.wake_all();
         for h in self.handles.drain(..) {
             // A worker that died and was replaced exited cleanly (its panic
             // was caught in `worker_entry`), so this cannot hang on a dead
@@ -171,13 +156,8 @@ impl<T: Task> Drop for Pool<T> {
         // while holding the lock).
         loop {
             let handle = self.shared.replacements.lock().pop();
-            match handle {
-                Some(h) => {
-                    h.thread().unpark();
-                    let _ = h.join();
-                }
-                None => break,
-            }
+            let Some(h) = handle else { break };
+            let _ = h.join();
         }
     }
 }
@@ -225,30 +205,15 @@ impl<T: Task> Shared<T> {
     /// any (no spawn event: see the module docs' event rule).
     pub fn inject(&self, item: T) {
         self.injector.push_bottom(item);
-        self.wake_one();
+        self.sleepers.wake_one();
     }
 
-    /// Wakes one timed-parked worker (cheap no-op when none sleep).
-    fn wake_one(&self) {
-        if self.sleepers.load(Ordering::Relaxed) == 0 {
-            return;
-        }
-        for (i, flag) in self.asleep.iter().enumerate() {
-            if flag.swap(false, Ordering::AcqRel) {
-                self.sleepers.fetch_sub(1, Ordering::Relaxed);
-                if let Some(t) = self.threads.lock().get(i) {
-                    t.unpark();
-                }
-                return;
-            }
-        }
-    }
-
-    /// Clears worker `index`'s sleep flag if it is set.
-    fn clear_asleep(&self, index: usize) {
-        if self.asleep[index].swap(false, Ordering::AcqRel) {
-            self.sleepers.fetch_sub(1, Ordering::Relaxed);
-        }
+    /// What a parking worker re-checks after announcing itself: anything
+    /// queued anywhere, or shutdown.
+    fn has_work(&self) -> bool {
+        self.shutdown.load(Ordering::Acquire)
+            || self.stealers.iter().any(|s| !s.is_empty())
+            || !self.injector.is_empty()
     }
 }
 
@@ -324,7 +289,7 @@ impl<'w, T: Task> Ctx<'w, T> {
         self.deque.push(item);
         self.stats().spawned.inc();
         tpm_trace::record(tpm_trace::EventKind::TaskSpawn, 0, 0);
-        self.shared.wake_one();
+        self.shared.sleepers.wake_one();
     }
 
     /// Pops this worker's newest item, if any.
@@ -387,6 +352,11 @@ impl<'w, T: Task> Ctx<'w, T> {
                 if got > 0 {
                     self.stats().steals.inc();
                     tpm_trace::record(tpm_trace::EventKind::Steal, v as u64, got as u64);
+                    // The rest of the batch is stealable from our deque:
+                    // hand it to a sleeper rather than serving it alone.
+                    if got > 1 {
+                        self.shared.sleepers.wake_one();
+                    }
                     // The batch went through our own deque, so the item cannot
                     // be `None` unless another thief raced it away — then the
                     // episode still counts as a hit and the caller retries.
@@ -444,9 +414,8 @@ fn worker_entry<T: Task>(shared: Arc<Shared<T>>, index: usize, deque: Worker<T>)
     if result.is_ok() || shared.shutdown.load(Ordering::Acquire) {
         return;
     }
-    // Died mid-panic: clear our sleep flag if set (wake_one must not burn a
-    // wakeup on a corpse), account the death, and respawn.
-    shared.clear_asleep(index);
+    // Died mid-panic (never while parked: `sleep_unless` deregisters before
+    // returning): account the death, and respawn.
     shared.live.fetch_sub(1, Ordering::AcqRel);
     shared.deaths.fetch_add(1, Ordering::AcqRel);
     tpm_trace::record(tpm_trace::EventKind::WorkerDeath, index as u64, 0);
@@ -456,13 +425,9 @@ fn worker_entry<T: Task>(shared: Arc<Shared<T>>, index: usize, deque: Worker<T>)
         0,
     );
     // A failed spawn leaves the pool degraded but alive: the remaining
-    // workers still drain every queue, this deque included.
+    // workers still drain every queue, this deque included (a parking
+    // worker re-checks every deque first).
     if let Ok(h) = spawn_worker(&shared, index, deque, true) {
-        // Point wake_one's slot at the replacement before counting it
-        // live, so a waker never unparks the dead thread.
-        if let Some(slot) = shared.threads.lock().get_mut(index) {
-            *slot = h.thread().clone();
-        }
         shared.live.fetch_add(1, Ordering::AcqRel);
         shared.replacements.lock().push(h);
     }
@@ -499,14 +464,8 @@ fn worker_loop<T: Task>(shared: &Shared<T>, index: usize, deque: &Worker<T>) {
             idle.reset();
             continue;
         }
-        if idle.snooze() {
-            // Timed park: flag ourselves asleep so pushers can unpark us;
-            // the timeout bounds the cost of any lost wakeup.
+        if idle.snooze() && shared.sleepers.sleep_unless(|| shared.has_work()) {
             ctx.stats().parks.inc();
-            shared.asleep[index].store(true, Ordering::Release);
-            shared.sleepers.fetch_add(1, Ordering::Relaxed);
-            std::thread::park_timeout(PARK_INTERVAL);
-            shared.clear_asleep(index);
         }
     }
 }

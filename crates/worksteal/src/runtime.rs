@@ -5,8 +5,8 @@
 //! pushes and pops tasks from one end of the queue and a thief worker steals
 //! tasks from the other end". Here the deque is the lock-free Chase–Lev
 //! implementation from `tpm-sync` (contrast with `tpm-forkjoin`'s lock-based
-//! task deques), and idle workers back off to timed parking so an idle
-//! runtime consumes no CPU.
+//! task deques), and idle workers back off to parking until woken so an
+//! idle runtime consumes no CPU.
 //!
 //! The scheduler is [`crate::pool`], shared with `tpm-actors`; this module is
 //! its front end for erased `join`/`scope` jobs. Two hot-path choices of the
@@ -106,7 +106,7 @@ impl RuntimeBuilder {
     }
 
     /// Idle escalation policy for worker loops: `spin_rounds` of spinning,
-    /// then `yield_rounds` of yielding, then timed parking (see
+    /// then `yield_rounds` of yielding, then parking until woken (see
     /// [`tpm_sync::IdleStrategy::new`]). Defaults to the shared
     /// [`tpm_sync::IdleStrategy::runtime_default`] budget.
     pub fn idle(mut self, spin_rounds: u32, yield_rounds: u32) -> Self {
