@@ -106,8 +106,8 @@ where
                 return;
             }
             if range.len() <= env.base {
-                ctx.core.stats().chunks.inc();
-                tpm_trace::record(tpm_trace::EventKind::ChunkDispatch, range.len() as u64, 0);
+                ctx.core
+                    .emit(tpm_trace::EventKind::ChunkDispatch, range.len() as u64, 0);
                 (env.body)(ctx.index(), range.clone());
             } else {
                 let mid = range.start + range.len() / 2;

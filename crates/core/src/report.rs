@@ -1,6 +1,8 @@
 //! Figure/series reporting: the harness prints the same rows the paper's
 //! figures plot (execution time vs. thread count per variant).
 
+use tpm_sync::StatsSnapshot;
+
 /// One curve of a figure: `(threads, seconds)` points for one variant.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Series {
@@ -145,22 +147,8 @@ pub struct ProfileRow {
     pub model: String,
     /// Wall time of the profiled run, in seconds.
     pub seconds: f64,
-    /// Tasks spawned.
-    pub spawned: u64,
-    /// Tasks executed.
-    pub executed: u64,
-    /// Successful steals.
-    pub steals: u64,
-    /// Failed steal attempts.
-    pub failed_steals: u64,
-    /// Loop chunks dispatched.
-    pub chunks: u64,
-    /// Shared-counter claim transactions for dynamic/guided loops.
-    pub loop_claims: u64,
-    /// Barrier wait episodes.
-    pub barrier_waits: u64,
-    /// Total nanoseconds spent waiting at barriers.
-    pub barrier_wait_ns: u64,
+    /// Scheduler-event counts over the run, across every runtime.
+    pub stats: StatsSnapshot,
     /// Trace events captured (0 when tracing was off).
     pub trace_events: u64,
     /// Distinct workers that recorded trace events.
@@ -213,19 +201,20 @@ impl ProfileTable {
             "workers"
         );
         for r in &self.rows {
+            let s = &r.stats;
             let _ = writeln!(
                 out,
                 "{:>12} {:>10.6} {:>8} {:>8} {:>8} {:>8} {:>8} {:>7} {:>9} {:>11.3} {:>8} {:>7}",
                 r.model,
                 r.seconds,
-                r.spawned,
-                r.executed,
-                r.steals,
-                r.failed_steals,
-                r.chunks,
-                r.loop_claims,
-                r.barrier_waits,
-                r.barrier_wait_ns as f64 / 1e6,
+                s.spawned,
+                s.executed,
+                s.steals,
+                s.failed_steals,
+                s.chunks,
+                s.loop_claims,
+                s.barrier_waits,
+                s.barrier_wait_ns as f64 / 1e6,
                 r.trace_events,
                 r.trace_workers,
             );
@@ -281,12 +270,14 @@ mod tests {
         t.push(ProfileRow {
             model: "omp_for".into(),
             seconds: 0.001,
-            chunks: 12,
-            barrier_waits: 4,
-            barrier_wait_ns: 2_000_000,
+            stats: StatsSnapshot {
+                chunks: 12,
+                barrier_waits: 4,
+                barrier_wait_ns: 2_000_000,
+                ..Default::default()
+            },
             trace_events: 40,
             trace_workers: 4,
-            ..Default::default()
         });
         let s = t.to_table();
         assert!(s.contains("profile: sum"));

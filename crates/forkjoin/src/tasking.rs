@@ -97,7 +97,6 @@ impl<'c, 'a> TaskScope<'c, 'a> {
         // no task outlives the scope that borrowed its environment.
         let boxed: Box<dyn for<'b> FnOnce(&Ctx<'b>) + Send + 'static> =
             unsafe { std::mem::transmute(boxed) };
-        self.ctx.stats().spawned.inc();
         self.ctx.push_task(TaskRef { func: boxed });
     }
 

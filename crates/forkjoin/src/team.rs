@@ -19,6 +19,7 @@ use std::thread::JoinHandle;
 
 use tpm_fault::{Action as FaultAction, Site as FaultSite};
 use tpm_sync::topology::NumaTopology;
+use tpm_sync::EventKind;
 use tpm_sync::{
     Barrier, CachePadded, CancelReason, CancelToken, CountLatch, IdleStrategy, LockedDeque, Mutex,
     Reducer, SchedulerStats, Sleepers, SpinLock,
@@ -181,10 +182,10 @@ impl Region {
     /// from the barrier so the survivors' phases complete at reduced width
     /// instead of deadlocking, and record the death in the trace.
     fn desert(&self, tid: usize) {
-        tpm_trace::record(tpm_trace::EventKind::WorkerDeath, tid as u64, 0);
+        tpm_trace::record(EventKind::WorkerDeath, tid as u64, 0);
         self.barrier.leave();
         tpm_trace::record(
-            tpm_trace::EventKind::DegradedWidth,
+            EventKind::DegradedWidth,
             self.barrier.num_threads() as u64,
             0,
         );
@@ -261,9 +262,10 @@ impl<'a> Ctx<'a> {
         self.region.active
     }
 
-    /// Team-wide event counters for this thread.
-    pub(crate) fn stats(&self) -> &tpm_sync::WorkerStats {
-        self.team.stats.worker(self.tid)
+    /// Reports one scheduler event on this thread's counters and trace.
+    #[inline]
+    fn emit(&self, kind: EventKind, a: u64) {
+        tpm_trace::emit(self.team.stats.worker(self.tid), kind, a, 0);
     }
 
     /// The team's configured idle policy, for in-region wait loops.
@@ -273,9 +275,10 @@ impl<'a> Ctx<'a> {
 
     /// Synchronizes all threads of the region (`#pragma omp barrier`).
     ///
-    /// Waiting is timed: each episode bumps this worker's `barrier_waits`
-    /// and `barrier_wait_ns` counters, and (when tracing is live) records a
-    /// [`tpm_trace::EventKind::BarrierArrive`]/`BarrierRelease` pair.
+    /// Waiting is timed: each episode emits a
+    /// [`tpm_trace::EventKind::BarrierRelease`] carrying the wait, which
+    /// bumps this worker's `barrier_waits` and `barrier_wait_ns` counters;
+    /// a traced `BarrierArrive` marks the start.
     pub fn barrier(&self) {
         // Injected barrier-entry faults exercise the desertion path: the
         // panic unwinds out of the region body, and `Region::desert` repairs
@@ -285,14 +288,11 @@ impl<'a> Ctx<'a> {
             FaultAction::TaskDrop => tpm_fault::injected_drop(FaultSite::BarrierEntry),
             _ => {}
         }
-        tpm_trace::record(tpm_trace::EventKind::BarrierArrive, 0, 0);
+        tpm_trace::record(EventKind::BarrierArrive, 0, 0);
         let start = std::time::Instant::now();
         self.region.barrier.wait();
         let wait_ns = start.elapsed().as_nanos() as u64;
-        let stats = self.stats();
-        stats.barrier_waits.inc();
-        stats.barrier_wait_ns.add(wait_ns);
-        tpm_trace::record(tpm_trace::EventKind::BarrierRelease, wait_ns, 0);
+        self.emit(EventKind::BarrierRelease, wait_ns);
     }
 
     /// Runs `body` once per chunk of `range` assigned to this thread under
@@ -334,8 +334,7 @@ impl<'a> Ctx<'a> {
                 }
                 _ => {}
             }
-            self.stats().chunks.inc();
-            tpm_trace::record(tpm_trace::EventKind::ChunkDispatch, c.len() as u64, 0);
+            self.emit(EventKind::ChunkDispatch, c.len() as u64);
             if let Err(p) = catch_unwind(AssertUnwindSafe(|| body(c))) {
                 self.region.store_panic(p);
                 return false;
@@ -361,7 +360,7 @@ impl<'a> Ctx<'a> {
                 // not once per chunk (and the exhausted probe is a plain
                 // load, not an RMW).
                 'claims: loop {
-                    self.stats().loop_claims.inc();
+                    self.emit(EventKind::LoopClaim, 0);
                     match counter.next_dynamic_batch(chunk, n, DYNAMIC_BATCH_CHUNKS) {
                         Some(batch) => {
                             let mut start = batch.start;
@@ -380,7 +379,7 @@ impl<'a> Ctx<'a> {
             Schedule::Guided { min_chunk } => {
                 let counter = self.ws_counter_for(range);
                 loop {
-                    self.stats().loop_claims.inc();
+                    self.emit(EventKind::LoopClaim, 0);
                     match counter.next_guided(n, min_chunk) {
                         Some(c) => {
                             if !guarded(c) {
@@ -516,7 +515,7 @@ impl<'a> Ctx<'a> {
     /// (`#pragma omp critical`).
     pub fn critical<R>(&self, body: impl FnOnce() -> R) -> R {
         let _g = self.region.critical.lock();
-        tpm_trace::record(tpm_trace::EventKind::LockAcquire, 0, 0);
+        tpm_trace::record(EventKind::LockAcquire, 0, 0);
         body()
     }
 
@@ -529,7 +528,7 @@ impl<'a> Ctx<'a> {
 
     /// Queues a task on this thread's deque.
     pub(crate) fn push_task(&self, task: TaskRef) {
-        tpm_trace::record(tpm_trace::EventKind::TaskSpawn, 0, 0);
+        self.emit(EventKind::TaskSpawn, 0);
         self.region.deques[self.tid].push_bottom(task);
     }
 
@@ -590,24 +589,20 @@ impl<'a> Ctx<'a> {
                 // Task-steal probes may not unwind (the caller can be a
                 // latch-wait loop); panics are downgraded to misses.
                 if tpm_fault::probe_no_panic(FaultSite::StealAttempt) != FaultAction::None {
-                    self.stats().failed_steals.inc();
-                    tpm_trace::record(tpm_trace::EventKind::FailedSteal, v as u64, 0);
+                    self.emit(EventKind::FailedSteal, v as u64);
                     continue;
                 }
                 if let Some(t) = self.region.deques[v].steal_top() {
-                    self.stats().steals.inc();
-                    tpm_trace::record(tpm_trace::EventKind::Steal, v as u64, 0);
+                    self.emit(EventKind::Steal, v as u64);
                     return Some(t);
                 }
-                self.stats().failed_steals.inc();
-                tpm_trace::record(tpm_trace::EventKind::FailedSteal, v as u64, 0);
+                self.emit(EventKind::FailedSteal, v as u64);
             }
             None
         });
         match task {
             Some(t) => {
-                self.stats().executed.inc();
-                tpm_trace::record(tpm_trace::EventKind::TaskExec, 0, 0);
+                self.emit(EventKind::TaskExec, 0);
                 t.execute(self);
                 true
             }
@@ -806,8 +801,7 @@ impl Team {
                 self.inner
                     .stats
                     .worker(tid)
-                    .busy_ns
-                    .add(started.elapsed().as_nanos() as u64);
+                    .add_busy_ns(started.elapsed().as_nanos() as u64);
             }
         };
         if self.inner.num_threads == 1 {
@@ -924,7 +918,7 @@ fn worker_loop(inner: &TeamInner, tid: usize) {
             // master publishes the next epoch.
             let next = || inner.epoch.load(Ordering::Acquire) != seen;
             if idle.snooze_until(next) && inner.sleepers.sleep_unless(next) {
-                inner.stats.worker(tid).parks.inc();
+                tpm_trace::emit(inner.stats.worker(tid), EventKind::Park, 0, 0);
             }
             continue;
         }

@@ -141,6 +141,7 @@ pub fn run(
         // not first-touch effects.
         body(&exec);
         exec.reset_stats();
+        let raw_before = tpm_rawthreads::stats().snapshot();
 
         let session = TraceSession::start();
         let t0 = std::time::Instant::now();
@@ -148,23 +149,17 @@ pub fn run(
         let seconds = t0.elapsed().as_secs_f64();
         let trace = session.stop();
 
-        // Sum over every pooled runtime; only the one the model ran on moved.
-        let s = exec
-            .pooled_stats()
-            .into_iter()
-            .fold(tpm_sync::StatsSnapshot::default(), |acc, (_, s)| acc + s);
+        // Sum over every runtime (the pools plus the rawthreads model's
+        // global counters); only the one the model ran on moved.
+        let stats = exec.pooled_stats().into_iter().fold(
+            tpm_rawthreads::stats().snapshot() - raw_before,
+            |acc, (_, s)| acc + s,
+        );
         let summary = trace.summary();
         table.push(ProfileRow {
             model: label.clone(),
             seconds,
-            spawned: s.spawned,
-            executed: s.executed,
-            steals: s.steals,
-            failed_steals: s.failed_steals,
-            chunks: s.chunks,
-            loop_claims: s.loop_claims,
-            barrier_waits: s.barrier_waits,
-            barrier_wait_ns: s.barrier_wait_ns,
+            stats,
             trace_events: summary.workers.iter().map(|w| w.counts.total()).sum(),
             trace_workers: summary.workers.len(),
         });
@@ -214,12 +209,15 @@ mod tests {
             ["omp_task", "cilk_spawn", "cxx_async", "actor_task"]
         );
         let omp = &table.rows[0];
-        assert!(omp.spawned > 0, "omp_task must spawn tasks: {omp:?}");
+        assert!(omp.stats.spawned > 0, "omp_task must spawn tasks: {omp:?}");
         let cilk = &table.rows[1];
-        assert!(cilk.executed > 0, "cilk_spawn must execute jobs: {cilk:?}");
+        assert!(
+            cilk.stats.executed > 0,
+            "cilk_spawn must execute jobs: {cilk:?}"
+        );
         let actor = &table.rows[3];
         assert!(
-            actor.spawned > 0,
+            actor.stats.spawned > 0,
             "actors must spawn activations: {actor:?}"
         );
         // Tracing was live during each run.

@@ -13,6 +13,7 @@ use std::io::{BufRead, BufReader, IsTerminal, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use tpm_core::Family;
 use tpm_metrics::text::Scrape;
 use tpm_serve::Response;
 
@@ -199,7 +200,7 @@ pub fn render(cur: &Scrape, prev: &Scrape, dt_s: f64) -> String {
     }
 
     // ── runtime scheduler events ──────────────────────────────────────
-    for rt in ["forkjoin", "worksteal", "rawthreads"] {
+    for rt in Family::ALL.map(Family::runtime_label) {
         let ev = |event: &str| {
             d.get(
                 "tpm_runtime_events_total",
@@ -207,12 +208,13 @@ pub fn render(cur: &Scrape, prev: &Scrape, dt_s: f64) -> String {
             )
             .unwrap_or(0.0)
         };
-        let tasks = ev("executed") + ev("thread_spawns");
+        let tasks = ev("executed");
+        let threads = ev("thread_spawns");
         let steals = ev("steals");
         let misses = ev("failed_steals");
         let chunks = ev("chunks");
         let parks = ev("parks");
-        if tasks + steals + misses + chunks + parks == 0.0 {
+        if tasks + threads + steals + misses + chunks + parks == 0.0 {
             continue;
         }
         let attempts = steals + misses;
@@ -222,8 +224,9 @@ pub fn render(cur: &Scrape, prev: &Scrape, dt_s: f64) -> String {
             0.0
         };
         out.push_str(&format!(
-            "{rt:<10} tasks/s {:8.0}  chunks/s {:8.0}  steals/s {:7.0} ({hit:3.0}% hit)  parks/s {:6.0}\n",
+            "{rt:<10} tasks/s {:8.0}  threads/s {:6.0}  chunks/s {:8.0}  steals/s {:7.0} ({hit:3.0}% hit)  parks/s {:6.0}\n",
             tasks / dt,
+            threads / dt,
             chunks / dt,
             steals / dt,
             parks / dt,
@@ -403,6 +406,23 @@ mod tests {
             !frame.contains("forkjoin"),
             "idle runtimes are elided: {frame}"
         );
+    }
+
+    #[test]
+    fn render_shows_actor_runtime_events() {
+        let prev = scrape_of("tpm_runtime_events_total{runtime=\"actors\",event=\"steals\"} 0\n");
+        let cur = scrape_of(
+            "tpm_runtime_events_total{runtime=\"actors\",event=\"steals\"} 8\n\
+             tpm_runtime_events_total{runtime=\"actors\",event=\"failed_steals\"} 8\n\
+             tpm_runtime_events_total{runtime=\"actors\",event=\"parks\"} 6\n",
+        );
+        let frame = render(&cur, &prev, 2.0);
+        let row = frame
+            .lines()
+            .find(|l| l.starts_with("actors"))
+            .unwrap_or_else(|| panic!("no actors row: {frame}"));
+        assert!(row.contains("steals/s       4 ( 50% hit)"), "{row}");
+        assert!(row.contains("parks/s      3"), "{row}");
     }
 
     #[test]

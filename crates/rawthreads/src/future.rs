@@ -9,7 +9,9 @@
 use std::panic::resume_unwind;
 use std::thread::JoinHandle;
 
-use tpm_sync::oneshot;
+use tpm_sync::{oneshot, EventKind};
+
+use crate::stats::emit;
 
 /// Launch policy for [`async_task`] (C++ `std::launch`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,22 +45,19 @@ impl<T: Send + 'static> Future<T> {
     /// Re-raises the task's panic on the calling thread.
     pub fn get(mut self) -> T {
         match std::mem::replace(&mut self.inner, Inner::Taken) {
-            Inner::Async { rx, handle } => match rx.recv() {
-                Ok(v) => {
-                    let _ = handle.join();
-                    tpm_trace::record(tpm_trace::EventKind::ThreadJoin, 0, 0);
-                    v
-                }
-                Err(_) => {
+            Inner::Async { rx, handle } => {
+                let value = rx.recv();
+                let joined = handle.join();
+                emit(EventKind::ThreadJoin, 0);
+                match (value, joined) {
+                    (Ok(v), _) => v,
                     // Task panicked before sending; re-raise its payload.
-                    match handle.join() {
-                        Err(p) => resume_unwind(p),
-                        Ok(()) => unreachable!("sender dropped without panic"),
-                    }
+                    (Err(_), Err(p)) => resume_unwind(p),
+                    (Err(_), Ok(())) => unreachable!("sender dropped without panic"),
                 }
-            },
+            }
             Inner::Deferred(f) => {
-                tpm_trace::record(tpm_trace::EventKind::TaskExec, 0, 0);
+                emit(EventKind::TaskExec, 0);
                 f()
             }
             Inner::Taken => unreachable!("future consumed twice"),
@@ -104,6 +103,7 @@ impl<T> Drop for Future<T> {
         if let Inner::Async { handle, .. } = std::mem::replace(&mut self.inner, Inner::Taken) {
             // std::future semantics: the destructor of an async future blocks.
             let _ = handle.join();
+            emit(EventKind::ThreadJoin, 0);
         }
     }
 }
@@ -132,16 +132,15 @@ where
     T: Send + 'static,
     F: FnOnce() -> T + Send + 'static,
 {
-    tpm_trace::record(tpm_trace::EventKind::TaskSpawn, 0, 0);
+    emit(EventKind::TaskSpawn, 0);
     match policy {
         Launch::Async => {
             let (tx, rx) = oneshot::channel();
-            tpm_trace::record(tpm_trace::EventKind::ThreadSpawn, 0, 0);
-            crate::stats().threads_spawned.inc();
+            emit(EventKind::ThreadSpawn, 0);
             let handle = std::thread::Builder::new()
                 .name("tpm-async".into())
                 .spawn(move || {
-                    tpm_trace::record(tpm_trace::EventKind::TaskExec, 0, 0);
+                    emit(EventKind::TaskExec, 0);
                     tx.send(f())
                 })
                 .expect("failed to spawn async task thread");

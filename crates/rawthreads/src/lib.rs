@@ -31,5 +31,5 @@ pub use recursive::{
     base_cutoff, fib_thread_per_call, fib_with_cutoff, recursive_for, recursive_for_cancel,
     recursive_reduce, recursive_reduce_cancel, ThreadBudget, ThreadExplosion,
 };
-pub use stats::{stats, RawStats};
+pub use stats::stats;
 pub use threads::{block_chunk, threads_for, threads_for_cancel, threads_for_reduce};

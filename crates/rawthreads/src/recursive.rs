@@ -9,9 +9,26 @@
 //!   thread explosion into a deterministic error instead of an OS lockup.
 
 use std::ops::Range;
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use tpm_sync::{CancelReason, CancelToken};
+use tpm_sync::{CancelReason, CancelToken, EventKind};
+
+use crate::stats::emit;
+
+/// The split every recursive version makes: runs `left` on a new OS thread
+/// and `right` on this one, joins the thread, and returns both results. A
+/// panic on the new thread is re-raised here with its original payload.
+fn split<A: Send, B>(left: impl FnOnce() -> A + Send, right: impl FnOnce() -> B) -> (A, B) {
+    std::thread::scope(|s| {
+        emit(EventKind::ThreadSpawn, 0);
+        let h = s.spawn(left);
+        let b = right();
+        let a = h.join();
+        emit(EventKind::ThreadJoin, 0);
+        (a.unwrap_or_else(|p| resume_unwind(p)), b)
+    })
+}
 
 /// Computes the paper's recursion cutoff: `BASE = ⌈N / num_threads⌉`, at
 /// least 1 (ceiling, so chunk count equals thread count).
@@ -26,18 +43,8 @@ pub fn recursive_for<F>(range: Range<usize>, base: usize, body: &F)
 where
     F: Fn(Range<usize>) + Sync,
 {
-    let base = base.max(1);
-    if range.len() <= base {
-        body(range);
-        return;
-    }
-    let mid = range.start + range.len() / 2;
-    let (left, right) = (range.start..mid, mid..range.end);
-    std::thread::scope(|s| {
-        let h = s.spawn(move || recursive_for(left, base, body));
-        recursive_for(right, base, body);
-        h.join().expect("recursive_for worker panicked");
-    });
+    // A token nobody holds never fires: every poll passes.
+    recursive_for_cancel_inner(range, base.max(1), &CancelToken::new(), body);
 }
 
 /// [`recursive_for`] with cooperative cancellation: the token is polled
@@ -89,13 +96,10 @@ where
     }
     let mid = range.start + range.len() / 2;
     let (left, right) = (range.start..mid, mid..range.end);
-    std::thread::scope(|s| {
-        let h = s.spawn(move || recursive_for_cancel_inner(left, base, token, body));
-        recursive_for_cancel_inner(right, base, token, body);
-        if let Err(e) = h.join() {
-            std::panic::resume_unwind(e);
-        }
-    });
+    split(
+        || recursive_for_cancel_inner(left, base, token, body),
+        || recursive_for_cancel_inner(right, base, token, body),
+    );
 }
 
 /// Recursive reduction with the same thread-per-split structure.
@@ -105,18 +109,9 @@ where
     F: Fn(Range<usize>) -> T + Sync,
     Op: Fn(T, T) -> T + Sync,
 {
-    let base = base.max(1);
-    if range.len() <= base {
-        return body(range);
-    }
-    let mid = range.start + range.len() / 2;
-    let (left, right) = (range.start..mid, mid..range.end);
-    std::thread::scope(|s| {
-        let h = s.spawn(move || recursive_reduce(left, base, body, combine));
-        let r = recursive_reduce(right, base, body, combine);
-        let l = h.join().expect("recursive_reduce worker panicked");
-        combine(l, r)
-    })
+    // A token nobody holds never fires, so no subtree needs an identity.
+    let never = || unreachable!("an unheld token never fires");
+    recursive_reduce_cancel(range, base, &CancelToken::new(), &never, body, combine)
 }
 
 /// [`recursive_reduce`] with cooperative cancellation: subtrees that observe
@@ -147,13 +142,11 @@ where
     }
     let mid = range.start + range.len() / 2;
     let (left, right) = (range.start..mid, mid..range.end);
-    std::thread::scope(|s| {
-        let h =
-            s.spawn(move || recursive_reduce_cancel(left, base, token, identity, body, combine));
-        let r = recursive_reduce_cancel(right, base, token, identity, body, combine);
-        let l = h.join().expect("recursive_reduce worker panicked");
-        combine(l, r)
-    })
+    let (l, r) = split(
+        || recursive_reduce_cancel(left, base, token, identity, body, combine),
+        || recursive_reduce_cancel(right, base, token, identity, body, combine),
+    );
+    combine(l, r)
 }
 
 /// A live-thread budget used to reproduce the paper's C++ Fibonacci failure
@@ -226,17 +219,12 @@ pub fn fib_thread_per_call(n: u64, budget: &ThreadBudget) -> Result<u64, ThreadE
         return Ok(n);
     }
     budget.acquire()?;
-    let result = std::thread::scope(|s| {
-        let h = s.spawn(move || fib_thread_per_call(n - 1, budget));
-        let b = fib_thread_per_call(n - 2, budget);
-        let a = h.join().expect("fib thread panicked");
-        match (a, b) {
-            (Ok(a), Ok(b)) => Ok(a + b),
-            (Err(e), _) | (_, Err(e)) => Err(e),
-        }
-    });
+    let (a, b) = split(
+        || fib_thread_per_call(n - 1, budget),
+        || fib_thread_per_call(n - 2, budget),
+    );
     budget.release();
-    result
+    Ok(a? + b?)
 }
 
 /// Fibonacci with a sequential cutoff: threads are only created above
@@ -253,14 +241,11 @@ pub fn fib_with_cutoff(n: u64, cutoff: u64) -> u64 {
     if n < 2 || n <= cutoff {
         return seq(n);
     }
-    std::thread::scope(|s| {
-        tpm_trace::record(tpm_trace::EventKind::ThreadSpawn, 0, 0);
-        let h = s.spawn(move || fib_with_cutoff(n - 1, cutoff));
-        let b = fib_with_cutoff(n - 2, cutoff);
-        let a = h.join().expect("fib thread panicked");
-        tpm_trace::record(tpm_trace::EventKind::ThreadJoin, 0, 0);
-        a + b
-    })
+    let (a, b) = split(
+        || fib_with_cutoff(n - 1, cutoff),
+        || fib_with_cutoff(n - 2, cutoff),
+    );
+    a + b
 }
 
 #[cfg(test)]

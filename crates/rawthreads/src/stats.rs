@@ -1,34 +1,30 @@
 //! Global event counters for the no-runtime model.
 //!
-//! The other two models own a pool, so their counters live on the scheduler
+//! The other models own a pool, so their counters live on the scheduler
 //! instance. This model has no instance — every region spawns fresh OS
-//! threads — so its counters are process-global. The interesting signal is
-//! exactly that: *how many threads this model keeps creating* (the overhead
-//! the paper charges against the C++11 versions), which a service exporting
-//! metrics wants visible next to the pooled runtimes' steal/chunk counts.
+//! threads — so its counters are one process-global
+//! [`WorkerStats`], fed through `tpm_trace::emit` like every pool's. The
+//! interesting signal is exactly that: *how many threads this model keeps
+//! creating* ([`EventKind::ThreadSpawn`](tpm_sync::EventKind::ThreadSpawn),
+//! the overhead the paper charges against the C++11 versions), which a
+//! service exporting metrics wants visible next to the pooled runtimes'
+//! steal/chunk counts.
 
-use tpm_sync::Counter;
+use tpm_sync::{CachePadded, WorkerStats};
 
-/// Process-global counters for rawthreads activity.
-#[derive(Debug, Default)]
-pub struct RawStats {
-    /// OS threads spawned for parallel regions and async tasks.
-    pub threads_spawned: Counter,
-    /// Chunks (contiguous blocks) dispatched to region threads.
-    pub chunks: Counter,
-    /// Threads joined back.
-    pub joins: Counter,
+/// The process-global counters. Never reset on the live path; consumers
+/// that need intervals take snapshot deltas.
+pub fn stats() -> &'static WorkerStats {
+    // Padded: every region thread writes these, and a neighbouring static
+    // (the trace switch every event site reads) must not share their line.
+    static STATS: CachePadded<WorkerStats> = CachePadded::new(WorkerStats::new());
+    &STATS
 }
 
-/// The counters (see [`RawStats`]). Never reset on the live path; consumers
-/// that need intervals take deltas.
-pub fn stats() -> &'static RawStats {
-    static STATS: RawStats = RawStats {
-        threads_spawned: Counter::new(),
-        chunks: Counter::new(),
-        joins: Counter::new(),
-    };
-    &STATS
+/// Reports one event on the global counters and the calling thread's trace.
+#[inline]
+pub(crate) fn emit(kind: tpm_sync::EventKind, a: u64) {
+    tpm_trace::emit(stats(), kind, a, 0);
 }
 
 #[cfg(test)]
@@ -37,10 +33,10 @@ mod tests {
 
     #[test]
     fn regions_bump_global_counters() {
-        let before = stats().threads_spawned.get();
-        let chunks_before = stats().chunks.get();
+        let before = stats().snapshot();
         crate::threads_for(4, 0..100, |_, _| {});
-        assert!(stats().threads_spawned.get() >= before + 4);
-        assert!(stats().chunks.get() >= chunks_before + 4);
+        let d = stats().snapshot() - before;
+        assert!(d.thread_spawns >= 4);
+        assert!(d.chunks >= 4);
     }
 }

@@ -10,7 +10,9 @@
 
 use std::ops::Range;
 
-use tpm_sync::{CancelReason, CancelToken};
+use tpm_sync::{CancelReason, CancelToken, EventKind};
+
+use crate::stats::emit;
 
 /// Splits `range` into `num_threads` contiguous blocks (sizes differing by at
 /// most one) and runs `body(tid, chunk)` on one freshly spawned OS thread per
@@ -32,69 +34,17 @@ pub fn threads_for<F>(num_threads: usize, range: Range<usize>, body: F)
 where
     F: Fn(usize, Range<usize>) + Sync,
 {
-    let num_threads = num_threads.max(1);
-    // There is no pool (and so no builder) to configure: the env knob is the
-    // only way to request pinning for per-region threads.
-    let pin = tpm_sync::affinity::pin_from_env();
-    let mut spawned = 0u64;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..num_threads)
-            .filter_map(|tid| {
-                let chunk = block_chunk(range.clone(), tid, num_threads);
-                if chunk.is_empty() {
-                    return None;
-                }
-                tpm_trace::record(tpm_trace::EventKind::ThreadSpawn, tid as u64, 0);
-                crate::stats().threads_spawned.inc();
-                spawned += 1;
-                let body = &body;
-                Some(
-                    std::thread::Builder::new()
-                        .name(format!("tpm-rawthreads-{tid}"))
-                        .spawn_scoped(s, move || {
-                            if pin {
-                                tpm_sync::affinity::pin_current_thread(tid);
-                            }
-                            // An injected panic unwinds this thread; the
-                            // explicit joins below re-raise it with the
-                            // original payload on the caller.
-                            match tpm_fault::probe(tpm_fault::Site::ChunkClaim) {
-                                tpm_fault::Action::Panic => {
-                                    tpm_fault::injected_panic(tpm_fault::Site::ChunkClaim)
-                                }
-                                tpm_fault::Action::TaskDrop => {
-                                    tpm_fault::injected_drop(tpm_fault::Site::ChunkClaim)
-                                }
-                                _ => {}
-                            }
-                            tpm_trace::record(
-                                tpm_trace::EventKind::ChunkDispatch,
-                                chunk.len() as u64,
-                                0,
-                            );
-                            crate::stats().chunks.inc();
-                            body(tid, chunk)
-                        })
-                        .expect("failed to spawn region thread"),
-                )
-            })
-            .collect();
-        // Join explicitly (rather than letting the scope do it) so the first
-        // panicking thread's payload is preserved for the caller — the scope
-        // would replace it with its own generic message. Every remaining
-        // thread is joined before re-raising.
-        let mut first_panic = None;
-        for h in handles {
-            if let Err(p) = h.join() {
-                first_panic.get_or_insert(p);
-            }
+    let body = |tid, chunk| {
+        // An injected panic unwinds this thread; the join re-raises it with
+        // the original payload on the caller.
+        match tpm_fault::probe(tpm_fault::Site::ChunkClaim) {
+            tpm_fault::Action::Panic => tpm_fault::injected_panic(tpm_fault::Site::ChunkClaim),
+            tpm_fault::Action::TaskDrop => tpm_fault::injected_drop(tpm_fault::Site::ChunkClaim),
+            _ => {}
         }
-        if let Some(p) = first_panic {
-            std::panic::resume_unwind(p);
-        }
-    });
-    tpm_trace::record(tpm_trace::EventKind::ThreadJoin, spawned, 0);
-    crate::stats().joins.add(spawned);
+        body(tid, chunk)
+    };
+    threads_for_reduce(num_threads, range, body, |(), ()| (), ());
 }
 
 /// [`threads_for`] with cooperative cancellation. Each region thread polls
@@ -163,6 +113,8 @@ where
     Op: Fn(T, T) -> T,
 {
     let num_threads = num_threads.max(1);
+    // There is no pool (and so no builder) to configure: the env knob is the
+    // only way to request pinning for per-region threads.
     let pin = tpm_sync::affinity::pin_from_env();
     let partials = std::thread::scope(|s| {
         let handles: Vec<_> = (0..num_threads)
@@ -171,8 +123,7 @@ where
                 if chunk.is_empty() {
                     return None;
                 }
-                tpm_trace::record(tpm_trace::EventKind::ThreadSpawn, tid as u64, 0);
-                crate::stats().threads_spawned.inc();
+                emit(EventKind::ThreadSpawn, tid as u64);
                 let body = &body;
                 Some(
                     std::thread::Builder::new()
@@ -181,12 +132,7 @@ where
                             if pin {
                                 tpm_sync::affinity::pin_current_thread(tid);
                             }
-                            tpm_trace::record(
-                                tpm_trace::EventKind::ChunkDispatch,
-                                chunk.len() as u64,
-                                0,
-                            );
-                            crate::stats().chunks.inc();
+                            emit(EventKind::ChunkDispatch, chunk.len() as u64);
                             body(tid, chunk)
                         })
                         .expect("failed to spawn region thread"),
@@ -196,15 +142,12 @@ where
         handles
             .into_iter()
             .map(|h| {
-                // Re-raise with the original payload (not a fresh expect
-                // message) so callers can classify injected faults.
-                let partial = match h.join() {
-                    Ok(p) => p,
-                    Err(e) => std::panic::resume_unwind(e),
-                };
-                tpm_trace::record(tpm_trace::EventKind::ThreadJoin, 1, 0);
-                crate::stats().joins.inc();
-                partial
+                let joined = h.join();
+                emit(EventKind::ThreadJoin, 0);
+                // Re-raise the first panic in thread order with its original
+                // payload (not the scope's generic message) so callers can
+                // classify injected faults; the scope joins the rest first.
+                joined.unwrap_or_else(|e| std::panic::resume_unwind(e))
             })
             .collect::<Vec<T>>()
     });

@@ -27,20 +27,7 @@ use std::sync::Arc;
 use tpm_core::job::InputCacheStats;
 use tpm_core::{Family, JobRegistry};
 use tpm_metrics::{Counter, Gauge, Histogram, Hll, Registry};
-use tpm_sync::StatsSnapshot as RuntimeSnapshot;
-
-/// Scheduler events exported per pooled runtime, in the order they appear
-/// in [`RuntimeSnapshot`].
-const RUNTIME_EVENTS: [&str; 8] = [
-    "spawned",
-    "executed",
-    "steals",
-    "failed_steals",
-    "chunks",
-    "loop_claims",
-    "barrier_waits",
-    "parks",
-];
+use tpm_sync::{EventKind, StatsSnapshot as RuntimeSnapshot};
 
 /// Reply outcomes pre-registered on `tpm_requests_total`. `ok` plus every
 /// stable wire error code, `watchdog` for grace-period kills, and `other`
@@ -67,11 +54,10 @@ pub struct ServeMetrics {
     queue_wait: Arc<Histogram>,
     clients: Arc<Hll>,
     worker_busy: Vec<Arc<Counter>>,
-    /// Per-pooled-family event counters, labeled by
-    /// [`Family::runtime_label`]; one entry per registry family with a
-    /// persistent pool, in [`Family::ALL`] order.
-    runtime_events: Vec<(Family, Vec<Arc<Counter>>)>,
-    runtime_busy: Vec<(Family, Arc<Counter>)>,
+    /// Per-pooled-family event counters (one per [`EventKind::COUNTED`]
+    /// kind) and busy time, labeled by [`Family::runtime_label`]; one entry
+    /// per registry family with a persistent pool, in [`Family::ALL`] order.
+    runtime_events: Vec<(Family, Vec<Arc<Counter>>, Arc<Counter>)>,
     connections_open: Arc<Gauge>,
     bytes_read: Arc<Counter>,
     bytes_written: Arc<Counter>,
@@ -138,59 +124,40 @@ impl ServeMetrics {
                 )
             })
             .collect();
-        // One counter set per pooled registry family (labels come from the
-        // registry, so a new family's series appear here without edits).
-        let pooled: Vec<Family> = Family::ALL
-            .iter()
-            .copied()
-            .filter(|f| f.has_pooled_runtime())
-            .collect();
-        let runtime_events = pooled
-            .iter()
-            .map(|&fam| {
-                let name = fam.runtime_label();
-                let counters = RUNTIME_EVENTS
-                    .iter()
-                    .map(|event| {
-                        registry.counter(
-                            "tpm_runtime_events_total",
-                            "Scheduler events (tasks, steals, chunks, parks) per runtime.",
-                            &[("runtime", name), ("event", event)],
-                        )
-                    })
-                    .collect();
-                (fam, counters)
-            })
-            .collect();
-        let runtime_busy = pooled
-            .iter()
-            .map(|&fam| {
-                (
-                    fam,
-                    registry.counter_scaled(
-                        "tpm_runtime_busy_seconds_total",
-                        "Seconds runtime workers spent executing (busy, not idle).",
-                        &[("runtime", fam.runtime_label())],
-                        1e-9,
-                    ),
-                )
-            })
-            .collect();
-        // The no-pool model's counters are process-global; expose them as
-        // scrape-time reads rather than per-job deltas (concurrent service
-        // workers would double-count interval deltas of a shared global).
-        registry.counter_fn(
-            "tpm_runtime_events_total",
-            "Scheduler events (tasks, steals, chunks, parks) per runtime.",
-            &[("runtime", "rawthreads"), ("event", "thread_spawns")],
-            || tpm_rawthreads::stats().threads_spawned.get() as f64,
-        );
-        registry.counter_fn(
-            "tpm_runtime_events_total",
-            "Scheduler events (tasks, steals, chunks, parks) per runtime.",
-            &[("runtime", "rawthreads"), ("event", "chunks")],
-            || tpm_rawthreads::stats().chunks.get() as f64,
-        );
+        // One series per registry family and counted event kind (labels
+        // come from the registry and the event vocabulary, so a new family
+        // or kind appears here without edits). A pooled family's counters
+        // are fed per job; the no-pool model's are process-global, so they
+        // are read at scrape time instead (concurrent service workers would
+        // double-count interval deltas of a shared global).
+        let mut runtime_events = Vec::new();
+        for fam in Family::ALL {
+            let pooled = fam.has_pooled_runtime();
+            let mut counters = Vec::new();
+            for kind in EventKind::COUNTED {
+                let event = kind.metric_label().expect("counted kinds have a label");
+                let labels = [("runtime", fam.runtime_label()), ("event", event)];
+                let (name, help) = (
+                    "tpm_runtime_events_total",
+                    "Scheduler events (tasks, steals, chunks, parks) per runtime.",
+                );
+                if pooled {
+                    counters.push(registry.counter(name, help, &labels));
+                } else {
+                    let read = move || tpm_rawthreads::stats().get(kind) as f64;
+                    registry.counter_fn(name, help, &labels, read);
+                }
+            }
+            if pooled {
+                let busy = registry.counter_scaled(
+                    "tpm_runtime_busy_seconds_total",
+                    "Seconds runtime workers spent executing (busy, not idle).",
+                    &[("runtime", fam.runtime_label())],
+                    1e-9,
+                );
+                runtime_events.push((fam, counters, busy));
+            }
+        }
         let connections_open = registry.gauge(
             "serve_connections_open",
             "Client connections currently open.",
@@ -215,7 +182,6 @@ impl ServeMetrics {
             clients,
             worker_busy,
             runtime_events,
-            runtime_busy,
             connections_open,
             bytes_read,
             bytes_written,
@@ -360,28 +326,17 @@ impl ServeMetrics {
         if !self.enabled {
             return;
         }
-        let Some((_, events)) = self.runtime_events.iter().find(|(f, _)| *f == family) else {
+        let Some((_, events, busy)) = self.runtime_events.iter().find(|(f, ..)| *f == family)
+        else {
             return;
         };
-        let values = [
-            d.spawned,
-            d.executed,
-            d.steals,
-            d.failed_steals,
-            d.chunks,
-            d.loop_claims,
-            d.barrier_waits,
-            d.parks,
-        ];
-        for (c, v) in events.iter().zip(values) {
-            if v > 0 {
-                c.add(v);
+        for (c, kind) in events.iter().zip(EventKind::COUNTED) {
+            if d.get(kind) > 0 {
+                c.add(d.get(kind));
             }
         }
         if d.busy_ns > 0 {
-            if let Some((_, busy)) = self.runtime_busy.iter().find(|(f, _)| *f == family) {
-                busy.add(d.busy_ns);
-            }
+            busy.add(d.busy_ns);
         }
     }
 
@@ -442,11 +397,12 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("tpm_runtime_busy_seconds_total{runtime=\"worksteal\"} 3"));
-        // A pool-less family's delta is dropped, not misattributed.
+        // A pool-less family's delta is dropped, not misattributed: its
+        // series read the global counters, and rawthreads never steals.
         m.add_runtime_delta(Family::Cxx11, &d);
-        assert!(!m
+        assert!(m
             .render()
-            .contains("runtime=\"rawthreads\",event=\"steals\""));
+            .contains("tpm_runtime_events_total{runtime=\"rawthreads\",event=\"steals\"} 0\n"));
     }
 
     #[test]

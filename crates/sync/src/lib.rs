@@ -23,7 +23,8 @@
 //! | [`affinity`] | all three | core pinning (`TPM_PIN`, `OMP_PROC_BIND` analogue) |
 //! | [`epoll`] | `tpm-serve` | readiness polling for the socket reactor (raw epoll syscalls on Linux x86-64, a tick poller elsewhere) |
 //! | [`json`] | every JSON reader and writer | the one escaper, number policy and pull reader (wire, traces, metrics, figures, fault plans) |
-//! | [`Backoff`], [`CachePadded`], [`rng`], [`stats`] | all | mechanics |
+//! | [`event`] + [`stats`] | every runtime, `tpm-trace`, `tpm-serve` | the one scheduler-event vocabulary ([`EventKind`]) and its always-on per-worker counters |
+//! | [`Backoff`], [`CachePadded`], [`rng`] | all | mechanics |
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -35,6 +36,7 @@ mod cache_padded;
 mod cancel;
 pub mod chase_lev;
 pub mod epoll;
+pub mod event;
 mod idle;
 pub mod json;
 mod latch;
@@ -55,6 +57,7 @@ pub use barrier::{Barrier, BarrierWaitResult};
 pub use cache_padded::CachePadded;
 pub use cancel::{CancelReason, CancelToken};
 pub use chase_lev::{deque as chase_lev_deque, Steal, Stealer, Worker};
+pub use event::EventKind;
 pub use idle::{IdleStrategy, Sleepers};
 pub use latch::{CountLatch, SpinLatch};
 pub use locked_deque::LockedDeque;

@@ -5,10 +5,15 @@
 //! runtimes with these counters lets the benches report *why* one model wins
 //! (e.g. Fig. 1: `cilk_for`'s steal count grows with thread count while
 //! `omp for`'s chunk dispatch does not).
+//!
+//! A [`WorkerStats`] holds one counter per [counted](EventKind::counted)
+//! [`EventKind`], indexed by [`EventKind::slot`], plus two duration sums. The
+//! runtimes never bump a counter directly: `tpm_trace::emit` counts an event
+//! and traces it in one call, so the counters and the trace ring agree.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::CachePadded;
+use crate::{CachePadded, EventKind};
 
 /// A relaxed monotonic event counter.
 #[derive(Debug, Default)]
@@ -43,37 +48,69 @@ impl Counter {
     }
 }
 
-/// Per-worker scheduler event counters.
+/// One worker's scheduler event counters: one per counted [`EventKind`],
+/// plus the nanoseconds spent waiting at barriers (summed from
+/// [`EventKind::BarrierRelease`] payloads) and executing work.
 #[derive(Debug, Default)]
 pub struct WorkerStats {
-    /// Tasks pushed by this worker.
-    pub spawned: Counter,
-    /// Tasks this worker executed (own or stolen).
-    pub executed: Counter,
-    /// Successful steals by this worker.
-    pub steals: Counter,
-    /// Steal attempts that found nothing (or lost a race).
-    pub failed_steals: Counter,
-    /// Worksharing loop chunks this worker claimed and ran.
-    pub chunks: Counter,
-    /// Shared-counter claim transactions (CAS/fetch-add grabs) this worker
-    /// made against a dynamic/guided loop counter. With batched grabs one
-    /// claim can serve many chunks, so `loop_claims` ≤ `chunks` measures the
-    /// contention reduction directly.
-    pub loop_claims: Counter,
-    /// Barrier episodes this worker waited in.
-    pub barrier_waits: Counter,
-    /// Total nanoseconds this worker spent waiting at barriers.
-    pub barrier_wait_ns: Counter,
-    /// Times this worker gave up spinning/yielding and parked until woken
-    /// ([`crate::Sleepers`]). A high park rate with steady throughput means
-    /// the pool is over-provisioned; a high rate with poor throughput means
-    /// work arrives in bursts the idle policy keeps missing.
-    pub parks: Counter,
-    /// Nanoseconds this worker spent executing work (top-level tasks or
-    /// parallel-region bodies — not idle loops). `busy_ns / wall_ns` is the
-    /// worker's utilization.
-    pub busy_ns: Counter,
+    events: [Counter; EventKind::COUNTED.len()],
+    barrier_wait_ns: Counter,
+    busy_ns: Counter,
+}
+
+impl WorkerStats {
+    /// Zeroed counters (`const`, so a process-global instance can be a
+    /// `static`).
+    pub const fn new() -> Self {
+        Self {
+            events: [const { Counter::new() }; EventKind::COUNTED.len()],
+            barrier_wait_ns: Counter::new(),
+            busy_ns: Counter::new(),
+        }
+    }
+
+    /// Counts one `kind` event with payload `a` (a no-op for traced-only
+    /// kinds). Runtimes call `tpm_trace::emit`, which also traces it.
+    #[inline]
+    pub fn count(&self, kind: EventKind, a: u64) {
+        if let Some(slot) = kind.slot() {
+            self.events[slot].inc();
+        }
+        if kind == EventKind::BarrierRelease {
+            self.barrier_wait_ns.add(a);
+        }
+    }
+
+    /// Adds `ns` of work execution (top-level tasks or parallel-region
+    /// bodies, not idle loops); `busy_ns / wall_ns` is utilization.
+    #[inline]
+    pub fn add_busy_ns(&self, ns: u64) {
+        self.busy_ns.add(ns);
+    }
+
+    /// How many `kind` events were counted (0 for traced-only kinds).
+    pub fn get(&self, kind: EventKind) -> u64 {
+        kind.slot().map_or(0, |slot| self.events[slot].get())
+    }
+
+    /// This worker's totals.
+    pub fn snapshot(&self) -> StatsSnapshot {
+        let mut s = StatsSnapshot {
+            barrier_wait_ns: self.barrier_wait_ns.get(),
+            busy_ns: self.busy_ns.get(),
+            ..StatsSnapshot::default()
+        };
+        for kind in EventKind::COUNTED {
+            *s.field(kind) = self.get(kind);
+        }
+        s
+    }
+
+    /// Zeroes every counter.
+    pub fn reset(&self) {
+        let durations = [&self.barrier_wait_ns, &self.busy_ns];
+        self.events.iter().chain(durations).for_each(Counter::reset);
+    }
 }
 
 /// Counters for a whole scheduler instance: one padded [`WorkerStats`] per
@@ -83,29 +120,68 @@ pub struct SchedulerStats {
     workers: Box<[CachePadded<WorkerStats>]>,
 }
 
-/// Aggregated totals across workers.
+/// Aggregated totals across workers (or a difference of two such totals).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StatsSnapshot {
-    /// Total tasks pushed.
+    /// [`EventKind::TaskSpawn`]: tasks created.
     pub spawned: u64,
-    /// Total tasks executed.
+    /// [`EventKind::TaskExec`]: tasks executed.
     pub executed: u64,
-    /// Total successful steals.
+    /// [`EventKind::Steal`]: successful steals.
     pub steals: u64,
-    /// Total failed steal attempts.
+    /// [`EventKind::FailedSteal`]: steal attempts that found nothing.
     pub failed_steals: u64,
-    /// Total worksharing chunks dispatched.
+    /// [`EventKind::ChunkDispatch`]: loop chunks dispatched.
     pub chunks: u64,
-    /// Total shared-counter claim transactions for dynamic/guided loops.
+    /// [`EventKind::LoopClaim`]: shared-counter claim transactions.
     pub loop_claims: u64,
-    /// Total barrier episodes waited in (across workers).
+    /// [`EventKind::BarrierRelease`]: barrier episodes waited in.
     pub barrier_waits: u64,
-    /// Total nanoseconds spent waiting at barriers (across workers).
+    /// Nanoseconds spent waiting at barriers.
     pub barrier_wait_ns: u64,
-    /// Total park episodes (across workers).
+    /// [`EventKind::Park`]: park episodes.
     pub parks: u64,
-    /// Total nanoseconds spent executing work (across workers).
+    /// Nanoseconds spent executing work.
     pub busy_ns: u64,
+    /// [`EventKind::ThreadSpawn`]: OS threads created by the runtime.
+    pub thread_spawns: u64,
+}
+
+impl StatsSnapshot {
+    /// The count for a counted `kind` (0 for traced-only kinds).
+    pub fn get(mut self, kind: EventKind) -> u64 {
+        if kind.counted() {
+            *self.field(kind)
+        } else {
+            0
+        }
+    }
+
+    /// The field holding counted `kind`'s total.
+    fn field(&mut self, kind: EventKind) -> &mut u64 {
+        match kind {
+            EventKind::TaskSpawn => &mut self.spawned,
+            EventKind::TaskExec => &mut self.executed,
+            EventKind::Steal => &mut self.steals,
+            EventKind::FailedSteal => &mut self.failed_steals,
+            EventKind::ChunkDispatch => &mut self.chunks,
+            EventKind::LoopClaim => &mut self.loop_claims,
+            EventKind::BarrierRelease => &mut self.barrier_waits,
+            EventKind::Park => &mut self.parks,
+            EventKind::ThreadSpawn => &mut self.thread_spawns,
+            _ => unreachable!("{kind:?} is not counted"),
+        }
+    }
+
+    /// Combines `self` and `rhs` field by field.
+    fn zip(mut self, mut rhs: StatsSnapshot, op: fn(u64, u64) -> u64) -> StatsSnapshot {
+        for kind in EventKind::COUNTED {
+            *self.field(kind) = op(*self.field(kind), *rhs.field(kind));
+        }
+        self.barrier_wait_ns = op(self.barrier_wait_ns, rhs.barrier_wait_ns);
+        self.busy_ns = op(self.busy_ns, rhs.busy_ns);
+        self
+    }
 }
 
 impl std::ops::Sub for StatsSnapshot {
@@ -114,18 +190,7 @@ impl std::ops::Sub for StatsSnapshot {
     /// Events between two snapshots of the same scheduler (`later - earlier`).
     /// Saturating, so a racing reset yields zeros instead of wrap-around.
     fn sub(self, rhs: StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            spawned: self.spawned.saturating_sub(rhs.spawned),
-            executed: self.executed.saturating_sub(rhs.executed),
-            steals: self.steals.saturating_sub(rhs.steals),
-            failed_steals: self.failed_steals.saturating_sub(rhs.failed_steals),
-            chunks: self.chunks.saturating_sub(rhs.chunks),
-            loop_claims: self.loop_claims.saturating_sub(rhs.loop_claims),
-            barrier_waits: self.barrier_waits.saturating_sub(rhs.barrier_waits),
-            barrier_wait_ns: self.barrier_wait_ns.saturating_sub(rhs.barrier_wait_ns),
-            parks: self.parks.saturating_sub(rhs.parks),
-            busy_ns: self.busy_ns.saturating_sub(rhs.busy_ns),
-        }
+        self.zip(rhs, u64::saturating_sub)
     }
 }
 
@@ -134,18 +199,7 @@ impl std::ops::Add for StatsSnapshot {
 
     /// Combines two schedulers' event counts into a cross-runtime total.
     fn add(self, rhs: StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            spawned: self.spawned.saturating_add(rhs.spawned),
-            executed: self.executed.saturating_add(rhs.executed),
-            steals: self.steals.saturating_add(rhs.steals),
-            failed_steals: self.failed_steals.saturating_add(rhs.failed_steals),
-            chunks: self.chunks.saturating_add(rhs.chunks),
-            loop_claims: self.loop_claims.saturating_add(rhs.loop_claims),
-            barrier_waits: self.barrier_waits.saturating_add(rhs.barrier_waits),
-            barrier_wait_ns: self.barrier_wait_ns.saturating_add(rhs.barrier_wait_ns),
-            parks: self.parks.saturating_add(rhs.parks),
-            busy_ns: self.busy_ns.saturating_add(rhs.busy_ns),
-        }
+        self.zip(rhs, u64::saturating_add)
     }
 }
 
@@ -171,35 +225,15 @@ impl SchedulerStats {
 
     /// Sums all workers' counters.
     pub fn snapshot(&self) -> StatsSnapshot {
-        let mut s = StatsSnapshot::default();
-        for w in self.workers.iter() {
-            s.spawned += w.spawned.get();
-            s.executed += w.executed.get();
-            s.steals += w.steals.get();
-            s.failed_steals += w.failed_steals.get();
-            s.chunks += w.chunks.get();
-            s.loop_claims += w.loop_claims.get();
-            s.barrier_waits += w.barrier_waits.get();
-            s.barrier_wait_ns += w.barrier_wait_ns.get();
-            s.parks += w.parks.get();
-            s.busy_ns += w.busy_ns.get();
-        }
-        s
+        self.workers
+            .iter()
+            .fold(StatsSnapshot::default(), |acc, w| acc + w.snapshot())
     }
 
     /// Zeroes every counter.
     pub fn reset(&self) {
         for w in self.workers.iter() {
-            w.spawned.reset();
-            w.executed.reset();
-            w.steals.reset();
-            w.failed_steals.reset();
-            w.chunks.reset();
-            w.loop_claims.reset();
-            w.barrier_waits.reset();
-            w.barrier_wait_ns.reset();
-            w.parks.reset();
-            w.busy_ns.reset();
+            w.reset();
         }
     }
 }
@@ -218,16 +252,22 @@ mod tests {
         assert_eq!(c.get(), 0);
     }
 
+    fn count_n(w: &WorkerStats, kind: EventKind, n: usize) {
+        for _ in 0..n {
+            w.count(kind, 0);
+        }
+    }
+
     #[test]
     fn snapshot_sums_workers() {
         let s = SchedulerStats::new(3);
-        s.worker(0).spawned.add(2);
-        s.worker(1).spawned.add(3);
-        s.worker(2).steals.inc();
-        s.worker(0).chunks.add(7);
-        s.worker(0).loop_claims.add(2);
-        s.worker(1).barrier_waits.inc();
-        s.worker(1).barrier_wait_ns.add(1_234);
+        count_n(s.worker(0), EventKind::TaskSpawn, 2);
+        count_n(s.worker(1), EventKind::TaskSpawn, 3);
+        s.worker(2).count(EventKind::Steal, 9);
+        count_n(s.worker(0), EventKind::ChunkDispatch, 7);
+        count_n(s.worker(0), EventKind::LoopClaim, 2);
+        s.worker(1).count(EventKind::BarrierRelease, 1_234);
+        s.worker(1).count(EventKind::LockAcquire, 5);
         let snap = s.snapshot();
         assert_eq!(snap.spawned, 5);
         assert_eq!(snap.steals, 1);
@@ -235,6 +275,10 @@ mod tests {
         assert_eq!(snap.loop_claims, 2);
         assert_eq!(snap.barrier_waits, 1);
         assert_eq!(snap.barrier_wait_ns, 1_234);
+        for kind in EventKind::ALL {
+            let per_worker: u64 = (0..3).map(|w| s.worker(w).get(kind)).sum();
+            assert_eq!(snap.get(kind), per_worker, "{kind:?}");
+        }
         s.reset();
         assert_eq!(s.snapshot(), StatsSnapshot::default());
     }
@@ -242,11 +286,11 @@ mod tests {
     #[test]
     fn snapshot_subtraction_is_per_field_and_saturating() {
         let s = SchedulerStats::new(2);
-        s.worker(0).executed.add(5);
-        s.worker(1).parks.add(2);
+        count_n(s.worker(0), EventKind::TaskExec, 5);
+        count_n(s.worker(1), EventKind::Park, 2);
         let before = s.snapshot();
-        s.worker(0).executed.add(3);
-        s.worker(0).busy_ns.add(1_000);
+        count_n(s.worker(0), EventKind::TaskExec, 3);
+        s.worker(0).add_busy_ns(1_000);
         let after = s.snapshot();
         let d = after - before;
         assert_eq!(d.executed, 3);
@@ -254,6 +298,7 @@ mod tests {
         assert_eq!(d.busy_ns, 1_000);
         // Reversed operands saturate instead of wrapping.
         assert_eq!((before - after).executed, 0);
+        assert_eq!((before + after).parks, 4);
     }
 
     #[test]
@@ -262,11 +307,7 @@ mod tests {
         std::thread::scope(|scope| {
             for w in 0..4 {
                 let s = &s;
-                scope.spawn(move || {
-                    for _ in 0..10_000 {
-                        s.worker(w).executed.inc();
-                    }
-                });
+                scope.spawn(move || count_n(s.worker(w), EventKind::TaskExec, 10_000));
             }
         });
         assert_eq!(s.snapshot().executed, 40_000);

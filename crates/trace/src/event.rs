@@ -1,95 +1,9 @@
 //! The trace event model: compact fixed-size records of scheduler activity.
+//!
+//! The kinds are the workspace's one event vocabulary, [`EventKind`], which
+//! lives in `tpm-sync` next to the counters it indexes.
 
-/// What happened. Kinds mirror the runtime events the paper's analysis is
-/// phrased in (steals, chunk dispatches, barrier episodes, task creation,
-/// thread spawn cost) plus lock activity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum EventKind {
-    /// A named span opened on this worker (`a` = region name id).
-    RegionBegin = 0,
-    /// The most recent open span on this worker closed (`a` = name id).
-    RegionEnd = 1,
-    /// A worksharing/splitting loop chunk started executing (`a` = chunk
-    /// length in iterations).
-    ChunkDispatch = 2,
-    /// A task was created and queued (`a` = queue depth hint, optional).
-    TaskSpawn = 3,
-    /// A task was dequeued and executed.
-    TaskExec = 4,
-    /// A steal attempt succeeded (`a` = victim worker index).
-    Steal = 5,
-    /// A steal attempt found nothing or lost the race (`a` = victim index).
-    FailedSteal = 6,
-    /// This worker arrived at a barrier.
-    BarrierArrive = 7,
-    /// This worker was released from a barrier (`a` = wait nanoseconds).
-    BarrierRelease = 8,
-    /// A lock was acquired (uncontended fast path included).
-    LockAcquire = 9,
-    /// A lock acquisition had to wait for another holder.
-    LockContended = 10,
-    /// An OS thread was created on behalf of this worker (`a` = ordinal).
-    ThreadSpawn = 11,
-    /// An OS thread was joined (`a` = ordinal or count).
-    ThreadJoin = 12,
-    /// A worker died from an escaped panic (`a` = worker index).
-    WorkerDeath = 13,
-    /// A replacement worker took over a dead worker's slot (`a` = index).
-    WorkerRespawn = 14,
-    /// A team continued at reduced parallelism after a worker death
-    /// (`a` = surviving width).
-    DegradedWidth = 15,
-}
-
-impl EventKind {
-    /// Every kind, in discriminant order.
-    pub const ALL: [EventKind; 16] = [
-        EventKind::RegionBegin,
-        EventKind::RegionEnd,
-        EventKind::ChunkDispatch,
-        EventKind::TaskSpawn,
-        EventKind::TaskExec,
-        EventKind::Steal,
-        EventKind::FailedSteal,
-        EventKind::BarrierArrive,
-        EventKind::BarrierRelease,
-        EventKind::LockAcquire,
-        EventKind::LockContended,
-        EventKind::ThreadSpawn,
-        EventKind::ThreadJoin,
-        EventKind::WorkerDeath,
-        EventKind::WorkerRespawn,
-        EventKind::DegradedWidth,
-    ];
-
-    /// Stable lowercase name (used in Chrome-trace output and summaries).
-    pub fn name(self) -> &'static str {
-        match self {
-            EventKind::RegionBegin => "region_begin",
-            EventKind::RegionEnd => "region_end",
-            EventKind::ChunkDispatch => "chunk_dispatch",
-            EventKind::TaskSpawn => "task_spawn",
-            EventKind::TaskExec => "task_exec",
-            EventKind::Steal => "steal",
-            EventKind::FailedSteal => "failed_steal",
-            EventKind::BarrierArrive => "barrier_arrive",
-            EventKind::BarrierRelease => "barrier_release",
-            EventKind::LockAcquire => "lock_acquire",
-            EventKind::LockContended => "lock_contended",
-            EventKind::ThreadSpawn => "thread_spawn",
-            EventKind::ThreadJoin => "thread_join",
-            EventKind::WorkerDeath => "worker_death",
-            EventKind::WorkerRespawn => "worker_respawn",
-            EventKind::DegradedWidth => "degraded_width",
-        }
-    }
-
-    /// Decodes a discriminant produced by `as u8`; `None` if out of range.
-    pub fn from_u8(v: u8) -> Option<Self> {
-        EventKind::ALL.get(v as usize).copied()
-    }
-}
+pub use tpm_sync::EventKind;
 
 /// One recorded event. `a` and `b` are kind-specific payload words (see the
 /// [`EventKind`] variant docs); unused payloads are zero.
@@ -103,25 +17,4 @@ pub struct Event {
     pub a: u64,
     /// Second payload word.
     pub b: u64,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn kinds_round_trip_through_u8() {
-        for k in EventKind::ALL {
-            assert_eq!(EventKind::from_u8(k as u8), Some(k));
-        }
-        assert_eq!(EventKind::from_u8(200), None);
-    }
-
-    #[test]
-    fn names_are_unique() {
-        let mut names: Vec<_> = EventKind::ALL.iter().map(|k| k.name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), EventKind::ALL.len());
-    }
 }

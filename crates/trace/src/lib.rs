@@ -13,11 +13,17 @@
 //! exported as Chrome-trace (Perfetto-loadable) JSON, aggregated into
 //! per-worker/per-region metrics, or rendered as a plain-text timeline.
 //!
+//! Kinds are [`EventKind`], the workspace's one event vocabulary. A runtime
+//! reports a scheduler event once, with [`emit`], which also bumps the
+//! worker's [`WorkerStats`] counter; [`record`] is for traced-only kinds.
+//!
 //! ```
+//! let stats = tpm_sync::WorkerStats::new();
 //! let session = tpm_trace::TraceSession::start();
-//! tpm_trace::record(tpm_trace::EventKind::TaskSpawn, 0, 0);
+//! tpm_trace::emit(&stats, tpm_trace::EventKind::TaskSpawn, 0, 0);
 //! let trace = session.stop();
 //! assert!(trace.total_events() >= 1);
+//! assert_eq!(stats.get(tpm_trace::EventKind::TaskSpawn), 1);
 //! ```
 
 pub mod chrome;
@@ -35,6 +41,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use ring::Ring;
+use tpm_sync::WorkerStats;
 
 /// Runtime on/off switch. Off by default; flipped by [`TraceSession`].
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -98,12 +105,28 @@ thread_local! {
     };
 }
 
-/// Records one event on the calling thread's log.
+/// Reports one scheduler event: counts it on `stats` (if `kind` is
+/// [counted](EventKind::counted)) and records it on the calling thread's log
+/// (if capture is live), so the counters and the trace cannot disagree.
+#[inline]
+pub fn emit(stats: &WorkerStats, kind: EventKind, a: u64, b: u64) {
+    stats.count(kind, a);
+    trace(kind, a, b);
+}
+
+/// Records one event of a traced-only kind (spans, locks, worker death and
+/// respawn) on the calling thread's log. Counted kinds go through [`emit`].
 ///
 /// With the `capture` feature disabled this is an empty inline function; with
 /// capture on but no active session it is a single relaxed load.
 #[inline]
 pub fn record(kind: EventKind, a: u64, b: u64) {
+    debug_assert!(!kind.counted(), "{kind:?} is counted: use tpm_trace::emit");
+    trace(kind, a, b);
+}
+
+#[inline]
+fn trace(kind: EventKind, a: u64, b: u64) {
     #[cfg(feature = "capture")]
     {
         if !ENABLED.load(Ordering::Relaxed) {
@@ -181,7 +204,7 @@ mod tests {
         let _guard = session::SESSION_LOCK
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        record(EventKind::TaskSpawn, 1, 2);
+        record(EventKind::LockAcquire, 1, 2);
         assert!(!enabled());
     }
 

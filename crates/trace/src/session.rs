@@ -153,14 +153,17 @@ impl Trace {
 mod tests {
     use super::*;
     use crate::EventKind;
+    use tpm_sync::WorkerStats;
 
     #[test]
     fn session_captures_and_isolates() {
-        // Pre-session events must not appear.
-        crate::record(EventKind::Steal, 7, 0);
+        let stats = WorkerStats::new();
+        // Pre-session events must not appear in the trace (they are still
+        // counted).
+        crate::emit(&stats, EventKind::Steal, 7, 0);
         let s = TraceSession::with_capacity(64);
-        crate::record(EventKind::TaskSpawn, 1, 0);
-        crate::record(EventKind::TaskExec, 0, 0);
+        crate::emit(&stats, EventKind::TaskSpawn, 1, 0);
+        crate::emit(&stats, EventKind::TaskExec, 0, 0);
         let trace = s.stop();
         let me = std::thread::current().name().unwrap_or("").to_string();
         let mine: Vec<_> = trace.workers.iter().filter(|w| w.name == me).collect();
@@ -168,7 +171,8 @@ mod tests {
         let kinds: Vec<_> = mine[0].events.iter().map(|e| e.kind).collect();
         assert_eq!(kinds, vec![EventKind::TaskSpawn, EventKind::TaskExec]);
         // After stop, recording is off again.
-        crate::record(EventKind::Steal, 7, 0);
+        crate::emit(&stats, EventKind::Steal, 7, 0);
+        assert_eq!(stats.get(EventKind::Steal), 2);
         let s2 = TraceSession::with_capacity(64);
         let trace2 = s2.stop();
         assert!(!trace2.workers.iter().any(|w| w.name == me));
@@ -182,8 +186,9 @@ mod tests {
                 std::thread::Builder::new()
                     .name(format!("trace-test-{t}"))
                     .spawn(move || {
+                        let stats = WorkerStats::new();
                         for i in 0..500u64 {
-                            crate::record(EventKind::TaskExec, t, i);
+                            crate::emit(&stats, EventKind::TaskExec, t, i);
                         }
                     })
                     .unwrap()

@@ -168,8 +168,8 @@ fn split_run<F>(
             tpm_fault::Action::TaskDrop => tpm_fault::injected_drop(tpm_fault::Site::ChunkClaim),
             _ => {}
         }
-        ctx.core.stats().chunks.inc();
-        tpm_trace::record(tpm_trace::EventKind::ChunkDispatch, range.len() as u64, 0);
+        ctx.core
+            .emit(tpm_trace::EventKind::ChunkDispatch, range.len() as u64, 0);
         body(ctx, range);
         return;
     }

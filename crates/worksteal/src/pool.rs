@@ -36,7 +36,8 @@ use tpm_fault::{Action as FaultAction, Site as FaultSite};
 use tpm_sync::chase_lev::{self, Stealer, Worker};
 use tpm_sync::topology::NumaTopology;
 use tpm_sync::{
-    IdleStrategy, LockedDeque, PoolConfig, SchedulerStats, Sleepers, SpinLock, WorkerStats,
+    EventKind, IdleStrategy, LockedDeque, PoolConfig, SchedulerStats, Sleepers, SpinLock,
+    WorkerStats,
 };
 
 /// Initial deque capacity per worker.
@@ -284,11 +285,16 @@ impl<'w, T: Task> Ctx<'w, T> {
         self.shared.stats.worker(self.index)
     }
 
+    /// Reports one scheduler event on this worker's counters and trace.
+    #[inline]
+    pub fn emit(&self, kind: EventKind, a: u64, b: u64) {
+        tpm_trace::emit(self.stats(), kind, a, b);
+    }
+
     /// Pushes an item onto this worker's deque (it becomes stealable).
     pub fn push(&self, item: T) {
         self.deque.push(item);
-        self.stats().spawned.inc();
-        tpm_trace::record(tpm_trace::EventKind::TaskSpawn, 0, 0);
+        self.emit(EventKind::TaskSpawn, 0, 0);
         self.shared.sleepers.wake_one();
     }
 
@@ -299,8 +305,7 @@ impl<'w, T: Task> Ctx<'w, T> {
 
     /// Runs `item` here, counting it.
     pub fn execute(&self, item: T) {
-        self.stats().executed.inc();
-        tpm_trace::record(tpm_trace::EventKind::TaskExec, 0, 0);
+        self.emit(EventKind::TaskExec, 0, 0);
         item.run(self);
     }
 
@@ -337,8 +342,7 @@ impl<'w, T: Task> Ctx<'w, T> {
         // yet execute, so panic rules are inert at this probe (they fire at
         // the worker-loop top level instead, where no such frame exists).
         if tpm_fault::probe_no_panic(FaultSite::StealAttempt) != FaultAction::None {
-            self.stats().failed_steals.inc();
-            tpm_trace::record(tpm_trace::EventKind::FailedSteal, self.index as u64, 0);
+            self.emit(EventKind::FailedSteal, self.index as u64, 0);
             return None;
         }
         let plan = &self.shared.victim_plans[self.index];
@@ -350,8 +354,7 @@ impl<'w, T: Task> Ctx<'w, T> {
                 let v = segment[(start + k) % m];
                 let got = self.shared.stealers[v].steal_batch_into(self.deque, STEAL_BATCH_LIMIT);
                 if got > 0 {
-                    self.stats().steals.inc();
-                    tpm_trace::record(tpm_trace::EventKind::Steal, v as u64, got as u64);
+                    self.emit(EventKind::Steal, v as u64, got as u64);
                     // The rest of the batch is stealable from our deque:
                     // hand it to a sleeper rather than serving it alone.
                     if got > 1 {
@@ -364,8 +367,7 @@ impl<'w, T: Task> Ctx<'w, T> {
                         return Some(item);
                     }
                 } else {
-                    self.stats().failed_steals.inc();
-                    tpm_trace::record(tpm_trace::EventKind::FailedSteal, v as u64, 0);
+                    self.emit(EventKind::FailedSteal, v as u64, 0);
                 }
             }
         }
@@ -394,7 +396,7 @@ fn spawn_worker<T: Task>(
         .name(format!("{}-{index}", T::NAME))
         .spawn(move || {
             if respawn {
-                tpm_trace::record(tpm_trace::EventKind::WorkerRespawn, index as u64, 0);
+                tpm_trace::record(EventKind::WorkerRespawn, index as u64, 0);
             }
             worker_entry(shared, index, deque)
         })
@@ -418,9 +420,9 @@ fn worker_entry<T: Task>(shared: Arc<Shared<T>>, index: usize, deque: Worker<T>)
     // returning): account the death, and respawn.
     shared.live.fetch_sub(1, Ordering::AcqRel);
     shared.deaths.fetch_add(1, Ordering::AcqRel);
-    tpm_trace::record(tpm_trace::EventKind::WorkerDeath, index as u64, 0);
+    tpm_trace::record(EventKind::WorkerDeath, index as u64, 0);
     tpm_trace::record(
-        tpm_trace::EventKind::DegradedWidth,
+        EventKind::DegradedWidth,
         shared.live.load(Ordering::Relaxed) as u64,
         0,
     );
@@ -460,12 +462,12 @@ fn worker_loop<T: Task>(shared: &Shared<T>, index: usize, deque: &Worker<T>) {
             // would double-count — and per-item clocks would be too hot.
             let started = std::time::Instant::now();
             ctx.execute(item);
-            ctx.stats().busy_ns.add(started.elapsed().as_nanos() as u64);
+            ctx.stats().add_busy_ns(started.elapsed().as_nanos() as u64);
             idle.reset();
             continue;
         }
         if idle.snooze() && shared.sleepers.sleep_unless(|| shared.has_work()) {
-            ctx.stats().parks.inc();
+            ctx.emit(EventKind::Park, 0, 0);
         }
     }
 }

@@ -6,7 +6,12 @@
 use std::sync::Mutex;
 use std::time::Instant;
 
+use std::time::Duration;
+
+use tpm_core::{Executor, Family, Model};
 use tpm_forkjoin::{Schedule, Team};
+use tpm_kernels::{Fib, Sum};
+use tpm_sync::StatsSnapshot;
 use tpm_trace::{EventKind, TraceSession};
 use tpm_worksteal::{join, par_for, Grain, Runtime};
 
@@ -157,7 +162,7 @@ fn disabled_record_is_nearly_free() {
     // machine while still catching an accidental always-on slow path.
     let t0 = Instant::now();
     for i in 0..1_000_000u64 {
-        tpm_trace::record(EventKind::TaskSpawn, i, 0);
+        tpm_trace::record(EventKind::LockAcquire, i, 0);
     }
     let elapsed = t0.elapsed();
     assert!(
@@ -190,4 +195,74 @@ fn tracing_overhead_on_fib_is_bounded() {
         on < budget,
         "tracing-on fib took {on:?}, tracing-off {off:?} (budget {budget:?})"
     );
+}
+
+/// Every counter the runtimes keep, summed: the executor's pools plus the
+/// process-global rawthreads counters.
+fn all_counters(exec: &Executor) -> StatsSnapshot {
+    exec.pooled_stats()
+        .into_iter()
+        .fold(tpm_rawthreads::stats().snapshot(), |acc, (_, s)| acc + s)
+}
+
+/// Waits until no runtime emits anything (idle workers have parked), so a
+/// counter snapshot and a session edge see the same events.
+fn settle(exec: &Executor) {
+    let mut last = all_counters(exec);
+    for _ in 0..100 {
+        std::thread::sleep(Duration::from_millis(20));
+        let now = all_counters(exec);
+        if now == last {
+            return;
+        }
+        last = now;
+    }
+    panic!("runtimes never went quiet");
+}
+
+/// One event vocabulary: for every model, each counted kind's trace total
+/// equals its counter delta, so counters, trace and scrape agree.
+#[test]
+fn every_counted_event_is_traced_exactly_once_per_model() {
+    let _gate = GATE.lock().unwrap();
+    let exec = Executor::new(2);
+    let sum = Sum::native(20_000);
+    let x = sum.alloc();
+    // Few enough splits above the cutoff that the C++11 model's
+    // thread-per-split recursion stays small.
+    let fib = Fib { n: 16, cutoff: 11 };
+    let run = |model: Model| {
+        std::hint::black_box(sum.run(&exec, model, &x));
+        let v = match model.family() {
+            Family::OpenMp => fib.run_omp_task(exec.team()),
+            Family::CilkPlus => fib.run_cilk_spawn(exec.worksteal()),
+            Family::Cxx11 => fib.run_cxx_async(),
+            Family::Actors => fib.run_actor_task(exec.actors()),
+        };
+        assert_eq!(v, 987, "{model}");
+    };
+    for model in Model::ALL {
+        run(model); // warm up: first-touch, thread creation, rings
+        settle(&exec);
+        let before = all_counters(&exec);
+        let session = TraceSession::with_capacity(1 << 14);
+        run(model);
+        settle(&exec);
+        let trace = session.stop();
+        let counted = all_counters(&exec) - before;
+        assert!(
+            trace.workers.iter().all(|w| w.dropped == 0),
+            "{model}: ring drops"
+        );
+        let summary = trace.summary();
+        for kind in EventKind::COUNTED {
+            assert_eq!(
+                summary.total(kind),
+                counted.get(kind),
+                "{model}: {kind:?} traced vs counted"
+            );
+        }
+        let events: u64 = EventKind::COUNTED.iter().map(|&k| counted.get(k)).sum();
+        assert!(events > 0, "{model}: nothing counted");
+    }
 }
