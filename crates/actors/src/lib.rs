@@ -37,4 +37,4 @@ pub use parallel::{
     recursive_for_cancel, recursive_for_indexed_cancel, scatter_for_cancel,
     scatter_for_indexed_cancel,
 };
-pub use runtime::{ActorRuntime, ActorRuntimeBuilder, WorkerCtx};
+pub use runtime::{ActorRuntime, WorkerCtx};

@@ -81,77 +81,33 @@ pub struct ActorRuntime {
     pub(crate) pool: Pool<Activation>,
 }
 
-/// Builder for [`ActorRuntime`] over the shared [`PoolConfig`] knobs
-/// (threads, pinning, NUMA victim ordering, idle policy).
-///
-/// # Examples
-///
-/// ```
-/// use tpm_actors::ActorRuntime;
-///
-/// let rt = ActorRuntime::builder().threads(2).pin(false).build();
-/// assert_eq!(rt.num_workers(), 2);
-/// ```
-#[derive(Debug, Clone)]
-#[must_use = "call .build() to create the ActorRuntime"]
-pub struct ActorRuntimeBuilder {
-    cfg: PoolConfig,
-}
-
-impl ActorRuntimeBuilder {
-    /// Number of worker threads (default 1).
-    pub fn threads(mut self, n: usize) -> Self {
-        self.cfg = self.cfg.threads(n);
-        self
-    }
-
-    /// Pin worker `i` to core `i % cores`. Defaults to `TPM_PIN`.
-    pub fn pin(mut self, pin: bool) -> Self {
-        self.cfg = self.cfg.pin(pin);
-        self
-    }
-
-    /// Node-aware victim ordering (see `tpm-worksteal`'s builder for the
-    /// full semantics). Defaults to `TPM_NUMA`, then to the topology probe.
-    pub fn numa(mut self, numa: bool) -> Self {
-        self.cfg = self.cfg.numa(numa);
-        self
-    }
-
-    /// Idle escalation policy (spin rounds, yield rounds) before parking.
-    pub fn idle(mut self, spin_rounds: u32, yield_rounds: u32) -> Self {
-        self.cfg = self.cfg.idle(spin_rounds, yield_rounds);
-        self
-    }
-
-    /// Replaces the whole configuration at once (the family-registry path:
-    /// `Family::build_runtime` hands every runtime the same [`PoolConfig`]).
-    pub fn config(mut self, cfg: PoolConfig) -> Self {
-        self.cfg = cfg;
-        self
-    }
-
-    /// Builds the runtime, spawning its workers.
-    #[must_use = "dropping the ActorRuntime joins its workers"]
-    pub fn build(self) -> ActorRuntime {
-        ActorRuntime {
-            pool: Pool::new(self.cfg),
-        }
-    }
-}
-
 impl ActorRuntime {
-    /// The construction entry point; see [`ActorRuntimeBuilder`].
-    pub fn builder() -> ActorRuntimeBuilder {
-        ActorRuntimeBuilder {
-            cfg: PoolConfig::from_env(),
-        }
+    /// Creates a runtime with `num_workers` workers and the
+    /// [`PoolConfig::from_env`] defaults.
+    pub fn new(num_workers: usize) -> Self {
+        Self::with_config(PoolConfig {
+            threads: num_workers,
+            ..PoolConfig::from_env()
+        })
     }
 
-    /// Creates a runtime with `num_workers` workers (shorthand for
-    /// `ActorRuntime::builder().threads(num_workers).build()`).
-    pub fn new(num_workers: usize) -> Self {
-        Self::builder().threads(num_workers).build()
+    /// Creates a runtime of `cfg.threads` workers on the shared stealing
+    /// pool, with the same pinning, NUMA victim ordering and idle policy
+    /// semantics as `tpm_worksteal::Runtime::with_config`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use tpm_actors::ActorRuntime;
+    /// use tpm_sync::PoolConfig;
+    ///
+    /// let rt = ActorRuntime::with_config(PoolConfig { threads: 2, pin: false, ..PoolConfig::from_env() });
+    /// assert_eq!(rt.num_workers(), 2);
+    /// ```
+    pub fn with_config(cfg: PoolConfig) -> Self {
+        ActorRuntime {
+            pool: Pool::new(cfg),
+        }
     }
 
     /// Number of worker threads.

@@ -2,7 +2,7 @@
 //! mailbox send.
 
 use tpm_actors::{Actor, ActorCtx, ActorRuntime, Addr, Promise};
-use tpm_sync::SchedulerStats;
+use tpm_sync::{PoolConfig, SchedulerStats};
 
 /// Completes every promise it is sent.
 struct Echo;
@@ -21,11 +21,12 @@ struct Echoes {
 }
 
 impl Echoes {
-    fn new(threads: usize, (spin, yld): (u32, u32)) -> Self {
-        let rt = ActorRuntime::builder()
-            .threads(threads)
-            .idle(spin, yld)
-            .build();
+    fn new(threads: usize, idle: (u32, u32)) -> Self {
+        let rt = ActorRuntime::with_config(PoolConfig {
+            threads,
+            idle,
+            ..PoolConfig::from_env()
+        });
         Self {
             echo: rt.spawn_actor(Echo),
             rt,

@@ -1,11 +1,10 @@
 //! A unified executor over the four runtimes.
 //!
-//! Construction is registry-driven: [`Executor::try_build`] walks
-//! [`Family::ALL`] and asks each family to build its runtime
-//! ([`Family::build_runtime`]) from one shared [`PoolConfig`] — so adding a
-//! family means adding a [`FamilyRuntime`] variant and a dispatch arm here,
-//! and every harness loop, test, and service picks it up through the
-//! registry without per-call-site edits.
+//! [`Executor::new`] builds one runtime per pooled family — the `Team`, the
+//! stealing `Runtime` and the `ActorRuntime`, held by name — from one shared
+//! [`PoolConfig`], so the pools stay comparable; the C++11 family creates
+//! its threads per call. [`Executor::try_parallel_for`] and
+//! [`Executor::try_parallel_reduce`] dispatch any [`Model`] onto them.
 //!
 //! Task-parallel *algorithms* (recursive decomposition, per-phase task
 //! graphs) are inherently per-application; those use [`Executor::team`],
@@ -18,188 +17,46 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use tpm_actors::ActorRuntime;
 use tpm_forkjoin::{Schedule, Team};
 use tpm_rawthreads as raw;
-use tpm_sync::{CancelToken, PoolConfig, StatsSnapshot};
+use tpm_sync::{CancelToken, PoolConfig, SchedulerStats, StatsSnapshot};
 use tpm_worksteal::{Grain, Runtime};
 
 use crate::error::{panic_message, ExecError};
 use crate::model::{Family, Model};
 
-/// One family's runtime instance (the C++11 family is stateless: raw
-/// threads are created per call).
-pub enum FamilyRuntime {
-    /// The OpenMP analogue (`tpm-forkjoin`).
-    OpenMp(Team),
-    /// The Cilk Plus analogue (`tpm-worksteal`).
-    CilkPlus(Runtime),
-    /// The C++11 analogue needs no persistent pool.
-    Cxx11,
-    /// The message-driven actor runtime (`tpm-actors`).
-    Actors(ActorRuntime),
-}
-
-impl FamilyRuntime {
-    /// Which family this runtime implements.
-    pub fn family(&self) -> Family {
-        match self {
-            FamilyRuntime::OpenMp(_) => Family::OpenMp,
-            FamilyRuntime::CilkPlus(_) => Family::CilkPlus,
-            FamilyRuntime::Cxx11 => Family::Cxx11,
-            FamilyRuntime::Actors(_) => Family::Actors,
-        }
-    }
-
-    /// Scheduler counters, for families with a pooled runtime (`None` for
-    /// the stateless C++11 family — its process-global counters live at
-    /// `tpm_rawthreads::stats()`).
-    pub fn stats(&self) -> Option<StatsSnapshot> {
-        match self {
-            FamilyRuntime::OpenMp(t) => Some(t.stats().snapshot()),
-            FamilyRuntime::CilkPlus(r) => Some(r.stats().snapshot()),
-            FamilyRuntime::Cxx11 => None,
-            FamilyRuntime::Actors(a) => Some(a.stats().snapshot()),
-        }
-    }
-
-    /// Resets this runtime's scheduler counters (no-op for the stateless
-    /// C++11 family).
-    pub fn reset_stats(&self) {
-        match self {
-            FamilyRuntime::OpenMp(t) => t.stats().reset(),
-            FamilyRuntime::CilkPlus(r) => r.stats().reset(),
-            FamilyRuntime::Cxx11 => {}
-            FamilyRuntime::Actors(a) => a.stats().reset(),
-        }
-    }
-}
-
-impl std::fmt::Debug for FamilyRuntime {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("FamilyRuntime")
-            .field(&self.family())
-            .finish()
-    }
-}
-
-impl Family {
-    /// Builds this family's runtime from the shared pool knobs. The
-    /// registry's construction hook: [`Executor::try_build`] calls this for
-    /// every entry of [`Family::ALL`].
-    pub fn build_runtime(self, cfg: &PoolConfig) -> FamilyRuntime {
-        match self {
-            Family::OpenMp => FamilyRuntime::OpenMp(Team::builder().config(cfg.clone()).build()),
-            Family::CilkPlus => {
-                FamilyRuntime::CilkPlus(Runtime::builder().config(cfg.clone()).build())
-            }
-            Family::Cxx11 => FamilyRuntime::Cxx11,
-            Family::Actors => {
-                FamilyRuntime::Actors(ActorRuntime::builder().config(cfg.clone()).build())
-            }
-        }
-    }
-}
-
-/// Holds one runtime instance per API family, all sized to the same thread
-/// count, so a figure's curves measure scheduling — not pool size.
-pub struct Executor {
-    threads: usize,
-    runtimes: Vec<FamilyRuntime>,
-}
-
-/// Configures an [`Executor`] before construction — one [`PoolConfig`]
-/// applied to every family's runtime, so the pools stay comparable.
+/// Holds one runtime instance per pooled API family, all sized to the same
+/// thread count, so a figure's curves measure scheduling — not pool size.
+/// The C++11 family is stateless: raw threads are created per call.
 ///
 /// # Examples
 ///
 /// ```
 /// use tpm_core::Executor;
 ///
-/// let exec = Executor::builder().threads(2).pin(false).build();
+/// let exec = Executor::new(2);
 /// assert_eq!(exec.threads(), 2);
+/// assert_eq!(exec.worksteal().num_workers(), 2);
 /// ```
-#[derive(Debug)]
-#[must_use = "a builder does nothing until .build()"]
-pub struct ExecutorBuilder {
-    cfg: PoolConfig,
-}
-
-impl ExecutorBuilder {
-    /// Thread count for every pool (default 1).
-    pub fn threads(mut self, n: usize) -> Self {
-        self.cfg = self.cfg.threads(n);
-        self
-    }
-
-    /// Pin workers to cores in every pool. Defaults to the `TPM_PIN`
-    /// environment variable.
-    pub fn pin(mut self, pin: bool) -> Self {
-        self.cfg = self.cfg.pin(pin);
-        self
-    }
-
-    /// Force NUMA-aware victim ordering on or off in the pools that support
-    /// it. Defaults to `TPM_NUMA`, then the topology probe.
-    pub fn numa(mut self, numa: bool) -> Self {
-        self.cfg = self.cfg.numa(numa);
-        self
-    }
-
-    /// Idle escalation policy (spin rounds, yield rounds) for every pool's
-    /// worker loops.
-    pub fn idle(mut self, spin_rounds: u32, yield_rounds: u32) -> Self {
-        self.cfg = self.cfg.idle(spin_rounds, yield_rounds);
-        self
-    }
-
-    /// Materializes every family's runtime.
-    ///
-    /// Panics on an unbuildable configuration; use
-    /// [`try_build`](Self::try_build) to get an [`ExecError`] instead.
-    #[must_use]
-    pub fn build(self) -> Executor {
-        match self.try_build() {
-            Ok(exec) => exec,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`build`](Self::build): returns [`ExecError::BadConfig`]
-    /// when the configuration cannot produce a working executor (currently:
-    /// a zero thread count) instead of panicking.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use tpm_core::{ExecError, Executor};
-    ///
-    /// let r = Executor::builder().threads(0).try_build();
-    /// assert!(matches!(r, Err(ExecError::BadConfig(_))));
-    /// ```
-    pub fn try_build(self) -> Result<Executor, ExecError> {
-        if self.cfg.threads == 0 {
-            return Err(ExecError::BadConfig(
-                "thread count must be at least 1".into(),
-            ));
-        }
-        let threads = self.cfg.threads;
-        let runtimes = Family::ALL
-            .iter()
-            .map(|fam| fam.build_runtime(&self.cfg))
-            .collect();
-        Ok(Executor { threads, runtimes })
-    }
+pub struct Executor {
+    threads: usize,
+    team: Team,
+    worksteal: Runtime,
+    actors: ActorRuntime,
 }
 
 impl Executor {
-    /// Starts configuring an executor (threads 1, pinning from `TPM_PIN`).
-    pub fn builder() -> ExecutorBuilder {
-        ExecutorBuilder {
-            cfg: PoolConfig::from_env(),
-        }
-    }
-
-    /// Creates runtimes with `threads` threads each.
+    /// Creates every pooled family's runtime with `threads` threads each,
+    /// from one [`PoolConfig::from_env`] so the pools stay comparable.
     pub fn new(threads: usize) -> Self {
-        Self::builder().threads(threads).build()
+        let cfg = PoolConfig {
+            threads,
+            ..PoolConfig::from_env()
+        };
+        Executor {
+            threads,
+            team: Team::with_config(cfg.clone()),
+            worksteal: Runtime::with_config(cfg.clone()),
+            actors: ActorRuntime::with_config(cfg),
+        }
     }
 
     /// The common thread count.
@@ -207,35 +64,29 @@ impl Executor {
         self.threads
     }
 
-    fn runtime(&self, family: Family) -> &FamilyRuntime {
-        self.runtimes
-            .iter()
-            .find(|r| r.family() == family)
-            .expect("try_build materializes every registry family")
-    }
-
     /// Direct access to the OpenMP-analogue team (for task-parallel code).
     pub fn team(&self) -> &Team {
-        match self.runtime(Family::OpenMp) {
-            FamilyRuntime::OpenMp(t) => t,
-            _ => unreachable!("OpenMp slot holds a Team"),
-        }
+        &self.team
     }
 
     /// Direct access to the Cilk-analogue runtime (for task-parallel code).
     pub fn worksteal(&self) -> &Runtime {
-        match self.runtime(Family::CilkPlus) {
-            FamilyRuntime::CilkPlus(r) => r,
-            _ => unreachable!("CilkPlus slot holds a Runtime"),
-        }
+        &self.worksteal
     }
 
     /// Direct access to the actor runtime (for message-driven code).
     pub fn actors(&self) -> &ActorRuntime {
-        match self.runtime(Family::Actors) {
-            FamilyRuntime::Actors(a) => a,
-            _ => unreachable!("Actors slot holds an ActorRuntime"),
-        }
+        &self.actors
+    }
+
+    /// The scheduler counters of every pooled runtime, in [`Family::ALL`]
+    /// order (C++11, which has no pool, is omitted).
+    fn pooled(&self) -> [(Family, &SchedulerStats); 3] {
+        [
+            (Family::OpenMp, self.team.stats()),
+            (Family::CilkPlus, self.worksteal.stats()),
+            (Family::Actors, self.actors.stats()),
+        ]
     }
 
     /// Snapshots of every pooled runtime's scheduler counters, in
@@ -246,17 +97,17 @@ impl Executor {
     /// service's per-worker executor caches. The rawthreads model's
     /// process-global counters live at `tpm_rawthreads::stats()`.
     pub fn pooled_stats(&self) -> Vec<(Family, StatsSnapshot)> {
-        self.runtimes
-            .iter()
-            .filter_map(|r| r.stats().map(|s| (r.family(), s)))
+        self.pooled()
+            .into_iter()
+            .map(|(family, stats)| (family, stats.snapshot()))
             .collect()
     }
 
     /// Resets every pooled runtime's scheduler counters (e.g. between a
     /// warm-up run and a profiled run).
     pub fn reset_stats(&self) {
-        for r in &self.runtimes {
-            r.reset_stats();
+        for (_, stats) in self.pooled() {
+            stats.reset();
         }
     }
 
@@ -649,9 +500,11 @@ mod tests {
     #[test]
     fn registry_builds_every_family() {
         let exec = Executor::new(2);
-        let families: Vec<Family> = exec.runtimes.iter().map(|r| r.family()).collect();
-        assert_eq!(families, Family::ALL.to_vec());
-        // Pooled stats cover every family with a persistent pool.
+        assert_eq!(exec.team().num_threads(), 2);
+        assert_eq!(exec.worksteal().num_workers(), 2);
+        assert_eq!(exec.actors().num_workers(), 2);
+        // Pooled stats cover every family with a persistent pool, in
+        // registry order.
         let pooled: Vec<Family> = exec.pooled_stats().iter().map(|(f, _)| *f).collect();
         assert_eq!(
             pooled,
@@ -664,14 +517,6 @@ mod tests {
         let exec = Executor::new(4);
         assert_eq!(exec.base_chunk(100), 25);
         assert_eq!(exec.base_chunk(2), 1);
-    }
-
-    #[test]
-    fn zero_threads_is_bad_config_not_a_panic() {
-        match Executor::builder().threads(0).try_build() {
-            Err(ExecError::BadConfig(msg)) => assert!(msg.contains("thread count")),
-            other => panic!("expected BadConfig, got {other:?}"),
-        }
     }
 
     #[test]

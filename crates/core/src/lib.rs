@@ -11,8 +11,9 @@
 //!   with family and pattern metadata. This is the *single* enumeration
 //!   point — call sites derive their lists from [`Family::ALL`] /
 //!   [`Family::variants`] / [`Model::ALL`] / [`Model::parse_list`].
-//! * [`Executor`] — one runtime instance per family ([`FamilyRuntime`],
-//!   built by [`Family::build_runtime`]) at a common thread count.
+//! * [`Executor`] — one runtime per pooled family (`team`, `worksteal`,
+//!   `actors`), built by [`Executor::new`] from one shared
+//!   `tpm_sync::PoolConfig` at a common thread count.
 //! * [`timing`] — median-of-N wall-clock measurement.
 //! * [`Series`] / [`Figure`] — the paper's figure data (time vs threads per
 //!   variant), with winner/loser queries used by the reproduction checks.
@@ -55,7 +56,7 @@ pub mod timing;
 mod variant;
 
 pub use error::{panic_message, ExecError};
-pub use executor::{Executor, ExecutorBuilder, FamilyRuntime};
+pub use executor::Executor;
 pub use job::{JobCtx, JobRegistry, JobResult, JobSpec};
 pub use model::{Family, Model, Pattern};
 pub use report::{Figure, ProfileRow, ProfileTable, Series};

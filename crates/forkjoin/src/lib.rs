@@ -10,9 +10,9 @@
 //!   [`Schedule`]s and the implicit trailing barrier
 //!   ([`Ctx::ws_for`]).
 //! * **Reductions** over per-thread views ([`Team::parallel_for_reduce`]).
-//! * **Explicit tasks** on *lock-based* per-thread deques with work-first or
-//!   breadth-first scheduling ([`Ctx::task_scope`], [`TaskMode`]) — the
-//!   design the paper contrasts with Cilk Plus's lock-free protocol.
+//! * **Explicit tasks** on *lock-based* per-thread deques with work-first
+//!   scheduling ([`Ctx::task_scope`]) — the design the paper contrasts with
+//!   Cilk Plus's lock-free protocol.
 //! * **Synchronization and mutual exclusion**: [`Ctx::barrier`],
 //!   [`Ctx::single`], [`Ctx::master`], [`Ctx::critical`].
 //!
@@ -42,6 +42,6 @@ mod worksharing;
 
 pub use depend::{DepToken, DepTracker};
 pub use lock::{OmpLock, OmpNestLock};
-pub use tasking::{TaskMode, TaskScope};
-pub use team::{Ctx, Team, TeamBuilder, TeamConfig};
+pub use tasking::TaskScope;
+pub use team::{Ctx, Team};
 pub use worksharing::{static_chunks, LoopCounter, Schedule};

@@ -10,27 +10,15 @@
 //! `sync.locked_deque.push_pop_ns` and `sync.chase_lev.push_pop_ns` compare
 //! the two directly.
 //!
-//! Two scheduling disciplines, after the paper's §III-B: *work-first* (tasks
-//! execute in depth-first LIFO order at scheduling points) and
-//! *breadth-first* (tasks are created eagerly and drained in FIFO order).
+//! Scheduling is *work-first* (the paper's §III-B): at a scheduling point a
+//! thread runs its own newest task (depth-first LIFO), and thieves take the
+//! oldest.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use tpm_sync::CountLatch;
 
 use crate::team::Ctx;
-
-/// Task-scheduling discipline for a team (paper §III-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TaskMode {
-    /// Depth-first: at scheduling points a thread pops its own newest task
-    /// (LIFO), approximating work-first execution ("tasks are executed once
-    /// they are created").
-    WorkFirst,
-    /// Breadth-first: tasks drain in creation (FIFO) order, approximating
-    /// "all tasks are first created" before execution.
-    BreadthFirst,
-}
 
 /// A raw pointer made `Send` for captured completion latches. Validity is
 /// guaranteed by the scope protocol (the referent outlives every task).
@@ -151,36 +139,11 @@ pub(crate) fn run_task_scope<'c, 'a, R>(
 mod tests {
     use super::*;
     use crate::team::Team;
-    use crate::TeamConfig;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn tasks_all_execute() {
         let team = Team::new(4);
-        let hits = AtomicU64::new(0);
-        team.parallel(|ctx| {
-            ctx.single(|| {
-                ctx.task_scope(|s| {
-                    for _ in 0..100 {
-                        s.spawn(|_| {
-                            hits.fetch_add(1, Ordering::Relaxed);
-                        });
-                    }
-                });
-            });
-        });
-        assert_eq!(hits.into_inner(), 100);
-    }
-
-    #[test]
-    fn tasks_execute_in_breadth_first_mode_too() {
-        let team = Team::with_config(
-            4,
-            TeamConfig {
-                task_mode: TaskMode::BreadthFirst,
-                ..TeamConfig::default()
-            },
-        );
         let hits = AtomicU64::new(0);
         team.parallel(|ctx| {
             ctx.single(|| {
@@ -320,26 +283,5 @@ mod tests {
             });
         });
         assert_eq!(order.into_inner().unwrap(), vec![2, 1, 0]);
-    }
-
-    #[test]
-    fn breadth_first_runs_own_tasks_fifo() {
-        let team = Team::with_config(
-            1,
-            TeamConfig {
-                task_mode: TaskMode::BreadthFirst,
-                ..TeamConfig::default()
-            },
-        );
-        let order = std::sync::Mutex::new(Vec::new());
-        team.parallel(|ctx| {
-            ctx.task_scope(|s| {
-                for i in 0..3 {
-                    let order = &order;
-                    s.spawn(move |_| order.lock().unwrap().push(i));
-                }
-            });
-        });
-        assert_eq!(order.into_inner().unwrap(), vec![0, 1, 2]);
     }
 }

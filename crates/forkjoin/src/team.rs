@@ -22,45 +22,16 @@ use tpm_sync::topology::NumaTopology;
 use tpm_sync::EventKind;
 use tpm_sync::{
     Barrier, CachePadded, CancelReason, CancelToken, CountLatch, IdleStrategy, LockedDeque, Mutex,
-    Reducer, SchedulerStats, Sleepers, SpinLock,
+    PoolConfig, Reducer, SchedulerStats, Sleepers, SpinLock,
 };
 
-use crate::tasking::{TaskMode, TaskRef, TaskScope};
+use crate::tasking::{TaskRef, TaskScope};
 use crate::worksharing::{static_chunks, LoopCounter, Schedule};
 
 /// Most chunks one dynamic-schedule claim may batch (see
 /// [`LoopCounter::next_dynamic_batch`]); bounds the work a stalled thread
 /// can sit on to `DYNAMIC_BATCH_CHUNKS · chunk` iterations.
 const DYNAMIC_BATCH_CHUNKS: usize = 8;
-
-/// Configuration for a [`Team`].
-#[derive(Debug, Clone, Copy)]
-pub struct TeamConfig {
-    /// Task-scheduling discipline (the paper's work-first vs breadth-first).
-    pub task_mode: TaskMode,
-    /// Pin worker `tid` to core `tid % cores` (OpenMP's `OMP_PROC_BIND`
-    /// analogue). The master is the caller's thread and is never pinned.
-    /// Defaults to the `TPM_PIN` environment variable.
-    pub pin: bool,
-    /// Idle policy `(spin rounds, yield rounds)` for the team's wait loops:
-    /// in-region (worksharing-counter init, task-scope drains) and between
-    /// regions, before a worker parks.
-    pub idle: (u32, u32),
-}
-
-impl Default for TeamConfig {
-    /// Work-first tasking; `pin` and `idle` are the shared
-    /// [`PoolConfig`](tpm_sync::PoolConfig) defaults every pooled runtime
-    /// starts from.
-    fn default() -> Self {
-        let pool = tpm_sync::PoolConfig::from_env();
-        Self {
-            task_mode: TaskMode::WorkFirst,
-            pin: pool.pin,
-            idle: pool.idle,
-        }
-    }
-}
 
 /// A persistent fork-join thread team (the OpenMP analogue's runtime object).
 ///
@@ -96,8 +67,10 @@ pub(crate) struct TeamInner {
     sleepers: Sleepers,
     in_region: AtomicBool,
     pub(crate) stats: SchedulerStats,
-    pub(crate) task_mode: TaskMode,
     idle: (u32, u32),
+    /// The probed topology when node-aware task stealing is on
+    /// ([`PoolConfig::numa`]), else `None`.
+    topology: Option<NumaTopology>,
 }
 
 /// An erased parallel-region job: `func(tid)` plus a completion latch.
@@ -206,37 +179,20 @@ pub struct Ctx<'a> {
     /// XorShift state for steal victim selection.
     rng: Cell<u64>,
     /// Same-NUMA-node steal victims (empty when node-aware stealing is
-    /// inactive — single node, `TPM_NUMA=off` — or no same-node peer
-    /// exists). The steal loop spends its first sweep on these before
-    /// falling back to uniform victims.
+    /// off — see [`PoolConfig::numa`] — or no same-node peer exists). The
+    /// steal loop spends its first sweep on these before falling back to
+    /// uniform victims.
     local_victims: Vec<usize>,
 }
 
 /// Same-node peers of `tid` under the worker→CPU mapping `tid % cpus`
-/// (matching `affinity::pin_current_thread`). Pure so it is testable; the
-/// cached policy gate lives in [`numa_local_victims`].
+/// (matching `affinity::pin_current_thread`).
 fn local_victims_for(topo: &NumaTopology, tid: usize, active: usize) -> Vec<usize> {
     let cpus = topo.num_cpus().max(1);
     let node = topo.node_of_cpu(tid % cpus);
     (0..active)
         .filter(|&v| v != tid && topo.node_of_cpu(v % cpus) == node)
         .collect()
-}
-
-/// [`local_victims_for`] behind the process-wide policy gate: node-aware
-/// stealing needs a multi-node topology and `TPM_NUMA` not off (unset
-/// defaults to "only when `TPM_PIN` is on", since without pinning the
-/// worker→CPU mapping is fiction).
-fn numa_local_victims(tid: usize, active: usize) -> Vec<usize> {
-    static TOPO: std::sync::OnceLock<Option<NumaTopology>> = std::sync::OnceLock::new();
-    match TOPO.get_or_init(|| {
-        let t = NumaTopology::probe();
-        (t.num_nodes() > 1 && tpm_sync::topology::numa_from_env(tpm_sync::affinity::pin_from_env()))
-            .then_some(t)
-    }) {
-        Some(topo) => local_victims_for(topo, tid, active),
-        None => Vec::new(),
-    }
 }
 
 impl<'a> Ctx<'a> {
@@ -248,7 +204,10 @@ impl<'a> Ctx<'a> {
             ws_seq: Cell::new(0),
             single_seq: Cell::new(0),
             rng: Cell::new(0x9E37_79B9_7F4A_7C15 ^ (tid as u64 + 1)),
-            local_victims: numa_local_victims(tid, region.active),
+            local_victims: team
+                .topology
+                .as_ref()
+                .map_or_else(Vec::new, |topo| local_victims_for(topo, tid, region.active)),
         }
     }
 
@@ -565,12 +524,7 @@ impl<'a> Ctx<'a> {
 
     /// Pops or steals one task and executes it. Returns false if none found.
     pub(crate) fn execute_one_task(&self) -> bool {
-        let own = &self.region.deques[self.tid];
-        let task = match self.team.task_mode {
-            TaskMode::WorkFirst => own.pop_bottom(),
-            TaskMode::BreadthFirst => own.pop_top(),
-        };
-        let task = task.or_else(|| {
+        let task = self.region.deques[self.tid].pop_bottom().or_else(|| {
             // Randomized stealing from the FIFO end, a few rounds. With
             // node-aware stealing active, the first sweep's worth of
             // probes draws from same-node victims only (a remote steal
@@ -620,88 +574,34 @@ impl std::fmt::Debug for Ctx<'_> {
     }
 }
 
-/// Builder for [`Team`] — the one place every construction knob lives
-/// (thread count, pinning, task discipline), replacing the ad-hoc mix of
-/// `Team::new` + `TPM_PIN` env var + `TeamConfig` literals.
-///
-/// # Examples
-///
-/// ```
-/// use tpm_forkjoin::Team;
-///
-/// let team = Team::builder().threads(2).pin(false).build();
-/// assert_eq!(team.num_threads(), 2);
-/// ```
-#[derive(Debug, Clone)]
-#[must_use = "call .build() to create the Team"]
-pub struct TeamBuilder {
-    threads: usize,
-    config: TeamConfig,
-}
-
-impl TeamBuilder {
-    /// Team size (default 1).
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = n;
-        self
-    }
-
-    /// Pin worker `tid` to core `tid % cores`. Defaults to the `TPM_PIN`
-    /// environment variable.
-    pub fn pin(mut self, pin: bool) -> Self {
-        self.config.pin = pin;
-        self
-    }
-
-    /// Task-scheduling discipline (default [`TaskMode::WorkFirst`]).
-    pub fn task_mode(mut self, mode: TaskMode) -> Self {
-        self.config.task_mode = mode;
-        self
-    }
-
-    /// Idle policy `(spin, yield)` rounds for the team's wait loops
-    /// (defaults to [`tpm_sync::IdleStrategy`]'s runtime defaults).
-    pub fn idle(mut self, spin: u32, yld: u32) -> Self {
-        self.config.idle = (spin, yld);
-        self
-    }
-
-    /// Applies a shared [`tpm_sync::PoolConfig`] (the family-registry path:
-    /// every runtime gets the same threads/pin/idle knobs). The `numa`
-    /// field is not consumed here — the team's NUMA behavior (node-local
-    /// task-steal victims) keys off `TPM_NUMA` at region setup.
-    pub fn config(mut self, cfg: tpm_sync::PoolConfig) -> Self {
-        self.threads = cfg.threads;
-        self.config.pin = cfg.pin;
-        self.config.idle = cfg.idle;
-        self
-    }
-
-    /// Builds the team, spawning its workers.
-    #[must_use = "dropping the Team joins its workers"]
-    pub fn build(self) -> Team {
-        Team::with_config(self.threads, self.config)
-    }
-}
-
 impl Team {
-    /// The construction entry point; see [`TeamBuilder`].
-    pub fn builder() -> TeamBuilder {
-        TeamBuilder {
-            threads: 1,
-            config: TeamConfig::default(),
-        }
-    }
-
     /// Creates a team of `num_threads` (master + `num_threads - 1` workers)
-    /// with the default configuration (shorthand for
-    /// `Team::builder().threads(num_threads).build()`).
+    /// with the [`PoolConfig::from_env`] defaults.
     pub fn new(num_threads: usize) -> Self {
-        Self::builder().threads(num_threads).build()
+        Self::with_config(PoolConfig {
+            threads: num_threads,
+            ..PoolConfig::from_env()
+        })
     }
 
-    /// Creates a team with explicit configuration.
-    pub fn with_config(num_threads: usize, config: TeamConfig) -> Self {
+    /// Creates a team of `cfg.threads`: worker `tid` is pinned to core
+    /// `tid % cores` when `cfg.pin` (OpenMP's `OMP_PROC_BIND` analogue; the
+    /// master is the caller's thread and is never pinned), task steals try
+    /// same-node victims first when `cfg.numa`, and `cfg.idle` bounds the
+    /// wait loops — in-region (worksharing-counter init, task-scope drains)
+    /// and between regions, before a worker parks.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use tpm_forkjoin::Team;
+    /// use tpm_sync::PoolConfig;
+    ///
+    /// let team = Team::with_config(PoolConfig { threads: 2, pin: false, ..PoolConfig::from_env() });
+    /// assert_eq!(team.num_threads(), 2);
+    /// ```
+    pub fn with_config(cfg: PoolConfig) -> Self {
+        let num_threads = cfg.threads;
         assert!(num_threads >= 1, "team needs at least one thread");
         let inner = Arc::new(TeamInner {
             num_threads,
@@ -711,10 +611,10 @@ impl Team {
             sleepers: Sleepers::new(num_threads - 1),
             in_region: AtomicBool::new(false),
             stats: SchedulerStats::new(num_threads),
-            task_mode: config.task_mode,
-            idle: config.idle,
+            idle: cfg.idle,
+            topology: cfg.numa.then(NumaTopology::probe),
         });
-        let pin = config.pin;
+        let pin = cfg.pin;
         let handles = (1..num_threads)
             .map(|tid| {
                 let inner = Arc::clone(&inner);
@@ -958,6 +858,33 @@ mod tests {
         // A worker with no same-node peer gets an empty list (the steal
         // loop then falls back to uniform selection).
         assert_eq!(local_victims_for(&topo, 2, 3), Vec::<usize>::new());
+    }
+
+    /// Each thread's same-node victim list in a region of `active` threads
+    /// on a team built with NUMA ordering `numa`.
+    fn victim_lists(numa: bool, active: usize) -> Vec<Vec<usize>> {
+        let team = Team::with_config(PoolConfig {
+            threads: active,
+            numa,
+            ..PoolConfig::from_env()
+        });
+        let lists = std::sync::Mutex::new(vec![Vec::new(); active]);
+        team.parallel(|ctx| {
+            lists.lock().unwrap()[ctx.thread_num()] = ctx.local_victims.clone();
+        });
+        lists.into_inner().unwrap()
+    }
+
+    #[test]
+    fn team_honours_the_configured_numa_flag() {
+        // Forced on, every worker has a same-node peer whatever the host
+        // (a single-node host puts every peer on the one node); forced off,
+        // none has, even on a multi-node host or under TPM_NUMA=1.
+        for (tid, list) in victim_lists(true, 3).iter().enumerate() {
+            assert!(!list.is_empty(), "numa on: thread {tid} has no victims");
+            assert!(!list.contains(&tid), "thread {tid} lists itself");
+        }
+        assert!(victim_lists(false, 3).iter().all(Vec::is_empty));
     }
 
     #[test]

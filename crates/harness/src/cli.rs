@@ -53,10 +53,9 @@ experiments: table1 table2 table3 fig1..fig10 figures tables all check ht numasi
                      (median + stddev seconds) for figure experiments, or
                      the loadgen report
   --pin              pin runtime worker threads to cores (TPM_PIN=1)
-  --numa mode        NUMA-aware victim ordering in the worksteal/forkjoin
-                     runtimes: on (TPM_NUMA=1), off (TPM_NUMA=0), or auto
-                     (probe sysfs; node-aware only on multi-node machines
-                     with --pin) [auto]
+  --numa mode        NUMA-aware victim ordering in every pooled runtime
+                     on multi-node machines: on (TPM_NUMA=1), off
+                     (TPM_NUMA=0), or auto (on only with --pin) [auto]
   --kernel-variant v run native kernels with the reference (paper-faithful
                      scalar) or optimized (vectorized/blocked/tiled) data
                      path; default reference
@@ -110,8 +109,9 @@ pub struct CommonOpts {
     pub pin: bool,
     /// Install the fault plan at this path (tpm-fault JSON) for the run.
     pub fault_plan: Option<PathBuf>,
-    /// NUMA-aware victim ordering: `Some(true)` forces it (`TPM_NUMA=1`),
-    /// `Some(false)` disables it, `None` lets the topology probe decide.
+    /// NUMA-aware victim ordering on multi-node topologies: `Some(true)`
+    /// allows it (`TPM_NUMA=1`), `Some(false)` disables it, `None` follows
+    /// `--pin`.
     pub numa: Option<bool>,
 }
 

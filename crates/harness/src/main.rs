@@ -75,8 +75,8 @@ fn run(cli: &Cli, fault_plan: Option<tpm_fault::FaultPlan>) -> i32 {
         std::env::set_var("TPM_PIN", "1");
     }
     match numa {
-        // Like --pin: the runtimes consult TPM_NUMA at worker spawn; auto
-        // leaves the env alone so the sysfs topology probe decides.
+        // Like --pin: PoolConfig::from_env reads TPM_NUMA when a runtime
+        // is built; auto leaves the env alone so pinning decides.
         Some(true) => std::env::set_var("TPM_NUMA", "1"),
         Some(false) => std::env::set_var("TPM_NUMA", "0"),
         None => {}

@@ -60,20 +60,18 @@ pub use registry::{Registry, Series, SeriesValue, Snapshot};
 /// Whether metrics recording is enabled for this process.
 ///
 /// Metrics are **on by default** (they are designed to be always-on); set
-/// `TPM_METRICS=0` (or `off`/`false`) to disable recording at the
-/// instrumentation sites that consult this gate. Registration and rendering
-/// still work when disabled — series simply stay at zero — which is what the
-/// metrics-on/metrics-off overhead benchmark (BENCH_6) compares.
+/// `TPM_METRICS=0` (or any [`tpm_sync::env_flag`] "off" spelling) to
+/// disable recording at the instrumentation sites that consult this gate.
+/// Registration and rendering still work when disabled — series simply stay
+/// at zero — which is what the metrics-on/metrics-off overhead benchmark
+/// (BENCH_6) compares.
 ///
 /// The value is read once and cached for the life of the process.
 pub fn enabled() -> bool {
     use std::sync::OnceLock;
     static ENABLED: OnceLock<bool> = OnceLock::new();
     *ENABLED.get_or_init(|| {
-        !matches!(
-            std::env::var("TPM_METRICS").as_deref(),
-            Ok("0") | Ok("off") | Ok("false") | Ok("no")
-        )
+        tpm_sync::env_flag(std::env::var("TPM_METRICS").ok().as_deref()).unwrap_or(true)
     })
 }
 

@@ -113,8 +113,8 @@ where
     Op: Fn(T, T) -> T,
 {
     let num_threads = num_threads.max(1);
-    // There is no pool (and so no builder) to configure: the env knob is the
-    // only way to request pinning for per-region threads.
+    // There is no pool (and so no `PoolConfig`) to configure: the env knob
+    // is the only way to request pinning for per-region threads.
     let pin = tpm_sync::affinity::pin_from_env();
     let partials = std::thread::scope(|s| {
         let handles: Vec<_> = (0..num_threads)

@@ -1,11 +1,11 @@
 //! Optional core-affinity pinning for runtime worker threads.
 //!
 //! All three runtimes consult the same two knobs when they spawn workers: the
-//! `TPM_PIN` environment variable (`1`/`true`/`on`) or an explicit builder
-//! flag. Pinning worker `i` to core `i % cores` removes OS-migration noise
-//! from the overhead measurements the paper's figures are about — on a
-//! multi-core host, a migrated worker drags its working set across caches
-//! mid-benchmark.
+//! `TPM_PIN` environment variable (any [`crate::env_flag`] spelling) or an
+//! explicit [`crate::PoolConfig::pin`]. Pinning worker `i` to core
+//! `i % cores` removes OS-migration noise from the overhead measurements the
+//! paper's figures are about — on a multi-core host, a migrated worker drags
+//! its working set across caches mid-benchmark.
 //!
 //! The workspace builds offline with no `libc`, so the Linux implementation
 //! issues the `sched_setaffinity` syscall directly; everywhere else (and on
@@ -13,10 +13,7 @@
 
 /// True when the `TPM_PIN` environment variable requests pinning.
 pub fn pin_from_env() -> bool {
-    matches!(
-        std::env::var("TPM_PIN").as_deref(),
-        Ok("1") | Ok("true") | Ok("on")
-    )
+    crate::env_flag(std::env::var("TPM_PIN").ok().as_deref()).unwrap_or(false)
 }
 
 /// Pins the calling thread to core `index % available cores`. Returns whether

@@ -56,7 +56,8 @@ impl IdleStrategy {
     }
 
     /// Spin rounds of [`runtime_default`](Self::runtime_default) (exposed so
-    /// runtime builders can use the shared policy as their default).
+    /// [`PoolConfig::from_env`](crate::PoolConfig::from_env) can use the
+    /// shared policy as its default).
     pub const RUNTIME_DEFAULT_SPIN: u32 = 6;
     /// Yield rounds of [`runtime_default`](Self::runtime_default).
     pub const RUNTIME_DEFAULT_YIELD: u32 = 58;

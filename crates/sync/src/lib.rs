@@ -18,7 +18,7 @@
 //! | [`Reducer`] | all three | Cilk reducers / OpenMP `reduction` clause |
 //! | [`IdleStrategy`] / [`Sleepers`] | every pooled runtime | worker idle loops (spin → yield → park until woken) |
 //! | [`MpscQueue`] | `tpm-actors` | Vyukov MPSC mailboxes (Charm++/ParalleX-style messaging) |
-//! | [`PoolConfig`] | all pooled runtimes | shared builder knobs (threads/pin/numa/idle) |
+//! | [`PoolConfig`] / [`env_flag`] | all pooled runtimes | the one runtime configuration (threads/pin/numa/idle, each runtime's `with_config`) and the one boolean env-knob parser |
 //! | [`CancelToken`] | all three | cooperative cancellation + deadlines (job service) |
 //! | [`affinity`] | all three | core pinning (`TPM_PIN`, `OMP_PROC_BIND` analogue) |
 //! | [`epoll`] | `tpm-serve` | readiness polling for the socket reactor (raw epoll syscalls on Linux x86-64, a tick poller elsewhere) |
@@ -64,7 +64,7 @@ pub use locked_deque::LockedDeque;
 pub use mpsc::MpscQueue;
 pub use mutex::{Mutex, MutexGuard};
 pub use oneshot::{channel as oneshot_channel, Receiver, RecvError, Sender};
-pub use pool::PoolConfig;
+pub use pool::{env_flag, PoolConfig};
 pub use reducer::Reducer;
 pub use rng::{SplitMix64, XorShift64Star};
 pub use spinlock::{SpinGuard, SpinLock};

@@ -76,12 +76,6 @@ impl<T: Send> LockedDeque<T> {
         self.inner.lock().pop_front()
     }
 
-    /// FIFO pop from the oldest end by the owner; used by breadth-first task
-    /// scheduling.
-    pub fn pop_top(&self) -> Option<T> {
-        self.inner.lock().pop_front()
-    }
-
     /// Current length.
     pub fn len(&self) -> usize {
         self.inner.lock().len()
@@ -112,7 +106,7 @@ mod tests {
         }
         assert_eq!(d.steal_top(), Some(0));
         assert_eq!(d.pop_bottom(), Some(3));
-        assert_eq!(d.pop_top(), Some(1));
+        assert_eq!(d.steal_top(), Some(1));
         assert_eq!(d.pop_bottom(), Some(2));
         assert!(d.is_empty());
     }

@@ -1,14 +1,36 @@
 //! Shared worker-pool configuration.
 //!
 //! Every pooled runtime in the workspace (`tpm-forkjoin`'s `Team`,
-//! `tpm-worksteal`'s `Runtime`, `tpm-actors`' `ActorRuntime`) exposes the
-//! same four construction knobs — worker count, core pinning, NUMA-aware
-//! victim ordering, and the idle escalation policy. [`PoolConfig`] is the
-//! one place those knobs and their environment-variable defaults live, so
-//! the per-crate builders delegate here instead of re-implementing (and
-//! drifting on) the defaults.
+//! `tpm-worksteal`'s `Runtime`, `tpm-actors`' `ActorRuntime`) is built from
+//! one [`PoolConfig`] — worker count, core pinning, NUMA-aware victim
+//! ordering, and the idle escalation policy — through its `with_config`
+//! constructor (`new(threads)` is `with_config` over [`PoolConfig::from_env`]).
+//! This is the one place those knobs and their environment-variable defaults
+//! live, and [`env_flag`] the one parser of the boolean environment knobs.
 
+use crate::topology::{numa_from_env, NumaTopology};
 use crate::IdleStrategy;
+
+/// Parses a boolean environment knob: `1`/`true`/`on`/`yes` is `Some(true)`,
+/// `0`/`false`/`off`/`no` is `Some(false)`, anything else (including unset)
+/// is `None`, leaving the caller's default in force.
+///
+/// # Examples
+///
+/// ```
+/// use tpm_sync::env_flag;
+///
+/// assert_eq!(env_flag(Some("yes")), Some(true));
+/// assert_eq!(env_flag(Some("off")), Some(false));
+/// assert_eq!(env_flag(None), None);
+/// ```
+pub fn env_flag(value: Option<&str>) -> Option<bool> {
+    match value? {
+        "1" | "true" | "on" | "yes" => Some(true),
+        "0" | "false" | "off" | "no" => Some(false),
+        _ => None,
+    }
+}
 
 /// Construction knobs common to every pooled runtime.
 ///
@@ -17,7 +39,7 @@ use crate::IdleStrategy;
 /// ```
 /// use tpm_sync::PoolConfig;
 ///
-/// let cfg = PoolConfig::from_env().threads(4).pin(false);
+/// let cfg = PoolConfig { threads: 4, pin: false, ..PoolConfig::from_env() };
 /// assert_eq!(cfg.threads, 4);
 /// assert!(!cfg.pin);
 /// ```
@@ -28,52 +50,32 @@ pub struct PoolConfig {
     /// Pin worker `i` to core `i % cores` (no-op without
     /// `sched_setaffinity`).
     pub pin: bool,
-    /// Node-aware victim/placement ordering; `None` lets each runtime decide
-    /// from `TPM_NUMA` and the probed topology.
-    pub numa: Option<bool>,
+    /// Node-aware victim ordering: thieves try same-NUMA-node victims
+    /// before crossing the interconnect. Workers map to CPUs as
+    /// `index % cpus`, matching [`pin`](Self::pin)'s placement.
+    pub numa: bool,
     /// Idle escalation `(spin_rounds, yield_rounds)` before parking (see
     /// [`IdleStrategy::new`]).
     pub idle: (u32, u32),
 }
 
 impl PoolConfig {
-    /// The defaults every runtime builder starts from: one worker, pinning
-    /// from `TPM_PIN`, NUMA left to the topology probe, the shared runtime
-    /// idle budget.
+    /// The defaults every runtime starts from: one worker, pinning from
+    /// `TPM_PIN`, NUMA ordering when the probed topology has more than one
+    /// node and `TPM_NUMA` allows it (unset, it follows pinning: without
+    /// pinning the worker→CPU mapping is fiction), the shared runtime idle
+    /// budget.
     pub fn from_env() -> Self {
+        let pin = crate::affinity::pin_from_env();
         PoolConfig {
             threads: 1,
-            pin: crate::affinity::pin_from_env(),
-            numa: None,
+            pin,
+            numa: numa_from_env(pin) && NumaTopology::probe().num_nodes() > 1,
             idle: (
                 IdleStrategy::RUNTIME_DEFAULT_SPIN,
                 IdleStrategy::RUNTIME_DEFAULT_YIELD,
             ),
         }
-    }
-
-    /// Sets the worker count.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = n;
-        self
-    }
-
-    /// Sets core pinning.
-    pub fn pin(mut self, pin: bool) -> Self {
-        self.pin = pin;
-        self
-    }
-
-    /// Forces NUMA-aware ordering on or off (instead of auto-detection).
-    pub fn numa(mut self, numa: bool) -> Self {
-        self.numa = Some(numa);
-        self
-    }
-
-    /// Sets the idle escalation policy.
-    pub fn idle(mut self, spin_rounds: u32, yield_rounds: u32) -> Self {
-        self.idle = (spin_rounds, yield_rounds);
-        self
     }
 }
 
@@ -88,16 +90,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builder_methods_set_fields() {
-        let cfg = PoolConfig::from_env()
-            .threads(8)
-            .pin(true)
-            .numa(false)
-            .idle(5, 7);
-        assert_eq!(cfg.threads, 8);
-        assert!(cfg.pin);
-        assert_eq!(cfg.numa, Some(false));
-        assert_eq!(cfg.idle, (5, 7));
+    fn env_flag_accepts_every_spelling_and_nothing_else() {
+        for on in ["1", "true", "on", "yes"] {
+            assert_eq!(env_flag(Some(on)), Some(true), "{on}");
+        }
+        for off in ["0", "false", "off", "no"] {
+            assert_eq!(env_flag(Some(off)), Some(false), "{off}");
+        }
+        for other in ["", "2", "TRUE", "y", " on", "auto"] {
+            assert_eq!(env_flag(Some(other)), None, "{other:?}");
+        }
+        assert_eq!(env_flag(None), None);
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //!
 //! Two environment knobs, mirroring `TPM_PIN`:
 //!
-//! * `TPM_NUMA` — `1`/`true`/`on` forces node-aware victim ordering in the
-//!   worksteal runtime, `0`/`false`/`off` disables it; unset means "on when
-//!   the probed topology actually has multiple nodes".
+//! * `TPM_NUMA` — a [`crate::env_flag`] "on" spelling allows node-aware
+//!   victim ordering in every pooled runtime, an "off" spelling forbids it;
+//!   unset follows `TPM_PIN`. Either way it only takes effect when the
+//!   probed topology has multiple nodes ([`crate::PoolConfig::from_env`]).
 //! * `TPM_NUMA_NODES` — overrides the probe with an explicit topology spec,
 //!   e.g. `0-3,8-11;4-7,12-15` (nodes separated by `;`, each a cpulist).
 //!   This is how the 1-core CI container tests multi-node policies.
@@ -173,14 +174,9 @@ fn parse_cpulist(list: &str) -> Option<Vec<usize>> {
 }
 
 /// True when `TPM_NUMA` requests node-aware scheduling, false when it
-/// forbids it; unset defers to `default` (callers pass "topology has
-/// multiple nodes").
+/// forbids it; unset (or unrecognised) defers to `default`.
 pub fn numa_from_env(default: bool) -> bool {
-    match std::env::var("TPM_NUMA").as_deref() {
-        Ok("1") | Ok("true") | Ok("on") => true,
-        Ok("0") | Ok("false") | Ok("off") => false,
-        _ => default,
-    }
+    crate::env_flag(std::env::var("TPM_NUMA").ok().as_deref()).unwrap_or(default)
 }
 
 /// Advises the kernel to back `[ptr, ptr + len)` with transparent huge

@@ -40,7 +40,7 @@ mod scope;
 pub use join::join;
 pub use par_for::{par_for, par_for_cancel, par_for_ctx, par_for_ctx_cancel, Grain};
 pub use par_iter::{join3, par_map};
-pub use runtime::{Runtime, RuntimeBuilder, WorkerCtx};
+pub use runtime::{Runtime, WorkerCtx};
 pub use scope::{scope, Scope};
 
 use std::ops::Range;

@@ -93,9 +93,8 @@ pub struct Shared<T: Task> {
 }
 
 impl<T: Task> Pool<T> {
-    /// Spawns `cfg.threads` workers. NUMA-aware victim ordering follows
-    /// `cfg.numa`, else `TPM_NUMA`, else "pinning is on and the probed
-    /// topology has multiple nodes".
+    /// Spawns `cfg.threads` workers, with NUMA-aware victim ordering when
+    /// `cfg.numa`.
     pub fn new(cfg: PoolConfig) -> Self {
         let num_workers = cfg.threads;
         assert!(num_workers >= 1, "runtime needs at least one worker");
@@ -103,9 +102,6 @@ impl<T: Task> Pool<T> {
             .map(|_| chase_lev::deque(DEQUE_CAPACITY))
             .unzip();
         let topo = NumaTopology::probe();
-        let numa = cfg
-            .numa
-            .unwrap_or_else(|| tpm_sync::topology::numa_from_env(cfg.pin && topo.num_nodes() > 1));
         let shared = Arc::new_cyclic(|me| Shared {
             stealers,
             injector: LockedDeque::new(),
@@ -113,8 +109,8 @@ impl<T: Task> Pool<T> {
             shutdown: AtomicBool::new(false),
             sleepers: Sleepers::new(num_workers),
             stats: SchedulerStats::new(num_workers),
-            victim_plans: build_victim_plans(&topo, num_workers, numa),
-            numa,
+            victim_plans: build_victim_plans(&topo, num_workers, cfg.numa),
+            numa: cfg.numa,
             pin: cfg.pin,
             live: AtomicUsize::new(num_workers),
             deaths: AtomicUsize::new(0),

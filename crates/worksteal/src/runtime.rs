@@ -62,94 +62,35 @@ pub struct Runtime {
     pool: Pool<JobRef>,
 }
 
-/// Builder for [`Runtime`] over the shared [`PoolConfig`] knobs (worker
-/// count, pinning, NUMA victim ordering, idle policy).
-///
-/// # Examples
-///
-/// ```
-/// use tpm_worksteal::Runtime;
-///
-/// let rt = Runtime::builder().threads(2).pin(false).build();
-/// assert_eq!(rt.num_workers(), 2);
-/// ```
-#[derive(Debug, Clone)]
-#[must_use = "call .build() to create the Runtime"]
-pub struct RuntimeBuilder {
-    cfg: PoolConfig,
-}
-
-impl RuntimeBuilder {
-    /// Number of worker threads (default 1).
-    pub fn threads(mut self, n: usize) -> Self {
-        self.cfg = self.cfg.threads(n);
-        self
-    }
-
-    /// Pin worker `i` to core `i % cores` (a no-op on platforms without
-    /// `sched_setaffinity`). Defaults to the `TPM_PIN` environment variable.
-    pub fn pin(mut self, pin: bool) -> Self {
-        self.cfg = self.cfg.pin(pin);
-        self
-    }
-
-    /// Node-aware victim ordering: thieves scan same-NUMA-node victims
-    /// before crossing the interconnect (steal intra-socket first — a
-    /// remote steal drags the task's working set across sockets). Defaults
-    /// to the `TPM_NUMA` environment variable, and with that unset to
-    /// "only when pinning is on and the probed topology has multiple
-    /// nodes". Workers map to CPUs as `index % cpus`, matching
-    /// [`pin`](Self::pin)'s placement.
-    pub fn numa(mut self, numa: bool) -> Self {
-        self.cfg = self.cfg.numa(numa);
-        self
-    }
-
-    /// Idle escalation policy for worker loops: `spin_rounds` of spinning,
-    /// then `yield_rounds` of yielding, then parking until woken (see
-    /// [`tpm_sync::IdleStrategy::new`]). Defaults to the shared
-    /// [`tpm_sync::IdleStrategy::runtime_default`] budget.
-    pub fn idle(mut self, spin_rounds: u32, yield_rounds: u32) -> Self {
-        self.cfg = self.cfg.idle(spin_rounds, yield_rounds);
-        self
-    }
-
-    /// Applies a shared [`PoolConfig`] wholesale (the family-registry path:
-    /// every runtime gets the same knobs).
-    pub fn config(mut self, cfg: PoolConfig) -> Self {
-        self.cfg = cfg;
-        self
-    }
-
-    /// Builds the runtime, spawning its workers.
-    #[must_use = "dropping the Runtime joins its workers"]
-    pub fn build(self) -> Runtime {
-        Runtime {
-            pool: Pool::new(self.cfg),
-        }
-    }
-}
-
 impl Runtime {
-    /// The construction entry point; see [`RuntimeBuilder`].
-    pub fn builder() -> RuntimeBuilder {
-        RuntimeBuilder {
-            cfg: PoolConfig::from_env(),
-        }
-    }
-
-    /// Creates a runtime with `num_workers` worker threads (shorthand for
-    /// `Runtime::builder().threads(num_workers).build()`). Workers are
-    /// pinned to cores when the `TPM_PIN` environment variable is set
-    /// (`1`/`true`/`on`); use the builder to decide explicitly.
+    /// Creates a runtime with `num_workers` worker threads and the
+    /// [`PoolConfig::from_env`] defaults (pinning from `TPM_PIN`).
     pub fn new(num_workers: usize) -> Self {
-        Self::builder().threads(num_workers).build()
+        Self::with_config(PoolConfig {
+            threads: num_workers,
+            ..PoolConfig::from_env()
+        })
     }
 
-    /// Creates a runtime, pinning worker `i` to core `i % cores` when `pin`
-    /// is true (shorthand for the builder's `pin` knob).
-    pub fn with_pinning(num_workers: usize, pin: bool) -> Self {
-        Self::builder().threads(num_workers).pin(pin).build()
+    /// Creates a runtime of `cfg.threads` workers: worker `i` is pinned to
+    /// core `i % cores` when `cfg.pin` (a no-op on platforms without
+    /// `sched_setaffinity`), thieves scan same-node victims first when
+    /// `cfg.numa`, and `cfg.idle` is the spin → yield budget before a
+    /// worker parks.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use tpm_sync::PoolConfig;
+    /// use tpm_worksteal::Runtime;
+    ///
+    /// let rt = Runtime::with_config(PoolConfig { threads: 2, pin: false, ..PoolConfig::from_env() });
+    /// assert_eq!(rt.num_workers(), 2);
+    /// ```
+    pub fn with_config(cfg: PoolConfig) -> Self {
+        Runtime {
+            pool: Pool::new(cfg),
+        }
     }
 
     /// Number of worker threads.
@@ -178,7 +119,7 @@ impl Runtime {
     }
 
     /// Whether node-aware victim ordering is active (see
-    /// [`RuntimeBuilder::numa`]).
+    /// [`PoolConfig::numa`]).
     pub fn numa_enabled(&self) -> bool {
         self.pool.numa_enabled()
     }
@@ -284,7 +225,12 @@ mod tests {
 
     #[test]
     fn numa_enabled_runtime_still_schedules_and_steals() {
-        let rt = Runtime::builder().threads(4).pin(false).numa(true).build();
+        let rt = Runtime::with_config(PoolConfig {
+            threads: 4,
+            pin: false,
+            numa: true,
+            ..PoolConfig::from_env()
+        });
         assert!(rt.numa_enabled());
         let total = rt.install(|ctx| {
             let mut sum = 0u64;

@@ -1,11 +1,16 @@
 //! Idle waiting on the pool core, driven through [`Runtime::install`].
 
+use tpm_sync::PoolConfig;
 use tpm_worksteal::Runtime;
 
 include!("suite/wake.rs");
 
 wake_tests!(
-    |n, (spin, yld)| Runtime::builder().threads(n).idle(spin, yld).build(),
+    |threads, idle| Runtime::with_config(PoolConfig {
+        threads,
+        idle,
+        ..PoolConfig::from_env()
+    }),
     |rt: &Runtime| rt.install(|_| ()),
     [1, 2]
 );

@@ -27,8 +27,8 @@
 //! methodology.
 
 pub use tpm_core::{
-    approx, job, timing, ExecError, Executor, ExecutorBuilder, Family, Figure, JobRegistry,
-    JobResult, JobSpec, KernelVariant, Model, Pattern, Series,
+    approx, job, timing, ExecError, Executor, Family, Figure, JobRegistry, JobResult, JobSpec,
+    KernelVariant, Model, Pattern, Series,
 };
 
 pub use tpm_actors as actors;
