@@ -18,10 +18,11 @@
 //! * **Futures/continuations** for task dependencies ([`future`],
 //!   [`Promise::on_complete`]) — the last child to complete propagates
 //!   upward on its own worker; nothing blocks.
-//! * **Loop entry points** ([`scatter_for_cancel`],
-//!   [`recursive_for_cancel`]) so every kernel in the workspace runs under
-//!   the `actor_for`/`actor_task` models with cancellation, fault probes,
-//!   and trace events identical to the other three families.
+//! * **Loop entry points** ([`scatter_for_indexed_cancel`],
+//!   [`recursive_for_indexed_cancel`]), one per decomposition, so every
+//!   kernel's loops and reductions run under the `actor_for`/`actor_task`
+//!   models with cancellation, fault probes, and trace events identical to
+//!   the other three families.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -33,8 +34,5 @@ mod runtime;
 
 pub use future::{future, Future, Promise};
 pub use mailbox::{Actor, ActorCtx, Addr};
-pub use parallel::{
-    recursive_for_cancel, recursive_for_indexed_cancel, scatter_for_cancel,
-    scatter_for_indexed_cancel,
-};
+pub use parallel::{recursive_for_indexed_cancel, scatter_for_indexed_cancel};
 pub use runtime::{ActorRuntime, WorkerCtx};

@@ -5,16 +5,18 @@
 //! them, join on a count latch. Two decompositions, mirroring the paper's
 //! loop-vs-task split inside the other families:
 //!
-//! * [`scatter_for_cancel`] — flat scatter of `N/chunk` activations (the
-//!   `actor_for` model): cheapest decomposition, one injector pass.
-//! * [`recursive_for_cancel`] — binary splitting down to `base`, children
-//!   pushed to the splitting worker's own deque (the `actor_task` model):
-//!   thieves get big subtrees, the classic many-tasking shape.
+//! * [`scatter_for_indexed_cancel`] — flat scatter of `N/chunk` activations
+//!   (the `actor_for` model): cheapest decomposition, one injector pass.
+//! * [`recursive_for_indexed_cancel`] — binary splitting down to `base`,
+//!   children pushed to the splitting worker's own deque (the `actor_task`
+//!   model): thieves get big subtrees, the classic many-tasking shape.
 //!
-//! Both poll the [`CancelToken`] per activation, probe the shared
-//! `TaskExec` fault site, and contain panics in a first-panic-wins slot so
-//! the join latch *always* reaches zero — a dropped or panicked chunk is a
-//! contained, observable error at the caller, never a hang.
+//! Both hand the body the executing worker's index (a loop ignores it, a
+//! reduction keys its per-worker views by it), poll the [`CancelToken`] per
+//! activation, probe the shared `TaskExec` fault site, and contain panics
+//! in a first-panic-wins slot so the join latch *always* reaches zero — a
+//! dropped or panicked chunk is a contained, observable error at the
+//! caller, never a hang.
 
 use std::any::Any;
 use std::ops::Range;
@@ -70,19 +72,6 @@ pub fn scatter_for_indexed_cancel<F>(
     let pieces = range.step_by(chunk).map(|lo| lo..(lo + chunk).min(end));
     // Every piece is at most `chunk` long, so each activation is a leaf.
     run_pieces(rt, pieces, chunk, token, &body);
-}
-
-/// [`scatter_for_indexed_cancel`] without the worker index.
-pub fn scatter_for_cancel<F>(
-    rt: &ActorRuntime,
-    range: Range<usize>,
-    chunk: usize,
-    token: &CancelToken,
-    body: F,
-) where
-    F: Fn(Range<usize>) + Sync,
-{
-    scatter_for_indexed_cancel(rt, range, chunk, token, |_, r| body(r));
 }
 
 /// Builds the activation for `range`: a leaf runs the body, a longer range
@@ -145,19 +134,6 @@ pub fn recursive_for_indexed_cancel<F>(
     run_pieces(rt, std::iter::once(range), base.max(1), token, &body);
 }
 
-/// [`recursive_for_indexed_cancel`] without the worker index.
-pub fn recursive_for_cancel<F>(
-    rt: &ActorRuntime,
-    range: Range<usize>,
-    base: usize,
-    token: &CancelToken,
-    body: F,
-) where
-    F: Fn(Range<usize>) + Sync,
-{
-    recursive_for_indexed_cancel(rt, range, base, token, |_, r| body(r));
-}
-
 /// Injects one activation per piece, joins them all, and re-raises the
 /// first panic. A piece longer than `base` splits on whichever worker runs
 /// it (see [`split_task`]).
@@ -204,7 +180,8 @@ mod tests {
         let n = 10_000;
         let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
         let token = CancelToken::new();
-        scatter_for_cancel(&rt, 0..n, 64, &token, |r| {
+        scatter_for_indexed_cancel(&rt, 0..n, 64, &token, |w, r| {
+            assert!(w < rt.num_workers(), "worker index {w}");
             for i in r {
                 hits[i].fetch_add(1, Ordering::Relaxed);
             }
@@ -218,7 +195,8 @@ mod tests {
         let n = 10_000;
         let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
         let token = CancelToken::new();
-        recursive_for_cancel(&rt, 0..n, 32, &token, |r| {
+        recursive_for_indexed_cancel(&rt, 0..n, 32, &token, |w, r| {
+            assert!(w < rt.num_workers(), "worker index {w}");
             for i in r {
                 hits[i].fetch_add(1, Ordering::Relaxed);
             }
@@ -233,7 +211,7 @@ mod tests {
         for n in [1usize, 2, 7, 63, 64, 65, 1023] {
             for chunk in [1usize, 3, 64, 4096] {
                 let total = AtomicU64::new(0);
-                scatter_for_cancel(&rt, 0..n, chunk, &token, |r| {
+                scatter_for_indexed_cancel(&rt, 0..n, chunk, &token, |_, r| {
                     total.fetch_add(r.len() as u64, Ordering::Relaxed);
                 });
                 assert_eq!(
@@ -242,7 +220,7 @@ mod tests {
                     "scatter n={n} chunk={chunk}"
                 );
                 let total = AtomicU64::new(0);
-                recursive_for_cancel(&rt, 0..n, chunk, &token, |r| {
+                recursive_for_indexed_cancel(&rt, 0..n, chunk, &token, |_, r| {
                     total.fetch_add(r.len() as u64, Ordering::Relaxed);
                 });
                 assert_eq!(
@@ -260,7 +238,7 @@ mod tests {
         let token = CancelToken::new();
         let ran = AtomicU64::new(0);
         token.cancel();
-        scatter_for_cancel(&rt, 0..100_000, 64, &token, |_r| {
+        scatter_for_indexed_cancel(&rt, 0..100_000, 64, &token, |_, _r| {
             ran.fetch_add(1, Ordering::Relaxed);
         });
         // Pre-cancelled: every activation observes the token and skips.
@@ -272,7 +250,7 @@ mod tests {
         let rt = ActorRuntime::new(2);
         let token = CancelToken::new();
         let r = catch_unwind(AssertUnwindSafe(|| {
-            scatter_for_cancel(&rt, 0..1000, 16, &token, |r| {
+            scatter_for_indexed_cancel(&rt, 0..1000, 16, &token, |_, r| {
                 if r.contains(&500) {
                     panic!("chunk boom");
                 }
@@ -281,7 +259,7 @@ mod tests {
         assert!(r.is_err(), "the body panic must reach the caller");
         // The pool survives and runs the next loop.
         let total = AtomicU64::new(0);
-        scatter_for_cancel(&rt, 0..100, 10, &token, |r| {
+        scatter_for_indexed_cancel(&rt, 0..100, 10, &token, |_, r| {
             total.fetch_add(r.len() as u64, Ordering::Relaxed);
         });
         assert_eq!(total.load(Ordering::Relaxed), 100);
@@ -292,7 +270,7 @@ mod tests {
         let rt = ActorRuntime::new(2);
         let token = CancelToken::new();
         let r = catch_unwind(AssertUnwindSafe(|| {
-            recursive_for_cancel(&rt, 0..1000, 16, &token, |r| {
+            recursive_for_indexed_cancel(&rt, 0..1000, 16, &token, |_, r| {
                 if r.contains(&500) {
                     panic!("split boom");
                 }
@@ -300,7 +278,7 @@ mod tests {
         }));
         assert!(r.is_err());
         let total = AtomicU64::new(0);
-        recursive_for_cancel(&rt, 0..100, 10, &token, |r| {
+        recursive_for_indexed_cancel(&rt, 0..100, 10, &token, |_, r| {
             total.fetch_add(r.len() as u64, Ordering::Relaxed);
         });
         assert_eq!(total.load(Ordering::Relaxed), 100);

@@ -4,7 +4,12 @@
 //! stealing `Runtime` and the `ActorRuntime`, held by name — from one shared
 //! [`PoolConfig`], so the pools stay comparable; the C++11 family creates
 //! its threads per call. [`Executor::try_parallel_for`] and
-//! [`Executor::try_parallel_reduce`] dispatch any [`Model`] onto them.
+//! [`Executor::try_parallel_reduce`] run any [`Model`] on them through one
+//! per-model loop dispatch, so a model's for loop and its reduction claim
+//! the same chunks, poll the token and probe faults at the same points, and
+//! differ only in what the body does with a chunk: the reduction folds it
+//! into the executing worker's private view. `cxx_async` alone reduces
+//! through its thread-per-split combine tree, which has no worker slots.
 //!
 //! Task-parallel *algorithms* (recursive decomposition, per-phase task
 //! graphs) are inherently per-application; those use [`Executor::team`],
@@ -17,8 +22,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use tpm_actors::ActorRuntime;
 use tpm_forkjoin::{Schedule, Team};
 use tpm_rawthreads as raw;
-use tpm_sync::{CancelToken, PoolConfig, SchedulerStats, StatsSnapshot};
-use tpm_worksteal::{Grain, Runtime};
+use tpm_sync::{CancelToken, PoolConfig, Reducer, SchedulerStats, StatsSnapshot};
+use tpm_worksteal::{Grain, Runtime, WorkerCtx};
 
 use crate::error::{panic_message, ExecError};
 use crate::model::{Family, Model};
@@ -148,89 +153,10 @@ impl Executor {
             return Err(r.into());
         }
         match catch_unwind(AssertUnwindSafe(|| {
-            self.dispatch_for(model, range, token, body)
+            self.chunks(model, range, token, &|_, chunk| body(chunk))
         })) {
             Ok(()) => token.check().map_err(Into::into),
             Err(p) => Err(ExecError::Panic(panic_message(p))),
-        }
-    }
-
-    fn dispatch_for<F>(&self, model: Model, range: Range<usize>, token: &CancelToken, body: &F)
-    where
-        F: Fn(Range<usize>) + Sync,
-    {
-        let n = range.len();
-        let base = self.base_chunk(n);
-        match model {
-            Model::OmpFor => {
-                // Worksharing with the static schedule (the paper's setup for
-                // all data-parallel comparisons); the region carries the token
-                // so every chunk boundary polls it.
-                self.team().parallel_with_token(self.threads, token, |ctx| {
-                    ctx.ws_for_chunks(Schedule::static_default(), range.clone(), body);
-                });
-            }
-            Model::OmpTask => {
-                // parallel + single + one task per BASE-sized chunk; each task
-                // polls the region's cancellation state before running.
-                self.team().parallel_with_token(self.threads, token, |ctx| {
-                    ctx.single(|| {
-                        ctx.task_scope(|s| {
-                            let mut start = range.start;
-                            while start < range.end {
-                                let end = (start + base).min(range.end);
-                                s.spawn(move |c| {
-                                    if !c.is_cancelled() {
-                                        body(start..end)
-                                    }
-                                });
-                                start = end;
-                            }
-                        });
-                    });
-                });
-            }
-            Model::CilkFor => {
-                // Recursive lazy splitting with Cilk's default grain.
-                self.worksteal().install(|ctx| {
-                    let _ = tpm_worksteal::par_for_cancel(ctx, range, Grain::Auto, token, body);
-                });
-            }
-            Model::CilkSpawn => {
-                // Explicitly spawned BASE-sized chunk tasks + sync.
-                self.worksteal().install(|ctx| {
-                    tpm_worksteal::scope(ctx, |s| {
-                        let mut start = range.start;
-                        while start < range.end {
-                            let end = (start + base).min(range.end);
-                            s.spawn(move |_| {
-                                if !token.is_cancelled() {
-                                    body(start..end)
-                                }
-                            });
-                            start = end;
-                        }
-                    });
-                });
-            }
-            Model::CxxThread => {
-                let _ =
-                    raw::threads_for_cancel(self.threads, range, token, |_tid, chunk| body(chunk));
-            }
-            Model::CxxAsync => {
-                let _ = raw::recursive_for_cancel(range, base, token, body);
-            }
-            Model::ActorFor => {
-                // Flat scatter of BASE-sized chunk activations, balanced by
-                // work stealing, joined on a latch (panics re-raised here,
-                // caught by the try_* wrapper).
-                tpm_actors::scatter_for_cancel(self.actors(), range, base, token, body);
-            }
-            Model::ActorTask => {
-                // Recursive parcels: binary splitting into stealable
-                // activations down to BASE.
-                tpm_actors::recursive_for_cancel(self.actors(), range, base, token, body);
-            }
         }
     }
 
@@ -274,56 +200,64 @@ impl Executor {
             return Err(r.into());
         }
         match catch_unwind(AssertUnwindSafe(|| {
-            self.dispatch_reduce(model, range, token, identity, combine, body)
+            if model == Model::CxxAsync {
+                // No worker slots to key partials by; the thread-per-split
+                // combine tree also keeps float sums bit-reproducible.
+                let leaf = |chunk| {
+                    let mut acc = identity();
+                    body(chunk, &mut acc);
+                    acc
+                };
+                let base = self.base_chunk(range.len());
+                return raw::recursive_reduce_cancel(
+                    range, base, token, &identity, &leaf, &combine,
+                );
+            }
+            // One private view per worker slot, merged in slot order.
+            let reducer = Reducer::new(self.threads, identity, combine);
+            self.chunks(model, range, token, &|slot, chunk| {
+                reducer.with(slot, |acc| body(chunk, acc))
+            });
+            reducer.finish()
         })) {
             Ok(v) => token.check().map(|()| v).map_err(Into::into),
             Err(p) => Err(ExecError::Panic(panic_message(p))),
         }
     }
 
-    fn dispatch_reduce<T, F, Id, Op>(
-        &self,
-        model: Model,
-        range: Range<usize>,
-        token: &CancelToken,
-        identity: Id,
-        combine: Op,
-        body: F,
-    ) -> T
+    /// The one per-model loop dispatch: runs `body(slot, chunk)` over
+    /// `range` with `model`'s chunking and scheduling, where `slot` is the
+    /// executing worker's index (below [`Executor::threads`]). Every model
+    /// polls `token` per chunk, so a fired token stops the loop within one
+    /// grain per worker.
+    fn chunks<F>(&self, model: Model, range: Range<usize>, token: &CancelToken, body: &F)
     where
-        T: Send,
-        Id: Fn() -> T + Send + Sync,
-        Op: Fn(T, T) -> T + Send + Sync,
-        F: Fn(Range<usize>, &mut T) + Sync,
+        F: Fn(usize, Range<usize>) + Sync,
     {
-        let n = range.len();
-        let base = self.base_chunk(n);
+        let base = self.base_chunk(range.len());
         match model {
             Model::OmpFor => {
-                // Identical to Team::parallel_for_reduce, with the token
-                // attached to the region (same chunks, same combine order).
-                let reducer = tpm_sync::Reducer::new(self.threads, identity, combine);
-                self.team().parallel_with_token(self.threads, token, |ctx| {
+                // Worksharing with the static schedule (the paper's setup for
+                // all data-parallel comparisons); the region carries the token
+                // so every chunk boundary polls it.
+                self.team.parallel_with_token(self.threads, token, |ctx| {
                     ctx.ws_for_chunks(Schedule::static_default(), range.clone(), |chunk| {
-                        reducer.with(ctx.thread_num(), |acc| body(chunk, acc));
+                        body(ctx.thread_num(), chunk)
                     });
                 });
-                reducer.finish()
             }
             Model::OmpTask => {
-                // Tasks accumulate into a reducer keyed by executing thread.
-                let reducer = tpm_sync::Reducer::new(self.threads, identity, combine);
-                self.team().parallel_with_token(self.threads, token, |ctx| {
+                // parallel + single + one task per BASE-sized chunk; each task
+                // polls the region's cancellation state before running.
+                self.team.parallel_with_token(self.threads, token, |ctx| {
                     ctx.single(|| {
                         ctx.task_scope(|s| {
                             let mut start = range.start;
                             while start < range.end {
                                 let end = (start + base).min(range.end);
-                                let reducer = &reducer;
-                                let body = &body;
                                 s.spawn(move |c| {
                                     if !c.is_cancelled() {
-                                        reducer.with(c.thread_num(), |acc| body(start..end, acc));
+                                        body(c.thread_num(), start..end)
                                     }
                                 });
                                 start = end;
@@ -331,91 +265,61 @@ impl Executor {
                         });
                     });
                 });
-                reducer.finish()
             }
             Model::CilkFor => {
-                // par_for_reduce's reducer pattern over the cancel-aware loop.
-                let body = &body; // shared borrow: Send because F: Sync
-                self.worksteal().install(move |ctx| {
-                    let reducer = tpm_sync::Reducer::new(ctx.num_workers(), identity, combine);
+                // Recursive lazy splitting with Cilk's default grain.
+                self.worksteal.install(|ctx| {
                     let _ = tpm_worksteal::par_for_ctx_cancel(
                         ctx,
                         range,
                         Grain::Auto,
                         token,
-                        &|c: &tpm_worksteal::WorkerCtx<'_>, chunk: Range<usize>| {
-                            reducer.with(c.index(), |acc| body(chunk, acc));
-                        },
+                        &|c: &WorkerCtx<'_>, chunk| body(c.index(), chunk),
                     );
-                    reducer.finish()
-                })
+                });
             }
             Model::CilkSpawn => {
-                let reducer = tpm_sync::Reducer::new(self.threads, identity, combine);
-                self.worksteal().install(|ctx| {
+                // Explicitly spawned BASE-sized chunk tasks + sync.
+                self.worksteal.install(|ctx| {
                     tpm_worksteal::scope(ctx, |s| {
                         let mut start = range.start;
                         while start < range.end {
                             let end = (start + base).min(range.end);
-                            let reducer = &reducer;
-                            let body = &body;
                             s.spawn(move |c| {
                                 if !token.is_cancelled() {
-                                    reducer.with(c.index(), |acc| body(start..end, acc));
+                                    body(c.index(), start..end)
                                 }
                             });
                             start = end;
                         }
                     });
                 });
-                reducer.finish()
             }
             Model::CxxThread => {
-                // threads_for_reduce's per-thread partials, over the
-                // cancel-aware loop (sub-chunks fold in order, so the
-                // operation sequence per thread is unchanged).
-                let reducer = tpm_sync::Reducer::new(self.threads, identity, combine);
-                let _ = raw::threads_for_cancel(self.threads, range, token, |tid, chunk| {
-                    reducer.with(tid, |acc| body(chunk, acc));
-                });
-                reducer.finish()
+                let _ = raw::threads_for_cancel(self.threads, range, token, body);
             }
-            Model::CxxAsync => raw::recursive_reduce_cancel(
-                range,
-                base,
-                token,
-                &identity,
-                &|chunk| {
-                    let mut acc = identity();
-                    body(chunk, &mut acc);
-                    acc
-                },
-                &combine,
-            ),
-            Model::ActorFor => {
-                // Scatter activations fold into a reducer keyed by the
-                // executing worker (same per-worker-partials shape as the
-                // other pooled families).
-                let reducer = tpm_sync::Reducer::new(self.threads, identity, combine);
-                tpm_actors::scatter_for_indexed_cancel(
-                    self.actors(),
+            Model::CxxAsync => {
+                // Thread-per-split recursion; with no worker slots, every
+                // leaf reports slot 0 (only the for loop reaches this arm).
+                raw::recursive_reduce_cancel(
                     range,
                     base,
                     token,
-                    |w, chunk| reducer.with(w, |acc| body(chunk, acc)),
+                    &|| (),
+                    &|c| body(0, c),
+                    &|(), ()| (),
                 );
-                reducer.finish()
+            }
+            Model::ActorFor => {
+                // Flat scatter of BASE-sized chunk activations, balanced by
+                // work stealing, joined on a latch (panics re-raised here,
+                // caught by the try_* wrappers).
+                tpm_actors::scatter_for_indexed_cancel(&self.actors, range, base, token, body);
             }
             Model::ActorTask => {
-                let reducer = tpm_sync::Reducer::new(self.threads, identity, combine);
-                tpm_actors::recursive_for_indexed_cancel(
-                    self.actors(),
-                    range,
-                    base,
-                    token,
-                    |w, chunk| reducer.with(w, |acc| body(chunk, acc)),
-                );
-                reducer.finish()
+                // Recursive parcels: binary splitting into stealable
+                // activations down to BASE.
+                tpm_actors::recursive_for_indexed_cancel(&self.actors, range, base, token, body);
             }
         }
     }
@@ -494,6 +398,19 @@ mod tests {
                 });
                 assert_eq!(c.into_inner(), 10);
             }
+        }
+    }
+
+    #[test]
+    fn chunks_hand_every_model_a_slot_below_the_thread_count() {
+        let exec = Executor::new(3);
+        for model in Model::ALL {
+            let covered = AtomicU64::new(0);
+            exec.chunks(model, 0..1000, &CancelToken::new(), &|slot, chunk| {
+                assert!(slot < exec.threads(), "{model}: slot {slot}");
+                covered.fetch_add(chunk.len() as u64, Ordering::Relaxed);
+            });
+            assert_eq!(covered.into_inner(), 1000, "{model}");
         }
     }
 

@@ -26,7 +26,10 @@
 //! probability, or an exact `nth == h + 1` match). Two runs of a workload
 //! that drive the same number of hits per site therefore fire the identical
 //! fault set — which is the case for chunk claims, barrier entries, and
-//! task executions of a fixed workload. Steal-attempt hit counts are
+//! task executions of a fixed workload. Every chunk-claiming model probes
+//! `chunk-claim` once per chunk it claims, and a model's for loop and its
+//! reduction claim the same chunks, so the same plan fires at the same
+//! chunk in both. Steal-attempt hit counts are
 //! timing-dependent, so probabilistic steal rules are deterministic *per
 //! hit* but the total fired count can vary with interleaving; use `nth`
 //! rules when exact replay matters.

@@ -749,19 +749,6 @@ impl Team {
         });
     }
 
-    /// One-shot chunk-level data-parallel loop.
-    pub fn parallel_for_chunks(
-        &self,
-        active: usize,
-        schedule: Schedule,
-        range: Range<usize>,
-        body: impl Fn(Range<usize>) + Sync,
-    ) {
-        self.parallel_with(active, |ctx| {
-            ctx.ws_for_chunks(schedule, range.clone(), &body);
-        });
-    }
-
     /// Data-parallel reduction (`reduction` clause): each thread accumulates
     /// into a private view per chunk; views merge in thread order.
     pub fn parallel_for_reduce<T, Id, Op>(

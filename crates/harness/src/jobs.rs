@@ -255,14 +255,9 @@ pub fn register_all(reg: &mut JobRegistry) {
     reg.register("fib", "recursive Fibonacci (task-parallel)", 32, |ctx| {
         poll(ctx)?;
         let k = Fib::native(ctx.spec.size as u64);
-        // Task trees have no chunk stream to poll; pick the spawn mechanism
-        // matching the requested model's family and check before/after.
-        let v = match ctx.spec.model.family() {
-            tpm_core::Family::OpenMp => k.run_omp_task(ctx.exec.team()),
-            tpm_core::Family::CilkPlus => k.run_cilk_spawn(ctx.exec.worksteal()),
-            tpm_core::Family::Cxx11 => k.run_cxx_async(),
-            tpm_core::Family::Actors => k.run_actor_task(ctx.exec.actors()),
-        };
+        // Task trees have no chunk stream to poll; run the requested model's
+        // family's spawn mechanism and check before/after.
+        let v = k.run(ctx.exec, ctx.spec.model);
         poll(ctx)?;
         Ok(v as f64)
     });

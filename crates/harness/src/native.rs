@@ -5,7 +5,7 @@
 //! CI host they measure *overhead ordering* (which runtime's mechanism costs
 //! more at equal thread counts), which is the paper's explanatory variable.
 
-use tpm_core::{timing, Executor, Family, Figure, KernelVariant, Model, Pattern, Series, Sweep};
+use tpm_core::{timing, Executor, Figure, KernelVariant, Model, Pattern, Series, Sweep};
 use tpm_kernels::{Axpy, Fib, Matmul, Matvec, Sum};
 use tpm_rodinia::{Bfs, HotSpot, LavaMd, Lud, Srad};
 
@@ -126,19 +126,8 @@ pub fn fig5_fib(cfg: &NativeConfig) -> Figure {
         let mut s = Series::new(model.name());
         for &p in &cfg.threads {
             let exec = Executor::new(p);
-            let d = timing::median_time(1, cfg.reps, || match model.family() {
-                Family::OpenMp => {
-                    std::hint::black_box(k.run_omp_task(exec.team()));
-                }
-                Family::CilkPlus => {
-                    std::hint::black_box(k.run_cilk_spawn(exec.worksteal()));
-                }
-                Family::Cxx11 => {
-                    std::hint::black_box(k.run_cxx_async());
-                }
-                Family::Actors => {
-                    std::hint::black_box(k.run_actor_task(exec.actors()));
-                }
+            let d = timing::median_time(1, cfg.reps, || {
+                std::hint::black_box(k.run(&exec, model));
             });
             s.push(p, d.as_secs_f64());
         }
@@ -205,22 +194,6 @@ pub fn fig10_srad(cfg: &NativeConfig) -> Figure {
             std::hint::black_box(s.run_v(exec, m, cfg.variant, &img));
         },
     )
-}
-
-/// All native figures with one config.
-pub fn all_native(cfg: &NativeConfig) -> Vec<Figure> {
-    vec![
-        fig1_axpy(cfg),
-        fig2_sum(cfg),
-        fig3_matvec(cfg),
-        fig4_matmul(cfg),
-        fig5_fib(cfg),
-        fig6_bfs(cfg),
-        fig7_hotspot(cfg),
-        fig8_lud(cfg),
-        fig9_lavamd(cfg),
-        fig10_srad(cfg),
-    ]
 }
 
 #[cfg(test)]

@@ -109,21 +109,9 @@ pub fn run(
                 .copied()
                 .filter(|m| m.pattern() == tpm_core::Pattern::Task)
                 .map(|m| {
-                    let f: Box<dyn Fn(&Executor)> =
-                        Box::new(move |e: &Executor| match m.family() {
-                            tpm_core::Family::OpenMp => {
-                                std::hint::black_box(k.run_omp_task(e.team()));
-                            }
-                            tpm_core::Family::CilkPlus => {
-                                std::hint::black_box(k.run_cilk_spawn(e.worksteal()));
-                            }
-                            tpm_core::Family::Cxx11 => {
-                                std::hint::black_box(k.run_cxx_async());
-                            }
-                            tpm_core::Family::Actors => {
-                                std::hint::black_box(k.run_actor_task(e.actors()));
-                            }
-                        });
+                    let f: Box<dyn Fn(&Executor)> = Box::new(move |e: &Executor| {
+                        std::hint::black_box(k.run(e, m));
+                    });
                     (m.name().to_string(), f)
                 })
                 .collect()

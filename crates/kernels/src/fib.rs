@@ -11,6 +11,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use tpm_actors::{ActorRuntime, Promise};
+use tpm_core::{Executor, Family, Model};
 use tpm_forkjoin::{Ctx, Team};
 use tpm_sim::FibWorkload;
 use tpm_sync::SpinLock;
@@ -47,6 +48,18 @@ impl Fib {
             n
         } else {
             Self::seq(n - 1) + Self::seq(n - 2)
+        }
+    }
+
+    /// Runs the task version of `model`'s family on `exec`'s runtimes: a
+    /// family has one spawn mechanism, so both of its models run the same
+    /// recursion.
+    pub fn run(&self, exec: &Executor, model: Model) -> u64 {
+        match model.family() {
+            Family::OpenMp => self.run_omp_task(exec.team()),
+            Family::CilkPlus => self.run_cilk_spawn(exec.worksteal()),
+            Family::Cxx11 => self.run_cxx_async(),
+            Family::Actors => self.run_actor_task(exec.actors()),
         }
     }
 

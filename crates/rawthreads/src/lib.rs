@@ -9,8 +9,9 @@
 //!   region pays thread creation (the paper's C++ data-parallel versions).
 //! * [`async_task`] with [`Launch::Async`] (thread per task) or
 //!   [`Launch::Deferred`] (lazy, on `get`), returning a [`Future`].
-//! * [`recursive_for`] / [`recursive_reduce`] / [`fib_with_cutoff`]: the
-//!   recursive versions with the paper's `BASE = N / num_threads` cutoff.
+//! * [`recursive_reduce_cancel`] / [`fib_with_cutoff`]: the recursive
+//!   versions with the paper's `BASE = N / num_threads` cutoff (a recursive
+//!   loop is the reduction over `()`).
 //! * [`fib_thread_per_call`] + [`ThreadBudget`]: the *uncut* recursion whose
 //!   thread explosion the paper reports as "the system hangs", reproduced as
 //!   a deterministic, guarded error.
@@ -28,8 +29,8 @@ mod threads;
 
 pub use future::{async_task, Future, Launch};
 pub use recursive::{
-    base_cutoff, fib_thread_per_call, fib_with_cutoff, recursive_for, recursive_for_cancel,
-    recursive_reduce, recursive_reduce_cancel, ThreadBudget, ThreadExplosion,
+    base_cutoff, fib_thread_per_call, fib_with_cutoff, recursive_reduce_cancel, ThreadBudget,
+    ThreadExplosion,
 };
 pub use stats::stats;
 pub use threads::{block_chunk, threads_for, threads_for_cancel, threads_for_reduce};

@@ -12,7 +12,7 @@ use std::ops::Range;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use tpm_sync::{CancelReason, CancelToken, EventKind};
+use tpm_sync::{CancelToken, EventKind};
 
 use crate::stats::emit;
 
@@ -36,89 +36,35 @@ pub fn base_cutoff(n: usize, num_threads: usize) -> usize {
     n.div_ceil(num_threads.max(1)).max(1)
 }
 
-/// Recursive thread-per-split data-parallel loop (the C++ `std::async`
-/// recursive pattern): halves the range, runs the left half on a new OS
-/// thread and the right half inline, until chunks reach `base`.
-pub fn recursive_for<F>(range: Range<usize>, base: usize, body: &F)
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    // A token nobody holds never fires: every poll passes.
-    recursive_for_cancel_inner(range, base.max(1), &CancelToken::new(), body);
-}
-
-/// [`recursive_for`] with cooperative cancellation: the token is polled
-/// before every split and every leaf, so once it fires (explicit cancel or
-/// deadline) no further leaf starts and each live thread returns within one
-/// `base`-sized grain. Already-run leaves are not undone.
+/// Recursive thread-per-split reduction (the C++ `std::async` recursive
+/// pattern): halves the range, runs the left half on a new OS thread and the
+/// right half inline, until chunks reach `base`, then combines each pair of
+/// halves left to right. A loop is the reduction over `T = ()`.
+///
+/// Cancellation is cooperative: the token is polled before every split and
+/// every leaf, so once it fires (explicit cancel or deadline) no further
+/// leaf starts and each live thread returns within one `base`-sized grain.
+/// Subtrees that observe a fired token contribute `identity()` instead of
+/// running, so the combine tree (and with it the merge order —
+/// bit-reproducible for floats) is unchanged when the token never fires.
+/// Callers detect cancellation from the token afterwards; the partial value
+/// is then meaningless.
 ///
 /// # Examples
 ///
 /// ```
 /// use tpm_sync::{CancelReason, CancelToken};
-/// use tpm_rawthreads::recursive_for_cancel;
+/// use tpm_rawthreads::recursive_reduce_cancel;
 ///
+/// let sum = |chunk: std::ops::Range<usize>| chunk.map(|i| i as u64).sum::<u64>();
 /// let token = CancelToken::new();
+/// let total = recursive_reduce_cancel(0..1_000, 250, &token, &|| 0, &sum, &|a, b| a + b);
+/// assert_eq!(total, 499_500);
+///
 /// token.cancel();
-/// let r = recursive_for_cancel(0..1_000, 10, &token, &|_| unreachable!());
-/// assert_eq!(r, Err(CancelReason::Cancelled));
+/// recursive_reduce_cancel(0..1_000, 10, &token, &|| 0, &|_| unreachable!(), &|a, b| a + b);
+/// assert_eq!(token.check(), Err(CancelReason::Cancelled));
 /// ```
-pub fn recursive_for_cancel<F>(
-    range: Range<usize>,
-    base: usize,
-    token: &CancelToken,
-    body: &F,
-) -> Result<(), CancelReason>
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    recursive_for_cancel_inner(range, base.max(1), token, body);
-    token.check()
-}
-
-fn recursive_for_cancel_inner<F>(range: Range<usize>, base: usize, token: &CancelToken, body: &F)
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    if token.is_cancelled() {
-        return;
-    }
-    if range.len() <= base {
-        // Leaf claim: an injected panic unwinds through the split scopes
-        // below (each re-raises the original payload) up to the executor.
-        match tpm_fault::probe(tpm_fault::Site::ChunkClaim) {
-            tpm_fault::Action::Panic => tpm_fault::injected_panic(tpm_fault::Site::ChunkClaim),
-            tpm_fault::Action::TaskDrop => tpm_fault::injected_drop(tpm_fault::Site::ChunkClaim),
-            _ => {}
-        }
-        body(range);
-        return;
-    }
-    let mid = range.start + range.len() / 2;
-    let (left, right) = (range.start..mid, mid..range.end);
-    split(
-        || recursive_for_cancel_inner(left, base, token, body),
-        || recursive_for_cancel_inner(right, base, token, body),
-    );
-}
-
-/// Recursive reduction with the same thread-per-split structure.
-pub fn recursive_reduce<T, F, Op>(range: Range<usize>, base: usize, body: &F, combine: &Op) -> T
-where
-    T: Send,
-    F: Fn(Range<usize>) -> T + Sync,
-    Op: Fn(T, T) -> T + Sync,
-{
-    // A token nobody holds never fires, so no subtree needs an identity.
-    let never = || unreachable!("an unheld token never fires");
-    recursive_reduce_cancel(range, base, &CancelToken::new(), &never, body, combine)
-}
-
-/// [`recursive_reduce`] with cooperative cancellation: subtrees that observe
-/// a fired token contribute `identity()` instead of running, so the combine
-/// tree (and with it the merge order — bit-reproducible for floats) is
-/// unchanged when the token never fires. Callers detect cancellation from
-/// the token afterwards; the partial value is then meaningless.
 pub fn recursive_reduce_cancel<T, Id, F, Op>(
     range: Range<usize>,
     base: usize,
@@ -138,6 +84,13 @@ where
     }
     let base = base.max(1);
     if range.len() <= base {
+        // Leaf claim: an injected panic unwinds through the split scopes
+        // below (each re-raises the original payload) up to the executor.
+        match tpm_fault::probe(tpm_fault::Site::ChunkClaim) {
+            tpm_fault::Action::Panic => tpm_fault::injected_panic(tpm_fault::Site::ChunkClaim),
+            tpm_fault::Action::TaskDrop => tpm_fault::injected_drop(tpm_fault::Site::ChunkClaim),
+            _ => {}
+        }
         return body(range);
     }
     let mid = range.start + range.len() / 2;
@@ -264,19 +217,23 @@ mod tests {
     #[test]
     fn recursive_for_covers_range() {
         let flags: Vec<AtomicU64> = (0..100).map(|_| AtomicU64::new(0)).collect();
-        recursive_for(0..100, 25, &|chunk| {
+        let token = CancelToken::new();
+        let visit = |chunk: Range<usize>| {
             for i in chunk {
                 flags[i].fetch_add(1, Ordering::Relaxed);
             }
-        });
+        };
+        recursive_reduce_cancel(0..100, 25, &token, &|| (), &visit, &|(), ()| ());
         assert!(flags.iter().all(|f| f.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
     fn recursive_reduce_sums() {
-        let total = recursive_reduce(
+        let total = recursive_reduce_cancel(
             0..10_000,
             2_500,
+            &CancelToken::new(),
+            &|| 0,
             &|chunk| chunk.map(|i| i as u64).sum::<u64>(),
             &|a, b| a + b,
         );

@@ -75,7 +75,10 @@ where
 {
     /// How many times each region thread re-polls the token inside its block.
     const CANCEL_SUBCHUNKS: usize = 8;
-    threads_for(num_threads, range, |tid, chunk| {
+    // Straight onto the region threads: the loop below probes each piece it
+    // claims, so `threads_for`'s per-block probe would count the first one
+    // twice.
+    let body = |tid, chunk: Range<usize>| {
         let piece = chunk.len().div_ceil(CANCEL_SUBCHUNKS).max(1);
         let mut start = chunk.start;
         while start < chunk.end {
@@ -93,7 +96,8 @@ where
             body(tid, start..end);
             start = end;
         }
-    });
+    };
+    threads_for_reduce(num_threads, range, body, |(), ()| (), ());
     token.check()
 }
 

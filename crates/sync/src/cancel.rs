@@ -159,13 +159,6 @@ impl CancelToken {
         }
     }
 
-    /// Derives a child token with its own deadline `timeout` from now (the
-    /// effective deadline is the tighter of child and ancestors).
-    #[must_use]
-    pub fn child_with_deadline(&self, timeout: Duration) -> Self {
-        self.child_with_deadline_at(Instant::now() + timeout)
-    }
-
     /// Derives a child token expiring at `deadline`.
     #[must_use]
     pub fn child_with_deadline_at(&self, deadline: Instant) -> Self {

@@ -38,7 +38,7 @@ mod runtime;
 mod scope;
 
 pub use join::join;
-pub use par_for::{par_for, par_for_cancel, par_for_ctx, par_for_ctx_cancel, Grain};
+pub use par_for::{par_for, par_for_ctx_cancel, Grain};
 pub use par_iter::{join3, par_map};
 pub use runtime::{Runtime, WorkerCtx};
 pub use scope::{scope, Scope};
@@ -78,14 +78,9 @@ where
     F: Fn(Range<usize>, &mut T) + Sync,
 {
     let reducer = Reducer::new(ctx.num_workers(), identity, combine);
-    par_for_ctx(
-        ctx,
-        range,
-        grain,
-        &|c: &WorkerCtx<'_>, chunk: Range<usize>| {
-            reducer.with(c.index(), |acc| body(chunk.clone(), acc));
-        },
-    );
+    par_for::split_run(ctx, range, grain, None, &|c: &WorkerCtx<'_>, chunk| {
+        reducer.with(c.index(), |acc| body(chunk, acc));
+    });
     reducer.finish()
 }
 

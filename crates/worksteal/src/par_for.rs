@@ -69,58 +69,35 @@ pub fn par_for<F>(ctx: &WorkerCtx<'_>, range: Range<usize>, grain: Grain, body: 
 where
     F: Fn(Range<usize>) + Sync,
 {
-    par_for_ctx(ctx, range, grain, &|_: &WorkerCtx<'_>, chunk| body(chunk));
+    split_run(ctx, range, grain, None, &|_: &WorkerCtx<'_>, chunk| {
+        body(chunk)
+    });
 }
 
-/// [`par_for`] with cooperative cancellation: `token` is polled before every
-/// split and every leaf, on whichever worker picked the piece up — so once
-/// the token fires (explicit cancel or deadline), no further leaf starts and
-/// the loop returns within one grain of work per worker. Leaves that already
-/// ran are not undone; the error reports why the loop stopped.
+/// Chunk-level loop with cooperative cancellation, where the body also
+/// receives the executing worker's context (reductions key their views off
+/// it). `token` is polled before every split and every leaf, on whichever
+/// worker picked the piece up — so once the token fires (explicit cancel or
+/// deadline), no further leaf starts and the loop returns within one grain
+/// of work per worker. Leaves that already ran are not undone; the error
+/// reports why the loop stopped.
 ///
 /// # Examples
 ///
 /// ```
 /// use tpm_sync::{CancelReason, CancelToken};
-/// use tpm_worksteal::{par_for_cancel, Grain, Runtime};
+/// use tpm_worksteal::{par_for_ctx_cancel, Grain, Runtime, WorkerCtx};
 ///
 /// let rt = Runtime::new(2);
 /// let token = CancelToken::new();
 /// let r = rt.install(|ctx| {
-///     par_for_cancel(ctx, 0..1_000_000, Grain::Fixed(1), &token, &|_chunk| {
+///     par_for_ctx_cancel(ctx, 0..1_000_000, Grain::Fixed(1), &token, &|_: &WorkerCtx<'_>, _| {
 ///         token.cancel(); // first leaf gives up
 ///     })
 /// });
 /// assert_eq!(r, Err(CancelReason::Cancelled));
 /// assert_eq!(rt.install(|_| 1), 1); // runtime fully usable afterwards
 /// ```
-pub fn par_for_cancel<F>(
-    ctx: &WorkerCtx<'_>,
-    range: Range<usize>,
-    grain: Grain,
-    token: &CancelToken,
-    body: &F,
-) -> Result<(), CancelReason>
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    par_for_ctx_cancel(ctx, range, grain, token, &|_: &WorkerCtx<'_>, chunk| {
-        body(chunk)
-    })
-}
-
-/// Chunk-level loop where the body also receives the executing worker's
-/// context (needed for reductions and nested parallelism).
-pub fn par_for_ctx<F>(ctx: &WorkerCtx<'_>, range: Range<usize>, grain: Grain, body: &F)
-where
-    F: for<'c> Fn(&WorkerCtx<'c>, Range<usize>) + Sync,
-{
-    let g = grain.resolve(range.len(), ctx.num_workers());
-    split_run(ctx, range, g, depth_cap(ctx.num_workers()), None, body);
-}
-
-/// [`par_for_ctx`] with cooperative cancellation — the ctx-passing analogue
-/// of [`par_for_cancel`], used by cancellable reductions.
 pub fn par_for_ctx_cancel<F>(
     ctx: &WorkerCtx<'_>,
     range: Range<usize>,
@@ -131,19 +108,27 @@ pub fn par_for_ctx_cancel<F>(
 where
     F: for<'c> Fn(&WorkerCtx<'c>, Range<usize>) + Sync,
 {
-    let g = grain.resolve(range.len(), ctx.num_workers());
-    split_run(
-        ctx,
-        range,
-        g,
-        depth_cap(ctx.num_workers()),
-        Some(token),
-        body,
-    );
+    split_run(ctx, range, grain, Some(token), body);
     token.check()
 }
 
-fn split_run<F>(
+/// The one loop path under every entry above and `par_for_reduce`:
+/// resolves `grain` for this pool and splits from the root.
+pub(crate) fn split_run<F>(
+    ctx: &WorkerCtx<'_>,
+    range: Range<usize>,
+    grain: Grain,
+    cancel: Option<&CancelToken>,
+    body: &F,
+) where
+    F: for<'c> Fn(&WorkerCtx<'c>, Range<usize>) + Sync,
+{
+    let workers = ctx.num_workers();
+    let leaf = grain.resolve(range.len(), workers);
+    split(ctx, range, leaf, depth_cap(workers), cancel, body);
+}
+
+fn split<F>(
     ctx: &WorkerCtx<'_>,
     range: Range<usize>,
     grain: usize,
@@ -177,8 +162,8 @@ fn split_run<F>(
     let (left, right) = (range.start..mid, mid..range.end);
     join(
         ctx,
-        move |c| split_run(c, left, grain, depth - 1, cancel, body),
-        move |c| split_run(c, right, grain, depth - 1, cancel, body),
+        move |c| split(c, left, grain, depth - 1, cancel, body),
+        move |c| split(c, right, grain, depth - 1, cancel, body),
     );
 }
 

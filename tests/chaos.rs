@@ -12,6 +12,7 @@
 //! decisions.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use threadcmp::fault::{self, FaultKind, FaultPlan, FaultSession, Site, SiteRule};
 use threadcmp::forkjoin::Team;
@@ -103,6 +104,62 @@ fn injected_chunk_panic_surfaces_and_executor_recovers_for_every_model() {
         );
         // Recovery: the very same executor, clean plan, exact result.
         assert_eq!(run_sum(&exec, model), Ok(expected_sum()), "{model} reuse");
+    }
+}
+
+/// A model's for loop and its reduction run one loop path, so under an
+/// inert plan both drive the same chunk-claim and task-exec probe hits; in
+/// the models that claim chunk by chunk, each body call is one claim.
+#[test]
+fn for_and_reduce_drive_the_same_probes_for_every_model() {
+    if !fault::compiled_in() {
+        return;
+    }
+    let _serial = fault::session_serial();
+    let exec = Executor::new(2);
+    let token = threadcmp::sync::CancelToken::new();
+    let inert = FaultPlan::single(SiteRule::nth(
+        Site::ChunkClaim,
+        FaultKind::Panic,
+        1_000_000_000,
+    ));
+    let hits = |session: FaultSession| {
+        let report = session.report();
+        [Site::ChunkClaim, Site::TaskExec].map(|s| report.hits[s as usize])
+    };
+    for model in Model::ALL {
+        let calls = AtomicU64::new(0);
+        let session = FaultSession::install(&inert);
+        exec.try_parallel_for(model, 0..10_000, &token, &|_| {
+            calls.fetch_add(1, Ordering::Relaxed);
+        })
+        .unwrap();
+        let for_hits = hits(session);
+        let session = FaultSession::install(&inert);
+        let n = exec.try_parallel_reduce(
+            model,
+            0..10_000,
+            &token,
+            || 0u64,
+            |a, b| a + b,
+            |chunk, acc| *acc += chunk.len() as u64,
+        );
+        let reduce_hits = hits(session);
+        assert_eq!(n, Ok(10_000), "{model}");
+        assert_eq!(
+            for_hits, reduce_hits,
+            "{model}: [chunk-claim, task-exec] hits, for vs reduce"
+        );
+        if matches!(
+            model,
+            Model::OmpFor | Model::CilkFor | Model::CxxThread | Model::CxxAsync
+        ) {
+            assert_eq!(
+                for_hits[0],
+                calls.into_inner(),
+                "{model}: chunk-claim hits vs body calls"
+            );
+        }
     }
 }
 
