@@ -2,19 +2,28 @@
 //!
 //! [`tpm_core::JobRegistry`] deliberately knows nothing about concrete
 //! kernels (the dependency points the other way), so this module is where
-//! the suite's kernels become service-dispatchable. Each body returns a
-//! scalar (sum, checksum, reached-node count) so clients can sanity-check
-//! results across models, and each cooperates with cancellation:
+//! the suite's kernels become service-dispatchable. Every job body is one
+//! call to the same `try_run*` kernel body the figures time, under the
+//! job's own executor, model, variant and token, plus a scalar checksum
+//! (sum, Σ of the output, reached-node count) so clients can sanity-check
+//! results across models. Every job honours `spec.variant` where its kernel
+//! has one (`fib` and `bfs` have a single body).
 //!
-//! * Flat loops (`sum`, `axpy`) poll the token every [`POLL_EVERY`]
-//!   elements inside their chunk, on top of the executor's own
-//!   chunk-boundary polls — so even a single static chunk covering the
-//!   whole range stops within one poll interval.
-//! * Row-parallel kernels (`matvec`, `matmul`) poll per row; one row is
-//!   the scheduling grain a deadline is observed within.
-//! * Phase-structured kernels (`fib`, `bfs`, `hotspot`) check before and
-//!   after the run (their inner loops are the runtimes' own, which poll at
-//!   chunk boundaries).
+//! Where each job polls its token, on top of the one check after prepare
+//! and the executor's own poll at every chunk boundary:
+//!
+//! * `sum`, `axpy`: once per [`POLL_EVERY`](tpm_kernels::util::POLL_EVERY)
+//!   block inside each chunk, so even a static schedule's single chunk per
+//!   thread stops within one block.
+//! * `matvec`, `matmul`: once per row (per 32-row block in the optimized
+//!   matmul).
+//! * `bfs`, `hotspot`: every phase is its own region, so a fired token stops
+//!   the run at the next phase or chunk boundary.
+//! * `fib`: task trees have no chunk stream; it checks before and after.
+//!
+//! The bodies only read their input: `axpy` updates a private copy of `y`
+//! (8n bytes per job), and `matvec`/`matmul` allocate their output (8n and
+//! 8n² bytes) as the figures do.
 //!
 //! Every job that reads an input is registered in two phases
 //! ([`JobRegistry::register_prepared`]): *prepare* obtains the input through
@@ -30,9 +39,6 @@ use tpm_core::job::{JobCtx, MIN_CACHED_BYTES};
 use tpm_core::{ExecError, JobRegistry};
 use tpm_kernels::{Axpy, Fib, Matmul, Matvec, Sum};
 use tpm_rodinia::{Bfs, HotSpot};
-
-/// Elements processed between cancellation polls inside flat loop bodies.
-const POLL_EVERY: usize = 4096;
 
 const F64: usize = std::mem::size_of::<f64>();
 
@@ -96,36 +102,14 @@ pub fn register_all(reg: &mut JobRegistry) {
             )
         },
         |ctx, x| {
-            let k = Sum::native(ctx.spec.size);
-            let (a, token) = (k.a, ctx.token);
-            ctx.exec.try_parallel_reduce(
-                ctx.spec.model,
-                0..k.n,
-                token,
-                || 0.0f64,
-                |l, r| l + r,
-                |chunk, acc: &mut f64| {
-                    let mut i = chunk.start;
-                    while i < chunk.end {
-                        if token.is_cancelled() {
-                            return;
-                        }
-                        let end = (i + POLL_EVERY).min(chunk.end);
-                        let mut local = 0.0;
-                        for &xi in &x[i..end] {
-                            local += a * xi;
-                        }
-                        *acc += local;
-                        i = end;
-                    }
-                },
-            )
+            let (exec, model, variant) = (ctx.exec, ctx.spec.model, ctx.spec.variant);
+            Sum::native(ctx.spec.size).try_run_v(exec, model, variant, x, ctx.token)
         },
     );
 
     reg.register_prepared(
         "axpy",
-        "checksum of a*x[i] + y[i]",
+        "checksum of y = a*x + y",
         1 << 26,
         |ctx| {
             let k = Axpy::native(ctx.spec.size);
@@ -138,31 +122,12 @@ pub fn register_all(reg: &mut JobRegistry) {
             )
         },
         |ctx, xy| {
-            let k = Axpy::native(ctx.spec.size);
+            let (exec, model, variant) = (ctx.exec, ctx.spec.model, ctx.spec.variant);
             let (x, y) = &**xy;
-            let (a, token) = (k.a, ctx.token);
-            ctx.exec.try_parallel_reduce(
-                ctx.spec.model,
-                0..k.n,
-                token,
-                || 0.0f64,
-                |l, r| l + r,
-                |chunk, acc: &mut f64| {
-                    let mut i = chunk.start;
-                    while i < chunk.end {
-                        if token.is_cancelled() {
-                            return;
-                        }
-                        let end = (i + POLL_EVERY).min(chunk.end);
-                        let mut local = 0.0;
-                        for j in i..end {
-                            local += a * x[j] + y[j];
-                        }
-                        *acc += local;
-                        i = end;
-                    }
-                },
-            )
+            // The kernel updates y in place; the cached input stays shared.
+            let mut y = y.clone();
+            Axpy::native(ctx.spec.size).try_run_v(exec, model, variant, x, &mut y, ctx.token)?;
+            Ok(y.iter().sum())
         },
     );
 
@@ -181,29 +146,12 @@ pub fn register_all(reg: &mut JobRegistry) {
             )
         },
         |ctx, ax| {
-            let n = ctx.spec.size;
+            let (exec, model, variant) = (ctx.exec, ctx.spec.model, ctx.spec.variant);
             let (a, x) = &**ax;
-            let token = ctx.token;
-            ctx.exec.try_parallel_reduce(
-                ctx.spec.model,
-                0..n,
-                token,
-                || 0.0f64,
-                |l, r| l + r,
-                |rows, acc: &mut f64| {
-                    for i in rows {
-                        if token.is_cancelled() {
-                            return;
-                        }
-                        let row = &a[i * n..(i + 1) * n];
-                        let mut yi = 0.0;
-                        for j in 0..n {
-                            yi += row[j] * x[j];
-                        }
-                        *acc += yi;
-                    }
-                },
-            )
+            let k = Matvec::native(ctx.spec.size);
+            Ok(k.try_run_v(exec, model, variant, a, x, ctx.token)?
+                .iter()
+                .sum())
         },
     );
 
@@ -222,33 +170,12 @@ pub fn register_all(reg: &mut JobRegistry) {
             )
         },
         |ctx, ab| {
-            let n = ctx.spec.size;
+            let (exec, model, variant) = (ctx.exec, ctx.spec.model, ctx.spec.variant);
             let (a, b) = &**ab;
-            let token = ctx.token;
-            ctx.exec.try_parallel_reduce(
-                ctx.spec.model,
-                0..n,
-                token,
-                || 0.0f64,
-                |l, r| l + r,
-                |rows, acc: &mut f64| {
-                    // One row of C per cancellation poll: the deadline grain.
-                    for i in rows {
-                        if token.is_cancelled() {
-                            return;
-                        }
-                        let arow = &a[i * n..(i + 1) * n];
-                        let mut rowsum = 0.0;
-                        for (kk, &aik) in arow.iter().enumerate() {
-                            let brow = &b[kk * n..(kk + 1) * n];
-                            for &bkj in brow {
-                                rowsum += aik * bkj;
-                            }
-                        }
-                        *acc += rowsum;
-                    }
-                },
-            )
+            let k = Matmul::native(ctx.spec.size);
+            Ok(k.try_run_v(exec, model, variant, a, b, ctx.token)?
+                .iter()
+                .sum())
         },
     );
 
@@ -280,8 +207,7 @@ pub fn register_all(reg: &mut JobRegistry) {
         },
         |ctx, g| {
             let k = Bfs::native(ctx.spec.size);
-            let (cost, _levels) = k.run(ctx.exec, ctx.spec.model, g);
-            poll(ctx)?;
+            let (cost, _levels) = k.try_run(ctx.exec, ctx.spec.model, g, ctx.token)?;
             Ok(cost.iter().filter(|&&c| c >= 0).count() as f64)
         },
     );
@@ -301,10 +227,9 @@ pub fn register_all(reg: &mut JobRegistry) {
             )
         },
         |ctx, grids| {
-            let k = hotspot(ctx);
+            let (exec, model, variant) = (ctx.exec, ctx.spec.model, ctx.spec.variant);
             let (temp, power) = &**grids;
-            let out = k.run_v(ctx.exec, ctx.spec.model, ctx.spec.variant, temp, power);
-            poll(ctx)?;
+            let out = hotspot(ctx).try_run_v(exec, model, variant, temp, power, ctx.token)?;
             Ok(out.iter().sum::<f64>() / out.len() as f64)
         },
     );
@@ -313,8 +238,8 @@ pub fn register_all(reg: &mut JobRegistry) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
-    use tpm_core::{Executor, JobSpec, KernelVariant, Model};
+    use std::time::Instant;
+    use tpm_core::{Executor, JobResult, JobSpec, KernelVariant, Model};
     use tpm_sync::CancelToken;
 
     fn spec(kernel: &str, size: usize) -> JobSpec {
@@ -347,6 +272,21 @@ mod tests {
     }
 
     #[test]
+    fn sum_job_runs_the_requested_variant_bit_for_bit() {
+        let reg = registry();
+        let exec = Executor::new(1);
+        let s = JobSpec {
+            variant: KernelVariant::Optimized,
+            threads: 1,
+            ..spec("sum", 10_000)
+        };
+        let got = reg.run(&exec, &s, &CancelToken::new()).unwrap().value;
+        let k = Sum::native(s.size);
+        let want = k.try_run_v(&exec, s.model, s.variant, &k.alloc(), &CancelToken::new());
+        assert_eq!(Ok(got.to_bits()), want.map(f64::to_bits));
+    }
+
+    #[test]
     fn matmul_job_agrees_with_reference_checksum() {
         let reg = registry();
         let exec = Executor::new(2);
@@ -375,12 +315,66 @@ mod tests {
         }
     }
 
+    /// A deadline that fires mid-body (the input is already cached, so the
+    /// body starts at once) stops the row loop: the job returns `Deadline`
+    /// long before an uncancelled run of the same spec would finish.
     #[test]
     fn expired_deadline_stops_matmul_within_a_row() {
         let reg = registry();
         let exec = Executor::new(2);
-        let token = CancelToken::with_deadline(Duration::ZERO);
-        let err = reg.run(&exec, &spec("matmul", 256), &token).unwrap_err();
+        let s = spec("matmul", 256);
+        let full = reg.run(&exec, &s, &CancelToken::new()).unwrap().elapsed;
+        let token = CancelToken::with_deadline(full / 10);
+        let start = Instant::now();
+        let err = reg.run(&exec, &s, &token).unwrap_err();
+        let took = start.elapsed();
         assert_eq!(err, ExecError::Deadline);
+        assert!(
+            took < full / 2,
+            "{took:?} to stop; a full run takes {full:?}"
+        );
+    }
+
+    /// Runs `kernel` at `size` on one thread with a warm input cache while a
+    /// second thread cancels the job's token as soon as the executor's
+    /// counters show its first region. Returns the outcome, the loop chunks
+    /// (one per region on one thread) the cancelled job ran, and the chunks
+    /// of an uncancelled run of the same spec.
+    fn cancel_after_first_region(
+        kernel: &str,
+        size: usize,
+    ) -> (Result<JobResult, ExecError>, u64, u64) {
+        let reg = registry();
+        let exec = Executor::new(1);
+        let s = JobSpec {
+            threads: 1,
+            ..spec(kernel, size)
+        };
+        let chunks = || -> u64 { exec.pooled_stats().iter().map(|(_, st)| st.chunks).sum() };
+        reg.run(&exec, &s, &CancelToken::new()).unwrap();
+        exec.reset_stats();
+        reg.run(&exec, &s, &CancelToken::new()).unwrap();
+        let full = chunks();
+        exec.reset_stats();
+        let token = CancelToken::new();
+        let r = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while chunks() == 0 {
+                    std::thread::yield_now();
+                }
+                token.cancel();
+            });
+            reg.run(&exec, &s, &token)
+        });
+        (r, chunks(), full)
+    }
+
+    #[test]
+    fn cancelled_bfs_and_hotspot_stop_at_the_next_region() {
+        for (kernel, size) in [("bfs", 1 << 17), ("hotspot", 256)] {
+            let (r, ran, full) = cancel_after_first_region(kernel, size);
+            assert_eq!(r.unwrap_err(), ExecError::Cancelled, "{kernel}");
+            assert!(ran < full, "{kernel}: {ran} of {full} regions ran");
+        }
     }
 }

@@ -6,8 +6,10 @@
 //! more at equal thread counts), which is the paper's explanatory variable.
 
 use tpm_core::{timing, Executor, Figure, KernelVariant, Model, Pattern, Series, Sweep};
+use tpm_kernels::util::infallible;
 use tpm_kernels::{Axpy, Fib, Matmul, Matvec, Sum};
 use tpm_rodinia::{Bfs, HotSpot, LavaMd, Lud, Srad};
+use tpm_sync::CancelToken;
 
 /// Native experiment configuration.
 #[derive(Debug, Clone)]
@@ -66,10 +68,10 @@ pub fn fig1_axpy(cfg: &NativeConfig) -> Figure {
         KernelVariant::Reference => k.alloc(),
         KernelVariant::Optimized => k.alloc_on(&cfg.alloc_exec(), Model::OmpFor),
     };
-    let mut y = y0.clone();
+    let (mut y, token) = (y0.clone(), CancelToken::new());
     sweep("Fig.1 Axpy (native)", cfg, &cfg.models, |exec, m| {
         y.copy_from_slice(&y0);
-        k.run_v(exec, m, cfg.variant, &x, &mut y);
+        infallible(m, k.try_run_v(exec, m, cfg.variant, &x, &mut y, &token));
     })
 }
 
@@ -80,8 +82,9 @@ pub fn fig2_sum(cfg: &NativeConfig) -> Figure {
         KernelVariant::Reference => k.alloc(),
         KernelVariant::Optimized => k.alloc_on(&cfg.alloc_exec(), Model::OmpFor),
     };
+    let token = CancelToken::new();
     sweep("Fig.2 Sum (native)", cfg, &cfg.models, |exec, m| {
-        std::hint::black_box(k.run_v(exec, m, cfg.variant, &x));
+        std::hint::black_box(infallible(m, k.try_run_v(exec, m, cfg.variant, &x, &token)));
     })
 }
 
@@ -92,8 +95,10 @@ pub fn fig3_matvec(cfg: &NativeConfig) -> Figure {
         KernelVariant::Reference => k.alloc(),
         KernelVariant::Optimized => k.alloc_on(&cfg.alloc_exec(), Model::OmpFor),
     };
+    let token = CancelToken::new();
     sweep("Fig.3 Matvec (native)", cfg, &cfg.models, |exec, m| {
-        std::hint::black_box(k.run_v(exec, m, cfg.variant, &a, &x));
+        let r = k.try_run_v(exec, m, cfg.variant, &a, &x, &token);
+        std::hint::black_box(infallible(m, r));
     })
 }
 
@@ -104,8 +109,10 @@ pub fn fig4_matmul(cfg: &NativeConfig) -> Figure {
         KernelVariant::Reference => k.alloc(),
         KernelVariant::Optimized => k.alloc_on(&cfg.alloc_exec(), Model::OmpFor),
     };
+    let token = CancelToken::new();
     sweep("Fig.4 Matmul (native)", cfg, &cfg.models, |exec, m| {
-        std::hint::black_box(k.run_v(exec, m, cfg.variant, &a, &b));
+        let r = k.try_run_v(exec, m, cfg.variant, &a, &b, &token);
+        std::hint::black_box(infallible(m, r));
     })
 }
 
@@ -149,12 +156,14 @@ pub fn fig6_bfs(cfg: &NativeConfig) -> Figure {
 pub fn fig7_hotspot(cfg: &NativeConfig) -> Figure {
     let h = HotSpot::native(128 * cfg.scale, 10);
     let (t, p) = h.generate();
+    let token = CancelToken::new();
     sweep(
         "Fig.7 Rodinia HotSpot (native)",
         cfg,
         &cfg.models,
         |exec, m| {
-            std::hint::black_box(h.run_v(exec, m, cfg.variant, &t, &p));
+            let r = h.try_run_v(exec, m, cfg.variant, &t, &p, &token);
+            std::hint::black_box(infallible(m, r));
         },
     )
 }
@@ -186,12 +195,14 @@ pub fn fig9_lavamd(cfg: &NativeConfig) -> Figure {
 pub fn fig10_srad(cfg: &NativeConfig) -> Figure {
     let s = Srad::native(96 * cfg.scale, 4);
     let img = s.generate();
+    let token = CancelToken::new();
     sweep(
         "Fig.10 Rodinia SRAD (native)",
         cfg,
         &cfg.models,
         |exec, m| {
-            std::hint::black_box(s.run_v(exec, m, cfg.variant, &img));
+            let r = s.try_run_v(exec, m, cfg.variant, &img, &token);
+            std::hint::black_box(infallible(m, r));
         },
     )
 }

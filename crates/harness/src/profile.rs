@@ -11,7 +11,9 @@
 use std::path::Path;
 
 use tpm_core::{Executor, ProfileRow, ProfileTable};
+use tpm_kernels::util::infallible;
 use tpm_kernels::{Axpy, Fib, Sum};
+use tpm_sync::CancelToken;
 use tpm_trace::TraceSession;
 
 use crate::native::NativeConfig;
@@ -46,7 +48,8 @@ pub fn run(
                 .map(|m| {
                     let x = x.clone();
                     let f: Box<dyn Fn(&Executor)> = Box::new(move |e: &Executor| {
-                        std::hint::black_box(k.run_v(e, m, variant, &x));
+                        let r = k.try_run_v(e, m, variant, &x, &CancelToken::new());
+                        std::hint::black_box(infallible(m, r));
                     });
                     (m.name().to_string(), f)
                 })
@@ -92,7 +95,8 @@ pub fn run(
                     let f: Box<dyn Fn(&Executor)> = Box::new(move |e: &Executor| {
                         // Fresh output each run; the kernel only reads x.
                         let mut y = y0.clone();
-                        k.run_v(e, m, variant, &x, &mut y);
+                        let r = k.try_run_v(e, m, variant, &x, &mut y, &CancelToken::new());
+                        infallible(m, r);
                         std::hint::black_box(&y);
                     });
                     (m.name().to_string(), f)

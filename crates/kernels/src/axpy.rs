@@ -8,7 +8,7 @@ use tpm_core::{ExecError, Executor, KernelVariant, Model};
 use tpm_sim::{Imbalance, LoopWorkload};
 use tpm_sync::CancelToken;
 
-use crate::util::UnsafeSlice;
+use crate::util::{UnsafeSlice, POLL_EVERY};
 
 /// Unroll width of the optimized body: 8 independent f64 lanes per
 /// iteration, two AVX2 vectors' worth, enough for the compiler to
@@ -92,40 +92,44 @@ impl Axpy {
     }
 
     /// Runs the kernel under `model` on `exec`, updating `y` in place
-    /// (paper-faithful [`KernelVariant::Reference`] body).
+    /// (paper-faithful [`KernelVariant::Reference`] body), un-cancellable.
     pub fn run(&self, exec: &Executor, model: Model, x: &[f64], y: &mut [f64]) {
-        self.run_v(exec, model, KernelVariant::Reference, x, y);
+        let token = CancelToken::new();
+        let r = self.try_run_v(exec, model, KernelVariant::Reference, x, y, &token);
+        crate::util::infallible(model, r);
     }
 
-    /// Runs the kernel under `model` with the selected data-path `variant`.
-    pub fn run_v(
+    /// Runs the kernel under `model` with the selected data-path `variant`,
+    /// polling `token` once per [`POLL_EVERY`] block of each chunk. On `Err`
+    /// a prefix of each chunk of `y` may already be updated.
+    pub fn try_run_v(
         &self,
         exec: &Executor,
         model: Model,
         variant: KernelVariant,
         x: &[f64],
         y: &mut [f64],
-    ) {
+        token: &CancelToken,
+    ) -> Result<(), ExecError> {
         let a = self.a;
         let out = UnsafeSlice::new(y);
-        match variant {
-            KernelVariant::Reference => {
-                crate::util::pfor(exec, model, 0..self.n, &|chunk| {
-                    // SAFETY: the executor hands out disjoint chunks.
-                    let ys = unsafe { out.slice_mut(chunk.clone()) };
-                    for (yi, i) in ys.iter_mut().zip(chunk) {
-                        *yi += a * x[i];
+        exec.try_parallel_for(model, 0..self.n, token, &|chunk| {
+            // SAFETY: the executor hands out disjoint chunks.
+            let ys = unsafe { out.slice_mut(chunk.clone()) };
+            for (ys, xs) in ys.chunks_mut(POLL_EVERY).zip(x[chunk].chunks(POLL_EVERY)) {
+                if token.is_cancelled() {
+                    return;
+                }
+                match variant {
+                    KernelVariant::Reference => {
+                        for (yi, xi) in ys.iter_mut().zip(xs) {
+                            *yi += a * xi;
+                        }
                     }
-                });
+                    KernelVariant::Optimized => axpy_chunk_opt(a, xs, ys),
+                }
             }
-            KernelVariant::Optimized => {
-                crate::util::pfor(exec, model, 0..self.n, &|chunk| {
-                    // SAFETY: the executor hands out disjoint chunks.
-                    let ys = unsafe { out.slice_mut(chunk.clone()) };
-                    axpy_chunk_opt(a, &x[chunk], ys);
-                });
-            }
-        }
+        })
     }
 
     /// Simulator descriptor: ~2 flops and 24 bytes (two reads + one write)
@@ -172,7 +176,15 @@ mod tests {
         let exec = Executor::new(3);
         for model in Model::ALL {
             let mut y = y0.clone();
-            k.run_v(&exec, model, KernelVariant::Optimized, &x, &mut y);
+            k.try_run_v(
+                &exec,
+                model,
+                KernelVariant::Optimized,
+                &x,
+                &mut y,
+                &CancelToken::new(),
+            )
+            .unwrap();
             assert_eq!(y, expected, "{model}");
         }
     }

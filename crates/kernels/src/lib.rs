@@ -14,12 +14,24 @@
 //!
 //! The data-parallel kernels carry two data paths selected by
 //! [`tpm_core::KernelVariant`]: the *reference* bodies reproduce the paper's
-//! scalar loops exactly, while the *optimized* bodies (`run_v`) use
-//! unrolled multi-accumulator inner loops (Axpy/Sum/Matvec) and a
-//! cache-blocked, register-blocked multiply (Matmul) so the per-iteration
-//! compute floor sits at hardware speed. Inputs can be allocated with
-//! parallel first-touch via each kernel's `alloc_on` / `try_alloc_on`
-//! ([`util::try_random_vec_on`]).
+//! scalar loops exactly, while the *optimized* bodies use unrolled
+//! multi-accumulator inner loops (Axpy/Sum/Matvec) and a cache-blocked,
+//! register-blocked multiply (Matmul) so the per-iteration compute floor
+//! sits at hardware speed.
+//!
+//! Each data-parallel kernel's parallel body exists once, as
+//! `try_run_v(exec, model, variant, …, token) -> Result<_, ExecError>`: its
+//! loops run through [`tpm_core::Executor::try_parallel_for`] /
+//! [`try_parallel_reduce`](tpm_core::Executor::try_parallel_reduce) under
+//! the caller's token, and the body polls it too — Sum and Axpy once per
+//! [`util::POLL_EVERY`] block, Matvec and Matmul once per row (per row
+//! block in the optimized Matmul). A fired token or a panicking body comes
+//! back as an `Err`. `run(exec, model, …)` is the one infallible wrapper:
+//! the reference body under a fresh token, panicking on a failure
+//! ([`util::infallible`]). The figures time these bodies and the job
+//! service runs them under each job's token. Inputs follow the same pair:
+//! `try_alloc_on` fills them with cancellable parallel first-touch
+//! ([`util::try_random_vec_on`]) and `alloc_on` wraps it.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

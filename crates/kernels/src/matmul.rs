@@ -158,57 +158,62 @@ impl Matmul {
     }
 
     /// Runs under `model`: the parallel loop is over rows of `C`
-    /// (paper-faithful [`KernelVariant::Reference`] body).
+    /// (paper-faithful [`KernelVariant::Reference`] body), un-cancellable.
     pub fn run(&self, exec: &Executor, model: Model, a: &[f64], b: &[f64]) -> Vec<f64> {
-        self.run_v(exec, model, KernelVariant::Reference, a, b)
+        let token = CancelToken::new();
+        let r = self.try_run_v(exec, model, KernelVariant::Reference, a, b, &token);
+        crate::util::infallible(model, r)
     }
 
-    /// Runs under `model` with the selected data-path `variant`.
-    ///
-    /// The optimized variant parallelizes over [`MB`]-row blocks of `C` and
-    /// runs the cache-blocked, register-blocked multiply on each block.
-    pub fn run_v(
+    /// Runs under `model` with the selected data-path `variant`, polling
+    /// `token` once per row of `C`, or once per block in the optimized
+    /// variant, which parallelizes over 32-row blocks of `C` and runs the
+    /// cache-blocked, register-blocked multiply on each block.
+    pub fn try_run_v(
         &self,
         exec: &Executor,
         model: Model,
         variant: KernelVariant,
         a: &[f64],
         b: &[f64],
-    ) -> Vec<f64> {
+        token: &CancelToken,
+    ) -> Result<Vec<f64>, ExecError> {
         let n = self.n;
         let mut c = vec![0.0; n * n];
+        let out = UnsafeSlice::new(&mut c);
         match variant {
-            KernelVariant::Reference => {
-                let out = UnsafeSlice::new(&mut c);
-                crate::util::pfor(exec, model, 0..n, &|chunk| {
-                    for i in chunk {
-                        // SAFETY: disjoint chunks ⇒ disjoint C rows.
-                        let crow = unsafe { out.slice_mut(i * n..(i + 1) * n) };
-                        for k in 0..n {
-                            let aik = a[i * n + k];
-                            let brow = &b[k * n..(k + 1) * n];
-                            for (cij, bkj) in crow.iter_mut().zip(brow) {
-                                *cij += aik * bkj;
-                            }
+            KernelVariant::Reference => exec.try_parallel_for(model, 0..n, token, &|chunk| {
+                for i in chunk {
+                    if token.is_cancelled() {
+                        return;
+                    }
+                    // SAFETY: disjoint chunks ⇒ disjoint C rows.
+                    let crow = unsafe { out.slice_mut(i * n..(i + 1) * n) };
+                    for k in 0..n {
+                        let aik = a[i * n + k];
+                        let brow = &b[k * n..(k + 1) * n];
+                        for (cij, bkj) in crow.iter_mut().zip(brow) {
+                            *cij += aik * bkj;
                         }
                     }
-                });
-            }
+                }
+            }),
             KernelVariant::Optimized => {
-                let blocks = n.div_ceil(MB);
-                let out = UnsafeSlice::new(&mut c);
-                crate::util::pfor(exec, model, 0..blocks, &|chunk| {
+                exec.try_parallel_for(model, 0..n.div_ceil(MB), token, &|chunk| {
                     for bi in chunk {
+                        if token.is_cancelled() {
+                            return;
+                        }
                         let rows = bi * MB..((bi + 1) * MB).min(n);
                         // SAFETY: disjoint block chunks ⇒ disjoint C row
                         // blocks.
                         let c_rows = unsafe { out.slice_mut(rows.start * n..rows.end * n) };
                         mm_block(c_rows, rows, a, b, n);
                     }
-                });
+                })
             }
-        }
-        c
+        }?;
+        Ok(c)
     }
 
     /// Simulator descriptor: one iteration = one row of `C` (`n²` mul-adds);
@@ -252,7 +257,16 @@ mod tests {
             .unwrap_or_else(|e| panic!("seq_blocked: {e}"));
         let exec = Executor::new(3);
         for model in Model::ALL {
-            let c = k.run_v(&exec, model, KernelVariant::Optimized, &a, &b);
+            let c = k
+                .try_run_v(
+                    &exec,
+                    model,
+                    KernelVariant::Optimized,
+                    &a,
+                    &b,
+                    &CancelToken::new(),
+                )
+                .unwrap();
             tpm_core::approx::slices_close(&c, &expected, 1e-12)
                 .unwrap_or_else(|e| panic!("{model}: {e}"));
         }

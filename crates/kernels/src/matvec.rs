@@ -93,47 +93,42 @@ impl Matvec {
     }
 
     /// Runs under `model`: the parallel loop is over rows (paper-faithful
-    /// [`KernelVariant::Reference`] body).
+    /// [`KernelVariant::Reference`] body), un-cancellable.
     pub fn run(&self, exec: &Executor, model: Model, a: &[f64], x: &[f64]) -> Vec<f64> {
-        self.run_v(exec, model, KernelVariant::Reference, a, x)
+        let token = CancelToken::new();
+        let r = self.try_run_v(exec, model, KernelVariant::Reference, a, x, &token);
+        crate::util::infallible(model, r)
     }
 
-    /// Runs under `model` with the selected data-path `variant`.
-    pub fn run_v(
+    /// Runs under `model` with the selected data-path `variant`, polling
+    /// `token` once per row.
+    pub fn try_run_v(
         &self,
         exec: &Executor,
         model: Model,
         variant: KernelVariant,
         a: &[f64],
         x: &[f64],
-    ) -> Vec<f64> {
+        token: &CancelToken,
+    ) -> Result<Vec<f64>, ExecError> {
         let n = self.n;
         let mut y = vec![0.0; n];
-        {
-            let out = UnsafeSlice::new(&mut y);
-            match variant {
-                KernelVariant::Reference => {
-                    crate::util::pfor(exec, model, 0..n, &|chunk| {
-                        for i in chunk {
-                            let row = &a[i * n..(i + 1) * n];
-                            let dot: f64 = row.iter().zip(x).map(|(aij, xj)| aij * xj).sum();
-                            // SAFETY: disjoint chunks ⇒ disjoint rows.
-                            unsafe { out.write(i, dot) };
-                        }
-                    });
+        let out = UnsafeSlice::new(&mut y);
+        exec.try_parallel_for(model, 0..n, token, &|chunk| {
+            for i in chunk {
+                if token.is_cancelled() {
+                    return;
                 }
-                KernelVariant::Optimized => {
-                    crate::util::pfor(exec, model, 0..n, &|chunk| {
-                        for i in chunk {
-                            let dot = dot_opt(&a[i * n..(i + 1) * n], x);
-                            // SAFETY: disjoint chunks ⇒ disjoint rows.
-                            unsafe { out.write(i, dot) };
-                        }
-                    });
-                }
+                let row = &a[i * n..(i + 1) * n];
+                let dot = match variant {
+                    KernelVariant::Reference => row.iter().zip(x).map(|(aij, xj)| aij * xj).sum(),
+                    KernelVariant::Optimized => dot_opt(row, x),
+                };
+                // SAFETY: disjoint chunks ⇒ disjoint rows.
+                unsafe { out.write(i, dot) };
             }
-        }
-        y
+        })?;
+        Ok(y)
     }
 
     /// Simulator descriptor: one iteration = one row dot product
@@ -172,7 +167,16 @@ mod tests {
         let expected = k.seq(&a, &x);
         let exec = Executor::new(3);
         for model in Model::ALL {
-            let y = k.run_v(&exec, model, KernelVariant::Optimized, &a, &x);
+            let y = k
+                .try_run_v(
+                    &exec,
+                    model,
+                    KernelVariant::Optimized,
+                    &a,
+                    &x,
+                    &CancelToken::new(),
+                )
+                .unwrap();
             tpm_core::approx::slices_close(&y, &expected, 1e-12)
                 .unwrap_or_else(|e| panic!("{model}: {e}"));
         }

@@ -8,6 +8,8 @@ use tpm_core::{ExecError, Executor, KernelVariant, Model};
 use tpm_sim::{Imbalance, LoopWorkload};
 use tpm_sync::CancelToken;
 
+use crate::util::POLL_EVERY;
+
 /// Accumulator lanes of the optimized body: 8 independent partial sums break
 /// the loop-carried addition chain so the compiler can vectorize and the
 /// FMA units pipeline; the lanes combine pairwise at the end.
@@ -90,41 +92,50 @@ impl Sum {
     }
 
     /// Runs the reduction under `model` (paper-faithful
-    /// [`KernelVariant::Reference`] body).
+    /// [`KernelVariant::Reference`] body), un-cancellable.
     pub fn run(&self, exec: &Executor, model: Model, x: &[f64]) -> f64 {
-        self.run_v(exec, model, KernelVariant::Reference, x)
+        let token = CancelToken::new();
+        let r = self.try_run_v(exec, model, KernelVariant::Reference, x, &token);
+        crate::util::infallible(model, r)
     }
 
     /// Runs the reduction under `model` with the selected data-path
-    /// `variant`.
-    pub fn run_v(&self, exec: &Executor, model: Model, variant: KernelVariant, x: &[f64]) -> f64 {
+    /// `variant`, polling `token` once per [`POLL_EVERY`] block of each
+    /// chunk. Each block's partial sum is added into the chunk's
+    /// accumulator, so the association is fixed by the chunking alone.
+    pub fn try_run_v(
+        &self,
+        exec: &Executor,
+        model: Model,
+        variant: KernelVariant,
+        x: &[f64],
+        token: &CancelToken,
+    ) -> Result<f64, ExecError> {
         let a = self.a;
-        match variant {
-            KernelVariant::Reference => crate::util::preduce(
-                exec,
-                model,
-                0..self.n,
-                || 0.0f64,
-                |l, r| l + r,
-                |chunk, acc| {
-                    let mut local = 0.0;
-                    for &xi in &x[chunk] {
-                        local += a * xi;
+        exec.try_parallel_reduce(
+            model,
+            0..self.n,
+            token,
+            || 0.0f64,
+            |l, r| l + r,
+            |chunk, acc| {
+                for block in x[chunk].chunks(POLL_EVERY) {
+                    if token.is_cancelled() {
+                        return;
                     }
-                    *acc += local;
-                },
-            ),
-            KernelVariant::Optimized => crate::util::preduce(
-                exec,
-                model,
-                0..self.n,
-                || 0.0f64,
-                |l, r| l + r,
-                |chunk, acc| {
-                    *acc += sum_chunk_opt(a, &x[chunk]);
-                },
-            ),
-        }
+                    *acc += match variant {
+                        KernelVariant::Reference => {
+                            let mut local = 0.0;
+                            for &xi in block {
+                                local += a * xi;
+                            }
+                            local
+                        }
+                        KernelVariant::Optimized => sum_chunk_opt(a, block),
+                    };
+                }
+            },
+        )
     }
 
     /// Simulator descriptor: one flop-ish and 8 bytes per iteration.
@@ -164,7 +175,15 @@ mod tests {
         let expected = k.seq(&x);
         let exec = Executor::new(4);
         for model in Model::ALL {
-            let got = k.run_v(&exec, model, KernelVariant::Optimized, &x);
+            let got = k
+                .try_run_v(
+                    &exec,
+                    model,
+                    KernelVariant::Optimized,
+                    &x,
+                    &CancelToken::new(),
+                )
+                .unwrap();
             tpm_core::approx::scalar_close(got, expected, 1e-10)
                 .unwrap_or_else(|e| panic!("{model}: {e}"));
         }

@@ -113,7 +113,7 @@ pub fn random_vec(n: usize, seed: u64) -> Vec<f64> {
 /// ([`tpm_sync::SplitMix64::new_at`]).
 ///
 /// Cancellable: the fill runs through [`Executor::try_parallel_for`] under
-/// `token` and additionally polls it every [`FILL_POLL_EVERY`] elements
+/// `token` and additionally polls it every [`POLL_EVERY`] elements
 /// inside a chunk, so a deadline is honoured within one poll interval even
 /// when a static schedule hands each thread a single huge chunk. On `Err`
 /// the partly filled vector is dropped. The kernels' infallible `alloc_on`
@@ -150,7 +150,7 @@ where
         let mut rng = tpm_sync::SplitMix64::new_at(seed, chunk.start as u64);
         // SAFETY: the executor hands out disjoint chunks.
         let slice = unsafe { dst.slice_mut(chunk) };
-        for block in slice.chunks_mut(FILL_POLL_EVERY) {
+        for block in slice.chunks_mut(POLL_EVERY) {
             if token.is_cancelled() {
                 return;
             }
@@ -162,13 +162,17 @@ where
     Ok(v)
 }
 
-/// Elements written between cancellation polls inside one fill chunk
-/// (32 KiB of `f64`: a few microseconds of RNG).
-pub const FILL_POLL_EVERY: usize = 4096;
+/// Elements a flat body (input fill, [`Sum`](crate::Sum),
+/// [`Axpy`](crate::Axpy)) processes between cancellation polls inside one
+/// chunk (32 KiB of `f64`: a few microseconds), so even a static schedule's
+/// single chunk per thread stops within one block once the token fires.
+pub const POLL_EVERY: usize = 4096;
 
-/// Unwraps the result of a loop that ran under a fresh, never-cancelled
-/// token: a failure there is a kernel bug, reported by panicking.
-pub(crate) fn infallible<T>(model: Model, r: Result<T, ExecError>) -> T {
+/// Unwraps the result of a kernel body that ran under a fresh,
+/// never-cancelled token — what every infallible `run`/`alloc_on` wrapper
+/// does: a failure there is a kernel bug (or a panicking body), reported by
+/// panicking.
+pub fn infallible<T>(model: Model, r: Result<T, ExecError>) -> T {
     r.unwrap_or_else(|e| panic!("{model} kernel loop failed: {e}"))
 }
 
@@ -188,39 +192,6 @@ pub fn advise_hugepages_for<T>(buf: &[T]) -> bool {
         return false;
     }
     tpm_sync::topology::advise_hugepages(buf.as_ptr().cast(), bytes)
-}
-
-/// Runs an un-cancellable parallel loop through the fallible executor path.
-/// The kernels' `run` surface is infallible by contract — no token is
-/// attached and the bodies do not panic — so a failure here is a kernel
-/// bug, reported by panicking.
-pub fn pfor<F>(exec: &Executor, model: Model, range: Range<usize>, body: &F)
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    infallible(
-        model,
-        exec.try_parallel_for(model, range, &CancelToken::new(), body),
-    );
-}
-
-/// Reduction sibling of [`pfor`]: un-cancellable, panics on failure.
-pub fn preduce<T, Id, Op, F>(
-    exec: &Executor,
-    model: Model,
-    range: Range<usize>,
-    identity: Id,
-    combine: Op,
-    body: F,
-) -> T
-where
-    T: Send,
-    Id: Fn() -> T + Send + Sync,
-    Op: Fn(T, T) -> T + Send + Sync,
-    F: Fn(Range<usize>, &mut T) + Sync,
-{
-    exec.try_parallel_reduce(model, range, &CancelToken::new(), identity, combine, body)
-        .unwrap_or_else(|e| panic!("{model} kernel reduction failed: {e}"))
 }
 
 /// Max-abs-difference between two vectors (for verification).
@@ -288,7 +259,7 @@ mod tests {
     #[test]
     fn cancellable_fill_honours_the_token_and_maps_elements() {
         let exec = Executor::new(2);
-        let n = 10 * FILL_POLL_EVERY + 7;
+        let n = 10 * POLL_EVERY + 7;
         for model in Model::ALL {
             let expired = CancelToken::with_deadline(std::time::Duration::ZERO);
             let r = try_random_vec_on(&exec, model, n, 3, &expired);

@@ -90,9 +90,22 @@ impl Bfs {
         cost
     }
 
-    /// Parallel BFS under `model`. Returns per-node levels and the number of
-    /// level iterations executed.
+    /// Parallel BFS under `model`, un-cancellable. Returns per-node levels
+    /// and the number of level iterations executed.
     pub fn run(&self, exec: &Executor, model: Model, g: &Graph) -> (Vec<i32>, usize) {
+        tpm_kernels::util::infallible(model, self.try_run(exec, model, g, &CancelToken::new()))
+    }
+
+    /// [`Self::run`] under `token`: each phase of each level is one
+    /// cancellable region, so a fired token stops the search at the next
+    /// chunk boundary.
+    pub fn try_run(
+        &self,
+        exec: &Executor,
+        model: Model,
+        g: &Graph,
+        token: &CancelToken,
+    ) -> Result<(Vec<i32>, usize), ExecError> {
         let n = g.num_nodes();
         let cost: Vec<AtomicI32> = (0..n).map(|_| AtomicI32::new(-1)).collect();
         let frontier: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
@@ -104,7 +117,7 @@ impl Bfs {
         let mut levels = 0;
         loop {
             // Phase 1: expand the frontier.
-            tpm_kernels::util::pfor(exec, model, 0..n, &|chunk| {
+            exec.try_parallel_for(model, 0..n, token, &|chunk| {
                 for i in chunk {
                     if frontier[i].load(Ordering::Relaxed) {
                         frontier[i].store(false, Ordering::Relaxed);
@@ -120,10 +133,10 @@ impl Bfs {
                         }
                     }
                 }
-            });
+            })?;
             // Phase 2: commit newly discovered nodes.
             let stop = AtomicBool::new(true);
-            tpm_kernels::util::pfor(exec, model, 0..n, &|chunk| {
+            exec.try_parallel_for(model, 0..n, token, &|chunk| {
                 for j in chunk {
                     if updating[j].load(Ordering::Relaxed) {
                         updating[j].store(false, Ordering::Relaxed);
@@ -132,16 +145,16 @@ impl Bfs {
                         stop.store(false, Ordering::Relaxed);
                     }
                 }
-            });
+            })?;
             levels += 1;
             if stop.load(Ordering::Relaxed) {
                 break;
             }
         }
-        (
+        Ok((
             cost.into_iter().map(AtomicI32::into_inner).collect(),
             levels,
-        )
+        ))
     }
 
     /// Simulator descriptor: `2 × levels` full-array phases with irregular

@@ -178,24 +178,28 @@ impl HotSpot {
 
     /// Runs under `model`: per step, a row-parallel stencil loop then a
     /// row-parallel commit loop (the two dependent phases; paper-faithful
-    /// [`KernelVariant::Reference`] body).
+    /// [`KernelVariant::Reference`] body), un-cancellable.
     pub fn run(&self, exec: &Executor, model: Model, temp: &[f64], power: &[f64]) -> Vec<f64> {
-        self.run_v(exec, model, KernelVariant::Reference, temp, power)
+        let token = CancelToken::new();
+        let r = self.try_run_v(exec, model, KernelVariant::Reference, temp, power, &token);
+        tpm_kernels::util::infallible(model, r)
     }
 
-    /// Runs under `model` with the selected data-path `variant`.
+    /// Runs under `model` with the selected data-path `variant`, stopping at
+    /// the first chunk boundary after `token` fires.
     ///
     /// The optimized variant keeps the same row-parallel distribution and
-    /// two-phase structure but sweeps each chunk in [`TILE_J`]-column tiles
+    /// two-phase structure but sweeps each chunk in `TILE_J`-column tiles
     /// (cache-resident working set) with a vectorizable interior body.
-    pub fn run_v(
+    pub fn try_run_v(
         &self,
         exec: &Executor,
         model: Model,
         variant: KernelVariant,
         temp: &[f64],
         power: &[f64],
-    ) -> Vec<f64> {
+        token: &CancelToken,
+    ) -> Result<Vec<f64>, ExecError> {
         let n = self.n;
         let mut cur = temp.to_vec();
         let mut next = vec![0.0; n * n];
@@ -203,48 +207,42 @@ impl HotSpot {
             {
                 let out = UnsafeSlice::new(&mut next);
                 let cur_ref = &cur;
-                match variant {
+                exec.try_parallel_for(model, 0..n, token, &|rows| match variant {
                     KernelVariant::Reference => {
-                        tpm_kernels::util::pfor(exec, model, 0..n, &|rows| {
-                            for i in rows {
-                                // SAFETY: disjoint row chunks.
-                                let row = unsafe { out.slice_mut(i * n..(i + 1) * n) };
-                                for (j, cell) in row.iter_mut().enumerate() {
-                                    *cell = self.step_cell(cur_ref, power, i, j);
-                                }
+                        for i in rows {
+                            // SAFETY: disjoint row chunks.
+                            let row = unsafe { out.slice_mut(i * n..(i + 1) * n) };
+                            for (j, cell) in row.iter_mut().enumerate() {
+                                *cell = self.step_cell(cur_ref, power, i, j);
                             }
-                        });
+                        }
                     }
                     KernelVariant::Optimized => {
-                        tpm_kernels::util::pfor(exec, model, 0..n, &|rows| {
-                            for j0 in (0..n).step_by(TILE_J) {
-                                let j1 = (j0 + TILE_J).min(n);
-                                for i in rows.clone() {
-                                    // SAFETY: disjoint row chunks ⇒ disjoint
-                                    // (row, tile) segments.
-                                    let seg = unsafe { out.slice_mut(i * n + j0..i * n + j1) };
-                                    self.step_row_tile(cur_ref, power, i, j0, j1, seg);
-                                }
+                        for j0 in (0..n).step_by(TILE_J) {
+                            let j1 = (j0 + TILE_J).min(n);
+                            for i in rows.clone() {
+                                // SAFETY: disjoint row chunks ⇒ disjoint
+                                // (row, tile) segments.
+                                let seg = unsafe { out.slice_mut(i * n + j0..i * n + j1) };
+                                self.step_row_tile(cur_ref, power, i, j0, j1, seg);
                             }
-                        });
+                        }
                     }
+                })?;
+            }
+            // Commit phase: copy back (Rodinia keeps two grids and swaps;
+            // the explicit copy preserves the paper's two-loop structure).
+            let out = UnsafeSlice::new(&mut cur);
+            let next_ref = &next;
+            exec.try_parallel_for(model, 0..n, token, &|rows| {
+                for i in rows {
+                    // SAFETY: disjoint row chunks.
+                    let row = unsafe { out.slice_mut(i * n..(i + 1) * n) };
+                    row.copy_from_slice(&next_ref[i * n..(i + 1) * n]);
                 }
-            }
-            {
-                // Commit phase: copy back (Rodinia keeps two grids and swaps;
-                // the explicit copy preserves the paper's two-loop structure).
-                let out = UnsafeSlice::new(&mut cur);
-                let next_ref = &next;
-                tpm_kernels::util::pfor(exec, model, 0..n, &|rows| {
-                    for i in rows {
-                        // SAFETY: disjoint row chunks.
-                        let row = unsafe { out.slice_mut(i * n..(i + 1) * n) };
-                        row.copy_from_slice(&next_ref[i * n..(i + 1) * n]);
-                    }
-                });
-            }
+            })?;
         }
-        cur
+        Ok(cur)
     }
 
     /// Simulator descriptor: `2 × steps` row-parallel phases.
@@ -310,7 +308,16 @@ mod tests {
         let expected = h.seq(&t, &p);
         let exec = Executor::new(3);
         for model in Model::ALL {
-            let got = h.run_v(&exec, model, KernelVariant::Optimized, &t, &p);
+            let got = h
+                .try_run_v(
+                    &exec,
+                    model,
+                    KernelVariant::Optimized,
+                    &t,
+                    &p,
+                    &CancelToken::new(),
+                )
+                .unwrap();
             // Interior uses the same expression as step_cell — exact match.
             assert_eq!(got, expected, "{model}");
         }
@@ -323,8 +330,15 @@ mod tests {
             let (t, p) = h.generate();
             let exec = Executor::new(2);
             assert_eq!(
-                h.run_v(&exec, Model::OmpFor, KernelVariant::Optimized, &t, &p),
-                h.seq(&t, &p),
+                h.try_run_v(
+                    &exec,
+                    Model::OmpFor,
+                    KernelVariant::Optimized,
+                    &t,
+                    &p,
+                    &CancelToken::new()
+                ),
+                Ok(h.seq(&t, &p)),
                 "n={n}"
             );
         }

@@ -6,8 +6,9 @@
 //! as the applications where "threads work on tasks with equal workload and
 //! the behavior of different implementations perform more closely".
 
-use tpm_core::{Executor, Model};
+use tpm_core::{ExecError, Executor, Model};
 use tpm_sim::{Imbalance, LoopWorkload, PhasedWorkload};
+use tpm_sync::CancelToken;
 
 use tpm_kernels::util::UnsafeSlice;
 
@@ -127,21 +128,32 @@ impl LavaMd {
         out
     }
 
-    /// Runs under `model`: the parallel loop is over boxes.
+    /// Runs under `model`: the parallel loop is over boxes; un-cancellable.
     pub fn run(&self, exec: &Executor, model: Model, particles: &[Particle]) -> Vec<f64> {
+        let r = self.try_run(exec, model, particles, &CancelToken::new());
+        tpm_kernels::util::infallible(model, r)
+    }
+
+    /// [`Self::run`] under `token`, stopping at the first chunk boundary
+    /// after it fires.
+    pub fn try_run(
+        &self,
+        exec: &Executor,
+        model: Model,
+        particles: &[Particle],
+        token: &CancelToken,
+    ) -> Result<Vec<f64>, ExecError> {
         let m = self.par_per_box;
         let mut out = vec![0.0; self.num_boxes() * m];
-        {
-            let slots = UnsafeSlice::new(&mut out);
-            tpm_kernels::util::pfor(exec, model, 0..self.num_boxes(), &|boxes| {
-                for b in boxes {
-                    // SAFETY: disjoint box chunks ⇒ disjoint output slots.
-                    let dst = unsafe { slots.slice_mut(b * m..(b + 1) * m) };
-                    self.box_potential(particles, b, dst);
-                }
-            });
-        }
-        out
+        let slots = UnsafeSlice::new(&mut out);
+        exec.try_parallel_for(model, 0..self.num_boxes(), token, &|boxes| {
+            for b in boxes {
+                // SAFETY: disjoint box chunks ⇒ disjoint output slots.
+                let dst = unsafe { slots.slice_mut(b * m..(b + 1) * m) };
+                self.box_potential(particles, b, dst);
+            }
+        })?;
+        Ok(out)
     }
 
     /// Simulator descriptor: one uniform heavy loop over boxes

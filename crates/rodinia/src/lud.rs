@@ -11,8 +11,9 @@
 //! update — `2(n-1)` shrinking phases, so per-phase overhead grows relative
 //! to work as the factorization proceeds.
 
-use tpm_core::{Executor, Model};
+use tpm_core::{ExecError, Executor, Model};
 use tpm_sim::{Imbalance, LoopWorkload, PhasedWorkload};
+use tpm_sync::CancelToken;
 
 use tpm_kernels::util::UnsafeSlice;
 
@@ -71,8 +72,21 @@ impl Lud {
     }
 
     /// Runs under `model`: per pivot, a parallel scale loop and a parallel
-    /// trailing update loop (rows are the parallel dimension).
+    /// trailing update loop (rows are the parallel dimension);
+    /// un-cancellable.
     pub fn run(&self, exec: &Executor, model: Model, a: &[f64]) -> Vec<f64> {
+        tpm_kernels::util::infallible(model, self.try_run(exec, model, a, &CancelToken::new()))
+    }
+
+    /// [`Self::run`] under `token`, stopping at the first chunk boundary
+    /// after it fires.
+    pub fn try_run(
+        &self,
+        exec: &Executor,
+        model: Model,
+        a: &[f64],
+        token: &CancelToken,
+    ) -> Result<Vec<f64>, ExecError> {
         let n = self.n;
         let mut m = a.to_vec();
         for k in 0..n {
@@ -82,20 +96,20 @@ impl Lud {
             }
             {
                 let grid = UnsafeSlice::new(&mut m);
-                tpm_kernels::util::pfor(exec, model, (k + 1)..n, &|rows| {
+                exec.try_parallel_for(model, (k + 1)..n, token, &|rows| {
                     for i in rows {
                         // SAFETY: disjoint rows.
                         let row = unsafe { grid.slice_mut(i * n..(i + 1) * n) };
                         row[k] /= pivot;
                     }
-                });
+                })?;
             }
             {
                 // Copy the pivot row up front: the update phase then only
                 // writes disjoint rows below it (race-free by construction).
                 let pivot_row: Vec<f64> = m[k * n + k + 1..(k + 1) * n].to_vec();
                 let grid = UnsafeSlice::new(&mut m);
-                tpm_kernels::util::pfor(exec, model, (k + 1)..n, &|rows| {
+                exec.try_parallel_for(model, (k + 1)..n, token, &|rows| {
                     for i in rows {
                         // SAFETY: disjoint rows.
                         let row = unsafe { grid.slice_mut(i * n..(i + 1) * n) };
@@ -104,10 +118,10 @@ impl Lud {
                             row[j] -= lik * pivot_row[off];
                         }
                     }
-                });
+                })?;
             }
         }
-        m
+        Ok(m)
     }
 
     /// Multiplies the factorization back: `L·U`, for verification.

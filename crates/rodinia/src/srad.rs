@@ -6,8 +6,11 @@
 //! per-pixel work with regular access — the paper's "equal workload" class
 //! where all six variants converge.
 
-use tpm_core::{Executor, KernelVariant, Model};
+use std::ops::Range;
+
+use tpm_core::{ExecError, Executor, KernelVariant, Model};
 use tpm_sim::{Imbalance, LoopWorkload, PhasedWorkload};
+use tpm_sync::CancelToken;
 
 use tpm_kernels::util::UnsafeSlice;
 
@@ -63,45 +66,44 @@ impl Srad {
         i.clamp(0, self.n as isize - 1) as usize
     }
 
-    /// One full diffusion pass, writing coefficient then updating `img`.
-    /// Loop bodies take a `(rows, cols)` sub-rectangle so the optimized
-    /// variant can sweep cache-resident column tiles; the reference variant
-    /// passes full-width rows.
+    /// One full diffusion pass, writing coefficient then updating `img`:
+    /// sequentially (`par` is `None`), or as two row-parallel loops under
+    /// the caller's model and token. Loop bodies take a `(rows, cols)`
+    /// sub-rectangle so the optimized variant can sweep cache-resident
+    /// column tiles; the reference variant passes full-width rows.
     fn step(
         &self,
-        exec: Option<(&Executor, Model, KernelVariant)>,
+        par: Option<(&Executor, Model, KernelVariant, &CancelToken)>,
         img: &mut [f64],
         c: &mut [f64],
         q0sqr: f64,
-    ) {
+    ) -> Result<(), ExecError> {
         let n = self.n;
         // Loop 1: diffusion coefficient per pixel.
-        let compute_c = |rows: std::ops::Range<usize>,
-                         cols: std::ops::Range<usize>,
-                         c_out: &UnsafeSlice<'_, f64>,
-                         img: &[f64]| {
-            for i in rows {
-                for j in cols.clone() {
-                    let idx = i * n + j;
-                    let p = img[idx];
-                    let dn = img[self.clamp(i as isize - 1) * n + j] - p;
-                    let ds = img[self.clamp(i as isize + 1) * n + j] - p;
-                    let dw = img[i * n + self.clamp(j as isize - 1)] - p;
-                    let de = img[i * n + self.clamp(j as isize + 1)] - p;
-                    let g2 = (dn * dn + ds * ds + dw * dw + de * de) / (p * p);
-                    let l = (dn + ds + dw + de) / p;
-                    let num = 0.5 * g2 - (l * l) / 16.0;
-                    let den = 1.0 + 0.25 * l;
-                    let qsqr = num / (den * den);
-                    let coeff = 1.0 / (1.0 + (qsqr - q0sqr) / (q0sqr * (1.0 + q0sqr)));
-                    // SAFETY: disjoint rows.
-                    unsafe { c_out.write(idx, coeff.clamp(0.0, 1.0)) };
+        let compute_c =
+            |rows: Range<usize>, cols: Range<usize>, c_out: &UnsafeSlice<'_, f64>, img: &[f64]| {
+                for i in rows {
+                    for j in cols.clone() {
+                        let idx = i * n + j;
+                        let p = img[idx];
+                        let dn = img[self.clamp(i as isize - 1) * n + j] - p;
+                        let ds = img[self.clamp(i as isize + 1) * n + j] - p;
+                        let dw = img[i * n + self.clamp(j as isize - 1)] - p;
+                        let de = img[i * n + self.clamp(j as isize + 1)] - p;
+                        let g2 = (dn * dn + ds * ds + dw * dw + de * de) / (p * p);
+                        let l = (dn + ds + dw + de) / p;
+                        let num = 0.5 * g2 - (l * l) / 16.0;
+                        let den = 1.0 + 0.25 * l;
+                        let qsqr = num / (den * den);
+                        let coeff = 1.0 / (1.0 + (qsqr - q0sqr) / (q0sqr * (1.0 + q0sqr)));
+                        // SAFETY: disjoint rows.
+                        unsafe { c_out.write(idx, coeff.clamp(0.0, 1.0)) };
+                    }
                 }
-            }
-        };
+            };
         // Loop 2: divergence update.
-        let update = |rows: std::ops::Range<usize>,
-                      cols: std::ops::Range<usize>,
+        let update = |rows: Range<usize>,
+                      cols: Range<usize>,
                       img_out: &UnsafeSlice<'_, f64>,
                       img: &[f64],
                       c: &[f64]| {
@@ -122,63 +124,35 @@ impl Srad {
                 }
             }
         };
-        match exec {
-            None => {
-                let img_snapshot = img.to_vec();
-                {
-                    let c_slice = UnsafeSlice::new(c);
-                    compute_c(0..n, 0..n, &c_slice, &img_snapshot);
+        // Same row distribution and two-phase structure either way; per-cell
+        // arithmetic does not depend on the tile, so the variants agree
+        // bitwise.
+        let tile = match par {
+            Some((_, _, KernelVariant::Optimized, _)) => TILE_J,
+            _ => n.max(1),
+        };
+        let sweep = |body: &(dyn Fn(Range<usize>, Range<usize>) + Sync)| {
+            let rows_body = |rows: Range<usize>| {
+                for j0 in (0..n).step_by(tile) {
+                    body(rows.clone(), j0..(j0 + tile).min(n));
                 }
-                let img_out = UnsafeSlice::new(img);
-                update(0..n, 0..n, &img_out, &img_snapshot, c);
-            }
-            Some((exec, model, KernelVariant::Reference)) => {
-                let img_snapshot = img.to_vec();
-                {
-                    let c_slice = UnsafeSlice::new(c);
-                    let img_ref = &img_snapshot;
-                    tpm_kernels::util::pfor(exec, model, 0..n, &|rows| {
-                        compute_c(rows, 0..n, &c_slice, img_ref)
-                    });
+            };
+            match par {
+                None => {
+                    rows_body(0..n);
+                    Ok(())
                 }
-                {
-                    let img_out = UnsafeSlice::new(img);
-                    let img_ref = &img_snapshot;
-                    let c_ref: &[f64] = c;
-                    tpm_kernels::util::pfor(exec, model, 0..n, &|rows| {
-                        update(rows, 0..n, &img_out, img_ref, c_ref)
-                    });
+                Some((exec, model, _, token)) => {
+                    exec.try_parallel_for(model, 0..n, token, &rows_body)
                 }
             }
-            Some((exec, model, KernelVariant::Optimized)) => {
-                // Same row-parallel distribution and two-phase structure;
-                // each chunk sweeps TILE_J-column tiles so its working set
-                // stays cache-resident. Per-cell arithmetic is unchanged,
-                // so results are bitwise-identical to the reference.
-                let img_snapshot = img.to_vec();
-                {
-                    let c_slice = UnsafeSlice::new(c);
-                    let img_ref = &img_snapshot;
-                    tpm_kernels::util::pfor(exec, model, 0..n, &|rows| {
-                        for j0 in (0..n).step_by(TILE_J) {
-                            let j1 = (j0 + TILE_J).min(n);
-                            compute_c(rows.clone(), j0..j1, &c_slice, img_ref);
-                        }
-                    });
-                }
-                {
-                    let img_out = UnsafeSlice::new(img);
-                    let img_ref = &img_snapshot;
-                    let c_ref: &[f64] = c;
-                    tpm_kernels::util::pfor(exec, model, 0..n, &|rows| {
-                        for j0 in (0..n).step_by(TILE_J) {
-                            let j1 = (j0 + TILE_J).min(n);
-                            update(rows.clone(), j0..j1, &img_out, img_ref, c_ref);
-                        }
-                    });
-                }
-            }
-        }
+        };
+        let img_snapshot = img.to_vec();
+        let c_out = UnsafeSlice::new(c);
+        sweep(&|rows, cols| compute_c(rows, cols, &c_out, &img_snapshot))?;
+        let c: &[f64] = c;
+        let img_out = UnsafeSlice::new(img);
+        sweep(&|rows, cols| update(rows, cols, &img_out, &img_snapshot, c))
     }
 
     fn q0sqr(&self, img: &[f64]) -> f64 {
@@ -199,39 +173,46 @@ impl Srad {
         var / (mean * mean)
     }
 
-    /// Sequential reference: the denoised image.
-    pub fn seq(&self, img: &[f64]) -> Vec<f64> {
+    fn iterate(
+        &self,
+        par: Option<(&Executor, Model, KernelVariant, &CancelToken)>,
+        img: &[f64],
+    ) -> Result<Vec<f64>, ExecError> {
         let mut img = img.to_vec();
         let mut c = vec![0.0; self.n * self.n];
         for _ in 0..self.iterations {
             let q0 = self.q0sqr(&img);
-            self.step(None, &mut img, &mut c, q0);
+            self.step(par, &mut img, &mut c, q0)?;
         }
-        img
+        Ok(img)
+    }
+
+    /// Sequential reference: the denoised image.
+    pub fn seq(&self, img: &[f64]) -> Vec<f64> {
+        self.iterate(None, img)
+            .expect("a sequential sweep polls no token")
     }
 
     /// Runs under `model` (paper-faithful [`KernelVariant::Reference`]
-    /// body).
+    /// body), un-cancellable.
     pub fn run(&self, exec: &Executor, model: Model, img: &[f64]) -> Vec<f64> {
-        self.run_v(exec, model, KernelVariant::Reference, img)
+        let token = CancelToken::new();
+        let r = self.try_run_v(exec, model, KernelVariant::Reference, img, &token);
+        tpm_kernels::util::infallible(model, r)
     }
 
     /// Runs under `model` with the selected data-path `variant` (the
-    /// optimized variant sweeps cache-resident column tiles).
-    pub fn run_v(
+    /// optimized variant sweeps cache-resident column tiles), stopping at
+    /// the first chunk boundary after `token` fires.
+    pub fn try_run_v(
         &self,
         exec: &Executor,
         model: Model,
         variant: KernelVariant,
         img: &[f64],
-    ) -> Vec<f64> {
-        let mut img = img.to_vec();
-        let mut c = vec![0.0; self.n * self.n];
-        for _ in 0..self.iterations {
-            let q0 = self.q0sqr(&img);
-            self.step(Some((exec, model, variant)), &mut img, &mut c, q0);
-        }
-        img
+        token: &CancelToken,
+    ) -> Result<Vec<f64>, ExecError> {
+        self.iterate(Some((exec, model, variant, token)), img)
     }
 
     /// Simulator descriptor: `2 × iterations` row-parallel phases of uniform
@@ -286,7 +267,15 @@ mod tests {
         let expected = s.seq(&img);
         let exec = Executor::new(3);
         for model in Model::ALL {
-            let got = s.run_v(&exec, model, KernelVariant::Optimized, &img);
+            let got = s
+                .try_run_v(
+                    &exec,
+                    model,
+                    KernelVariant::Optimized,
+                    &img,
+                    &CancelToken::new(),
+                )
+                .unwrap();
             assert_eq!(got, expected, "{model}");
         }
     }

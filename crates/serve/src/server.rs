@@ -189,10 +189,12 @@ pub(crate) struct WorkItem {
     /// drains until it reads zero, so a reply can never be lost between
     /// "queue looks empty" and "worker actually sent it".
     pub(crate) pending: Arc<AtomicU64>,
-    /// The server's counters, so the `Drop` backstop's reply is counted and
+    /// The server's counters and metrics, so the `Drop` backstop's reply is
+    /// counted and labelled like every other one, and
     /// `admitted == completed + failed + watchdog_shed` holds across worker
     /// death (the desim invariant checker audits exactly this).
     pub(crate) stats: Arc<ServeStats>,
+    pub(crate) metrics: Arc<ServeMetrics>,
 }
 
 impl Drop for WorkItem {
@@ -203,8 +205,7 @@ impl Drop for WorkItem {
         // treats pending == 0 as "every reply is already in my channel".
         if self.replied.claim() {
             let reply = Reply::dropped(self.id);
-            self.stats.count(reply.bucket);
-            self.reply.send(&reply.response);
+            answer(&self.stats, &self.metrics, &self.reply, &reply);
         }
         self.pending.fetch_sub(1, Ordering::SeqCst);
     }
@@ -234,7 +235,7 @@ pub(crate) struct Shared {
     pub(crate) seq: AtomicU64,
     pub(crate) live_workers: AtomicUsize,
     pub(crate) dead_workers: AtomicU64,
-    pub(crate) metrics: ServeMetrics,
+    pub(crate) metrics: Arc<ServeMetrics>,
     /// Live [`WorkItem`]s (admitted or shed-in-progress, queued or
     /// executing). See [`WorkItem::pending`].
     pub(crate) pending: Arc<AtomicU64>,
@@ -256,13 +257,18 @@ impl Shared {
         self.reactor_wake.signal();
     }
 
-    /// Applies one [`Reply`]: counts it in its bucket, labels the outcome
-    /// metric, and sends it down `sink`.
     fn answer(&self, sink: &ReplySink, reply: &Reply) {
-        self.stats.count(reply.bucket);
-        self.metrics.observe_outcome(reply.outcome);
-        sink.send(&reply.response);
+        answer(&self.stats, &self.metrics, sink, reply);
     }
+}
+
+/// Applies one [`Reply`]: counts it in its bucket, labels the outcome
+/// metric, and sends it down `sink`. Every reply takes this one step, the
+/// [`WorkItem`] `Drop` backstop's included.
+fn answer(stats: &ServeStats, metrics: &ServeMetrics, sink: &ReplySink, reply: &Reply) {
+    stats.count(reply.bucket);
+    metrics.observe_outcome(reply.outcome);
+    sink.send(&reply.response);
 }
 
 /// A running server. Dropping the handle does NOT stop the server; call
@@ -384,7 +390,7 @@ fn serve_over(
         seq: AtomicU64::new(0),
         live_workers: AtomicUsize::new(workers),
         dead_workers: AtomicU64::new(0),
-        metrics,
+        metrics: Arc::new(metrics),
         pending: Arc::new(AtomicU64::new(0)),
         reactor_wake: Arc::new(wake),
         pool: BufPool::for_serve(workers),
@@ -663,6 +669,7 @@ fn handle_request(
                 replied: ReplyGate::new(),
                 pending: Arc::clone(&shared.pending),
                 stats: Arc::clone(&shared.stats),
+                metrics: Arc::clone(&shared.metrics),
             };
             match shared.queue.try_push(item) {
                 Ok(()) => {

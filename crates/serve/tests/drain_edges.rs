@@ -233,4 +233,43 @@ mod inject {
         assert_eq!(stats.failed, 1, "the dropped job is counted, not lost");
         assert_conserved(&stats);
     }
+
+    /// The `Drop` backstop's reply is labelled like every other reply: one
+    /// dropped request adds one to `tpm_requests_total{outcome="panic"}` and
+    /// one to `failed`.
+    #[test]
+    fn dropped_reply_is_counted_in_requests_total() {
+        let _serial = tpm_fault::session_serial();
+        let session = FaultSession::install(&FaultPlan::single(SiteRule::nth(
+            Site::WorkerPickup,
+            FaultKind::Panic,
+            1,
+        )));
+        let handle = start(ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        });
+        let panics = |h: &ServerHandle| {
+            let scrape = tpm_metrics::text::validate(&h.metrics_text()).expect("valid exposition");
+            scrape
+                .get("tpm_requests_total", &[("outcome", "panic")])
+                .unwrap_or(0.0)
+        };
+        let (before, failed_before) = (panics(&handle), handle.stats().failed);
+        let (mut reader, mut writer) = connect(&handle);
+        send_run(&mut writer, 1, "quick", 1, None);
+        match read_response(&mut reader) {
+            Some(Response::Error { code, .. }) => assert_eq!(code, "panic"),
+            other => panic!("expected the backstop reply, got {other:?}"),
+        }
+        assert_eq!(
+            session.report().fired.len(),
+            1,
+            "exactly one injected death"
+        );
+        assert_eq!(panics(&handle), before + 1.0);
+        assert_eq!(handle.stats().failed, failed_before + 1);
+        drop(writer);
+        assert_conserved(&handle.shutdown());
+    }
 }

@@ -31,7 +31,6 @@
 mod job;
 mod join;
 mod par_for;
-mod par_iter;
 #[doc(hidden)]
 pub mod pool;
 mod runtime;
@@ -39,7 +38,6 @@ mod scope;
 
 pub use join::join;
 pub use par_for::{par_for, par_for_ctx_cancel, Grain};
-pub use par_iter::{join3, par_map};
 pub use runtime::{Runtime, WorkerCtx};
 pub use scope::{scope, Scope};
 

@@ -1,12 +1,11 @@
 //! Integration + property tests for the extended features: task
-//! dependencies, `par_map`, `sections`, cancellation, and future chaining.
+//! dependencies, `sections`, cancellation, and future chaining.
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use threadcmp::forkjoin::{DepTracker, Schedule, Team};
 use threadcmp::rawthreads::{async_task, Launch};
-use threadcmp::worksteal::{par_map, Grain, Runtime};
 
 #[test]
 fn dependencies_order_a_diamond() {
@@ -67,21 +66,6 @@ fn future_chain_crosses_policies() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// `par_map` equals the sequential map for arbitrary inputs and grains.
-    #[test]
-    fn par_map_matches_sequential(
-        input in proptest::collection::vec(any::<u32>(), 0..500),
-        grain in 1usize..64,
-        workers in 1usize..5,
-    ) {
-        let rt = Runtime::new(workers);
-        let got = rt.install(|ctx| {
-            par_map(ctx, &input, Grain::Fixed(grain), |&x| x as u64 + 1)
-        });
-        let expected: Vec<u64> = input.iter().map(|&x| x as u64 + 1).collect();
-        prop_assert_eq!(got, expected);
-    }
 
     /// A random chain of dependent inout tasks applies its operations in
     /// spawn order (the OpenMP `depend` guarantee).

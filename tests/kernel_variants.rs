@@ -14,6 +14,7 @@ use proptest::prelude::*;
 use threadcmp::approx::{scalar_close, slices_close};
 use threadcmp::kernels::{Axpy, Matmul, Matvec, Sum};
 use threadcmp::rodinia::{HotSpot, Srad};
+use threadcmp::sync::CancelToken;
 use threadcmp::{Executor, KernelVariant, Model};
 
 fn model_strategy() -> impl Strategy<Value = Model> {
@@ -56,7 +57,7 @@ proptest! {
         k.seq(&x, &mut expected);
         let exec = Executor::new(threads);
         let mut y = y0.clone();
-        k.run_v(&exec, model, KernelVariant::Optimized, &x, &mut y);
+        k.try_run_v(&exec, model, KernelVariant::Optimized, &x, &mut y, &CancelToken::new()).unwrap();
         prop_assert_eq!(y, expected);
     }
 
@@ -72,7 +73,7 @@ proptest! {
         let x = k.alloc();
         let expected = k.seq(&x);
         let exec = Executor::new(threads);
-        let got = k.run_v(&exec, model, KernelVariant::Optimized, &x);
+        let got = k.try_run_v(&exec, model, KernelVariant::Optimized, &x, &CancelToken::new()).unwrap();
         prop_assert!(scalar_close(got, expected, 1e-10).is_ok(),
             "{}", scalar_close(got, expected, 1e-10).unwrap_err());
     }
@@ -88,7 +89,7 @@ proptest! {
         let (a, x) = k.alloc();
         let expected = k.seq(&a, &x);
         let exec = Executor::new(threads);
-        let got = k.run_v(&exec, model, KernelVariant::Optimized, &a, &x);
+        let got = k.try_run_v(&exec, model, KernelVariant::Optimized, &a, &x, &CancelToken::new()).unwrap();
         prop_assert!(slices_close(&got, &expected, 1e-12).is_ok(),
             "{}", slices_close(&got, &expected, 1e-12).unwrap_err());
     }
@@ -106,7 +107,7 @@ proptest! {
         let (a, b) = k.alloc();
         let expected = k.seq(&a, &b);
         let exec = Executor::new(threads);
-        let got = k.run_v(&exec, model, KernelVariant::Optimized, &a, &b);
+        let got = k.try_run_v(&exec, model, KernelVariant::Optimized, &a, &b, &CancelToken::new()).unwrap();
         prop_assert!(slices_close(&got, &expected, 1e-12).is_ok(),
             "{}", slices_close(&got, &expected, 1e-12).unwrap_err());
         let seq_blocked = k.seq_blocked(&a, &b);
@@ -132,7 +133,7 @@ proptest! {
         let (t, p) = h.generate();
         let expected = h.seq(&t, &p);
         let exec = Executor::new(threads);
-        let got = h.run_v(&exec, model, KernelVariant::Optimized, &t, &p);
+        let got = h.try_run_v(&exec, model, KernelVariant::Optimized, &t, &p, &CancelToken::new()).unwrap();
         prop_assert_eq!(got, expected);
     }
 
@@ -149,7 +150,7 @@ proptest! {
         let img = s.generate();
         let expected = s.seq(&img);
         let exec = Executor::new(threads);
-        let got = s.run_v(&exec, model, KernelVariant::Optimized, &img);
+        let got = s.try_run_v(&exec, model, KernelVariant::Optimized, &img, &CancelToken::new()).unwrap();
         prop_assert_eq!(got, expected);
     }
 }
@@ -164,7 +165,16 @@ fn exact_boundary_sizes_all_models() {
         let (a, b) = k.alloc();
         let expected = k.seq(&a, &b);
         for model in Model::ALL {
-            let got = k.run_v(&exec, model, KernelVariant::Optimized, &a, &b);
+            let got = k
+                .try_run_v(
+                    &exec,
+                    model,
+                    KernelVariant::Optimized,
+                    &a,
+                    &b,
+                    &CancelToken::new(),
+                )
+                .unwrap();
             slices_close(&got, &expected, 1e-12)
                 .unwrap_or_else(|e| panic!("matmul n={n} {model}: {e}"));
         }
