@@ -3,13 +3,20 @@
 //! Each returns a [`Figure`] whose series are the registry's variants (the
 //! paper's six plus the actor extension) swept over the paper's thread axis
 //! on the simulated 36-core testbed.
+//!
+//! Every figure simulates each distinct `(policy, phase, threads)` cell
+//! once. Models that share a [`sim_policy`] share its points, so the
+//! `actor_for` and `actor_task` columns equal `cilk_spawn`'s and
+//! `cilk_for`'s by construction. [`Simulator::run_phased`] simulates each
+//! distinct phase once and folds the results in phase order; a phase's
+//! result does not depend on where it sits, so the points are bit-identical
+//! to simulating every cell.
 
 use tpm_core::{Figure, Model, Series};
 use tpm_kernels::{Axpy, Fib, Matmul, Matvec, Sum};
 use tpm_rodinia::{Bfs, HotSpot, LavaMd, Lud, Srad};
 use tpm_sim::{
-    CostModel, DequeKind, LoopPolicy, LoopWorkload, PhasedWorkload, Placement, Simulator,
-    VictimPolicy,
+    CostModel, DequeKind, LoopPolicy, PhasedWorkload, Placement, SimResult, Simulator, VictimPolicy,
 };
 use tpm_sync::json;
 
@@ -39,63 +46,68 @@ pub fn sim_policy(model: Model) -> LoopPolicy {
     }
 }
 
-fn sweep_loop(title: &str, wl: &LoopWorkload) -> Figure {
-    let sim = Simulator::paper_testbed();
+/// One series per `(label, key)` case, swept over `threads`. The simulator
+/// is deterministic, so cases with equal keys share one run: a later case
+/// gets a clone of the first such case's points.
+fn sweep<K: Copy + PartialEq>(
+    title: &str,
+    threads: &[usize],
+    cases: &[(&str, K)],
+    run: impl Fn(K, usize) -> SimResult,
+) -> Figure {
     let mut fig = Figure::new(title);
-    for model in Model::ALL {
-        let mut s = Series::new(model.name());
-        for &p in &THREADS {
-            let r = sim.run_loop(sim_policy(model), wl, p);
-            s.push(p, r.seconds());
+    for (i, &(label, key)) in cases.iter().enumerate() {
+        let first = cases.iter().position(|&(_, k)| k == key).unwrap_or(i);
+        let mut s = Series::new(label);
+        if first < i {
+            s.points = fig.series[first].points.clone();
+        } else {
+            for &p in threads {
+                s.push(p, run(key, p).seconds());
+            }
         }
         fig.series.push(s);
     }
     fig
 }
 
-fn sweep_phased(title: &str, wl: &PhasedWorkload) -> Figure {
+/// Sweeps every registry model's [`sim_policy`] over `wl`; a loop figure
+/// is one phase. Each distinct policy is simulated once.
+fn sweep_models(title: &str, wl: PhasedWorkload) -> Figure {
     let sim = Simulator::paper_testbed();
-    let mut fig = Figure::new(title);
-    for model in Model::ALL {
-        let mut s = Series::new(model.name());
-        for &p in &THREADS {
-            let r = sim.run_phased(sim_policy(model), wl, p);
-            s.push(p, r.seconds());
-        }
-        fig.series.push(s);
-    }
-    fig
+    let cases = Model::ALL.map(|m| (m.name(), sim_policy(m)));
+    sweep(title, &THREADS, &cases, |k, p| sim.run_phased(k, &wl, p))
 }
 
 /// Fig. 1: Axpy, N = 100 M.
 pub fn fig1_axpy() -> Figure {
-    sweep_loop(
+    sweep_models(
         "Fig.1 Axpy (N=100M, simulated 2x18-core Xeon)",
-        &Axpy::paper().sim_workload(),
+        PhasedWorkload::new(vec![Axpy::paper().sim_workload()]),
     )
 }
 
 /// Fig. 2: Sum, N = 100 M (worksharing + reduction).
 pub fn fig2_sum() -> Figure {
-    sweep_loop(
+    sweep_models(
         "Fig.2 Sum (N=100M, simulated)",
-        &Sum::paper().sim_workload(),
+        PhasedWorkload::new(vec![Sum::paper().sim_workload()]),
     )
 }
 
 /// Fig. 3: Matvec, n = 40 k.
 pub fn fig3_matvec() -> Figure {
-    sweep_loop(
+    sweep_models(
         "Fig.3 Matvec (n=40k, simulated)",
-        &Matvec::paper().sim_workload(),
+        PhasedWorkload::new(vec![Matvec::paper().sim_workload()]),
     )
 }
 
 /// Fig. 4: Matmul, n = 2 k.
 pub fn fig4_matmul() -> Figure {
-    sweep_loop(
+    sweep_models(
         "Fig.4 Matmul (n=2k, simulated)",
-        &Matmul::paper().sim_workload(),
+        PhasedWorkload::new(vec![Matmul::paper().sim_workload()]),
     )
 }
 
@@ -106,62 +118,59 @@ pub fn fig4_matmul() -> Figure {
 pub fn fig5_fib() -> Figure {
     let sim = Simulator::paper_testbed();
     let fw = Fib::paper().sim_workload();
-    let mut fig = Figure::new("Fig.5 Fibonacci(40) task parallelism (simulated)");
-    for (label, kind) in [
+    let cases = [
         (Model::OmpTask.name(), DequeKind::Locked),
         (Model::CilkSpawn.name(), DequeKind::LockFree),
         // Extension beyond the paper: the actor family's recursive parcels
         // also schedule over lock-free deques of activations.
         (Model::ActorTask.name(), DequeKind::LockFree),
-    ] {
-        let mut s = Series::new(label);
-        for &p in &THREADS {
-            let r = sim.run_fib(kind, &fw, p);
-            s.push(p, r.seconds());
-        }
-        fig.series.push(s);
-    }
-    fig
+    ];
+    sweep(
+        "Fig.5 Fibonacci(40) task parallelism (simulated)",
+        &THREADS,
+        &cases,
+        |kind, p| sim.run_fib(kind, &fw, p),
+    )
 }
 
 /// Fig. 6: Rodinia BFS, 16 M nodes.
 pub fn fig6_bfs() -> Figure {
     let b = Bfs::paper();
-    sweep_phased(
+    sweep_models(
         "Fig.6 Rodinia BFS (16M nodes, simulated)",
-        &b.sim_workload(Bfs::paper_levels()),
+        b.sim_workload(Bfs::paper_levels()),
     )
 }
 
 /// Fig. 7: Rodinia HotSpot, 8192² grid.
 pub fn fig7_hotspot() -> Figure {
-    sweep_phased(
+    sweep_models(
         "Fig.7 Rodinia HotSpot (8192^2, simulated)",
-        &HotSpot::paper().sim_workload(),
+        HotSpot::paper().sim_workload(),
     )
 }
 
 /// Fig. 8: Rodinia LUD, 2048².
 pub fn fig8_lud() -> Figure {
-    sweep_phased(
+    sweep_models(
         "Fig.8 Rodinia LUD (2048^2, simulated)",
-        &Lud::paper().sim_workload(16),
+        Lud::paper().sim_workload(16),
     )
 }
 
 /// Fig. 9: Rodinia LavaMD, 10³ boxes.
 pub fn fig9_lavamd() -> Figure {
-    sweep_phased(
+    sweep_models(
         "Fig.9 Rodinia LavaMD (1000 boxes, simulated)",
-        &LavaMd::paper().sim_workload(),
+        LavaMd::paper().sim_workload(),
     )
 }
 
 /// Fig. 10: Rodinia SRAD, 2048².
 pub fn fig10_srad() -> Figure {
-    sweep_phased(
+    sweep_models(
         "Fig.10 Rodinia SRAD (2048^2, simulated)",
-        &Srad::paper().sim_workload(),
+        Srad::paper().sim_workload(),
     )
 }
 
@@ -175,20 +184,16 @@ pub const THREADS_HT: [usize; 9] = [1, 2, 4, 8, 16, 32, 36, 54, 72];
 /// gains nothing (the memory bus was already saturated).
 pub fn ht_extension() -> Figure {
     let sim = Simulator::paper_testbed();
-    let mut fig = Figure::new("Extension: hyperthread sweep (omp_for, simulated)");
     let cases = [
         ("matmul_2k", Matmul::paper().sim_workload()),
         ("axpy_100m", Axpy::paper().sim_workload()),
     ];
-    for (label, wl) in cases {
-        let mut s = Series::new(label);
-        for &p in &THREADS_HT {
-            let r = sim.run_loop(LoopPolicy::WorksharingStatic, &wl, p);
-            s.push(p, r.seconds());
-        }
-        fig.series.push(s);
-    }
-    fig
+    sweep(
+        "Extension: hyperthread sweep (omp_for, simulated)",
+        &THREADS_HT,
+        &cases,
+        |wl, p| sim.run_loop(LoopPolicy::WorksharingStatic, &wl, p),
+    )
 }
 
 /// Thread axis of the NUMA placement sweep: within one socket (8), exactly
@@ -448,9 +453,10 @@ mod tests {
 
     #[test]
     fn simulated_figures_are_deterministic() {
-        let a = fig1_axpy();
-        let b = fig1_axpy();
-        assert_eq!(a.series[0].points, b.series[0].points);
+        for render in [fig1_axpy, fig7_hotspot] {
+            let (a, b) = (render(), render());
+            assert_eq!(a.series, b.series, "{}", a.title);
+        }
     }
 
     #[test]

@@ -59,16 +59,26 @@ pub use workload::{fib_value, FibWorkload, Imbalance, LoopWorkload, PhasedWorklo
 impl Simulator {
     /// Simulates a sequence of dependent parallel loops: each phase starts
     /// only when the previous finished (makespans add).
+    ///
+    /// A phase's result does not depend on where it sits in the sequence,
+    /// so each distinct phase is simulated once per call. The results are
+    /// still folded in phase order, one `accumulate` per phase, so the sums
+    /// are bit-identical to simulating every phase.
     pub fn run_phased(
         &self,
         policy: LoopPolicy,
         workload: &PhasedWorkload,
         threads: usize,
     ) -> SimResult {
+        let mut seen: Vec<(&LoopWorkload, SimResult)> = Vec::new();
         let mut total = SimResult::default();
         for phase in &workload.phases {
-            let r = self.run_loop(policy, phase, threads);
-            total.accumulate(&r);
+            let i = seen.iter().position(|(w, _)| *w == phase);
+            let i = i.unwrap_or_else(|| {
+                seen.push((phase, self.run_loop(policy, phase, threads)));
+                seen.len() - 1
+            });
+            total.accumulate(&seen[i].1);
         }
         total
     }
@@ -88,7 +98,40 @@ mod phased_tests {
         let a = sim.run_loop(LoopPolicy::WorksharingStatic, &w.phases[0], 4);
         let b = sim.run_loop(LoopPolicy::WorksharingStatic, &w.phases[1], 4);
         let both = sim.run_phased(LoopPolicy::WorksharingStatic, &w, 4);
-        assert!((both.makespan_ns - (a.makespan_ns + b.makespan_ns)).abs() < 1e-9);
+        assert_eq!(both.makespan_ns, a.makespan_ns + b.makespan_ns);
+    }
+
+    #[test]
+    fn repeated_phases_fold_like_simulating_each_phase() {
+        // [A, B, A, A, B] with a randomly imbalanced A: the per-call reuse
+        // of a repeated phase must leave every field of the fold unchanged.
+        let sim = Simulator::paper_testbed();
+        let a = LoopWorkload::uniform(10_000, 3.0)
+            .with_bytes(8.0)
+            .with_imbalance(Imbalance::Random {
+                seed: 11,
+                spread: 0.4,
+            });
+        let b = LoopWorkload::uniform(3_000, 7.0);
+        let w = PhasedWorkload::new(vec![a, b, a, a, b]);
+        for policy in [
+            LoopPolicy::WorksharingStatic,
+            LoopPolicy::WorksharingDynamic { chunk: 64 },
+            LoopPolicy::WorkstealingSplit { grain: 0 },
+            LoopPolicy::TaskChunks {
+                kind: DequeKind::Locked,
+            },
+            LoopPolicy::ThreadPerChunk,
+            LoopPolicy::RecursiveSpawn,
+        ] {
+            for p in [1, 3, 16] {
+                let mut fold = SimResult::default();
+                for phase in &w.phases {
+                    fold.accumulate(&sim.run_loop(policy, phase, p));
+                }
+                assert_eq!(sim.run_phased(policy, &w, p), fold, "{policy:?} at {p}");
+            }
+        }
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! and forkjoin worksharing must survive the drain, the Chrome-trace JSON
 //! must be structurally valid, and tracing must be free when off.
 
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
-
 use std::time::Duration;
+use std::time::Instant;
 
 use tpm_core::{Executor, Family, Model};
 use tpm_forkjoin::{Schedule, Team};
@@ -21,6 +21,9 @@ use tpm_worksteal::{join, par_for, Grain, Runtime};
 /// unexpectedly enabled).
 static GATE: Mutex<()> = Mutex::new(());
 
+/// How long the first chunk waits for a chunk to run on another worker.
+const RENDEZVOUS_TIMEOUT: Duration = Duration::from_secs(10);
+
 fn fib(ctx: &tpm_worksteal::WorkerCtx<'_>, n: u64) -> u64 {
     if n < 2 {
         return n;
@@ -33,33 +36,50 @@ fn fib(ctx: &tpm_worksteal::WorkerCtx<'_>, n: u64) -> u64 {
 fn worksteal_join_and_par_for_record_from_multiple_workers() {
     let _gate = GATE.lock().unwrap();
     let rt = Runtime::new(4);
-    // On a single-core host one worker can drain the whole run inside its
-    // OS timeslice before any sibling wakes, so a single attempt seeing
-    // only one worker proves nothing. Retry (bounded) until a second
-    // worker participates; every attempt still checks full coverage.
-    let mut multi = None;
-    for _ in 0..25 {
-        let session = TraceSession::start();
-        let hits = std::sync::atomic::AtomicUsize::new(0);
-        rt.install(|ctx| {
-            par_for(ctx, 0..10_000, Grain::Fixed(64), &|chunk| {
-                hits.fetch_add(chunk.len(), std::sync::atomic::Ordering::Relaxed);
-            });
-            fib(ctx, 16)
+    // On a small host one worker can drain the whole run inside its OS
+    // timeslice before any sibling wakes. So the first chunk to run yields
+    // until a chunk has run on another thread: a second worker always
+    // participates, and a lost wake-up fails the deadline instead of
+    // hanging.
+    let session = TraceSession::start();
+    let hits = AtomicUsize::new(0);
+    let first = Mutex::new(None);
+    let joined = AtomicBool::new(false);
+    let timed_out = AtomicBool::new(false);
+    rt.install(|ctx| {
+        par_for(ctx, 0..10_000, Grain::Fixed(64), &|chunk| {
+            hits.fetch_add(chunk.len(), Ordering::Relaxed);
+            let me = std::thread::current().id();
+            if *first.lock().unwrap().get_or_insert(me) != me {
+                joined.store(true, Ordering::Release);
+            }
+            // Only the first chunk's thread waits; it runs no other chunk
+            // while it does, and after a timeout no chunk waits again.
+            let deadline = Instant::now() + RENDEZVOUS_TIMEOUT;
+            while !joined.load(Ordering::Acquire) && !timed_out.load(Ordering::Relaxed) {
+                if Instant::now() > deadline {
+                    timed_out.store(true, Ordering::Relaxed);
+                }
+                std::thread::yield_now();
+            }
         });
-        let trace = session.stop();
-        assert_eq!(hits.load(std::sync::atomic::Ordering::Relaxed), 10_000);
-        let ws_workers = trace
-            .workers
-            .iter()
-            .filter(|w| w.name.starts_with("tpm-worksteal"))
-            .count();
-        if ws_workers >= 2 {
-            multi = Some(trace);
-            break;
-        }
-    }
-    let trace = multi.expect("no attempt recorded events from >=2 workers");
+        fib(ctx, 16)
+    });
+    let trace = session.stop();
+    assert!(
+        !timed_out.load(Ordering::Relaxed),
+        "no second worker ran a chunk within {RENDEZVOUS_TIMEOUT:?} (lost wake-up?)"
+    );
+    assert_eq!(hits.load(Ordering::Relaxed), 10_000);
+    let ws_workers = trace
+        .workers
+        .iter()
+        .filter(|w| w.name.starts_with("tpm-worksteal"))
+        .count();
+    assert!(
+        ws_workers >= 2,
+        "events from {ws_workers} tpm-worksteal worker(s), want >= 2"
+    );
     let summary = trace.summary();
     assert!(
         summary.total(EventKind::ChunkDispatch) > 0,
