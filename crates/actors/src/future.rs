@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use tpm_sync::{SpinLatch, SpinLock};
+use tpm_sync::{IdleStrategy, Sleepers, SpinLatch, SpinLock};
 
 enum State<T> {
     /// Neither value nor continuation yet.
@@ -26,6 +26,18 @@ enum State<T> {
 struct Shared<T> {
     state: SpinLock<State<T>>,
     ready: SpinLatch,
+    /// A thread parked in [`Future::wait`]; empty, it allocates nothing.
+    waiters: Sleepers,
+}
+
+impl<T> Shared<T> {
+    fn new(state: State<T>) -> Self {
+        Self {
+            state: SpinLock::new(state),
+            ready: SpinLatch::new(),
+            waiters: Sleepers::new(0),
+        }
+    }
 }
 
 /// Creates a linked future/promise pair.
@@ -38,10 +50,7 @@ struct Shared<T> {
 /// assert_eq!(f.wait(), 42);
 /// ```
 pub fn future<T: Send + 'static>() -> (Future<T>, Promise<T>) {
-    let shared = Arc::new(Shared {
-        state: SpinLock::new(State::Empty),
-        ready: SpinLatch::new(),
-    });
+    let shared = Arc::new(Shared::new(State::Empty));
     (
         Future {
             shared: Arc::clone(&shared),
@@ -62,10 +71,7 @@ impl<T: Send + 'static> Promise<T> {
     /// and propagates upward without any thread blocking.
     pub fn on_complete(cont: impl FnOnce(T) + Send + 'static) -> Promise<T> {
         Promise {
-            shared: Arc::new(Shared {
-                state: SpinLock::new(State::Waiting(Box::new(cont))),
-                ready: SpinLatch::new(),
-            }),
+            shared: Arc::new(Shared::new(State::Waiting(Box::new(cont)))),
         }
     }
 
@@ -85,8 +91,11 @@ impl<T: Send + 'static> Promise<T> {
             }
         };
         self.shared.ready.set();
-        if let Some((cont, value)) = run {
-            cont(value);
+        match run {
+            Some((cont, value)) => cont(value),
+            // The value was parked for a `wait`: release a parked waiter.
+            // (With a continuation attached no `Future` is left to wait.)
+            None => self.shared.waiters.wake_all(),
         }
     }
 }
@@ -108,11 +117,15 @@ impl<T: Send + 'static> Future<T> {
         self.shared.ready.probe()
     }
 
-    /// Blocks (spin → yield) until the value arrives, then returns it.
-    /// Meant for external threads at the runtime edge; workers compose with
-    /// [`on_ready`](Future::on_ready) instead.
+    /// Blocks until the value arrives, then returns it: the runtimes'
+    /// default idle window (spin, then yield), then parked until
+    /// [`Promise::set`] wakes it. Meant for external threads at the runtime
+    /// edge; workers compose with [`on_ready`](Future::on_ready) instead.
     pub fn wait(self) -> T {
-        self.shared.ready.wait();
+        let ready = || self.shared.ready.probe();
+        self.shared
+            .waiters
+            .wait_until(&IdleStrategy::runtime_default(), ready);
         let mut state = self.shared.state.lock();
         match std::mem::replace(&mut *state, State::Done) {
             State::Value(v) => v,

@@ -113,7 +113,11 @@ where
                 }));
             }
         });
-        env.latch.decrement();
+        // The decrement that completes the loop wakes its caller, parked in
+        // `run_pieces`; the caller may then free `env`, but not the pool.
+        if env.latch.decrement() {
+            ctx.core.shared().wake_external();
+        }
     })
 }
 
@@ -161,7 +165,7 @@ fn run_pieces<F>(
         rt.pool
             .inject(Activation::Task(unsafe { erase(split_task(&env, piece)) }));
     }
-    latch.wait();
+    rt.pool.wait_external(|| latch.probe());
     let payload = slot.lock().take();
     if let Some(p) = payload {
         resume_unwind(p);

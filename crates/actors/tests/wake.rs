@@ -1,17 +1,19 @@
-//! Idle waiting on the pool core, driven through an [`ActorRuntime`]
-//! mailbox send.
+//! Idle waiting on the pool core, driven through both of an
+//! [`ActorRuntime`]'s outside waits: a mailbox send answered through
+//! `Future::wait`, and (`scatter`) a `scatter_for_indexed_cancel` join.
 
 use tpm_actors::{Actor, ActorCtx, ActorRuntime, Addr, Promise};
 use tpm_sync::{PoolConfig, SchedulerStats};
 
-/// Completes every promise it is sent.
+/// Runs the body it is sent, then completes the promise.
 struct Echo;
 
 impl Actor for Echo {
-    type Msg = Promise<()>;
+    type Msg = (fn(), Promise<()>);
 
-    fn on_message(&mut self, msg: Promise<()>, _ctx: &ActorCtx<'_, '_>) {
-        msg.set(());
+    fn on_message(&mut self, (body, done): (fn(), Promise<()>), _ctx: &ActorCtx<'_, '_>) {
+        body();
+        done.set(());
     }
 }
 
@@ -20,22 +22,26 @@ struct Echoes {
     rt: ActorRuntime,
 }
 
+fn runtime(threads: usize, idle: (u32, u32)) -> ActorRuntime {
+    ActorRuntime::with_config(PoolConfig {
+        threads,
+        idle,
+        ..PoolConfig::from_env()
+    })
+}
+
 impl Echoes {
     fn new(threads: usize, idle: (u32, u32)) -> Self {
-        let rt = ActorRuntime::with_config(PoolConfig {
-            threads,
-            idle,
-            ..PoolConfig::from_env()
-        });
+        let rt = runtime(threads, idle);
         Self {
             echo: rt.spawn_actor(Echo),
             rt,
         }
     }
 
-    fn send(&self) {
+    fn send(&self, body: fn()) {
         let (done, promise) = tpm_actors::future();
-        self.echo.send(promise);
+        self.echo.send((body, promise));
         done.wait();
     }
 
@@ -47,3 +53,18 @@ impl Echoes {
 include!("../../worksteal/tests/suite/wake.rs");
 
 wake_tests!(Echoes::new, Echoes::send, [1, 2]);
+
+/// The same suite through the `actor_for` loop entry's join.
+mod scatter {
+    use super::*;
+    use tpm_actors::scatter_for_indexed_cancel;
+    use tpm_sync::CancelToken;
+
+    wake_tests!(
+        runtime,
+        |rt: &ActorRuntime, body: fn()| {
+            scatter_for_indexed_cancel(rt, 0..1, 1, &CancelToken::new(), |_, _| body())
+        },
+        [1, 2]
+    );
+}

@@ -11,6 +11,6 @@ wake_tests!(
         idle,
         ..PoolConfig::from_env()
     }),
-    |team: &Team| team.parallel(|_| {}),
+    |team: &Team, body: fn()| team.parallel(|_| body()),
     [2, 3]
 );

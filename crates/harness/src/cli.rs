@@ -50,8 +50,8 @@ experiments: table1 table2 table3 fig1..fig10 figures tables all check ht numasi
   --trace out.json   capture a scheduler trace of the run and write
                      Chrome-trace JSON loadable in Perfetto
   --json-out f.json  write machine-readable per-kernel/per-model results
-                     (median + stddev seconds) for figure experiments, or
-                     the loadgen report
+                     (median + stddev seconds) for figure experiments and
+                     ht, or the loadgen report (not accepted by check)
   --pin              pin runtime worker threads to cores (TPM_PIN=1)
   --numa mode        NUMA-aware victim ordering in every pooled runtime
                      on multi-node machines: on (TPM_NUMA=1), off
@@ -364,6 +364,11 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
     }
     if experiment.is_empty() {
         return Err("missing experiment name".into());
+    }
+    if experiment == "check" && common.json_out.is_some() {
+        // Refused rather than ignored: a run that exits 0 and writes no file
+        // looks like a success to whatever reads the file.
+        return Err("check has no --json-out rows yet".into());
     }
     Ok(Cli {
         experiment,

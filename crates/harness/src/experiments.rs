@@ -16,7 +16,8 @@ use tpm_core::{Figure, Model, Series};
 use tpm_kernels::{Axpy, Fib, Matmul, Matvec, Sum};
 use tpm_rodinia::{Bfs, HotSpot, LavaMd, Lud, Srad};
 use tpm_sim::{
-    CostModel, DequeKind, LoopPolicy, PhasedWorkload, Placement, SimResult, Simulator, VictimPolicy,
+    CostModel, DequeKind, LoopPolicy, PhasedWorkload, Placement, PlacementRow, SimResult,
+    Simulator, VictimPolicy,
 };
 use tpm_sync::json;
 
@@ -206,15 +207,30 @@ pub const NUMA_THREADS: [usize; 4] = [8, 18, 24, 36];
 /// victim ordering (what `--numa on` enables in the real runtimes) earns
 /// its keep once workers span both sockets.
 pub fn numasim_figure() -> Figure {
+    numasim_figure_from(&numasim_rows())
+}
+
+/// The `numasim` sweep's one simulation pass: every placement × victim
+/// policy cell at [`NUMA_THREADS`]. Both [`numasim_figure_from`] and
+/// [`numasim_json`] read these rows, so `numasim --json-out` simulates each
+/// cell once.
+pub fn numasim_rows() -> Vec<PlacementRow> {
     let sim = Simulator::paper_testbed();
-    let fw = Fib::paper().sim_workload();
+    tpm_sim::placement_sweep(&sim, &Fib::paper().sim_workload(), &NUMA_THREADS)
+}
+
+/// [`numasim_figure`] from already simulated [`numasim_rows`]: one series
+/// per placement × policy, one point per thread count.
+pub fn numasim_figure_from(rows: &[PlacementRow]) -> Figure {
     let mut fig = Figure::new("Extension: NUMA placement x victim policy, Fib(40) (simulated)");
     for placement in [Placement::Packed, Placement::Scatter] {
         for policy in [VictimPolicy::Random, VictimPolicy::NodeAware] {
             let mut s = Series::new(format!("{}/{}", placement.name(), policy.name()));
-            for &p in &NUMA_THREADS {
-                let (r, _) = sim.run_fib_placed(DequeKind::LockFree, &fw, p, placement, policy);
-                s.push(p, r.seconds());
+            for r in rows
+                .iter()
+                .filter(|r| r.placement == placement && r.policy == policy)
+            {
+                s.push(r.threads, r.makespan_ns / 1e9);
             }
             fig.series.push(s);
         }
@@ -238,12 +254,12 @@ fn unpadded_cost() -> CostModel {
 }
 
 /// Machine-readable `numasim` sweep — one row per placement × policy ×
-/// thread count with steal counts, plus the padded-vs-unpadded deque-layout
-/// comparison on the same steal-heavy tree.
-pub fn numasim_json() -> String {
+/// thread count of `rows` (see [`numasim_rows`]) with steal counts, plus
+/// the padded-vs-unpadded deque-layout comparison on the same steal-heavy
+/// tree.
+pub fn numasim_json(rows: &[PlacementRow]) -> String {
     let sim = Simulator::paper_testbed();
     let fw = Fib::paper().sim_workload();
-    let rows = tpm_sim::placement_sweep(&sim, &fw, &NUMA_THREADS);
     let mut out = String::new();
     out.push_str("{\n  \"experiment\": \"numasim\",\n");
     out.push_str("  \"machine\": \"xeon_e5_2699v3\",\n");
@@ -477,12 +493,13 @@ mod tests {
 
     #[test]
     fn numasim_covers_every_cell_and_padding_wins() {
-        let fig = numasim_figure();
+        let rows = numasim_rows();
+        let fig = numasim_figure_from(&rows);
         assert_eq!(fig.series.len(), 4, "2 placements x 2 policies");
         for s in &fig.series {
             assert_eq!(s.points.len(), NUMA_THREADS.len());
         }
-        let j = numasim_json();
+        let j = numasim_json(&rows);
         assert!(j.contains("\"placement\": \"packed\""));
         assert!(j.contains("\"policy\": \"node_aware\""));
         assert!(j.contains("\"remote_steals\""));

@@ -170,8 +170,9 @@ fn run(cli: &Cli, fault_plan: Option<tpm_fault::FaultPlan>) -> i32 {
         }
     };
 
-    // Writes the collected figures to --json-out (no-op when not requested).
-    let write_json = |code: i32| -> i32 {
+    // Writes the collected figures to --json-out (no-op when not requested);
+    // `native` says whether they were measured or simulated.
+    let write_json = |code: i32, native: bool| -> i32 {
         let Some(path) = json_out else { return code };
         if code != 0 {
             return code;
@@ -182,8 +183,7 @@ fn run(cli: &Cli, fault_plan: Option<tpm_fault::FaultPlan>) -> i32 {
             Some(false) => "off",
             None => "auto",
         };
-        let body =
-            tpm_harness::json::run_json(experiment, *use_native, *pin, numa_mode, cfg, &figs);
+        let body = tpm_harness::json::run_json(experiment, native, *pin, numa_mode, cfg, &figs);
         match std::fs::write(path, body) {
             Ok(()) => {
                 println!("[json] {} figure(s) -> {}", figs.len(), path.display());
@@ -200,14 +200,17 @@ fn run(cli: &Cli, fault_plan: Option<tpm_fault::FaultPlan>) -> i32 {
         "ht" => {
             let fig = experiments::ht_extension();
             println!("{}", fig.to_table());
-            0
+            if json_out.is_some() {
+                collected.borrow_mut().push(fig);
+            }
+            write_json(0, false)
         }
         "numasim" => {
-            let fig = experiments::numasim_figure();
-            println!("{}", fig.to_table());
+            let rows = experiments::numasim_rows();
+            println!("{}", experiments::numasim_figure_from(&rows).to_table());
             match json_out {
                 None => 0,
-                Some(path) => match std::fs::write(path, experiments::numasim_json()) {
+                Some(path) => match std::fs::write(path, experiments::numasim_json(&rows)) {
                     Ok(()) => {
                         println!("[json] numasim sweep -> {}", path.display());
                         0
@@ -280,7 +283,7 @@ fn run(cli: &Cli, fault_plan: Option<tpm_fault::FaultPlan>) -> i32 {
                     run_fig(no);
                 }
             });
-            write_json(code)
+            write_json(code, *use_native)
         }
         f if f.starts_with("fig") => {
             let no: usize = f[3..].parse().unwrap_or(0);
@@ -290,7 +293,7 @@ fn run(cli: &Cli, fault_plan: Option<tpm_fault::FaultPlan>) -> i32 {
                 return 2;
             }
             let code = traced(&|| run_fig(no));
-            write_json(code)
+            write_json(code, *use_native)
         }
         "check" => {
             let mut all_ok = true;
@@ -321,7 +324,7 @@ fn run(cli: &Cli, fault_plan: Option<tpm_fault::FaultPlan>) -> i32 {
                     run_fig(no);
                 }
             });
-            write_json(code)
+            write_json(code, *use_native)
         }
         other => {
             eprintln!("error: unknown experiment {other}");

@@ -11,8 +11,12 @@
 //! [`Sleepers`] is the park: a worker whose window ran out parks without a
 //! timeout, and whoever publishes work for it unparks it. The hand-off
 //! cannot lose a wake-up, so no runtime needs a timed poll to cover one.
-//! Waiters without a wakeup path (a join point inside a job) treat the park
-//! signal as another yield ([`IdleStrategy::snooze_no_park`]).
+//! An outside thread waiting for its submission to complete (a pool's
+//! `install` or loop entry, a future's `wait`) goes through the same window
+//! and the same park ([`Sleepers::wait_until`]); whoever completes the
+//! submission wakes it. Waiters without a wakeup path (a join point inside
+//! a job, which helps with work while it waits) treat the park signal as
+//! another yield ([`IdleStrategy::snooze_no_park`]).
 
 use std::cell::Cell;
 use std::sync::atomic::{fence, AtomicUsize, Ordering};
@@ -205,6 +209,18 @@ impl Sleepers {
         slept
     }
 
+    /// Blocks until `done()` holds, as an idle worker waits: `idle`'s spin
+    /// and yield window first (a short wait never pays a futex wake-up),
+    /// then parked here until a [`wake_all`](Self::wake_all) issued after
+    /// `done()` became true.
+    pub fn wait_until(&self, idle: &IdleStrategy, done: impl Fn() -> bool) {
+        while !done() {
+            if idle.snooze_until(&done) {
+                self.sleep_unless(&done);
+            }
+        }
+    }
+
     /// Unparks one sleeper, if any. Call after publishing the work.
     pub fn wake_one(&self) {
         self.wake(1);
@@ -261,6 +277,25 @@ mod tests {
             idle.snooze_no_park(); // must not hang or panic past the phases
         }
         assert!(idle.is_parking());
+    }
+
+    #[test]
+    fn wait_until_parks_then_returns_on_wake() {
+        use std::sync::atomic::AtomicBool;
+        let sleepers = Sleepers::new(0);
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                sleepers.wait_until(&IdleStrategy::new(1, 1), || done.load(Ordering::Acquire));
+            });
+            // Let the waiter run out its two-round window and park.
+            while sleepers.count.load(Ordering::Relaxed) == 0 {
+                std::thread::yield_now();
+            }
+            done.store(true, Ordering::Release);
+            sleepers.wake_all();
+        });
+        assert_eq!(sleepers.count.load(Ordering::Relaxed), 0);
     }
 
     #[test]

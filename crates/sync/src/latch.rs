@@ -8,9 +8,12 @@
 //! * [`CountLatch`] — counts down from `n`; becomes set at zero. Supports
 //!   *incrementing* while unset, which is what nested spawns need.
 //!
-//! Waiting spins with backoff then yields. The runtimes layered above only
-//! wait on latches from worker threads that interleave waiting with useful
-//! work (steal attempts), so parking lives there, not here.
+//! A latch has no waiter list, so its own [`wait`](SpinLatch::wait) spins
+//! with backoff and then yields forever. The stealing runtimes never call
+//! it: a worker probes a latch between steal attempts, and an outside
+//! thread waits through the pool's idle window and then parks on a
+//! `Sleepers` that the setter wakes (see `Sleepers::wait_until`), which is
+//! why [`CountLatch::decrement`] reports the decrement that sets the latch.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -102,10 +105,14 @@ impl CountLatch {
         self.count.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records one completion; the latch becomes set when the count hits zero.
-    pub fn decrement(&self) {
+    /// Records one completion; the latch becomes set when the count hits
+    /// zero. Returns whether this decrement set it: only that caller should
+    /// wake a parked waiter, and, as the waiter may then free the latch,
+    /// without touching the latch again.
+    pub fn decrement(&self) -> bool {
         let prev = self.count.fetch_sub(1, Ordering::Release);
         debug_assert!(prev > 0, "CountLatch underflow");
+        prev == 1
     }
 
     /// Non-blocking check.
@@ -163,11 +170,14 @@ mod tests {
     fn count_latch_counts_down() {
         let l = CountLatch::new(3);
         assert!(!l.probe());
-        l.decrement();
-        l.decrement();
+        assert!(!l.decrement());
+        assert!(!l.decrement());
         assert!(!l.probe());
         assert_eq!(l.outstanding(), 1);
-        l.decrement();
+        assert!(
+            l.decrement(),
+            "the last decrement reports setting the latch"
+        );
         assert!(l.probe());
     }
 

@@ -16,7 +16,7 @@
 //! | [`LockedDeque`] | `tpm-forkjoin` tasking | Intel OpenMP's lock-based task deques |
 //! | [`oneshot`] channel | `tpm-rawthreads` | `std::future` |
 //! | [`Reducer`] | all three | Cilk reducers / OpenMP `reduction` clause |
-//! | [`IdleStrategy`] / [`Sleepers`] | every pooled runtime | worker idle loops (spin → yield → park until woken) |
+//! | [`IdleStrategy`] / [`Sleepers`] | every pooled runtime | worker idle loops and outside callers' waits (spin → yield → park until woken) |
 //! | [`MpscQueue`] | `tpm-actors` | Vyukov MPSC mailboxes (Charm++/ParalleX-style messaging) |
 //! | [`PoolConfig`] / [`env_flag`] | all pooled runtimes | the one runtime configuration (threads/pin/numa/idle, each runtime's `with_config`) and the one boolean env-knob parser |
 //! | [`CancelToken`] | all three | cooperative cancellation + deadlines (job service) |

@@ -5,7 +5,8 @@
 //!
 //! * [`StackJob`] — lives on the spawning thread's stack (used by `join` and
 //!   `Runtime::install`, whose protocols guarantee the frame outlives the
-//!   job), carrying a result slot and a completion latch.
+//!   job), carrying a result slot and a completion latch. The root job of an
+//!   `install` also wakes its parked caller (see [`StackJob::external`]).
 //! * [`HeapJob`] — boxed, fire-and-forget (used by `Scope::spawn`, which
 //!   tracks completion with the scope's own counting latch).
 
@@ -62,6 +63,9 @@ pub(crate) struct StackJob<F, R> {
     result: UnsafeCell<Option<std::thread::Result<R>>>,
     /// Set after the result is written.
     pub(crate) latch: SpinLatch,
+    /// Whether an outside thread waits for `latch` in
+    /// `Shared::wait_external`, so completion must wake it.
+    external: bool,
 }
 
 // SAFETY: access is phased — the spawner writes `func` before publishing the
@@ -74,11 +78,22 @@ where
     F: FnOnce(&WorkerCtx<'_>) -> R + Send,
     R: Send,
 {
+    /// A job a worker waits for (a `join`'s spawned side).
     pub(crate) fn new(func: F) -> Self {
         Self {
             func: UnsafeCell::new(Some(func)),
             result: UnsafeCell::new(None),
             latch: SpinLatch::new(),
+            external: false,
+        }
+    }
+
+    /// A job an outside thread waits for through the pool's
+    /// `wait_external` (the root job of `Runtime::install`).
+    pub(crate) fn external(func: F) -> Self {
+        Self {
+            external: true,
+            ..Self::new(func)
         }
     }
 
@@ -118,10 +133,17 @@ where
 {
     unsafe fn execute_erased(this: *const (), ctx: &WorkerCtx<'_>) {
         let this = &*(this as *const Self);
+        // Read before the set: once the latch is set the waiter may return
+        // and free the frame `this` lives in.
+        let external = this.external;
         let func = (*this.func.get()).take().expect("StackJob executed twice");
         let result = catch_unwind(AssertUnwindSafe(|| func(ctx)));
         *this.result.get() = Some(result);
         this.latch.set();
+        if external {
+            // Touches only the pool, which outlives every region run on it.
+            ctx.core.shared().wake_external();
+        }
     }
 }
 

@@ -12,6 +12,10 @@
 //! * idle escalation spin → yield → park until woken: a worker parks
 //!   through [`Sleepers`], and every push, injection and multi-item steal
 //!   wakes one sleeper, so no idle worker polls;
+//! * the same escalation for an outside thread waiting out its submission
+//!   ([`Shared::wait_external`]): it parks on a second [`Sleepers`], and the
+//!   worker that completes the submission wakes it, so the caller does not
+//!   compete with the workers for the region's length;
 //! * self-healing workers: an escaped panic kills the thread, and a
 //!   replacement takes over the same index and the same deque;
 //! * a draining shutdown that also joins every replacement.
@@ -73,6 +77,8 @@ pub struct Shared<T: Task> {
     shutdown: AtomicBool,
     /// Workers parked after their idle window ran out.
     sleepers: Sleepers,
+    /// Outside threads parked in [`Shared::wait_external`].
+    waiters: Sleepers,
     stats: SchedulerStats,
     /// Per-worker victim scan order (see [`build_victim_plans`]).
     victim_plans: Vec<VictimPlan>,
@@ -108,6 +114,7 @@ impl<T: Task> Pool<T> {
             idle: cfg.idle,
             shutdown: AtomicBool::new(false),
             sleepers: Sleepers::new(num_workers),
+            waiters: Sleepers::new(0),
             stats: SchedulerStats::new(num_workers),
             victim_plans: build_victim_plans(&topo, num_workers, cfg.numa),
             numa: cfg.numa,
@@ -203,6 +210,25 @@ impl<T: Task> Shared<T> {
     pub fn inject(&self, item: T) {
         self.injector.push_bottom(item);
         self.sleepers.wake_one();
+    }
+
+    /// Blocks an outside thread until `done()` holds: the idle workers'
+    /// protocol, the pool's idle window (spin, then yield) and then a park,
+    /// so a caller waiting out a long region takes no CPU from the workers
+    /// running it. Whatever makes `done()` true must then call
+    /// [`wake_external`](Self::wake_external).
+    pub fn wait_external(&self, done: impl Fn() -> bool) {
+        let idle = IdleStrategy::new(self.idle.0, self.idle.1);
+        self.waiters.wait_until(&idle, done);
+    }
+
+    /// Releases the outside threads parked in
+    /// [`wait_external`](Self::wait_external). Call after publishing what
+    /// they wait for; with none parked it is one fence and one load. All
+    /// are woken, since each may wait on a different region: one whose
+    /// region is still running parks again.
+    pub fn wake_external(&self) {
+        self.waiters.wake_all();
     }
 
     /// What a parking worker re-checks after announcing itself: anything

@@ -126,19 +126,22 @@ impl Runtime {
 
     /// Runs `f` on a worker thread, blocking the calling (external) thread
     /// until it — and everything it joined/spawned-and-waited — completes.
+    /// The caller waits as an idle worker does (the pool's spin → yield
+    /// window, then a park until the worker that completes `f` wakes it),
+    /// so a long region does not run a third thread beside the workers.
     /// Panics inside are re-raised here.
     pub fn install<R, F>(&self, f: F) -> R
     where
         R: Send,
         F: FnOnce(&WorkerCtx<'_>) -> R + Send,
     {
-        let job = StackJob::new(f);
+        let job = StackJob::external(f);
         // SAFETY: we block on the latch below, so the stack frame outlives
         // the job; the JobRef is queued exactly once.
         unsafe {
             self.pool.inject(job.as_job_ref());
         }
-        job.latch.wait();
+        self.pool.wait_external(|| job.latch.probe());
         job.take_result()
     }
 }

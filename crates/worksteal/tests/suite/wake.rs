@@ -5,10 +5,23 @@
 // for `Team`.
 //
 // `wake_tests!(new, submit, sizes)`: `new(n, (spin, yield))` builds a
-// runtime of `n` threads with that idle window; `submit(&rt)` runs one empty
-// item on it and returns once the item ran; `rt.stats()` is its scheduler
-// counters. `sizes` are the two thread counts that give the runtime one and
-// two workers that can park (a team's master is the caller's thread).
+// runtime of `n` threads with that idle window; `submit(&rt, body)` runs one
+// item that calls `body` (a team runs `body` on each of its threads) and
+// returns once the item ran; `rt.stats()` is its scheduler counters.
+// `sizes` are the two thread counts that give the runtime one and two
+// workers that can park (a team's master is the caller's thread).
+
+/// The suite's tests run one at a time: `submitter_sleeps_through_a_long_region`
+/// reads CPU time, which shows a spinning or yielding caller only while the
+/// test's own threads have the CPUs to themselves (a yield that hands the
+/// CPU to another test's thread costs the yielder nothing).
+static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// Holds the suite's CPUs for one test (a failed test does not block the
+/// rest).
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 macro_rules! wake_tests {
     ($new:expr, $submit:expr, $sizes:expr) => {
@@ -41,6 +54,7 @@ macro_rules! wake_tests {
 
         #[test]
         fn seeded_random_gaps_lose_no_wake_up() {
+            let _cpus = serial();
             within(Duration::from_secs(120), || {
                 // A lost wake-up needs the submission to land while a worker
                 // is between its last look for work and its announcement as
@@ -57,7 +71,7 @@ macro_rules! wake_tests {
                     let rt = $new(threads, idle);
                     let mut rng = SplitMix64::new(0x5EED_0031);
                     for _ in 0..1000 {
-                        $submit(&rt);
+                        $submit(&rt, || {});
                         let gap_ns = (500.0 * 1000f64.powf(rng.next_f64())) as u64;
                         let until = Instant::now() + Duration::from_nanos(gap_ns);
                         while Instant::now() < until {
@@ -70,8 +84,9 @@ macro_rules! wake_tests {
 
         #[test]
         fn idle_runtime_parks_once_per_worker() {
+            let _cpus = serial();
             let rt = $new($sizes[1], DEFAULT_IDLE);
-            $submit(&rt);
+            $submit(&rt, || {});
             let before = rt.stats().snapshot().parks;
             std::thread::sleep(Duration::from_millis(100));
             let grown = rt.stats().snapshot().parks - before;
@@ -85,18 +100,70 @@ macro_rules! wake_tests {
 
         #[test]
         fn back_to_back_submissions_stay_hot() {
+            let _cpus = serial();
             // One worker: with two, each submission would also wake the
             // idle one, which finds nothing and parks again.
             let rt = $new($sizes[0], DEFAULT_IDLE);
-            $submit(&rt);
+            $submit(&rt, || {});
             let before = rt.stats().snapshot().parks;
             for _ in 0..1000 {
-                $submit(&rt);
+                $submit(&rt, || {});
             }
             let parks = rt.stats().snapshot().parks - before;
             // The next submission lands inside the idle window, so almost
             // none of them should cost a park and a wake-up.
             assert!(parks < 100, "{parks} parks over 1000 back-to-back submissions");
+        }
+
+        /// CPU time the calling thread has run, from the scheduler's own
+        /// accounting (user and system time, yields included).
+        #[cfg(target_os = "linux")]
+        fn thread_cpu() -> Duration {
+            let stat = std::fs::read_to_string("/proc/thread-self/schedstat")
+                .expect("schedstat is readable");
+            let ns = stat.split_whitespace().next().and_then(|f| f.parse().ok());
+            Duration::from_nanos(ns.expect("schedstat starts with the run time in ns"))
+        }
+
+        #[cfg(target_os = "linux")]
+        std::thread_local! {
+            /// CPU time the region body has run on this thread.
+            static OWN_SHARE: std::cell::Cell<Duration> = const {
+                std::cell::Cell::new(Duration::ZERO)
+            };
+        }
+
+        /// Busy for 200 ms, its CPU time booked to `OWN_SHARE`.
+        #[cfg(target_os = "linux")]
+        fn long_region() {
+            let start = thread_cpu();
+            let until = Instant::now() + Duration::from_millis(200);
+            while Instant::now() < until {
+                std::hint::spin_loop();
+            }
+            OWN_SHARE.with(|s| s.set(s.get() + (thread_cpu() - start)));
+        }
+
+        #[cfg(target_os = "linux")]
+        #[test]
+        fn submitter_sleeps_through_a_long_region() {
+            let _cpus = serial();
+            let rt = $new($sizes[0], DEFAULT_IDLE);
+            $submit(&rt, || {});
+            let (cpu, share) = (thread_cpu(), OWN_SHARE.with(|s| s.get()));
+            let started = Instant::now();
+            $submit(&rt, long_region);
+            let wall = started.elapsed();
+            // A team's master runs its own share of the region, as an
+            // OpenMP master does: only what it spends beyond that counts.
+            let waiting = thread_cpu() - cpu - (OWN_SHARE.with(|s| s.get()) - share);
+            // The submitting thread must leave the CPUs to the workers: a
+            // caller that spins or yields for the whole region runs a third
+            // thread beside them.
+            assert!(
+                waiting < wall / 10,
+                "the submitting thread ran {waiting:?} of a {wall:?} region"
+            );
         }
     };
 }

@@ -11,6 +11,6 @@ wake_tests!(
         idle,
         ..PoolConfig::from_env()
     }),
-    |rt: &Runtime| rt.install(|_| ()),
+    |rt: &Runtime, body: fn()| rt.install(move |_| body()),
     [1, 2]
 );

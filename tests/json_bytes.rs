@@ -182,7 +182,7 @@ fn figure_dump() {
 fn numasim_dump() {
     pin(
         "numasim_json",
-        &experiments::numasim_json(),
+        &experiments::numasim_json(&experiments::numasim_rows()),
         0x2758_c2b0_9d3e_9101,
     );
 }
