@@ -13,8 +13,10 @@
 //! * **Explicit tasks** on *lock-based* per-thread deques with work-first
 //!   scheduling ([`Ctx::task_scope`]) — the design the paper contrasts with
 //!   Cilk Plus's lock-free protocol.
-//! * **Synchronization and mutual exclusion**: [`Ctx::barrier`],
-//!   [`Ctx::single`], [`Ctx::master`], [`Ctx::critical`].
+//! * **Synchronization**: [`Ctx::barrier`] and [`Ctx::single`], plus
+//!   cooperative cancellation ([`Ctx::cancel`]). Locks, `critical`,
+//!   `sections` and task dependences are not implemented: no figure runs
+//!   them, and the paper's feature tables (`tpm-features`) list them.
 //!
 //! ```
 //! use tpm_forkjoin::{Schedule, Team};
@@ -34,14 +36,10 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod depend;
-mod lock;
 mod tasking;
 mod team;
 mod worksharing;
 
-pub use depend::{DepToken, DepTracker};
-pub use lock::{OmpLock, OmpNestLock};
 pub use tasking::TaskScope;
 pub use team::{Ctx, Team};
 pub use worksharing::{static_chunks, LoopCounter, Schedule};

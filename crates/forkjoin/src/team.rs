@@ -21,7 +21,7 @@ use tpm_fault::{Action as FaultAction, Site as FaultSite};
 use tpm_sync::topology::NumaTopology;
 use tpm_sync::EventKind;
 use tpm_sync::{
-    Barrier, CachePadded, CancelReason, CancelToken, CountLatch, IdleStrategy, LockedDeque, Mutex,
+    Barrier, CachePadded, CancelReason, CancelToken, CountLatch, IdleStrategy, LockedDeque,
     PoolConfig, Reducer, SchedulerStats, Sleepers, SpinLock,
 };
 
@@ -65,6 +65,9 @@ pub(crate) struct TeamInner {
     shutdown: AtomicBool,
     /// Workers parked after their idle window ran out.
     sleepers: Sleepers,
+    /// The master, parked at a region's join after its idle window ran
+    /// out; the worker whose decrement completes the join wakes it.
+    master: Sleepers,
     in_region: AtomicBool,
     pub(crate) stats: SchedulerStats,
     idle: (u32, u32),
@@ -97,7 +100,6 @@ pub(crate) struct Region {
     ws_counter: UnsafeCell<Option<LoopCounter>>,
     /// Claim word for `single` constructs.
     single_claim: AtomicUsize,
-    critical: Mutex<()>,
     pub(crate) deques: Box<[LockedDeque<TaskRef>]>,
     panic: SpinLock<Option<Box<dyn Any + Send>>>,
     /// Cheap flag mirroring `panic.is_some()`, checked per chunk.
@@ -124,7 +126,6 @@ impl Region {
             ws_init: AtomicUsize::new(0),
             ws_counter: UnsafeCell::new(None),
             single_claim: AtomicUsize::new(0),
-            critical: Mutex::new(()),
             deques: (0..active).map(|_| LockedDeque::new()).collect(),
             panic: SpinLock::new(None),
             panicked: std::sync::atomic::AtomicBool::new(false),
@@ -418,15 +419,6 @@ impl<'a> Ctx<'a> {
         result
     }
 
-    /// Executes each of `sections` exactly once, distributed across the
-    /// region's threads (`#pragma omp sections`), with the implicit trailing
-    /// barrier. All threads must call this together.
-    pub fn sections(&self, sections: &[&(dyn Fn() + Sync)]) {
-        self.ws_for(Schedule::Dynamic { chunk: 1 }, 0..sections.len(), |i| {
-            sections[i]();
-        });
-    }
-
     /// Requests cancellation of the current region (`#pragma omp cancel`):
     /// worksharing loops stop handing out chunks at their next chunk
     /// boundary on every thread; explicit tasks observe it through
@@ -459,23 +451,6 @@ impl<'a> Ctx<'a> {
             return Some(CancelReason::Cancelled);
         }
         self.region.token.as_ref().and_then(|t| t.reason())
-    }
-
-    /// Executes `body` on thread 0 only (`#pragma omp master`); no barrier.
-    pub fn master<R>(&self, body: impl FnOnce() -> R) -> Option<R> {
-        if self.tid == 0 {
-            Some(body())
-        } else {
-            None
-        }
-    }
-
-    /// Runs `body` under the region-wide mutual-exclusion lock
-    /// (`#pragma omp critical`).
-    pub fn critical<R>(&self, body: impl FnOnce() -> R) -> R {
-        let _g = self.region.critical.lock();
-        tpm_trace::record(EventKind::LockAcquire, 0, 0);
-        body()
     }
 
     /// Opens an explicit-task scope (`task` + `taskwait`): tasks spawned via
@@ -609,6 +584,7 @@ impl Team {
             job: SpinLock::new(None),
             shutdown: AtomicBool::new(false),
             sleepers: Sleepers::new(num_threads - 1),
+            master: Sleepers::new(1),
             in_region: AtomicBool::new(false),
             stats: SchedulerStats::new(num_threads),
             idle: cfg.idle,
@@ -726,7 +702,11 @@ impl Team {
                 self.inner.epoch.fetch_add(1, Ordering::Release);
                 self.inner.sleepers.wake_all();
                 run(0);
-                done.wait();
+                // A master that finishes its share early waits as an idle
+                // worker does: hot for the idle window, then parked, so a
+                // long region does not run a third, yielding thread.
+                let idle = IdleStrategy::new(self.inner.idle.0, self.inner.idle.1);
+                self.inner.master.wait_until(&idle, || done.probe());
                 *self.inner.job.lock() = None;
             }
         }
@@ -823,7 +803,11 @@ fn worker_loop(inner: &TeamInner, tid: usize) {
             // The region wrapper already catches panics from user code; this
             // outer catch only guards runtime bugs from killing the worker.
             let _ = catch_unwind(AssertUnwindSafe(|| func(tid)));
-            unsafe { &*job.done }.decrement();
+            // The master may free `done` as soon as it reads zero, so the
+            // wake-up goes through the team, which outlives the region.
+            if unsafe { &*job.done }.decrement() {
+                inner.master.wake_all();
+            }
         }
     }
 }
@@ -1017,31 +1001,6 @@ mod tests {
     }
 
     #[test]
-    fn master_runs_on_thread_zero() {
-        let team = Team::new(3);
-        let who = AtomicU64::new(u64::MAX);
-        team.parallel(|ctx| {
-            ctx.master(|| who.store(ctx.thread_num() as u64, Ordering::Relaxed));
-        });
-        assert_eq!(who.into_inner(), 0);
-    }
-
-    #[test]
-    fn critical_is_mutually_exclusive() {
-        struct Wrap(std::cell::UnsafeCell<u64>);
-        unsafe impl Sync for Wrap {}
-        let team = Team::new(4);
-        let w = Wrap(std::cell::UnsafeCell::new(0u64));
-        let w = &w; // capture the Sync wrapper, not the cell field
-        team.parallel(|ctx| {
-            for _ in 0..1000 {
-                ctx.critical(|| unsafe { *w.0.get() += 1 });
-            }
-        });
-        assert_eq!(unsafe { *w.0.get() }, 4000);
-    }
-
-    #[test]
     fn parallel_for_reduce_sums() {
         let team = Team::new(4);
         let total = team.parallel_for_reduce(
@@ -1155,30 +1114,6 @@ mod tests {
 mod cancel_tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
-
-    #[test]
-    fn sections_each_run_once() {
-        let team = Team::new(3);
-        let a = AtomicU64::new(0);
-        let b = AtomicU64::new(0);
-        let c = AtomicU64::new(0);
-        team.parallel(|ctx| {
-            ctx.sections(&[
-                &|| {
-                    a.fetch_add(1, Ordering::Relaxed);
-                },
-                &|| {
-                    b.fetch_add(1, Ordering::Relaxed);
-                },
-                &|| {
-                    c.fetch_add(1, Ordering::Relaxed);
-                },
-            ]);
-        });
-        assert_eq!(a.into_inner(), 1);
-        assert_eq!(b.into_inner(), 1);
-        assert_eq!(c.into_inner(), 1);
-    }
 
     #[test]
     fn cancel_stops_worksharing_early() {

@@ -8,12 +8,14 @@
 //! * [`CountLatch`] — counts down from `n`; becomes set at zero. Supports
 //!   *incrementing* while unset, which is what nested spawns need.
 //!
-//! A latch has no waiter list, so its own [`wait`](SpinLatch::wait) spins
-//! with backoff and then yields forever. The stealing runtimes never call
-//! it: a worker probes a latch between steal attempts, and an outside
-//! thread waits through the pool's idle window and then parks on a
-//! `Sleepers` that the setter wakes (see `Sleepers::wait_until`), which is
-//! why [`CountLatch::decrement`] reports the decrement that sets the latch.
+//! A latch has no waiter list. No runtime blocks on one: a worker probes a
+//! latch between steal attempts, and a thread that waits for a region (a
+//! team's master, a pool's outside caller) goes through the idle window and
+//! then parks on a `Sleepers` that the setter wakes (see
+//! `Sleepers::wait_until`), which is why [`CountLatch::decrement`] reports
+//! the decrement that sets the latch. Only [`SpinLatch::wait`] spins, with
+//! backoff and then yielding forever; it is kept for the benchmark's
+//! set-then-wait measurement of the latch itself.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -128,14 +130,6 @@ impl CountLatch {
     pub fn outstanding(&self) -> usize {
         self.count.load(Ordering::Acquire)
     }
-
-    /// Spins (with backoff, then yielding) until the count reaches zero.
-    pub fn wait(&self) {
-        let backoff = Backoff::new();
-        while !self.probe() {
-            backoff.snooze();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -194,7 +188,9 @@ mod tests {
                     }
                 });
             }
-            l.wait();
+            while !l.probe() {
+                std::hint::spin_loop();
+            }
         });
         assert!(l.probe());
     }
@@ -214,6 +210,5 @@ mod tests {
     fn zero_count_latch_starts_set() {
         let l = CountLatch::new(0);
         assert!(l.probe());
-        l.wait();
     }
 }

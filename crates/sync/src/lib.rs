@@ -9,7 +9,6 @@
 //! | Primitive | Used by | Models |
 //! |---|---|---|
 //! | [`SpinLock`] | everything | short critical sections |
-//! | [`Mutex`] | `omp_lock_t`, `critical` | `omp_lock_t`, `std::mutex`, `pthread_mutex` |
 //! | [`Barrier`] | `tpm-forkjoin` | `#pragma omp barrier`, `pthread_barrier_t` |
 //! | [`SpinLatch`] / [`CountLatch`] | both task runtimes | join counters behind `cilk_sync` / `taskwait` |
 //! | [`chase_lev`] deque | `tpm-worksteal` | Cilk Plus's lock-free work-stealing protocol |
@@ -43,7 +42,6 @@ mod latch;
 pub mod layout;
 mod locked_deque;
 mod mpsc;
-mod mutex;
 pub mod oneshot;
 mod pool;
 mod reducer;
@@ -62,7 +60,6 @@ pub use idle::{IdleStrategy, Sleepers};
 pub use latch::{CountLatch, SpinLatch};
 pub use locked_deque::LockedDeque;
 pub use mpsc::MpscQueue;
-pub use mutex::{Mutex, MutexGuard};
 pub use oneshot::{channel as oneshot_channel, Receiver, RecvError, Sender};
 pub use pool::{env_flag, PoolConfig};
 pub use reducer::Reducer;

@@ -1,7 +1,7 @@
 //! A test-and-test-and-set spin lock (the Chapter-4 lock of *Rust Atomics and
 //! Locks*), used where critical sections are a handful of instructions:
-//! the wait queues of [`crate::Mutex`] and [`crate::Sleepers`], and the
-//! lock-based task deque that models the Intel OpenMP runtime's tasking path.
+//! the wait queue of [`crate::Sleepers`], and the lock-based task deque
+//! that models the Intel OpenMP runtime's tasking path.
 
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};

@@ -6,10 +6,11 @@
 //
 // `wake_tests!(new, submit, sizes)`: `new(n, (spin, yield))` builds a
 // runtime of `n` threads with that idle window; `submit(&rt, body)` runs one
-// item that calls `body` (a team runs `body` on each of its threads) and
-// returns once the item ran; `rt.stats()` is its scheduler counters.
-// `sizes` are the two thread counts that give the runtime one and two
-// workers that can park (a team's master is the caller's thread).
+// item that calls `body` (a team runs `body` on each of its workers, so its
+// master only waits, as a pool's caller does) and returns once the item
+// ran; `rt.stats()` is its scheduler counters. `sizes` are the two thread
+// counts that give the runtime one and two workers that can park (a team's
+// master is the caller's thread).
 
 /// The suite's tests run one at a time: `submitter_sleeps_through_a_long_region`
 /// reads CPU time, which shows a spinning or yielding caller only while the
@@ -125,23 +126,13 @@ macro_rules! wake_tests {
             Duration::from_nanos(ns.expect("schedstat starts with the run time in ns"))
         }
 
-        #[cfg(target_os = "linux")]
-        std::thread_local! {
-            /// CPU time the region body has run on this thread.
-            static OWN_SHARE: std::cell::Cell<Duration> = const {
-                std::cell::Cell::new(Duration::ZERO)
-            };
-        }
-
-        /// Busy for 200 ms, its CPU time booked to `OWN_SHARE`.
+        /// Busy for 200 ms.
         #[cfg(target_os = "linux")]
         fn long_region() {
-            let start = thread_cpu();
             let until = Instant::now() + Duration::from_millis(200);
             while Instant::now() < until {
                 std::hint::spin_loop();
             }
-            OWN_SHARE.with(|s| s.set(s.get() + (thread_cpu() - start)));
         }
 
         #[cfg(target_os = "linux")]
@@ -150,13 +141,11 @@ macro_rules! wake_tests {
             let _cpus = serial();
             let rt = $new($sizes[0], DEFAULT_IDLE);
             $submit(&rt, || {});
-            let (cpu, share) = (thread_cpu(), OWN_SHARE.with(|s| s.get()));
+            let cpu = thread_cpu();
             let started = Instant::now();
             $submit(&rt, long_region);
             let wall = started.elapsed();
-            // A team's master runs its own share of the region, as an
-            // OpenMP master does: only what it spends beyond that counts.
-            let waiting = thread_cpu() - cpu - (OWN_SHARE.with(|s| s.get()) - share);
+            let waiting = thread_cpu() - cpu;
             // The submitting thread must leave the CPUs to the workers: a
             // caller that spins or yields for the whole region runs a third
             // thread beside them.
