@@ -2,8 +2,9 @@
 //!
 //! The many-tasking dependency primitive (HPX futures, Charm++ callbacks):
 //! a [`Promise`] is the write-once producer half, a [`Future`] the consumer
-//! half. Consumers either block ([`Future::wait`] — for external threads at
-//! the edge of the runtime) or attach a *continuation*
+//! half. Consumers either block (`ActorRuntime::block_on`, which waits
+//! through the runtime as its worker 0, or [`Future::wait`] where there is
+//! no runtime) or attach a *continuation*
 //! ([`Future::on_ready`]) that the completing worker runs inline — the
 //! non-blocking composition style the actor kernels use, so no worker ever
 //! parks on a dependency.
@@ -119,8 +120,10 @@ impl<T: Send + 'static> Future<T> {
 
     /// Blocks until the value arrives, then returns it: the runtimes'
     /// default idle window (spin, then yield), then parked until
-    /// [`Promise::set`] wakes it. Meant for external threads at the runtime
-    /// edge; workers compose with [`on_ready`](Future::on_ready) instead.
+    /// [`Promise::set`] wakes it. Meant for threads with no runtime at hand:
+    /// a caller of a runtime waits through `ActorRuntime::block_on`, so it
+    /// works meanwhile, and workers compose with
+    /// [`on_ready`](Future::on_ready) instead.
     pub fn wait(self) -> T {
         let ready = || self.shared.ready.probe();
         self.shared

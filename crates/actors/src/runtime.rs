@@ -17,10 +17,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use tpm_sync::{PoolConfig, SchedulerStats};
+use tpm_sync::{PoolConfig, SchedulerStats, SpinLatch, SpinLock};
 use tpm_worksteal::pool::{self, Pool, Shared};
 
 use crate::mailbox::{ActorCell, Runnable};
+use crate::Future;
 
 /// One unit of schedulable work: a one-shot task (the many-tasking
 /// "parcel") or a scheduled actor draining its mailbox.
@@ -58,7 +59,10 @@ impl pool::Task for Activation {
 pub(crate) type RuntimeInner = Shared<Activation>;
 
 /// The message-driven runtime: a fixed pool of workers executing
-/// activations.
+/// activations. As with `tpm_worksteal::Runtime`, P ≥ 2 workers are P − 1
+/// spawned threads plus a seat that the thread waiting on a loop entry or
+/// in [`block_on`](ActorRuntime::block_on) works as worker 0; activations
+/// no one waits for run on the spawned workers.
 ///
 /// # Examples
 ///
@@ -93,7 +97,10 @@ impl ActorRuntime {
 
     /// Creates a runtime of `cfg.threads` workers on the shared stealing
     /// pool, with the same pinning, NUMA victim ordering and idle policy
-    /// semantics as `tpm_worksteal::Runtime::with_config`.
+    /// semantics as `tpm_worksteal::Runtime::with_config`: `cfg.threads − 1`
+    /// spawned threads plus the waiting caller's seat, or one spawned
+    /// thread when `cfg.threads` is 1 (fire-and-forget activations always
+    /// have a thread that runs them with no caller waiting).
     ///
     /// # Examples
     ///
@@ -110,13 +117,14 @@ impl ActorRuntime {
         }
     }
 
-    /// Number of worker threads.
+    /// Number of workers, the caller's seat included.
     pub fn num_workers(&self) -> usize {
         self.pool.num_workers()
     }
 
-    /// Workers currently alive (briefly below [`num_workers`] while a
-    /// replacement for a dead worker is starting).
+    /// Workers currently alive, the caller's seat counted as one (briefly
+    /// below [`num_workers`] while a replacement for a dead worker is
+    /// starting).
     ///
     /// [`num_workers`]: ActorRuntime::num_workers
     pub fn live_workers(&self) -> usize {
@@ -152,6 +160,26 @@ impl ActorRuntime {
         F: FnOnce(&WorkerCtx<'_>) + Send + 'static,
     {
         self.pool.inject(Activation::Task(Box::new(f)));
+    }
+
+    /// Blocks the calling (external) thread until `future` completes and
+    /// returns its value. The caller waits through the pool: it takes the
+    /// seat and runs activations as worker 0 meanwhile (see
+    /// `tpm_worksteal::pool::Shared::wait_external`). [`Future::wait`]
+    /// is for waits with no runtime at hand.
+    pub fn block_on<T: Send + 'static>(&self, future: Future<T>) -> T {
+        let cell = Arc::new((SpinLatch::new(), SpinLock::new(None)));
+        let (slot, pool) = (Arc::clone(&cell), self.pool.downgrade());
+        future.on_ready(move |v| {
+            *slot.1.lock() = Some(v);
+            slot.0.set();
+            if let Some(pool) = pool.upgrade() {
+                pool.wake_external();
+            }
+        });
+        self.pool.wait_external(|| cell.0.probe());
+        let value = cell.1.lock().take();
+        value.expect("a set latch follows the stored value")
     }
 
     /// Spawns an actor, returning its address. The actor runs on the pool's
@@ -280,6 +308,22 @@ mod tests {
         let rt = ActorRuntime::new(4);
         rt.spawn(|_| ());
         drop(rt); // must not hang
+    }
+
+    #[test]
+    fn block_on_returns_the_value_from_a_worker_or_the_seat() {
+        for threads in [1, 2, 3] {
+            let rt = ActorRuntime::new(threads);
+            for i in 0..100u64 {
+                let (f, p) = crate::future();
+                rt.spawn(move |_| p.set(i * 2));
+                assert_eq!(rt.block_on(f), i * 2);
+            }
+            // Already complete: the continuation runs on the caller.
+            let (f, p) = crate::future();
+            p.set(7u64);
+            assert_eq!(rt.block_on(f), 7);
+        }
     }
 
     #[test]

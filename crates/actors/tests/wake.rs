@@ -1,6 +1,7 @@
 //! Idle waiting on the pool core, driven through both of an
 //! [`ActorRuntime`]'s outside waits: a mailbox send answered through
-//! `Future::wait`, and (`scatter`) a `scatter_for_indexed_cancel` join.
+//! `ActorRuntime::block_on`, and (`scatter`) a `scatter_for_indexed_cancel`
+//! join.
 
 use tpm_actors::{Actor, ActorCtx, ActorRuntime, Addr, Promise};
 use tpm_sync::{PoolConfig, SchedulerStats};
@@ -42,7 +43,7 @@ impl Echoes {
     fn send(&self, body: fn()) {
         let (done, promise) = tpm_actors::future();
         self.echo.send((body, promise));
-        done.wait();
+        self.rt.block_on(done);
     }
 
     fn stats(&self) -> &SchedulerStats {
@@ -52,7 +53,7 @@ impl Echoes {
 
 include!("../../worksteal/tests/suite/wake.rs");
 
-wake_tests!(Echoes::new, Echoes::send, [1, 2]);
+wake_tests!(Echoes::new, Echoes::send, [1, 3]);
 
 /// The same suite through the `actor_for` loop entry's join.
 mod scatter {
@@ -65,6 +66,6 @@ mod scatter {
         |rt: &ActorRuntime, body: fn()| {
             scatter_for_indexed_cancel(rt, 0..1, 1, &CancelToken::new(), |_, _| body())
         },
-        [1, 2]
+        [1, 3]
     );
 }

@@ -111,7 +111,9 @@ impl Fib {
     /// continuations fold into a shared join cell, and the *last* child to
     /// arrive propagates the sum upward on its own thread — no worker ever
     /// blocks on a dependency (the HPX/Charm++ dataflow style, vs. the
-    /// blocking `join` of `cilk_spawn`).
+    /// blocking `join` of `cilk_spawn`). The caller waits for the root's
+    /// promise through the runtime ([`ActorRuntime::block_on`]), working as
+    /// worker 0 meanwhile.
     pub fn run_actor_task(&self, rt: &ActorRuntime) -> u64 {
         struct JoinCell {
             sum: AtomicU64,
@@ -148,7 +150,7 @@ impl Fib {
         let (future, promise) = tpm_actors::future();
         let (n, cutoff) = (self.n, self.cutoff);
         rt.spawn(move |ctx| node(ctx, n, cutoff, promise));
-        future.wait()
+        rt.block_on(future)
     }
 
     /// C++11 naive version (no cutoff): returns the paper's failure mode as

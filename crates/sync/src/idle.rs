@@ -14,13 +14,16 @@
 //! An outside thread waiting for its submission to complete (a pool's
 //! `install` or loop entry, a future's `wait`) goes through the same window
 //! and the same park ([`Sleepers::wait_until`]); whoever completes the
-//! submission wakes it. Waiters without a wakeup path (a join point inside
-//! a job, which helps with work while it waits) treat the park signal as
-//! another yield ([`IdleStrategy::snooze_no_park`]).
+//! submission wakes it. A stealing pool's caller that sits in the pool's
+//! seat works as worker 0 instead, and parks among the workers; whoever
+//! completes its submission wakes that one thread
+//! ([`Sleepers::wake_thread`]). Waiters without a wakeup path (a join point
+//! inside a job, which helps with work while it waits) treat the park
+//! signal as another yield ([`IdleStrategy::snooze_no_park`]).
 
 use std::cell::Cell;
 use std::sync::atomic::{fence, AtomicUsize, Ordering};
-use std::thread::{self, Thread};
+use std::thread::{self, Thread, ThreadId};
 
 use crate::SpinLock;
 
@@ -231,6 +234,22 @@ impl Sleepers {
         self.wake(usize::MAX);
     }
 
+    /// Unparks `who`, if it is parked here. Call after publishing what it
+    /// waits for: the same loss-free hand-off as [`wake_one`](Self::wake_one),
+    /// aimed at one thread.
+    pub fn wake_thread(&self, who: ThreadId) {
+        // ORDERING: as in `wake`.
+        fence(Ordering::SeqCst);
+        if self.count.load(Ordering::Relaxed) == 0 {
+            return;
+        }
+        let mut parked = self.parked.lock();
+        if let Some(pos) = parked.iter().position(|t| t.id() == who) {
+            parked.swap_remove(pos).unpark();
+            self.count.store(parked.len(), Ordering::Relaxed);
+        }
+    }
+
     fn wake(&self, most: usize) {
         // ORDERING: pairs with the fence in `sleep_unless`: the caller's
         // publish is sequenced before this fence, so a waiter whose fence
@@ -296,6 +315,37 @@ mod tests {
             sleepers.wake_all();
         });
         assert_eq!(sleepers.count.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn wake_thread_releases_only_that_sleeper() {
+        use std::sync::atomic::AtomicBool;
+        let sleepers = Sleepers::new(2);
+        let done = [AtomicBool::new(false), AtomicBool::new(false)];
+        std::thread::scope(|s| {
+            let waiters: Vec<_> = done
+                .iter()
+                .map(|d| {
+                    s.spawn(|| {
+                        while !d.load(Ordering::Acquire) {
+                            sleepers.sleep_unless(|| d.load(Ordering::Acquire));
+                        }
+                    })
+                })
+                .collect();
+            while sleepers.count.load(Ordering::Relaxed) < 2 {
+                std::thread::yield_now();
+            }
+            done[1].store(true, Ordering::Release);
+            sleepers.wake_thread(waiters[1].thread().id());
+            while !waiters[1].is_finished() {
+                std::thread::yield_now();
+            }
+            // The other sleeper is still parked.
+            assert_eq!(sleepers.count.load(Ordering::Relaxed), 1);
+            done[0].store(true, Ordering::Release);
+            sleepers.wake_all();
+        });
     }
 
     #[test]

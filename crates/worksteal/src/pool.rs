@@ -12,10 +12,15 @@
 //! * idle escalation spin → yield → park until woken: a worker parks
 //!   through [`Sleepers`], and every push, injection and multi-item steal
 //!   wakes one sleeper, so no idle worker polls;
-//! * the same escalation for an outside thread waiting out its submission
-//!   ([`Shared::wait_external`]): it parks on a second [`Sleepers`], and the
-//!   worker that completes the submission wakes it, so the caller does not
-//!   compete with the workers for the region's length;
+//! * the submitting thread is worker 0 ([`Shared::wait_external`]): a pool
+//!   of P ≥ 2 spawns workers `1..P` and keeps deque 0 as a *seat*. An
+//!   outside thread that waits on the pool takes the seat and works as
+//!   worker 0 (pop, steal, park among the workers) until its submission
+//!   completes, as Cilk Plus counts the user thread among its workers and
+//!   OpenMP's master is thread 0. A second concurrent caller, or a nested
+//!   one, finds the seat taken and only waits: the same idle window, then a
+//!   park on a second [`Sleepers`]. Either way the thread that completes
+//!   the submission wakes it ([`Shared::wake_external`]);
 //! * self-healing workers: an escaped panic kills the thread, and a
 //!   replacement takes over the same index and the same deque;
 //! * a draining shutdown that also joins every replacement.
@@ -26,15 +31,15 @@
 //!
 //! **Event rule.** A `TaskSpawn` trace event and the `spawned` counter mean
 //! one push onto a worker's own deque ([`Ctx::push`]). An external
-//! [`Shared::inject`] is neither — the submitting thread is not a worker —
-//! and, like every item, is counted once, as `TaskExec`/`executed`, when it
-//! runs.
+//! [`Shared::inject`] is neither — it is queued before the submitting
+//! thread takes the seat — and, like every item, is counted once, as
+//! `TaskExec`/`executed`, when it runs.
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, ThreadId};
 
 use tpm_fault::{Action as FaultAction, Site as FaultSite};
 use tpm_sync::chase_lev::{self, Stealer, Worker};
@@ -52,8 +57,8 @@ const STEAL_BATCH_LIMIT: usize = 32;
 
 /// An item a [`Pool`] schedules.
 pub trait Task: Send + Sized + 'static {
-    /// Worker thread-name prefix: worker `i` is `{NAME}-{i}` (trace worker
-    /// labels read it).
+    /// Worker thread-name prefix: spawned worker `i` is `{NAME}-{i}` (trace
+    /// worker labels read it; a seated caller keeps its own name).
     const NAME: &'static str;
     /// Front-end state kept once per pool ([`Shared::state`]).
     type State: Default + Send + Sync;
@@ -77,8 +82,10 @@ pub struct Shared<T: Task> {
     shutdown: AtomicBool,
     /// Workers parked after their idle window ran out.
     sleepers: Sleepers,
-    /// Outside threads parked in [`Shared::wait_external`].
+    /// Outside threads parked in [`Shared::wait_external`] without the seat.
     waiters: Sleepers,
+    /// Deque 0 and the outside thread working on it.
+    seat: SpinLock<Seat<T>>,
     stats: SchedulerStats,
     /// Per-worker victim scan order (see [`build_victim_plans`]).
     victim_plans: Vec<VictimPlan>,
@@ -98,15 +105,29 @@ pub struct Shared<T: Task> {
     state: T::State,
 }
 
+/// Deque 0 of a pool of P ≥ 2: free while `deque` is there, taken while an
+/// outside thread works on it.
+struct Seat<T> {
+    deque: Option<Worker<T>>,
+    /// The seated thread, so that [`Shared::wake_external`] can wake it
+    /// among the parked workers.
+    holder: Option<ThreadId>,
+}
+
 impl<T: Task> Pool<T> {
-    /// Spawns `cfg.threads` workers, with NUMA-aware victim ordering when
-    /// `cfg.numa`.
+    /// A pool of `cfg.threads` workers, with NUMA-aware victim ordering when
+    /// `cfg.numa`. With two or more it spawns workers `1..threads` and keeps
+    /// deque 0 as the seat a waiting caller works on; with one it spawns
+    /// worker 0 and has no seat, so a one-thread pool is one thread and
+    /// work submitted with no waiter still runs.
     pub fn new(cfg: PoolConfig) -> Self {
         let num_workers = cfg.threads;
         assert!(num_workers >= 1, "runtime needs at least one worker");
-        let (workers, stealers): (Vec<_>, Vec<_>) = (0..num_workers)
+        let (mut workers, stealers): (Vec<_>, Vec<_>) = (0..num_workers)
             .map(|_| chase_lev::deque(DEQUE_CAPACITY))
             .unzip();
+        let seat = (num_workers >= 2).then(|| workers.remove(0));
+        let first_spawned = num_workers - workers.len();
         let topo = NumaTopology::probe();
         let shared = Arc::new_cyclic(|me| Shared {
             stealers,
@@ -115,6 +136,10 @@ impl<T: Task> Pool<T> {
             shutdown: AtomicBool::new(false),
             sleepers: Sleepers::new(num_workers),
             waiters: Sleepers::new(0),
+            seat: SpinLock::new(Seat {
+                deque: seat,
+                holder: None,
+            }),
             stats: SchedulerStats::new(num_workers),
             victim_plans: build_victim_plans(&topo, num_workers, cfg.numa),
             numa: cfg.numa,
@@ -127,8 +152,8 @@ impl<T: Task> Pool<T> {
         });
         let handles: Vec<JoinHandle<()>> = workers
             .into_iter()
-            .enumerate()
-            .map(|(index, deque)| {
+            .zip(first_spawned..)
+            .map(|(deque, index)| {
                 spawn_worker(&shared, index, deque, false).expect("failed to spawn worker")
             })
             .collect();
@@ -167,13 +192,15 @@ impl<T: Task> Drop for Pool<T> {
 }
 
 impl<T: Task> Shared<T> {
-    /// Number of worker threads.
+    /// Number of workers, the seat included.
     pub fn num_workers(&self) -> usize {
         self.stealers.len()
     }
 
     /// Workers currently alive: briefly below [`num_workers`] while a dead
-    /// worker's replacement is starting.
+    /// worker's replacement is starting. The seat counts as alive: it is
+    /// worked by whichever caller waits, and a caller does not die in the
+    /// pool.
     ///
     /// [`num_workers`]: Shared::num_workers
     pub fn live_workers(&self) -> usize {
@@ -212,23 +239,45 @@ impl<T: Task> Shared<T> {
         self.sleepers.wake_one();
     }
 
-    /// Blocks an outside thread until `done()` holds: the idle workers'
-    /// protocol, the pool's idle window (spin, then yield) and then a park,
-    /// so a caller waiting out a long region takes no CPU from the workers
-    /// running it. Whatever makes `done()` true must then call
-    /// [`wake_external`](Self::wake_external).
+    /// Blocks an outside thread until `done()` holds. If the seat is free
+    /// the caller takes it and works as worker 0 — pops, steals and takes
+    /// from the injector, counted on worker 0's stats — until `done()`,
+    /// then runs what is left in deque 0 and gives the seat back (on unwind
+    /// too). Out of work, it runs the pool's idle window and parks among the
+    /// workers, where a push or a multi-item steal wakes it as it wakes
+    /// them. A caller that finds the seat taken (a second concurrent
+    /// caller, a nested one, or any caller of a one-thread pool) runs the
+    /// same window and parks on its own. Whatever makes `done()` true must
+    /// then call [`wake_external`](Self::wake_external).
     pub fn wait_external(&self, done: impl Fn() -> bool) {
         let idle = IdleStrategy::new(self.idle.0, self.idle.1);
-        self.waiters.wait_until(&idle, done);
+        match self.take_seat() {
+            Some(seat) => seat.work_until(&idle, done),
+            None => self.waiters.wait_until(&idle, done),
+        }
     }
 
     /// Releases the outside threads parked in
     /// [`wait_external`](Self::wait_external). Call after publishing what
-    /// they wait for; with none parked it is one fence and one load. All
-    /// are woken, since each may wait on a different region: one whose
-    /// region is still running parks again.
+    /// they wait for; with none parked it is a fence and a load per park
+    /// list, and the seat's lock. All are woken, since each may wait on a
+    /// different region: one whose region is still running parks again.
     pub fn wake_external(&self) {
         self.waiters.wake_all();
+        if let Some(seated) = self.seat.lock().holder {
+            self.sleepers.wake_thread(seated);
+        }
+    }
+
+    /// Takes the seat for the calling thread, if it is free.
+    fn take_seat(&self) -> Option<SeatGuard<'_, T>> {
+        let mut seat = self.seat.lock();
+        let deque = seat.deque.take()?;
+        seat.holder = Some(std::thread::current().id());
+        Some(SeatGuard {
+            shared: self,
+            deque: Some(deque),
+        })
     }
 
     /// What a parking worker re-checks after announcing itself: anything
@@ -237,6 +286,59 @@ impl<T: Task> Shared<T> {
         self.shutdown.load(Ordering::Acquire)
             || self.stealers.iter().any(|s| !s.is_empty())
             || !self.injector.is_empty()
+    }
+}
+
+/// The seat while a caller holds it; dropping it gives the seat back.
+struct SeatGuard<'s, T: Task> {
+    shared: &'s Shared<T>,
+    /// `Some` until the drop hands it back.
+    deque: Option<Worker<T>>,
+}
+
+impl<T: Task> SeatGuard<'_, T> {
+    /// The seated loop: worker 0's [`worker_loop`] until `done()`, with the
+    /// seated thread parked among the workers once its window runs out.
+    fn work_until(self, idle: &IdleStrategy, done: impl Fn() -> bool) {
+        let shared = self.shared;
+        let ctx = Ctx {
+            shared,
+            index: 0,
+            deque: self.deque.as_ref().expect("seat deque present until drop"),
+            victim_offset: Cell::new(0),
+        };
+        while !done() {
+            if let Some(item) = ctx.pop().or_else(|| ctx.steal_work()) {
+                ctx.run_top(item);
+                idle.reset();
+            } else if idle.snooze_until(&done)
+                && shared.sleepers.sleep_unless(|| done() || shared.has_work())
+            {
+                ctx.emit(EventKind::Park, 0, 0);
+            }
+        }
+        // Only the seat pushes to deque 0: what is left there now is ours
+        // to finish before the seat is free.
+        while let Some(item) = ctx.pop() {
+            ctx.run_top(item);
+        }
+    }
+}
+
+impl<T: Task> Drop for SeatGuard<'_, T> {
+    fn drop(&mut self) {
+        let deque = self.deque.take();
+        // Only an unwind leaves items behind; they stay stealable, and a
+        // parked worker must hear of them.
+        let left = deque.as_ref().is_some_and(|d| !d.is_empty());
+        {
+            let mut seat = self.shared.seat.lock();
+            seat.deque = deque;
+            seat.holder = None;
+        }
+        if left {
+            self.shared.sleepers.wake_one();
+        }
     }
 }
 
@@ -329,6 +431,17 @@ impl<'w, T: Task> Ctx<'w, T> {
     pub fn execute(&self, item: T) {
         self.emit(EventKind::TaskExec, 0, 0);
         item.run(self);
+    }
+
+    /// Runs a top-level item of a worker or seat loop and adds its busy
+    /// time. Busy time is measured around top-level items only: nested
+    /// items run inside this span (via waits), so timing them again would
+    /// double-count — and per-item clocks would be too hot.
+    fn run_top(&self, item: T) {
+        let started = std::time::Instant::now();
+        self.execute(item);
+        self.stats()
+            .add_busy_ns(started.elapsed().as_nanos() as u64);
     }
 
     /// Works (pop own, then steal) until `probe()` turns true — the heart of
@@ -479,12 +592,7 @@ fn worker_loop<T: Task>(shared: &Shared<T>, index: usize, deque: &Worker<T>) {
             tpm_fault::injected_panic(FaultSite::StealAttempt);
         }
         if let Some(item) = ctx.pop().or_else(|| ctx.steal_work()) {
-            // Busy time is measured around top-level items only: nested
-            // items run inside this span (via waits), so timing them again
-            // would double-count — and per-item clocks would be too hot.
-            let started = std::time::Instant::now();
-            ctx.execute(item);
-            ctx.stats().add_busy_ns(started.elapsed().as_nanos() as u64);
+            ctx.run_top(item);
             idle.reset();
             continue;
         }

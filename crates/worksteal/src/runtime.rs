@@ -36,7 +36,12 @@ impl pool::Task for JobRef {
     }
 }
 
-/// A work-stealing runtime with a fixed set of worker threads.
+/// A work-stealing runtime with a fixed set of workers.
+///
+/// A runtime of P ≥ 2 workers is P − 1 threads plus the thread that waits
+/// on it: the caller of [`install`](Runtime::install) works as worker 0
+/// until its region completes, as Cilk Plus counts the user thread among
+/// its `CILK_NWORKERS`. A 1-worker runtime is one spawned thread.
 ///
 /// External threads submit work with [`install`](Runtime::install); inside,
 /// code composes with [`join`](crate::join), [`scope`](crate::scope) and
@@ -63,7 +68,7 @@ pub struct Runtime {
 }
 
 impl Runtime {
-    /// Creates a runtime with `num_workers` worker threads and the
+    /// Creates a runtime with `num_workers` workers and the
     /// [`PoolConfig::from_env`] defaults (pinning from `TPM_PIN`).
     pub fn new(num_workers: usize) -> Self {
         Self::with_config(PoolConfig {
@@ -72,8 +77,9 @@ impl Runtime {
         })
     }
 
-    /// Creates a runtime of `cfg.threads` workers: worker `i` is pinned to
-    /// core `i % cores` when `cfg.pin` (a no-op on platforms without
+    /// Creates a runtime of `cfg.threads` workers, `cfg.threads − 1` of them
+    /// spawned (one when `cfg.threads` is 1): spawned worker `i` is pinned
+    /// to core `i % cores` when `cfg.pin` (a no-op on platforms without
     /// `sched_setaffinity`), thieves scan same-node victims first when
     /// `cfg.numa`, and `cfg.idle` is the spin → yield budget before a
     /// worker parks.
@@ -93,14 +99,14 @@ impl Runtime {
         }
     }
 
-    /// Number of worker threads.
+    /// Number of workers, the caller's seat included.
     pub fn num_workers(&self) -> usize {
         self.pool.num_workers()
     }
 
-    /// Workers currently alive. Briefly below [`num_workers`] while a dead
-    /// worker's replacement is starting; equal again once self-healing
-    /// completes.
+    /// Workers currently alive, the caller's seat counted as one. Briefly
+    /// below [`num_workers`] while a dead worker's replacement is starting;
+    /// equal again once self-healing completes.
     ///
     /// [`num_workers`]: Runtime::num_workers
     pub fn live_workers(&self) -> usize {
@@ -124,12 +130,16 @@ impl Runtime {
         self.pool.numa_enabled()
     }
 
-    /// Runs `f` on a worker thread, blocking the calling (external) thread
-    /// until it — and everything it joined/spawned-and-waited — completes.
-    /// The caller waits as an idle worker does (the pool's spin → yield
-    /// window, then a park until the worker that completes `f` wakes it),
-    /// so a long region does not run a third thread beside the workers.
-    /// Panics inside are re-raised here.
+    /// Runs `f` in the runtime, blocking the calling (external) thread until
+    /// it — and everything it joined/spawned-and-waited — completes. The
+    /// root job is injected, and the caller then takes the seat and works
+    /// as worker 0 until the region completes, so `f` and its children may
+    /// run on the calling thread. When out of work it waits as an idle
+    /// worker does (the pool's spin → yield window, then a park until a
+    /// push or the region's completion wakes it). A caller that finds the
+    /// seat taken — a second concurrent caller, a nested `install`, or any
+    /// caller of a 1-worker runtime — only waits, in the same window and
+    /// park. Panics inside are re-raised here.
     pub fn install<R, F>(&self, f: F) -> R
     where
         R: Send,
@@ -211,6 +221,13 @@ mod tests {
         assert!(r.is_err());
         // Runtime still alive.
         assert_eq!(rt.install(|_| 5), 5);
+    }
+
+    #[test]
+    fn nested_install_waits_without_the_seat() {
+        let rt = Runtime::new(2);
+        let r = rt.install(|_| rt.install(|ctx| ctx.index() + 40));
+        assert!(r == 40 || r == 41);
     }
 
     #[test]

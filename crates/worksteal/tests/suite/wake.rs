@@ -9,8 +9,9 @@
 // item that calls `body` (a team runs `body` on each of its workers, so its
 // master only waits, as a pool's caller does) and returns once the item
 // ran; `rt.stats()` is its scheduler counters. `sizes` are the two thread
-// counts that give the runtime one and two workers that can park (a team's
-// master is the caller's thread).
+// counts that give the runtime one and two spawned workers that can park (a
+// team's master is the caller's thread, and so is a stealing pool's worker 0
+// once it has two or more workers).
 
 /// The suite's tests run one at a time: `submitter_sleeps_through_a_long_region`
 /// reads CPU time, which shows a spinning or yielding caller only while the

@@ -12,5 +12,5 @@ wake_tests!(
         ..PoolConfig::from_env()
     }),
     |rt: &Runtime, body: fn()| rt.install(move |_| body()),
-    [1, 2]
+    [1, 3]
 );
