@@ -12,9 +12,9 @@
 //!   per-sender FIFO, with an IDLE/SCHEDULED state machine serializing each
 //!   actor ([`Actor`], [`Addr`]).
 //! * **Work stealing of activations** — per-worker Chase–Lev deques, batch
-//!   stealing, NUMA-aware victim order, parking until woken, self-healing
-//!   workers: `tpm-worksteal`'s own pool, scheduling mailbox drains and
-//!   one-shot parcels instead of spawned frames ([`ActorRuntime`]).
+//!   stealing, parking until woken, self-healing workers: `tpm-worksteal`'s
+//!   own pool, scheduling mailbox drains and one-shot parcels instead of
+//!   spawned frames ([`ActorRuntime`]).
 //! * **Futures/continuations** for task dependencies ([`future`],
 //!   [`Promise::on_complete`]) — the last child to complete propagates
 //!   upward on its own worker; nothing blocks.

@@ -6,7 +6,7 @@
 //! runtime uses (Kulkarni–Lumsdaine §4). Here it is not merely the same
 //! shape but the same code: [`ActorRuntime`] is a front end over
 //! `tpm-worksteal`'s pool (per-worker Chase–Lev deques, batch stealing from
-//! rotating NUMA-ordered victims, spin → yield → park until woken,
+//! rotating victims, spin → yield → park until woken,
 //! self-healing workers, external submissions through a locked injector),
 //! queueing `Activation`s where `tpm-worksteal` queues erased jobs. Every chaos
 //! plan and profile recipe that runs against the Cilk analogue therefore
@@ -96,9 +96,9 @@ impl ActorRuntime {
     }
 
     /// Creates a runtime of `cfg.threads` workers on the shared stealing
-    /// pool, with the same pinning, NUMA victim ordering and idle policy
-    /// semantics as `tpm_worksteal::Runtime::with_config`: `cfg.threads − 1`
-    /// spawned threads plus the waiting caller's seat, or one spawned
+    /// pool, with the same pinning and idle policy semantics as
+    /// `tpm_worksteal::Runtime::with_config`: `cfg.threads − 1` spawned
+    /// threads plus the waiting caller's seat, or one spawned
     /// thread when `cfg.threads` is 1 (fire-and-forget activations always
     /// have a thread that runs them with no caller waiting).
     ///
@@ -145,11 +145,6 @@ impl ActorRuntime {
     /// Scheduler event counters.
     pub fn stats(&self) -> &SchedulerStats {
         self.pool.stats()
-    }
-
-    /// Whether node-aware victim ordering is active.
-    pub fn numa_enabled(&self) -> bool {
-        self.pool.numa_enabled()
     }
 
     /// Spawns a fire-and-forget task activation. A panic in `f` is

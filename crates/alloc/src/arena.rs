@@ -17,8 +17,8 @@ const DEFAULT_CHUNK: usize = 64 << 10;
 ///
 /// The arena is `Send` but not `Sync` (one owner at a time), matching the
 /// per-worker placement the scheduler gives it: chunk memory is first
-/// touched by the owning worker, so with `--pin`/`--numa` the backing pages
-/// land on that worker's NUMA node.
+/// touched by the owning worker, so with `--pin` the backing pages land on
+/// the NUMA node of that worker's core.
 pub struct Arena {
     chunks: UnsafeCell<Chunks>,
     /// Bytes handed out since construction (monotonic across resets).

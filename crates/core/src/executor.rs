@@ -241,7 +241,7 @@ impl Executor {
                 // all data-parallel comparisons); the region carries the token
                 // so every chunk boundary polls it.
                 self.team.parallel_with_token(self.threads, token, |ctx| {
-                    ctx.ws_for_chunks(Schedule::static_default(), range.clone(), |chunk| {
+                    ctx.ws_for_chunks(Schedule::Static, range.clone(), |chunk| {
                         body(ctx.thread_num(), chunk)
                     });
                 });

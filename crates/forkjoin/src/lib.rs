@@ -6,9 +6,8 @@
 //!
 //! * **Fork-join execution**: a persistent [`Team`] of workers; a master
 //!   thread forks parallel regions and joins them ([`Team::parallel`]).
-//! * **Worksharing loops** with `static`, `dynamic` and `guided`
-//!   [`Schedule`]s and the implicit trailing barrier
-//!   ([`Ctx::ws_for`]).
+//! * **Worksharing loops** with the `static` and `dynamic` [`Schedule`]s
+//!   and the implicit trailing barrier ([`Ctx::ws_for`]).
 //! * **Reductions** over per-thread views ([`Team::parallel_for_reduce`]).
 //! * **Explicit tasks** on *lock-based* per-thread deques with work-first
 //!   scheduling ([`Ctx::task_scope`]) — the design the paper contrasts with
@@ -24,7 +23,7 @@
 //! let team = Team::new(4);
 //! let total = team.parallel_for_reduce(
 //!     4,
-//!     Schedule::static_default(),
+//!     Schedule::Static,
 //!     0..1_000,
 //!     || 0u64,
 //!     |a, b| a + b,

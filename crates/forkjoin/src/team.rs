@@ -18,7 +18,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use tpm_fault::{Action as FaultAction, Site as FaultSite};
-use tpm_sync::topology::NumaTopology;
 use tpm_sync::EventKind;
 use tpm_sync::{
     Barrier, CachePadded, CancelReason, CancelToken, CountLatch, IdleStrategy, LockedDeque,
@@ -44,7 +43,7 @@ const DYNAMIC_BATCH_CHUNKS: usize = 8;
 /// let team = Team::new(4);
 /// let sum = AtomicU64::new(0);
 /// team.parallel(|ctx| {
-///     ctx.ws_for(Schedule::static_default(), 0..1000, |i| {
+///     ctx.ws_for(Schedule::Static, 0..1000, |i| {
 ///         sum.fetch_add(i as u64, Ordering::Relaxed);
 ///     });
 /// });
@@ -71,9 +70,6 @@ pub(crate) struct TeamInner {
     in_region: AtomicBool,
     pub(crate) stats: SchedulerStats,
     idle: (u32, u32),
-    /// The probed topology when node-aware task stealing is on
-    /// ([`PoolConfig::numa`]), else `None`.
-    topology: Option<NumaTopology>,
 }
 
 /// An erased parallel-region job: `func(tid)` plus a completion latch.
@@ -95,7 +91,7 @@ pub(crate) struct Region {
     ws_claim: AtomicUsize,
     /// Last worksharing construct sequence whose counter is initialized.
     ws_init: AtomicUsize,
-    /// The single in-flight dynamic/guided loop counter (constructs are
+    /// The single in-flight dynamic loop counter (constructs are
     /// separated by their implicit trailing barrier, so one slot suffices).
     ws_counter: UnsafeCell<Option<LoopCounter>>,
     /// Claim word for `single` constructs.
@@ -179,21 +175,6 @@ pub struct Ctx<'a> {
     single_seq: Cell<usize>,
     /// XorShift state for steal victim selection.
     rng: Cell<u64>,
-    /// Same-NUMA-node steal victims (empty when node-aware stealing is
-    /// off — see [`PoolConfig::numa`] — or no same-node peer exists). The
-    /// steal loop spends its first sweep on these before falling back to
-    /// uniform victims.
-    local_victims: Vec<usize>,
-}
-
-/// Same-node peers of `tid` under the worker→CPU mapping `tid % cpus`
-/// (matching `affinity::pin_current_thread`).
-fn local_victims_for(topo: &NumaTopology, tid: usize, active: usize) -> Vec<usize> {
-    let cpus = topo.num_cpus().max(1);
-    let node = topo.node_of_cpu(tid % cpus);
-    (0..active)
-        .filter(|&v| v != tid && topo.node_of_cpu(v % cpus) == node)
-        .collect()
 }
 
 impl<'a> Ctx<'a> {
@@ -205,10 +186,6 @@ impl<'a> Ctx<'a> {
             ws_seq: Cell::new(0),
             single_seq: Cell::new(0),
             rng: Cell::new(0x9E37_79B9_7F4A_7C15 ^ (tid as u64 + 1)),
-            local_victims: team
-                .topology
-                .as_ref()
-                .map_or_else(Vec::new, |topo| local_victims_for(topo, tid, region.active)),
         }
     }
 
@@ -301,14 +278,11 @@ impl<'a> Ctx<'a> {
             }
             true
         };
-        // `Auto` is resolved here, where the loop shape and team width are
-        // both known; every arm below sees a concrete schedule.
-        match schedule.resolve(range.len(), n) {
-            Schedule::Static { chunk } => {
-                for c in static_chunks(range, self.tid, n, chunk) {
-                    if !guarded(c) {
-                        break;
-                    }
+        match schedule {
+            Schedule::Static => {
+                let block = static_chunks(range, self.tid, n);
+                if !block.is_empty() {
+                    guarded(block);
                 }
             }
             Schedule::Dynamic { chunk } => {
@@ -336,21 +310,6 @@ impl<'a> Ctx<'a> {
                     }
                 }
             }
-            Schedule::Guided { min_chunk } => {
-                let counter = self.ws_counter_for(range);
-                loop {
-                    self.emit(EventKind::LoopClaim, 0);
-                    match counter.next_guided(n, min_chunk) {
-                        Some(c) => {
-                            if !guarded(c) {
-                                break;
-                            }
-                        }
-                        None => break,
-                    }
-                }
-            }
-            Schedule::Auto => unreachable!("Auto resolved to a concrete schedule above"),
         }
         self.barrier();
     }
@@ -500,18 +459,9 @@ impl<'a> Ctx<'a> {
     /// Pops or steals one task and executes it. Returns false if none found.
     pub(crate) fn execute_one_task(&self) -> bool {
         let task = self.region.deques[self.tid].pop_bottom().or_else(|| {
-            // Randomized stealing from the FIFO end, a few rounds. With
-            // node-aware stealing active, the first sweep's worth of
-            // probes draws from same-node victims only (a remote steal
-            // drags the task's working set across the interconnect);
-            // later rounds go uniform so remote work is still found.
-            let n = self.region.active;
-            for round in 0..(2 * n) {
-                let v = if round < n && !self.local_victims.is_empty() {
-                    self.local_victims[(self.rng_next() >> 33) as usize % self.local_victims.len()]
-                } else {
-                    self.next_victim()
-                };
+            // Randomized stealing from the FIFO end, a few rounds.
+            for _ in 0..(2 * self.region.active) {
+                let v = self.next_victim();
                 if v == self.tid {
                     continue;
                 }
@@ -561,10 +511,9 @@ impl Team {
 
     /// Creates a team of `cfg.threads`: worker `tid` is pinned to core
     /// `tid % cores` when `cfg.pin` (OpenMP's `OMP_PROC_BIND` analogue; the
-    /// master is the caller's thread and is never pinned), task steals try
-    /// same-node victims first when `cfg.numa`, and `cfg.idle` bounds the
-    /// wait loops — in-region (worksharing-counter init, task-scope drains)
-    /// and between regions, before a worker parks.
+    /// master is the caller's thread and is never pinned), and `cfg.idle`
+    /// bounds the wait loops — in-region (worksharing-counter init,
+    /// task-scope drains) and between regions, before a worker parks.
     ///
     /// # Examples
     ///
@@ -588,7 +537,6 @@ impl Team {
             in_region: AtomicBool::new(false),
             stats: SchedulerStats::new(num_threads),
             idle: cfg.idle,
-            topology: cfg.numa.then(NumaTopology::probe),
         });
         let pin = cfg.pin;
         let handles = (1..num_threads)
@@ -818,47 +766,6 @@ mod tests {
     use std::sync::atomic::AtomicU64;
 
     #[test]
-    fn local_victims_follow_the_worker_to_cpu_mapping() {
-        // Two nodes of two CPUs each; workers map to CPUs as tid % cpus.
-        let topo = NumaTopology::parse_spec("0-1;2-3").unwrap();
-        assert_eq!(local_victims_for(&topo, 0, 4), vec![1]);
-        assert_eq!(local_victims_for(&topo, 2, 4), vec![3]);
-        // Oversubscription wraps: tid 4 lands on CPU 0 (node 0) alongside
-        // workers 0, 1, and 5.
-        assert_eq!(local_victims_for(&topo, 4, 6), vec![0, 1, 5]);
-        // A worker with no same-node peer gets an empty list (the steal
-        // loop then falls back to uniform selection).
-        assert_eq!(local_victims_for(&topo, 2, 3), Vec::<usize>::new());
-    }
-
-    /// Each thread's same-node victim list in a region of `active` threads
-    /// on a team built with NUMA ordering `numa`.
-    fn victim_lists(numa: bool, active: usize) -> Vec<Vec<usize>> {
-        let team = Team::with_config(PoolConfig {
-            threads: active,
-            numa,
-            ..PoolConfig::from_env()
-        });
-        let lists = std::sync::Mutex::new(vec![Vec::new(); active]);
-        team.parallel(|ctx| {
-            lists.lock().unwrap()[ctx.thread_num()] = ctx.local_victims.clone();
-        });
-        lists.into_inner().unwrap()
-    }
-
-    #[test]
-    fn team_honours_the_configured_numa_flag() {
-        // Forced on, every worker has a same-node peer whatever the host
-        // (a single-node host puts every peer on the one node); forced off,
-        // none has, even on a multi-node host or under TPM_NUMA=1.
-        for (tid, list) in victim_lists(true, 3).iter().enumerate() {
-            assert!(!list.is_empty(), "numa on: thread {tid} has no victims");
-            assert!(!list.contains(&tid), "thread {tid} lists itself");
-        }
-        assert!(victim_lists(false, 3).iter().all(Vec::is_empty));
-    }
-
-    #[test]
     fn region_runs_on_all_threads() {
         let team = Team::new(4);
         let hits = AtomicU64::new(0);
@@ -909,13 +816,7 @@ mod tests {
     #[test]
     fn ws_for_covers_all_iterations_all_schedules() {
         let team = Team::new(4);
-        for schedule in [
-            Schedule::Static { chunk: None },
-            Schedule::Static { chunk: Some(3) },
-            Schedule::Dynamic { chunk: 5 },
-            Schedule::Guided { min_chunk: 2 },
-            Schedule::Auto,
-        ] {
+        for schedule in [Schedule::Static, Schedule::Dynamic { chunk: 5 }] {
             let flags: Vec<AtomicU64> = (0..257).map(|_| AtomicU64::new(0)).collect();
             team.parallel(|ctx| {
                 ctx.ws_for(schedule, 0..257, |i| {
@@ -992,7 +893,7 @@ mod tests {
             ctx.single(|| {
                 runs.fetch_add(1, Ordering::Relaxed);
             });
-            ctx.ws_for(Schedule::Guided { min_chunk: 2 }, 0..40, |_| {});
+            ctx.ws_for(Schedule::Dynamic { chunk: 2 }, 0..40, |_| {});
             ctx.single(|| {
                 runs.fetch_add(1, Ordering::Relaxed);
             });
@@ -1005,7 +906,7 @@ mod tests {
         let team = Team::new(4);
         let total = team.parallel_for_reduce(
             4,
-            Schedule::static_default(),
+            Schedule::Static,
             0..10_000,
             || 0u64,
             |a, b| a + b,
@@ -1103,7 +1004,7 @@ mod tests {
     fn parallel_for_helper() {
         let team = Team::new(3);
         let flags: Vec<AtomicU64> = (0..100).map(|_| AtomicU64::new(0)).collect();
-        team.parallel_for(3, Schedule::static_default(), 0..100, |i| {
+        team.parallel_for(3, Schedule::Static, 0..100, |i| {
             flags[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(flags.iter().all(|f| f.load(Ordering::Relaxed) == 1));
@@ -1150,7 +1051,7 @@ mod cancel_tests {
         let done = AtomicU64::new(0);
         team.parallel(|ctx| {
             assert!(!ctx.is_cancelled());
-            ctx.ws_for(Schedule::static_default(), 0..10, |_| {
+            ctx.ws_for(Schedule::Static, 0..10, |_| {
                 done.fetch_add(1, Ordering::Relaxed);
             });
         });
@@ -1163,7 +1064,7 @@ mod cancel_tests {
         let token = CancelToken::with_deadline(std::time::Duration::ZERO);
         let executed = AtomicU64::new(0);
         team.parallel_with_token(2, &token, |ctx| {
-            ctx.ws_for(Schedule::static_default(), 0..1000, |_| {
+            ctx.ws_for(Schedule::Static, 0..1000, |_| {
                 executed.fetch_add(1, Ordering::Relaxed);
             });
             assert_eq!(
@@ -1188,7 +1089,7 @@ mod cancel_tests {
         let done = AtomicU64::new(0);
         team.parallel(|ctx| {
             assert!(!ctx.is_cancelled(), "fresh region must not be cancelled");
-            ctx.ws_for(Schedule::static_default(), 0..10, |_| {
+            ctx.ws_for(Schedule::Static, 0..10, |_| {
                 done.fetch_add(1, Ordering::Relaxed);
             });
         });

@@ -2,9 +2,9 @@
 //!
 //! The paper's data-parallel OpenMP versions use worksharing with the
 //! *static* schedule ("OpenMP static schedule is applied to all the three
-//! models for data parallelism"); *dynamic* and *guided* are provided for
-//! comparison, and the shared-counter transactions they cost are the
-//! benchmark's per-layer `forkjoin.loop_claims` metric (static never
+//! models for data parallelism"); *dynamic* is provided for comparison (the
+//! `omp_dyn` profile row), and the shared-counter transactions it costs are
+//! the benchmark's per-layer `forkjoin.loop_claims` metric (static never
 //! touches the counter). Static assignment is computed locally by each
 //! thread with zero coordination — the reason the paper finds worksharing
 //! cheaper than work stealing for uniform data parallelism.
@@ -13,116 +13,36 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A loop schedule, mirroring OpenMP's `schedule(...)` clause.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Schedule {
     /// Iterations divided into contiguous blocks, one per thread
-    /// (`schedule(static)`), or round-robin blocks of `chunk` when given
-    /// (`schedule(static, chunk)`).
-    Static {
-        /// Optional fixed chunk size; `None` means one block per thread.
-        chunk: Option<usize>,
-    },
+    /// (`schedule(static)`): the paper's default for all data-parallel
+    /// comparisons.
+    #[default]
+    Static,
     /// Threads grab `chunk`-sized blocks from a shared counter
     /// (`schedule(dynamic, chunk)`).
     Dynamic {
         /// Block size grabbed per fetch; must be ≥ 1.
         chunk: usize,
     },
-    /// Exponentially decreasing blocks, at least `min_chunk`
-    /// (`schedule(guided, min_chunk)`).
-    Guided {
-        /// Lower bound on the block size.
-        min_chunk: usize,
-    },
-    /// Picked per loop from the range size and team width
-    /// (`schedule(auto)`) — see [`Schedule::resolve`].
-    Auto,
 }
 
-impl Schedule {
-    /// The paper's default for all data-parallel comparisons.
-    pub const fn static_default() -> Self {
-        Schedule::Static { chunk: None }
-    }
-
-    /// Resolves [`Auto`](Schedule::Auto) to a concrete schedule for a loop
-    /// of `len` iterations on `num_threads` threads; concrete schedules pass
-    /// through unchanged.
-    ///
-    /// Heuristic: ranges with at least 64 iterations per thread take the
-    /// static schedule — the per-thread blocks are large enough that
-    /// uniform-cost imbalance is negligible, and static costs zero
-    /// coordination. Shorter ranges, where per-iteration cost is more
-    /// likely to dominate and imbalance bites, take the dynamic schedule
-    /// with a chunk sized for about four grabs per thread.
-    pub fn resolve(self, len: usize, num_threads: usize) -> Schedule {
-        let Schedule::Auto = self else {
-            return self;
-        };
-        let n = num_threads.max(1);
-        if len >= n * 64 {
-            Schedule::Static { chunk: None }
-        } else {
-            Schedule::Dynamic {
-                chunk: len.div_ceil(n * 4).max(1),
-            }
-        }
-    }
-}
-
-impl Default for Schedule {
-    fn default() -> Self {
-        Self::static_default()
-    }
-}
-
-/// Yields the chunks thread `tid` of `num_threads` executes under
-/// `schedule(static)` semantics for the iteration space `range`.
-///
-/// With `chunk = None`, iterations are split into `num_threads` contiguous
-/// blocks whose sizes differ by at most one (the first `len % num_threads`
-/// blocks get the extra iteration — OpenMP's usual static partition).
-/// With `chunk = Some(c)`, blocks of `c` are dealt round-robin.
-pub fn static_chunks(
-    range: Range<usize>,
-    tid: usize,
-    num_threads: usize,
-    chunk: Option<usize>,
-) -> Vec<Range<usize>> {
+/// The block of `range` thread `tid` of `num_threads` executes under
+/// `schedule(static)`: `range` is split into `num_threads` contiguous blocks
+/// whose sizes differ by at most one (the first `len % num_threads` blocks
+/// get the extra iteration — OpenMP's usual static partition). Empty when
+/// the thread gets no iteration.
+pub fn static_chunks(range: Range<usize>, tid: usize, num_threads: usize) -> Range<usize> {
     debug_assert!(tid < num_threads);
     let len = range.len();
-    match chunk {
-        None => {
-            let base = len / num_threads;
-            let extra = len % num_threads;
-            let (start, size) = if tid < extra {
-                (tid * (base + 1), base + 1)
-            } else {
-                (extra * (base + 1) + (tid - extra) * base, base)
-            };
-            if size == 0 {
-                Vec::new()
-            } else {
-                let s = range.start + start;
-                // One contiguous block per thread (a Vec for signature
-                // uniformity with the chunked schedule).
-                std::iter::once(s..s + size).collect()
-            }
-        }
-        Some(c) => {
-            let c = c.max(1);
-            let mut out = Vec::new();
-            let mut start = range.start + tid * c;
-            while start < range.end {
-                out.push(start..(start + c).min(range.end));
-                start += num_threads * c;
-            }
-            out
-        }
-    }
+    let base = len / num_threads;
+    let extra = len % num_threads;
+    let start = range.start + tid * base + tid.min(extra);
+    start..start + base + usize::from(tid < extra)
 }
 
-/// Shared state for one dynamic/guided worksharing loop.
+/// Shared state for one dynamic worksharing loop.
 ///
 /// One instance is active per team at a time (worksharing constructs end with
 /// an implicit barrier), so a single slot in the region state suffices.
@@ -139,17 +59,6 @@ impl LoopCounter {
             next: AtomicUsize::new(range.start),
             end: range.end,
         }
-    }
-
-    /// Claims the next `chunk` iterations (dynamic schedule); `None` when the
-    /// loop is exhausted.
-    pub fn next_dynamic(&self, chunk: usize) -> Option<Range<usize>> {
-        let chunk = chunk.max(1);
-        let start = self.next.fetch_add(chunk, Ordering::Relaxed);
-        if start >= self.end {
-            return None;
-        }
-        Some(start..(start + chunk).min(self.end))
     }
 
     /// Claims up to `max_batch` consecutive `chunk`-sized blocks in *one*
@@ -182,38 +91,6 @@ impl LoopCounter {
         }
         Some(start..(start + batch * chunk).min(self.end))
     }
-
-    /// Claims the next guided block: `remaining / num_threads`, clamped below
-    /// by `min_chunk` (OpenMP's guided schedule).
-    ///
-    /// `min_chunk` is honored for *every* block: when claiming the clamped
-    /// size would strand a tail smaller than `min_chunk`, the block absorbs
-    /// the tail instead (so the final block may reach `2·min_chunk − 1`).
-    /// Without the absorption the floor silently failed on the last trip —
-    /// e.g. 13 remaining with `min_chunk = 8` used to split 8 + 5.
-    pub fn next_guided(&self, num_threads: usize, min_chunk: usize) -> Option<Range<usize>> {
-        let min_chunk = min_chunk.max(1);
-        loop {
-            let start = self.next.load(Ordering::Relaxed);
-            if start >= self.end {
-                return None;
-            }
-            let remaining = self.end - start;
-            let base = (remaining / num_threads.max(1)).max(min_chunk);
-            let size = if remaining - base.min(remaining) < min_chunk {
-                remaining
-            } else {
-                base
-            };
-            if self
-                .next
-                .compare_exchange_weak(start, start + size, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-            {
-                return Some(start..start + size);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -234,12 +111,22 @@ mod tests {
         }
     }
 
+    /// Every block of a `LoopCounter` drained by one thread claiming
+    /// batches of up to `max_batch` chunks.
+    fn drain(c: &LoopCounter, chunk: usize, max_batch: usize) -> Vec<Range<usize>> {
+        let mut chunks = Vec::new();
+        while let Some(r) = c.next_dynamic_batch(chunk, 4, max_batch) {
+            chunks.push(r);
+        }
+        chunks
+    }
+
     #[test]
     fn static_block_partition_covers_exactly() {
         for n in [1, 2, 3, 7, 16] {
             for len in [0usize, 1, 5, 16, 100, 101] {
                 let all: Vec<_> = (0..n)
-                    .flat_map(|tid| static_chunks(10..10 + len, tid, n, None))
+                    .map(|tid| static_chunks(10..10 + len, tid, n))
                     .collect();
                 assert_exact_cover(&all, 10..10 + len);
             }
@@ -249,12 +136,7 @@ mod tests {
     #[test]
     fn static_block_sizes_differ_by_at_most_one() {
         let sizes: Vec<usize> = (0..7)
-            .map(|tid| {
-                static_chunks(0..100, tid, 7, None)
-                    .iter()
-                    .map(|c| c.len())
-                    .sum()
-            })
+            .map(|tid| static_chunks(0..100, tid, 7).len())
             .collect();
         let max = *sizes.iter().max().unwrap();
         let min = *sizes.iter().min().unwrap();
@@ -262,32 +144,14 @@ mod tests {
     }
 
     #[test]
-    fn static_chunked_is_round_robin() {
-        let c0 = static_chunks(0..10, 0, 2, Some(2));
-        let c1 = static_chunks(0..10, 1, 2, Some(2));
-        assert_eq!(c0, vec![0..2, 4..6, 8..10]);
-        assert_eq!(c1, vec![2..4, 6..8]);
-    }
-
-    #[test]
-    fn static_chunked_covers_exactly() {
-        for n in [1, 2, 5] {
-            for chunk in [1, 3, 64] {
-                let all: Vec<_> = (0..n)
-                    .flat_map(|tid| static_chunks(0..97, tid, n, Some(chunk)))
-                    .collect();
-                assert_exact_cover(&all, 0..97);
-            }
-        }
-    }
-
-    #[test]
     fn dynamic_counter_covers_exactly() {
+        // A batch of at most one chunk is plain `schedule(dynamic)`.
         let c = LoopCounter::new(0..100);
-        let mut chunks = Vec::new();
-        while let Some(r) = c.next_dynamic(7) {
-            chunks.push(r);
-        }
+        let chunks = drain(&c, 7, 1);
+        assert!(
+            chunks.iter().all(|r| r.len() == 7 || r.end == 100),
+            "{chunks:?}"
+        );
         assert_exact_cover(&chunks, 0..100);
     }
 
@@ -298,48 +162,12 @@ mod tests {
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
-                    let mut local = Vec::new();
-                    while let Some(r) = c.next_dynamic(13) {
-                        local.push(r);
-                    }
+                    let local = drain(&c, 13, 1);
                     collected.lock().unwrap().extend(local);
                 });
             }
         });
         assert_exact_cover(&collected.into_inner().unwrap(), 0..10_000);
-    }
-
-    #[test]
-    fn guided_chunks_shrink() {
-        let c = LoopCounter::new(0..1000);
-        let mut sizes = Vec::new();
-        while let Some(r) = c.next_guided(4, 8) {
-            sizes.push(r.len());
-        }
-        // Non-increasing (single-threaded claim order), except that the
-        // final block may absorb a sub-min_chunk tail and grow by up to
-        // min_chunk − 1.
-        for w in sizes[..sizes.len() - 1].windows(2) {
-            assert!(w[0] >= w[1], "{sizes:?}");
-        }
-        // The min_chunk floor holds for *every* block, tail included.
-        for &s in &sizes {
-            assert!(s >= 8, "{sizes:?}");
-        }
-        assert!(*sizes.last().unwrap() < 16, "{sizes:?}");
-        assert_eq!(sizes.iter().sum::<usize>(), 1000);
-    }
-
-    #[test]
-    fn guided_final_chunk_honors_min_chunk() {
-        // Regression: 13 remaining with min_chunk 8 used to split 8 + 5,
-        // handing out a 5-iteration block below the requested floor.
-        let c = LoopCounter::new(0..13);
-        assert_eq!(c.next_guided(4, 8), Some(0..13));
-        assert_eq!(c.next_guided(4, 8), None);
-        // A range below min_chunk is one (short) block — nothing to honor.
-        let c = LoopCounter::new(0..5);
-        assert_eq!(c.next_guided(4, 8), Some(0..5));
     }
 
     #[test]
@@ -380,48 +208,11 @@ mod tests {
     }
 
     #[test]
-    fn auto_schedule_resolution() {
-        // Wide range: static. Short range: dynamic with a ~len/4n chunk.
-        assert_eq!(
-            Schedule::Auto.resolve(10_000, 4),
-            Schedule::Static { chunk: None }
-        );
-        assert_eq!(
-            Schedule::Auto.resolve(100, 4),
-            Schedule::Dynamic { chunk: 7 }
-        );
-        assert_eq!(Schedule::Auto.resolve(0, 4), Schedule::Dynamic { chunk: 1 });
-        // Concrete schedules pass through untouched.
-        assert_eq!(
-            Schedule::Guided { min_chunk: 3 }.resolve(10, 2),
-            Schedule::Guided { min_chunk: 3 }
-        );
-    }
-
-    #[test]
-    fn guided_concurrent_cover() {
-        let c = LoopCounter::new(0..5000);
-        let collected = std::sync::Mutex::new(Vec::new());
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    let mut local = Vec::new();
-                    while let Some(r) = c.next_guided(4, 4) {
-                        local.push(r);
-                    }
-                    collected.lock().unwrap().extend(local);
-                });
-            }
-        });
-        assert_exact_cover(&collected.into_inner().unwrap(), 0..5000);
-    }
-
-    #[test]
     fn empty_range_yields_nothing() {
-        assert!(static_chunks(5..5, 0, 4, None).is_empty());
+        assert!(static_chunks(5..5, 0, 4).is_empty());
+        assert!(static_chunks(0..3, 3, 4).is_empty());
         let c = LoopCounter::new(5..5);
-        assert!(c.next_dynamic(4).is_none());
+        assert!(c.next_dynamic_batch(4, 2, 1).is_none());
         assert!(c.next_dynamic_batch(4, 2, 8).is_none());
-        assert!(c.next_guided(4, 1).is_none());
     }
 }

@@ -53,9 +53,6 @@ experiments: table1 table2 table3 fig1..fig10 figures tables all check ht numasi
                      (median + stddev seconds) for figure experiments and
                      ht, or the loadgen report (not accepted by check)
   --pin              pin runtime worker threads to cores (TPM_PIN=1)
-  --numa mode        NUMA-aware victim ordering in every pooled runtime
-                     on multi-node machines: on (TPM_NUMA=1), off
-                     (TPM_NUMA=0), or auto (on only with --pin) [auto]
   --kernel-variant v run native kernels with the reference (paper-faithful
                      scalar) or optimized (vectorized/blocked/tiled) data
                      path; default reference
@@ -109,10 +106,6 @@ pub struct CommonOpts {
     pub pin: bool,
     /// Install the fault plan at this path (tpm-fault JSON) for the run.
     pub fault_plan: Option<PathBuf>,
-    /// NUMA-aware victim ordering on multi-node topologies: `Some(true)`
-    /// allows it (`TPM_NUMA=1`), `Some(false)` disables it, `None` follows
-    /// `--pin`.
-    pub numa: Option<bool>,
 }
 
 /// Knobs shared by the `serve` and `loadgen` subcommands.
@@ -254,17 +247,6 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
                 common.json_out = Some(PathBuf::from(v));
             }
             "--pin" => common.pin = true,
-            "--numa" => {
-                let v = flag_value(args, &mut i, "--numa")?;
-                common.numa = match v {
-                    "on" => Some(true),
-                    "off" => Some(false),
-                    "auto" => None,
-                    _ => {
-                        return Err(format!("invalid --numa value '{v}': expected on|off|auto"));
-                    }
-                };
-            }
             "--fault-plan" => {
                 let v = flag_value(args, &mut i, "--fault-plan")?;
                 common.fault_plan = Some(PathBuf::from(v));
@@ -611,26 +593,6 @@ mod tests {
         assert!(err.contains("--connections"), "{err}");
         assert!(p(&["loadgen", "--window", "none"]).is_err());
         assert!(p(&["loadgen", "--protocol"])
-            .unwrap_err()
-            .contains("requires a value"));
-    }
-
-    #[test]
-    fn parses_numa_modes() {
-        let cli = p(&["serve", "--numa", "on"]).unwrap();
-        assert_eq!(cli.common.numa, Some(true));
-        let cli = p(&["serve", "--numa", "off"]).unwrap();
-        assert_eq!(cli.common.numa, Some(false));
-        let cli = p(&["fig5", "--numa", "auto"]).unwrap();
-        assert_eq!(cli.common.numa, None);
-        assert_eq!(p(&["serve"]).unwrap().common.numa, None);
-
-        let err = p(&["fig5", "--numa", "both"]).unwrap_err();
-        assert!(
-            err.contains("--numa") && err.contains("on|off|auto"),
-            "{err}"
-        );
-        assert!(p(&["serve", "--numa"])
             .unwrap_err()
             .contains("requires a value"));
     }

@@ -204,8 +204,7 @@ pub const NUMA_THREADS: [usize; 4] = [8, 18, 24, 36];
 /// Extension experiment (`numasim`): NUMA placement × victim-policy sweep of
 /// the Fig. 5 task tree on the simulated two-socket testbed. Cross-node
 /// steals pay [`tpm_sim::CostModel::steal_remote_penalty`]; node-aware
-/// victim ordering (what `--numa on` enables in the real runtimes) earns
-/// its keep once workers span both sockets.
+/// victim ordering earns its keep once workers span both sockets.
 pub fn numasim_figure() -> Figure {
     numasim_figure_from(&numasim_rows())
 }

@@ -12,14 +12,16 @@ use tpm_sync::json;
 use crate::native::NativeConfig;
 
 /// Renders a benchmark run — a set of figures measured under one
-/// configuration — as a JSON object.
+/// configuration — as a JSON object. `numa` is always `"off"`: the native
+/// runtimes have one victim order (NUMA placement is `numasim`'s), and the
+/// key stays so the schema does not change.
 ///
 /// Schema:
 /// ```json
 /// {
 ///   "experiment": "figures", "native": true,
 ///   "threads": [1, 2], "reps": 3, "scale": 1, "pinned": false,
-///   "numa": "auto", "kernel_variant": "reference",
+///   "numa": "off", "kernel_variant": "reference",
 ///   "figures": [
 ///     { "title": "Fig.1 Axpy (native)",
 ///       "series": [
@@ -33,17 +35,15 @@ pub fn run_json(
     experiment: &str,
     native: bool,
     pinned: bool,
-    numa: &str,
     cfg: &NativeConfig,
     figures: &[Figure],
 ) -> String {
     let threads: Vec<String> = cfg.threads.iter().map(usize::to_string).collect();
     let mut out = format!(
         "{{\n  \"experiment\": \"{}\",\n  \"native\": {native},\n  \"pinned\": {pinned},\n  \
-         \"numa\": \"{}\",\n  \"kernel_variant\": \"{}\",\n  \"threads\": [{}],\n  \
+         \"numa\": \"off\",\n  \"kernel_variant\": \"{}\",\n  \"threads\": [{}],\n  \
          \"reps\": {},\n  \"scale\": {},\n  \"figures\": [\n",
         json::escape(experiment),
-        json::escape(numa),
         cfg.variant.name(),
         threads.join(", "),
         cfg.reps,
@@ -103,9 +103,9 @@ mod tests {
             variant: tpm_core::KernelVariant::Optimized,
             models: tpm_core::Model::ALL.to_vec(),
         };
-        let j = run_json("figures", true, false, "on", &cfg, &sample());
+        let j = run_json("figures", true, false, &cfg, &sample());
         assert!(j.contains("\"experiment\": \"figures\""));
-        assert!(j.contains("\"numa\": \"on\""));
+        assert!(j.contains("\"numa\": \"off\""));
         assert!(j.contains("\"kernel_variant\": \"optimized\""));
         assert!(j.contains("\\\"quoted\\\""));
         assert!(j.contains("\"median_s\": 0.250000000"));
@@ -128,7 +128,7 @@ mod tests {
             variant: tpm_core::KernelVariant::Reference,
             models: tpm_core::Model::ALL.to_vec(),
         };
-        let j = run_json("figures", true, false, "off", &cfg, &[f]);
+        let j = run_json("figures", true, false, &cfg, &[f]);
         assert!(j.contains("\"median_s\": null, \"stddev_s\": null"), "{j}");
     }
 }

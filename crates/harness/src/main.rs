@@ -66,20 +66,12 @@ fn run(cli: &Cli, fault_plan: Option<tpm_fault::FaultPlan>) -> i32 {
         json_out,
         pin,
         fault_plan: _, // consumed in main(); the session is already live
-        numa,
     } = common;
 
     if *pin {
         // The runtimes consult TPM_PIN when they spawn workers; the flag is
         // just the CLI spelling of the env knob.
         std::env::set_var("TPM_PIN", "1");
-    }
-    match numa {
-        // Like --pin: PoolConfig::from_env reads TPM_NUMA when a runtime
-        // is built; auto leaves the env alone so pinning decides.
-        Some(true) => std::env::set_var("TPM_NUMA", "1"),
-        Some(false) => std::env::set_var("TPM_NUMA", "0"),
-        None => {}
     }
 
     type SimFig = fn() -> tpm_core::Figure;
@@ -178,12 +170,7 @@ fn run(cli: &Cli, fault_plan: Option<tpm_fault::FaultPlan>) -> i32 {
             return code;
         }
         let figs = collected.borrow();
-        let numa_mode = match numa {
-            Some(true) => "on",
-            Some(false) => "off",
-            None => "auto",
-        };
-        let body = tpm_harness::json::run_json(experiment, native, *pin, numa_mode, cfg, &figs);
+        let body = tpm_harness::json::run_json(experiment, native, *pin, cfg, &figs);
         match std::fs::write(path, body) {
             Ok(()) => {
                 println!("[json] {} figure(s) -> {}", figs.len(), path.display());
@@ -250,12 +237,7 @@ fn run(cli: &Cli, fault_plan: Option<tpm_fault::FaultPlan>) -> i32 {
         "serve" => service::run_serve(service),
         "loadgen" => {
             let job = kernel.as_deref().unwrap_or("sum");
-            let numa_mode = match numa {
-                Some(true) => "on",
-                Some(false) => "off",
-                None => "auto",
-            };
-            service::run_loadgen(job, service, cfg.variant, numa_mode, json_out.as_deref())
+            service::run_loadgen(job, service, cfg.variant, json_out.as_deref())
         }
         "top" => top::run(service),
         "metrics" => top::run_once(service),

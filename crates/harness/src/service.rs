@@ -97,7 +97,6 @@ pub fn run_loadgen(
     job: &str,
     opts: &ServiceOpts,
     variant: KernelVariant,
-    numa_mode: &str,
     json_out: Option<&Path>,
 ) -> i32 {
     let config = LoadgenConfig {
@@ -135,7 +134,7 @@ pub fn run_loadgen(
         let body = format!(
             "{{\"experiment\":\"loadgen\",\"job\":\"{}\",\"model\":\"{}\",\"size\":{},\
              \"clients\":{},\"requests\":{},\"protocol\":\"{}\",\"window\":{},\
-             \"numa\":\"{}\",\"report\":{}}}\n",
+             \"numa\":\"off\",\"report\":{}}}\n",
             json::escape(job),
             opts.model.name(),
             opts.size,
@@ -143,7 +142,6 @@ pub fn run_loadgen(
             opts.requests,
             opts.protocol.name(),
             opts.window,
-            json::escape(numa_mode),
             report.to_json()
         );
         if let Err(e) = std::fs::write(path, body) {
@@ -207,7 +205,7 @@ mod tests {
             requests: 1,
             ..ServiceOpts::default()
         };
-        let code = run_loadgen("sum", &opts, KernelVariant::Reference, "auto", None);
+        let code = run_loadgen("sum", &opts, KernelVariant::Reference, None);
         assert_eq!(code, 1);
     }
 
@@ -221,7 +219,7 @@ mod tests {
         };
         let path = std::env::temp_dir().join(format!("tpm-loadgen-{}.json", std::process::id()));
         let job = "s\u{1}u\"m\\\u{e9}";
-        run_loadgen(job, &opts, KernelVariant::Reference, "au\tto", Some(&path));
+        run_loadgen(job, &opts, KernelVariant::Reference, Some(&path));
         let body = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();
         let mut fields = Vec::new();
@@ -232,6 +230,6 @@ mod tests {
         })
         .and_then(|()| r.end())
         .unwrap_or_else(|e| panic!("{e}: {body}"));
-        assert_eq!(fields, [job, "au\tto"]);
+        assert_eq!(fields, [job, "off"]);
     }
 }

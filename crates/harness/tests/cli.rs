@@ -1,5 +1,6 @@
 //! The `tpm-harness` binary driven as a user runs it: `--json-out` either
-//! writes its file or is refused, never silently ignored.
+//! writes its file or is refused, never silently ignored, and a removed
+//! flag is a usage error.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -53,4 +54,15 @@ fn check_json_out_is_a_usage_error() {
     assert!(err.starts_with("error: "), "{err}");
     assert!(err.contains("usage:"), "{err}");
     assert!(!path.exists(), "a refused run writes nothing");
+}
+
+#[test]
+fn numa_flag_is_a_usage_error() {
+    // The runtimes have one victim order; NUMA placement is simulated
+    // (`numasim`), so `--numa` is an unknown flag.
+    let out = harness(&["table1", "--numa", "on"]);
+    assert_eq!(out.status.code(), Some(2), "--numa must be refused");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.starts_with("error: unknown flag"), "{err}");
+    assert!(err.contains("--numa") && err.contains("usage:"), "{err}");
 }

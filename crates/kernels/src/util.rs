@@ -191,7 +191,7 @@ pub fn advise_hugepages_for<T>(buf: &[T]) -> bool {
     if bytes < HUGEPAGE_THRESHOLD_BYTES {
         return false;
     }
-    tpm_sync::topology::advise_hugepages(buf.as_ptr().cast(), bytes)
+    tpm_sync::affinity::advise_hugepages(buf.as_ptr().cast(), bytes)
 }
 
 /// Max-abs-difference between two vectors (for verification).

@@ -1,9 +1,10 @@
 //! NUMA placement-policy simulation: where workers sit and whom they rob.
 //!
-//! The real runtimes in this workspace gained node-aware victim ordering
-//! (`tpm-worksteal`'s `VictimPlan`, `tpm-forkjoin`'s local-victim rounds);
-//! this module predicts when that matters. It runs the Fig. 5 fib task tree
-//! under [`Simulator::run_fib`]'s charges, plus the two degrees of freedom
+//! The paper's testbed has two sockets, and the native runtimes scan
+//! victims in one neighbour-first order, so node-aware victim ordering is
+//! studied here, on the simulated testbed: this module predicts when it
+//! matters. It runs the Fig. 5 fib task tree under
+//! [`Simulator::run_fib`]'s charges, plus the two degrees of freedom
 //! `run_fib` leaves out (it puts every worker on one node):
 //!
 //! * [`Placement`] — how software threads map onto physical cores: `Packed`
@@ -11,8 +12,7 @@
 //!   order); `Scatter` round-robins sockets (OpenMP's `KMP_AFFINITY=scatter`).
 //! * [`VictimPolicy`] — whom a starving worker robs: `Random` picks
 //!   uniformly (the classic Blumofe–Leiserson choice); `NodeAware`
-//!   alternates same-socket attempts with uniform fallback rounds, the
-//!   discipline the real runtimes implement.
+//!   alternates same-socket attempts with uniform fallback rounds.
 //!
 //! Cross-node steals pay [`CostModel::steal_remote_penalty`] on every deque
 //! round trip — the thief's CAS on a victim whose deque top lives in the
@@ -61,8 +61,7 @@ impl Placement {
 pub enum VictimPolicy {
     /// Uniform random over all other workers.
     Random,
-    /// Alternate same-node attempts with uniform fallback rounds — the
-    /// ordering `tpm-worksteal` and `tpm-forkjoin` implement under `--numa`.
+    /// Alternate same-node attempts with uniform fallback rounds.
     NodeAware,
 }
 

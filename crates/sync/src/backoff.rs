@@ -11,10 +11,9 @@
 use std::hint;
 use std::thread;
 
-/// Maximum exponent for the pure-spin phase: up to `2^SPIN_LIMIT` spin hints.
+/// Maximum exponent for the pure-spin phase: up to `2^SPIN_LIMIT` spin
+/// hints, after which [`Backoff::snooze`] yields to the OS.
 const SPIN_LIMIT: u32 = 6;
-/// Exponent at which [`Backoff::snooze`] starts yielding to the OS.
-const YIELD_LIMIT: u32 = 10;
 
 /// Exponential backoff helper for spin loops.
 ///
@@ -43,25 +42,6 @@ impl Backoff {
         }
     }
 
-    /// Resets to the initial stage (call after making progress).
-    pub fn reset(&self) {
-        self.step.set(0);
-    }
-
-    /// Backs off for a failed compare-and-swap: spin only, never yields.
-    ///
-    /// Use between CAS retries where the owner is expected to finish in a few
-    /// instructions.
-    pub fn spin(&self) {
-        let step = self.step.get().min(SPIN_LIMIT);
-        for _ in 0..(1u32 << step) {
-            hint::spin_loop();
-        }
-        if self.step.get() <= SPIN_LIMIT {
-            self.step.set(self.step.get() + 1);
-        }
-    }
-
     /// Backs off while waiting for a condition owned by another thread:
     /// spins first, then yields to the OS scheduler.
     pub fn snooze(&self) {
@@ -70,18 +50,10 @@ impl Backoff {
             for _ in 0..(1u32 << step) {
                 hint::spin_loop();
             }
+            self.step.set(step + 1);
         } else {
             thread::yield_now();
         }
-        if step <= YIELD_LIMIT {
-            self.step.set(step + 1);
-        }
-    }
-
-    /// True once the waiter has backed off long enough that blocking (parking)
-    /// would be cheaper than continuing to spin.
-    pub fn is_completed(&self) -> bool {
-        self.step.get() > YIELD_LIMIT
     }
 }
 
@@ -96,32 +68,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn completes_after_enough_snoozes() {
+    fn snooze_escalates_to_yielding_and_stays_there() {
         let b = Backoff::new();
-        assert!(!b.is_completed());
-        for _ in 0..=YIELD_LIMIT {
+        for _ in 0..=SPIN_LIMIT {
+            assert!(b.step.get() <= SPIN_LIMIT, "still spinning");
             b.snooze();
         }
-        assert!(b.is_completed());
-    }
-
-    #[test]
-    fn reset_restarts_the_schedule() {
-        let b = Backoff::new();
-        for _ in 0..=YIELD_LIMIT {
-            b.snooze();
-        }
-        assert!(b.is_completed());
-        b.reset();
-        assert!(!b.is_completed());
-    }
-
-    #[test]
-    fn spin_never_completes() {
-        let b = Backoff::new();
+        // Far past the spin phase: every further snooze yields, and the
+        // step never grows into an overflowing shift.
         for _ in 0..100 {
-            b.spin();
+            b.snooze();
+            assert_eq!(b.step.get(), SPIN_LIMIT + 1);
         }
-        assert!(!b.is_completed());
     }
 }

@@ -10,10 +10,10 @@
 //! recursive chunks) to provide that guarantee.
 //!
 //! Tokens form a tree: [`CancelToken::child`] derives a token that observes
-//! its parent's cancellation (and deadline) but can be cancelled — or given
-//! a tighter deadline — independently, so one server-wide shutdown token
-//! fans out to per-request tokens. All operations are lock-free: a token is
-//! an `Arc` chain of atomic flags plus immutable deadlines, so checking one
+//! its parent's cancellation (and deadline) but can be cancelled
+//! independently, so one server-wide shutdown token fans out to per-request
+//! tokens. All operations are lock-free: a token is an `Arc` chain of
+//! atomic flags plus immutable deadlines, so checking one
 //! from a hot loop costs a few relaxed loads (plus one clock read when a
 //! deadline is set).
 //!
@@ -159,14 +159,6 @@ impl CancelToken {
         }
     }
 
-    /// Derives a child token expiring at `deadline`.
-    #[must_use]
-    pub fn child_with_deadline_at(&self, deadline: Instant) -> Self {
-        Self {
-            inner: Inner::new(Some(deadline), Some(Arc::clone(&self.inner))),
-        }
-    }
-
     /// Requests cancellation: this token and every descendant observe it at
     /// their next check. Idempotent; never blocks.
     pub fn cancel(&self) {
@@ -302,17 +294,7 @@ mod tests {
         let parent = CancelToken::with_deadline(Duration::ZERO);
         let child = parent.child();
         assert_eq!(child.reason(), Some(CancelReason::DeadlineExpired));
-    }
-
-    #[test]
-    fn effective_deadline_is_the_tightest() {
-        let far = Instant::now() + Duration::from_secs(1000);
-        let near = Instant::now() + Duration::from_secs(1);
-        let parent = CancelToken::with_deadline_at(far);
-        let child = parent.child_with_deadline_at(near);
-        assert_eq!(child.deadline(), Some(near));
-        // The parent keeps its own.
-        assert_eq!(parent.deadline(), Some(far));
+        assert_eq!(child.deadline(), parent.deadline());
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! The one scheduler-event vocabulary: the runtime events the paper's
 //! analysis is phrased in (steals, chunk dispatches, barrier episodes, task
-//! creation, thread spawn cost) plus lock and worker-health events. A runtime
+//! creation, thread spawn cost) plus worker-health events. A runtime
 //! reports each event once, with `tpm_trace::emit`, which bumps the
 //! [`WorkerStats`](crate::WorkerStats) counter of a
 //! [counted](EventKind::counted) kind and records the trace event; the
 //! metrics view reads the counters back under [`EventKind::metric_label`].
 
-/// Declares [`EventKind`] with its discriminants, [`EventKind::ALL`] and
-/// [`EventKind::name`] from one list, so the three cannot drift apart.
+/// Declares [`EventKind`] with its discriminants, [`EventKind::ALL`],
+/// [`EventKind::name`] and [`EventKind::from_u8`] from one list, so they
+/// cannot drift apart.
 macro_rules! event_kinds {
     ($($(#[doc = $doc:literal])+ $kind:ident = $n:literal => $name:literal,)+) => {
         /// What happened. Discriminants are stable: the trace ring stores them.
@@ -21,10 +22,23 @@ macro_rules! event_kinds {
             /// Every kind, in discriminant order.
             pub const ALL: [EventKind; [$($n),+].len()] = [$(EventKind::$kind),+];
 
+            /// One past the largest discriminant: the length of an array
+            /// indexed by `kind as usize` (retired discriminants leave gaps).
+            pub const END: usize = Self::ALL[Self::ALL.len() - 1] as usize + 1;
+
             /// Stable lowercase name (used in Chrome-trace output and summaries).
             pub fn name(self) -> &'static str {
                 match self {
                     $(EventKind::$kind => $name,)+
+                }
+            }
+
+            /// Decodes a discriminant produced by `as u8`; `None` if no kind
+            /// has it.
+            pub fn from_u8(v: u8) -> Option<Self> {
+                match v {
+                    $($n => Some(EventKind::$kind),)+
+                    _ => None,
                 }
             }
         }
@@ -56,10 +70,6 @@ event_kinds! {
     /// This worker was released from a barrier (`a` = wait nanoseconds,
     /// summed into `barrier_wait_ns`).
     BarrierRelease = 8 => "barrier_release",
-    /// A lock was acquired (uncontended fast path included).
-    LockAcquire = 9 => "lock_acquire",
-    /// A lock acquisition had to wait for another holder.
-    LockContended = 10 => "lock_contended",
     /// An OS thread was created on behalf of this worker (`a` = ordinal).
     ThreadSpawn = 11 => "thread_spawn",
     /// An OS thread was joined (`a` = ordinal).
@@ -71,8 +81,8 @@ event_kinds! {
     /// A team continued at reduced parallelism after a worker death
     /// (`a` = surviving width).
     DegradedWidth = 15 => "degraded_width",
-    /// One claim transaction against a dynamic/guided loop's shared
-    /// counter; one claim can serve a batch of chunks.
+    /// One claim transaction against a dynamic loop's shared counter; one
+    /// claim can serve a batch of chunks.
     LoopClaim = 16 => "loop_claim",
     /// The worker gave up spinning/yielding, parked, and was woken.
     Park = 17 => "park",
@@ -134,11 +144,6 @@ impl EventKind {
             _ => return None,
         })
     }
-
-    /// Decodes a discriminant produced by `as u8`; `None` if out of range.
-    pub fn from_u8(v: u8) -> Option<Self> {
-        EventKind::ALL.get(v as usize).copied()
-    }
 }
 
 #[cfg(test)]
@@ -149,8 +154,16 @@ mod tests {
     fn kinds_round_trip_through_u8() {
         for k in EventKind::ALL {
             assert_eq!(EventKind::from_u8(k as u8), Some(k));
+            assert!((k as usize) < EventKind::END, "{k:?}");
         }
-        assert_eq!(EventKind::from_u8(200), None);
+        assert!(EventKind::ALL
+            .windows(2)
+            .all(|w| (w[0] as u8) < (w[1] as u8)));
+        // 9 and 10 stay unassigned, so a retired lock event never decodes
+        // as another kind.
+        for retired in [9, 10, 200] {
+            assert_eq!(EventKind::from_u8(retired), None);
+        }
     }
 
     #[test]

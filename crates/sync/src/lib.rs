@@ -17,9 +17,9 @@
 //! | [`Reducer`] | all three | Cilk reducers / OpenMP `reduction` clause |
 //! | [`IdleStrategy`] / [`Sleepers`] | every pooled runtime | worker idle loops and outside callers' waits (spin → yield → park until woken) |
 //! | [`MpscQueue`] | `tpm-actors` | Vyukov MPSC mailboxes (Charm++/ParalleX-style messaging) |
-//! | [`PoolConfig`] / [`env_flag`] | all pooled runtimes | the one runtime configuration (threads/pin/numa/idle, each runtime's `with_config`) and the one boolean env-knob parser |
+//! | [`PoolConfig`] / [`env_flag`] | all pooled runtimes | the one runtime configuration (threads/pin/idle, each runtime's `with_config`) and the one boolean env-knob parser |
 //! | [`CancelToken`] | all three | cooperative cancellation + deadlines (job service) |
-//! | [`affinity`] | all three | core pinning (`TPM_PIN`, `OMP_PROC_BIND` analogue) |
+//! | [`affinity`] | all three, `tpm-kernels` | core pinning (`TPM_PIN`, `OMP_PROC_BIND` analogue) and the huge-page hint for large buffers |
 //! | [`epoll`] | `tpm-serve` | readiness polling for the socket reactor (raw epoll syscalls on Linux x86-64, a tick poller elsewhere) |
 //! | [`json`] | every JSON reader and writer | the one escaper, number policy and pull reader (wire, traces, metrics, figures, fault plans) |
 //! | [`event`] + [`stats`] | every runtime, `tpm-trace`, `tpm-serve` | the one scheduler-event vocabulary ([`EventKind`]) and its always-on per-worker counters |
@@ -48,7 +48,6 @@ mod reducer;
 pub mod rng;
 mod spinlock;
 pub mod stats;
-pub mod topology;
 
 pub use backoff::Backoff;
 pub use barrier::{Barrier, BarrierWaitResult};

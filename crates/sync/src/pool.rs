@@ -2,13 +2,12 @@
 //!
 //! Every pooled runtime in the workspace (`tpm-forkjoin`'s `Team`,
 //! `tpm-worksteal`'s `Runtime`, `tpm-actors`' `ActorRuntime`) is built from
-//! one [`PoolConfig`] — worker count, core pinning, NUMA-aware victim
-//! ordering, and the idle escalation policy — through its `with_config`
+//! one [`PoolConfig`] — worker count, core pinning and the idle escalation
+//! policy — through its `with_config`
 //! constructor (`new(threads)` is `with_config` over [`PoolConfig::from_env`]).
 //! This is the one place those knobs and their environment-variable defaults
 //! live, and [`env_flag`] the one parser of the boolean environment knobs.
 
-use crate::topology::{numa_from_env, NumaTopology};
 use crate::IdleStrategy;
 
 /// Parses a boolean environment knob: `1`/`true`/`on`/`yes` is `Some(true)`,
@@ -50,10 +49,6 @@ pub struct PoolConfig {
     /// Pin worker `i` to core `i % cores` (no-op without
     /// `sched_setaffinity`).
     pub pin: bool,
-    /// Node-aware victim ordering: thieves try same-NUMA-node victims
-    /// before crossing the interconnect. Workers map to CPUs as
-    /// `index % cpus`, matching [`pin`](Self::pin)'s placement.
-    pub numa: bool,
     /// Idle escalation `(spin_rounds, yield_rounds)` before parking (see
     /// [`IdleStrategy::new`]).
     pub idle: (u32, u32),
@@ -61,16 +56,11 @@ pub struct PoolConfig {
 
 impl PoolConfig {
     /// The defaults every runtime starts from: one worker, pinning from
-    /// `TPM_PIN`, NUMA ordering when the probed topology has more than one
-    /// node and `TPM_NUMA` allows it (unset, it follows pinning: without
-    /// pinning the worker→CPU mapping is fiction), the shared runtime idle
-    /// budget.
+    /// `TPM_PIN`, the shared runtime idle budget.
     pub fn from_env() -> Self {
-        let pin = crate::affinity::pin_from_env();
         PoolConfig {
             threads: 1,
-            pin,
-            numa: numa_from_env(pin) && NumaTopology::probe().num_nodes() > 1,
+            pin: crate::affinity::pin_from_env(),
             idle: (
                 IdleStrategy::RUNTIME_DEFAULT_SPIN,
                 IdleStrategy::RUNTIME_DEFAULT_YIELD,

@@ -78,19 +78,6 @@ impl<T: ?Sized> SpinLock<T> {
         }
     }
 
-    /// Attempts to acquire the lock without spinning.
-    pub fn try_lock(&self) -> Option<SpinGuard<'_, T>> {
-        if self
-            .locked
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-        {
-            Some(SpinGuard { lock: self })
-        } else {
-            None
-        }
-    }
-
     /// Returns a mutable reference without locking (requires `&mut self`,
     /// which already proves exclusivity).
     pub fn get_mut(&mut self) -> &mut T {
@@ -137,15 +124,6 @@ mod tests {
             }
         });
         assert_eq!(lock.into_inner(), 80_000);
-    }
-
-    #[test]
-    fn try_lock_fails_while_held() {
-        let lock = SpinLock::new(());
-        let g = lock.lock();
-        assert!(lock.try_lock().is_none());
-        drop(g);
-        assert!(lock.try_lock().is_some());
     }
 
     #[test]

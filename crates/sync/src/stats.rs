@@ -267,7 +267,7 @@ mod tests {
         count_n(s.worker(0), EventKind::ChunkDispatch, 7);
         count_n(s.worker(0), EventKind::LoopClaim, 2);
         s.worker(1).count(EventKind::BarrierRelease, 1_234);
-        s.worker(1).count(EventKind::LockAcquire, 5);
+        s.worker(1).count(EventKind::ThreadJoin, 5);
         let snap = s.snapshot();
         assert_eq!(snap.spawned, 5);
         assert_eq!(snap.steals, 1);

@@ -204,7 +204,7 @@ mod tests {
         let _guard = session::SESSION_LOCK
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        record(EventKind::LockAcquire, 1, 2);
+        record(EventKind::ThreadJoin, 1, 2);
         assert!(!enabled());
     }
 

@@ -8,7 +8,7 @@ use crate::session::Trace;
 /// Event counts bucketed by [`EventKind`].
 #[derive(Debug, Clone, Default)]
 pub struct KindCounts {
-    counts: [u64; EventKind::ALL.len()],
+    counts: [u64; EventKind::END],
 }
 
 impl KindCounts {

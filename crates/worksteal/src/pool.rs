@@ -7,8 +7,8 @@
 //!
 //! * per-worker Chase–Lev deques plus a locked injector for external
 //!   submissions;
-//! * batch stealing over a per-worker `VictimPlan` (same-NUMA-node victims
-//!   first), scanned round-robin from an offset that rotates every episode;
+//! * batch stealing: each episode scans every other worker once,
+//!   neighbour-first from an offset that rotates every episode;
 //! * idle escalation spin → yield → park until woken: a worker parks
 //!   through [`Sleepers`], and every push, injection and multi-item steal
 //!   wakes one sleeper, so no idle worker polls;
@@ -43,7 +43,6 @@ use std::thread::{JoinHandle, ThreadId};
 
 use tpm_fault::{Action as FaultAction, Site as FaultSite};
 use tpm_sync::chase_lev::{self, Stealer, Worker};
-use tpm_sync::topology::NumaTopology;
 use tpm_sync::{
     EventKind, IdleStrategy, LockedDeque, PoolConfig, SchedulerStats, Sleepers, SpinLock,
     WorkerStats,
@@ -87,10 +86,6 @@ pub struct Shared<T: Task> {
     /// Deque 0 and the outside thread working on it.
     seat: SpinLock<Seat<T>>,
     stats: SchedulerStats,
-    /// Per-worker victim scan order (see [`build_victim_plans`]).
-    victim_plans: Vec<VictimPlan>,
-    /// Whether node-aware victim ordering is active (for introspection).
-    numa: bool,
     /// Whether workers pin to cores (needed again when respawning).
     pin: bool,
     /// Workers currently alive (shrinks on a death, restored on respawn).
@@ -115,11 +110,10 @@ struct Seat<T> {
 }
 
 impl<T: Task> Pool<T> {
-    /// A pool of `cfg.threads` workers, with NUMA-aware victim ordering when
-    /// `cfg.numa`. With two or more it spawns workers `1..threads` and keeps
-    /// deque 0 as the seat a waiting caller works on; with one it spawns
-    /// worker 0 and has no seat, so a one-thread pool is one thread and
-    /// work submitted with no waiter still runs.
+    /// A pool of `cfg.threads` workers. With two or more it spawns workers
+    /// `1..threads` and keeps deque 0 as the seat a waiting caller works
+    /// on; with one it spawns worker 0 and has no seat, so a one-thread
+    /// pool is one thread and work submitted with no waiter still runs.
     pub fn new(cfg: PoolConfig) -> Self {
         let num_workers = cfg.threads;
         assert!(num_workers >= 1, "runtime needs at least one worker");
@@ -128,7 +122,6 @@ impl<T: Task> Pool<T> {
             .unzip();
         let seat = (num_workers >= 2).then(|| workers.remove(0));
         let first_spawned = num_workers - workers.len();
-        let topo = NumaTopology::probe();
         let shared = Arc::new_cyclic(|me| Shared {
             stealers,
             injector: LockedDeque::new(),
@@ -141,8 +134,6 @@ impl<T: Task> Pool<T> {
                 holder: None,
             }),
             stats: SchedulerStats::new(num_workers),
-            victim_plans: build_victim_plans(&topo, num_workers, cfg.numa),
-            numa: cfg.numa,
             pin: cfg.pin,
             live: AtomicUsize::new(num_workers),
             deaths: AtomicUsize::new(0),
@@ -215,11 +206,6 @@ impl<T: Task> Shared<T> {
     /// Scheduler event counters.
     pub fn stats(&self) -> &SchedulerStats {
         &self.stats
-    }
-
-    /// Whether node-aware victim ordering is active.
-    pub fn numa_enabled(&self) -> bool {
-        self.numa
     }
 
     /// The front end's per-pool state.
@@ -342,40 +328,13 @@ impl<T: Task> Drop for SeatGuard<'_, T> {
     }
 }
 
-/// One worker's precomputed steal-scan order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct VictimPlan {
-    /// Victims on this worker's NUMA node, neighbour-first.
-    local: Vec<usize>,
-    /// Victims on remote nodes, neighbour-first (empty when NUMA-unaware
-    /// or single-node: then *every* victim is "local").
-    remote: Vec<usize>,
-}
-
-/// Precomputes each worker's victim order. Worker `w` notionally occupies
-/// CPU `w % cpus` (the same mapping `affinity::pin_current_thread` uses),
-/// and scans victims starting from its right neighbour — so `p`
-/// simultaneous thieves start at `p` distinct victims — visiting same-node
-/// victims before crossing the interconnect. With NUMA off, or one node,
-/// every victim lands in the local segment and the scan is the classic
-/// neighbour-first round-robin.
-fn build_victim_plans(topo: &NumaTopology, workers: usize, numa: bool) -> Vec<VictimPlan> {
-    let cpus = topo.num_cpus().max(1);
-    (0..workers)
-        .map(|w| {
-            let my_node = topo.node_of_cpu(w % cpus);
-            let mut local = Vec::new();
-            let mut remote = Vec::new();
-            for v in (w + 1..workers).chain(0..w) {
-                if numa && topo.node_of_cpu(v % cpus) != my_node {
-                    remote.push(v);
-                } else {
-                    local.push(v);
-                }
-            }
-            VictimPlan { local, remote }
-        })
-        .collect()
+/// The victims of one steal episode of worker `index` in a pool of
+/// `workers`: every other worker once, neighbour-first (`index + 1`, then
+/// onward, wrapping) and rotated by `offset`, so `p` simultaneous thieves
+/// start at `p` distinct victims and a repeat thief fans out.
+fn victims(index: usize, offset: usize, workers: usize) -> impl Iterator<Item = usize> {
+    let others = workers - 1;
+    (0..others).map(move |k| (index + 1 + (offset + k) % others) % workers)
 }
 
 /// One worker's view of the pool, handed to every item it runs.
@@ -460,12 +419,11 @@ impl<'w, T: Task> Ctx<'w, T> {
         }
     }
 
-    /// One steal episode: scan every other worker once — same-NUMA-node
-    /// victims first, then remote nodes, each segment round-robin from this
-    /// worker's rotating offset — then the injector. `None` if nothing
-    /// was found (callers loop, with escalating idle backoff between
-    /// episodes — re-sweeping immediately here would only re-probe deques
-    /// observed empty microseconds ago).
+    /// One steal episode: scan every other worker once in [`victims`]
+    /// order from this worker's rotating offset, then the injector. `None`
+    /// if nothing was found (callers loop, with escalating idle backoff
+    /// between episodes — re-sweeping immediately here would only re-probe
+    /// deques observed empty microseconds ago).
     ///
     /// A hit transfers a *batch* — up to half the victim's visible items, at
     /// most [`STEAL_BATCH_LIMIT`] — into our own deque and returns one of
@@ -480,30 +438,25 @@ impl<'w, T: Task> Ctx<'w, T> {
             self.emit(EventKind::FailedSteal, self.index as u64, 0);
             return None;
         }
-        let plan = &self.shared.victim_plans[self.index];
-        let start = self.victim_offset.get();
-        self.victim_offset.set(start.wrapping_add(1));
-        for segment in [&plan.local, &plan.remote] {
-            let m = segment.len();
-            for k in 0..m {
-                let v = segment[(start + k) % m];
-                let got = self.shared.stealers[v].steal_batch_into(self.deque, STEAL_BATCH_LIMIT);
-                if got > 0 {
-                    self.emit(EventKind::Steal, v as u64, got as u64);
-                    // The rest of the batch is stealable from our deque:
-                    // hand it to a sleeper rather than serving it alone.
-                    if got > 1 {
-                        self.shared.sleepers.wake_one();
-                    }
-                    // The batch went through our own deque, so the item cannot
-                    // be `None` unless another thief raced it away — then the
-                    // episode still counts as a hit and the caller retries.
-                    if let Some(item) = self.pop() {
-                        return Some(item);
-                    }
-                } else {
-                    self.emit(EventKind::FailedSteal, v as u64, 0);
+        let offset = self.victim_offset.get();
+        self.victim_offset.set(offset.wrapping_add(1));
+        for v in victims(self.index, offset, self.num_workers()) {
+            let got = self.shared.stealers[v].steal_batch_into(self.deque, STEAL_BATCH_LIMIT);
+            if got > 0 {
+                self.emit(EventKind::Steal, v as u64, got as u64);
+                // The rest of the batch is stealable from our deque: hand it
+                // to a sleeper rather than serving it alone.
+                if got > 1 {
+                    self.shared.sleepers.wake_one();
                 }
+                // The batch went through our own deque, so the item cannot
+                // be `None` unless another thief raced it away — then the
+                // episode still counts as a hit and the caller retries.
+                if let Some(item) = self.pop() {
+                    return Some(item);
+                }
+            } else {
+                self.emit(EventKind::FailedSteal, v as u64, 0);
             }
         }
         self.shared.injector.steal_top()
@@ -575,9 +528,6 @@ fn worker_loop<T: Task>(shared: &Shared<T>, index: usize, deque: &Worker<T>) {
         shared,
         index,
         deque,
-        // The victim plan is already neighbour-first per worker; the offset
-        // rotates the scan start within each (local/remote) segment across
-        // episodes so repeat thieves fan out.
         victim_offset: Cell::new(0),
     };
     let idle = IdleStrategy::new(shared.idle.0, shared.idle.1);
@@ -619,37 +569,36 @@ mod tests {
     use super::*;
 
     #[test]
-    fn victim_plans_prefer_same_node_then_remote() {
-        let topo = NumaTopology::parse_spec("0-1;2-3").unwrap();
-        let plans = build_victim_plans(&topo, 4, true);
-        assert_eq!(plans[0].local, vec![1]);
-        assert_eq!(plans[0].remote, vec![2, 3]);
-        assert_eq!(plans[1].local, vec![0]);
-        assert_eq!(plans[1].remote, vec![2, 3]);
-        // Neighbour-first within each segment: worker 2 scans 3, then 0, 1.
-        assert_eq!(plans[2].local, vec![3]);
-        assert_eq!(plans[2].remote, vec![0, 1]);
-        assert_eq!(plans[3].local, vec![2]);
-        assert_eq!(plans[3].remote, vec![0, 1]);
-    }
-
-    #[test]
-    fn victim_plans_wrap_oversubscribed_workers_onto_cpus() {
-        let topo = NumaTopology::parse_spec("0-1;2-3").unwrap();
-        let plans = build_victim_plans(&topo, 6, true);
-        // Worker 4 wraps to CPU 0 (node 0): workers 0, 1, 5 are local.
-        assert_eq!(plans[4].local, vec![5, 0, 1]);
-        assert_eq!(plans[4].remote, vec![2, 3]);
-    }
-
-    #[test]
-    fn numa_unaware_plans_scan_every_victim_neighbour_first() {
-        let topo = NumaTopology::parse_spec("0-1;2-3").unwrap();
-        let plans = build_victim_plans(&topo, 4, false);
-        for (w, plan) in plans.iter().enumerate() {
-            assert!(plan.remote.is_empty());
-            let expected: Vec<usize> = (w + 1..4).chain(0..w).collect();
-            assert_eq!(plan.local, expected);
+    fn steal_scan_probes_every_other_worker_once_neighbour_first() {
+        for workers in [1, 2, 3, 5] {
+            for index in 0..workers {
+                for offset in [0, 1, 2, 7, 12] {
+                    let scan: Vec<usize> = victims(index, offset, workers).collect();
+                    let mut sorted = scan.clone();
+                    sorted.sort_unstable();
+                    let others: Vec<usize> = (0..workers).filter(|&v| v != index).collect();
+                    assert_eq!(sorted, others, "P={workers} w={index} offset={offset}");
+                    // Neighbour-first from the offset: each probe is the
+                    // next worker round the ring, skipping the thief.
+                    if workers > 1 {
+                        let first = (index + 1 + offset % (workers - 1)) % workers;
+                        assert_eq!(scan[0], first, "P={workers} w={index} offset={offset}");
+                    }
+                    for pair in scan.windows(2) {
+                        let mut next = (pair[0] + 1) % workers;
+                        if next == index {
+                            next = (next + 1) % workers;
+                        }
+                        assert_eq!(
+                            pair[1], next,
+                            "P={workers} w={index} offset={offset}: {scan:?}"
+                        );
+                    }
+                }
+            }
         }
+        // Offset 0 is the plain neighbour-first order.
+        assert_eq!(victims(2, 0, 5).collect::<Vec<_>>(), [3, 4, 0, 1]);
+        assert_eq!(victims(2, 1, 5).collect::<Vec<_>>(), [4, 0, 1, 3]);
     }
 }

@@ -80,9 +80,8 @@ impl Runtime {
     /// Creates a runtime of `cfg.threads` workers, `cfg.threads − 1` of them
     /// spawned (one when `cfg.threads` is 1): spawned worker `i` is pinned
     /// to core `i % cores` when `cfg.pin` (a no-op on platforms without
-    /// `sched_setaffinity`), thieves scan same-node victims first when
-    /// `cfg.numa`, and `cfg.idle` is the spin → yield budget before a
-    /// worker parks.
+    /// `sched_setaffinity`), and `cfg.idle` is the spin → yield budget
+    /// before a worker parks.
     ///
     /// # Examples
     ///
@@ -122,12 +121,6 @@ impl Runtime {
     /// Scheduler event counters.
     pub fn stats(&self) -> &SchedulerStats {
         self.pool.stats()
-    }
-
-    /// Whether node-aware victim ordering is active (see
-    /// [`PoolConfig::numa`]).
-    pub fn numa_enabled(&self) -> bool {
-        self.pool.numa_enabled()
     }
 
     /// Runs `f` in the runtime, blocking the calling (external) thread until
@@ -241,31 +234,6 @@ mod tests {
         let rt = Runtime::new(4);
         rt.install(|_| ());
         drop(rt); // must not hang
-    }
-
-    #[test]
-    fn numa_enabled_runtime_still_schedules_and_steals() {
-        let rt = Runtime::with_config(PoolConfig {
-            threads: 4,
-            pin: false,
-            numa: true,
-            ..PoolConfig::from_env()
-        });
-        assert!(rt.numa_enabled());
-        let total = rt.install(|ctx| {
-            let mut sum = 0u64;
-            crate::par_for(
-                ctx,
-                0..10_000usize,
-                crate::par_for::Grain::Fixed(16),
-                &|i| {
-                    std::hint::black_box(i);
-                },
-            );
-            crate::join(ctx, |_| sum += 1, |_| ());
-            sum
-        });
-        assert_eq!(total, 1);
     }
 
     #[test]

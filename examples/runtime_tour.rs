@@ -41,7 +41,7 @@ fn main() {
     });
     let reduced = team.parallel_for_reduce(
         4,
-        Schedule::static_default(),
+        Schedule::Static,
         0..1000,
         || 0u64,
         |a, b| a + b,

@@ -174,8 +174,8 @@ fn figure_dump() {
         variant: KernelVariant::Optimized,
         models: Model::ALL.to_vec(),
     };
-    let doc = run_json("figures", true, false, "on", &cfg, &[fig.clone(), fig]);
-    pin("run_json", &doc, 0x2f18_6619_cc66_e77c);
+    let doc = run_json("figures", true, false, &cfg, &[fig.clone(), fig]);
+    pin("run_json", &doc, 0xf113_d42d_8e4a_ce66);
 }
 
 #[test]

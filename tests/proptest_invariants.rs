@@ -13,11 +13,8 @@ use threadcmp::{Executor, Model};
 
 fn schedule_strategy() -> impl Strategy<Value = Schedule> {
     prop_oneof![
-        Just(Schedule::Static { chunk: None }),
-        (1usize..64).prop_map(|c| Schedule::Static { chunk: Some(c) }),
+        Just(Schedule::Static),
         (1usize..64).prop_map(|c| Schedule::Dynamic { chunk: c }),
-        (1usize..32).prop_map(|m| Schedule::Guided { min_chunk: m }),
-        Just(Schedule::Auto),
     ]
 }
 
@@ -51,35 +48,27 @@ proptest! {
         len in 0usize..500,
         start in 0usize..100,
         threads in 1usize..9,
-        chunk in proptest::option::of(1usize..40),
     ) {
         let range = start..start + len;
         let mut covered = vec![0u32; len];
         for tid in 0..threads {
-            for c in static_chunks(range.clone(), tid, threads, chunk) {
-                for i in c {
-                    covered[i - start] += 1;
-                }
+            for i in static_chunks(range.clone(), tid, threads) {
+                covered[i - start] += 1;
             }
         }
         prop_assert!(covered.iter().all(|&c| c == 1));
     }
 
-    /// The shared dynamic/guided counter hands out each index exactly once.
+    /// The shared dynamic counter hands out each index exactly once, in
+    /// batches of any size.
     #[test]
-    fn loop_counter_partitions(len in 1u64..2000, chunk in 1usize..64, guided in any::<bool>()) {
+    fn loop_counter_partitions(len in 1u64..2000, chunk in 1usize..64, max_batch in 1usize..9) {
         let len = len as usize;
         let counter = LoopCounter::new(0..len);
         let mut covered = vec![0u32; len];
-        loop {
-            let next = if guided {
-                counter.next_guided(4, chunk)
-            } else {
-                counter.next_dynamic(chunk)
-            };
-            match next {
-                Some(r) => for i in r { covered[i] += 1; },
-                None => break,
+        while let Some(r) = counter.next_dynamic_batch(chunk, 4, max_batch) {
+            for i in r {
+                covered[i] += 1;
             }
         }
         prop_assert!(covered.iter().all(|&c| c == 1));

@@ -1,7 +1,6 @@
 //! Stress and property tests for the scheduler hot-path optimizations:
-//! batched stealing on the Chase–Lev deque, the `Auto` worksharing schedule,
-//! the batched dynamic-loop claims behind it, and the adaptive `par_for`
-//! grain. These run with trace capture compiled in (the workspace root's
+//! batched stealing on the Chase–Lev deque, the batched dynamic-loop claims
+//! of the worksharing schedule, and the adaptive `par_for` grain. These run with trace capture compiled in (the workspace root's
 //! dev profile), so the hot paths are exercised with their instrumentation.
 
 use proptest::prelude::*;
@@ -122,18 +121,6 @@ fn steal_batch_neither_leaks_nor_double_drops() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// `Schedule::Auto` resolves per loop shape but must still tile the
-    /// range exactly, on either side of its static/dynamic threshold.
-    #[test]
-    fn auto_schedule_covers_any_range(len in 0usize..3000, threads in 1usize..5) {
-        let team = Team::new(threads);
-        let flags: Vec<AtomicU32> = (0..len).map(|_| AtomicU32::new(0)).collect();
-        team.parallel_for(threads, Schedule::Auto, 0..len, |i| {
-            flags[i].fetch_add(1, Ordering::Relaxed);
-        });
-        prop_assert!(flags.iter().all(|f| f.load(Ordering::Relaxed) == 1));
-    }
 
     /// The batched dynamic-claim path covers exactly for any chunk size.
     #[test]

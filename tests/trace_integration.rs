@@ -184,7 +184,7 @@ fn disabled_record_is_nearly_free() {
     // machine while still catching an accidental always-on slow path.
     let t0 = Instant::now();
     for i in 0..1_000_000u64 {
-        tpm_trace::record(EventKind::LockAcquire, i, 0);
+        tpm_trace::record(EventKind::ThreadJoin, i, 0);
     }
     let elapsed = t0.elapsed();
     assert!(
