@@ -1,8 +1,6 @@
 //! Worker death → respawn on the pool core, driven through
 //! [`ActorRuntime`].
 
-#![cfg(feature = "inject")]
-
 use tpm_actors::ActorRuntime;
 
 include!("../../worksteal/tests/suite/self_healing.rs");

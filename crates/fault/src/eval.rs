@@ -1,10 +1,10 @@
-//! Per-instance plan evaluation, independent of the `inject` feature.
+//! Per-instance plan evaluation, independent of the installed global plan.
 //!
 //! The process-global prober ([`crate::probe`]) is the right shape for the
 //! real runtimes: probes are sprinkled through hot paths, and the active
 //! plan is ambient state. The deterministic simulator needs the opposite:
 //! an *owned* evaluator it can instantiate per run (thousands of seeds in
-//! one process, no global installs, no feature flag) that still makes
+//! one process, no global installs) that still makes
 //! byte-identical decisions to the global prober for the same plan and hit
 //! sequence — one plan file drives both the chaos harness and `tpm-desim`.
 
@@ -37,8 +37,7 @@ struct EvalRule {
 
 /// An owned, single-threaded evaluator over a [`FaultPlan`].
 ///
-/// Unlike the global prober it needs no `inject` feature and no
-/// installation: callers ask [`decide`](PlanEval::decide) at their own
+/// Unlike the global prober it needs no installation: callers ask [`decide`](PlanEval::decide) at their own
 /// injection points and interpret the returned [`Decision`] themselves.
 /// Decisions are the same pure function of `(seed, site, rule index, hit
 /// index)` the prober uses, so replaying a workload replays its faults.
@@ -196,7 +195,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "inject")]
     #[test]
     fn matches_the_global_prober_decision_for_decision() {
         use crate::{probe, Action, FaultSession};

@@ -8,14 +8,14 @@
 //! ([`FaultKind`]): a panic, a delay, a forced steal miss, or a dropped unit
 //! of work.
 //!
-//! Mirroring `tpm-trace`'s `capture` feature, everything here is compiled
-//! out unless the **`inject`** feature is enabled: without it, [`probe`] is
-//! a `const`-foldable no-op and the injection sites add zero code to the
-//! hot paths. Enable it with:
+//! The probes are always compiled in. With no plan installed, a [`probe`]
+//! is one atomic load of an inline flag; the plan lookup is a cold,
+//! out-of-line call made only while a [`FaultSession`] is live. Drive it
+//! with:
 //!
 //! ```text
-//! cargo test --features inject --test chaos
-//! cargo run -p tpm-harness --features inject -- chaos --fault-plan plan.json
+//! cargo test --test chaos
+//! cargo run -p tpm-harness -- chaos --fault-plan plan.json
 //! ```
 //!
 //! ## Determinism
@@ -51,6 +51,9 @@ mod plan;
 
 pub use eval::{Decision, PlanEval};
 pub use plan::{FaultKind, FaultPlan, PlanError, Site, SiteRule};
+
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// What the caller of [`probe`] must do. `Delay` faults are handled inside
 /// the probe (it sleeps), so callers only see the three actionable kinds.
@@ -99,11 +102,6 @@ impl FaultReport {
     }
 }
 
-/// True when this build carries the injection probes (`inject` feature).
-pub const fn compiled_in() -> bool {
-    cfg!(feature = "inject")
-}
-
 /// The uniform injected-fault payload for `kind` at `site`.
 ///
 /// It always starts with `"injected"`, which tests and operators use to
@@ -131,152 +129,42 @@ pub fn is_injected_message(message: &str) -> bool {
     message.starts_with("injected")
 }
 
-#[cfg(feature = "inject")]
-mod active {
-    use super::{Action, FaultKind, FaultPlan, FaultReport, FiredFault, Site};
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::{Arc, Mutex, OnceLock};
+/// Fast-path gate: true only while a plan is installed.
+static ENABLED: AtomicBool = AtomicBool::new(false);
 
-    /// Fast-path gate: true only while a plan is installed.
-    static ENABLED: AtomicBool = AtomicBool::new(false);
+/// The installed plan, if any.
+static SLOT: Mutex<Option<Arc<ActivePlan>>> = Mutex::new(None);
 
-    fn slot() -> &'static Mutex<Option<Arc<ActivePlan>>> {
-        static SLOT: OnceLock<Mutex<Option<Arc<ActivePlan>>>> = OnceLock::new();
-        SLOT.get_or_init(|| Mutex::new(None))
-    }
+struct CompiledRule {
+    kind: FaultKind,
+    nth: Option<u64>,
+    /// Probability threshold in hash-output space (top bits compared
+    /// directly, avoiding per-probe float conversion).
+    threshold: u64,
+    max_fires: u64,
+    delay_us: u64,
+    fires: AtomicU64,
+}
 
-    struct CompiledRule {
-        kind: FaultKind,
-        nth: Option<u64>,
-        /// Probability threshold in hash-output space (top bits compared
-        /// directly, avoiding per-probe float conversion).
-        threshold: u64,
-        max_fires: u64,
-        delay_us: u64,
-        fires: AtomicU64,
-    }
-
-    struct ActivePlan {
-        seed: u64,
-        /// Rules grouped per site, preserving plan order.
-        by_site: [Vec<(usize, CompiledRule)>; Site::ALL.len()],
-        hits: [AtomicU64; Site::ALL.len()],
-        fired: Mutex<Vec<FiredFault>>,
-    }
-
-    use crate::plan::mix;
-
-    pub(super) fn install(plan: &FaultPlan) {
-        let mut by_site: [Vec<(usize, CompiledRule)>; Site::ALL.len()] = Default::default();
-        for (idx, r) in plan.rules.iter().enumerate() {
-            by_site[r.site as usize].push((
-                idx,
-                CompiledRule {
-                    kind: r.kind,
-                    nth: r.nth,
-                    threshold: crate::plan::prob_threshold(r.probability),
-                    max_fires: r.max_fires,
-                    delay_us: r.delay_us,
-                    fires: AtomicU64::new(0),
-                },
-            ));
-        }
-        let active = Arc::new(ActivePlan {
-            seed: plan.seed,
-            by_site,
-            hits: Default::default(),
-            fired: Mutex::new(Vec::new()),
-        });
-        *slot().lock().unwrap() = Some(active);
-        ENABLED.store(true, Ordering::Release);
-    }
-
-    pub(super) fn uninstall() -> FaultReport {
-        ENABLED.store(false, Ordering::Release);
-        let taken = slot().lock().unwrap().take();
-        match taken {
-            Some(active) => FaultReport {
-                fired: std::mem::take(&mut active.fired.lock().unwrap()),
-                hits: std::array::from_fn(|i| active.hits[i].load(Ordering::Relaxed)),
-            },
-            None => FaultReport::default(),
-        }
-    }
-
-    pub(super) fn probe(site: Site, allow_panic: bool) -> Action {
-        if !ENABLED.load(Ordering::Acquire) {
-            return Action::None;
-        }
-        let Some(active) = slot().lock().unwrap().clone() else {
-            return Action::None;
-        };
-        let hit = active.hits[site as usize].fetch_add(1, Ordering::Relaxed);
-        for (rule_idx, rule) in &active.by_site[site as usize] {
-            let decides = match rule.nth {
-                Some(n) => hit + 1 == n,
-                None => {
-                    rule.threshold > 0
-                        && mix(active.seed, site as u64, *rule_idx as u64, hit) <= rule.threshold
-                }
-            };
-            if !decides {
-                continue;
-            }
-            // A panic rule is inert at probes that cannot tolerate an
-            // unwind: it is neither consumed nor logged, so it stays armed
-            // for the next panic-safe probe of this site (e.g. the worksteal
-            // worker-loop top level).
-            if rule.kind == FaultKind::Panic && !allow_panic {
-                continue;
-            }
-            // Network-only kinds have no in-process meaning; they are
-            // evaluated by the simulator's `PlanEval`, never by the global
-            // prober.
-            if matches!(rule.kind, FaultKind::Duplicate | FaultKind::Partition) {
-                continue;
-            }
-            if rule.max_fires > 0 && rule.fires.fetch_add(1, Ordering::Relaxed) >= rule.max_fires {
-                continue;
-            }
-            active.fired.lock().unwrap().push(FiredFault {
-                site,
-                kind: rule.kind,
-                hit,
-            });
-            return match rule.kind {
-                FaultKind::Panic => Action::Panic,
-                FaultKind::Delay => {
-                    if rule.delay_us > 0 {
-                        std::thread::sleep(std::time::Duration::from_micros(rule.delay_us));
-                    }
-                    Action::None
-                }
-                FaultKind::StealMiss => Action::StealMiss,
-                FaultKind::TaskDrop => Action::TaskDrop,
-                // Filtered out above before the rule can fire.
-                FaultKind::Duplicate | FaultKind::Partition => Action::None,
-            };
-        }
-        Action::None
-    }
+struct ActivePlan {
+    seed: u64,
+    /// Rules grouped per site, preserving plan order.
+    by_site: [Vec<(usize, CompiledRule)>; Site::ALL.len()],
+    hits: [AtomicU64; Site::ALL.len()],
+    fired: Mutex<Vec<FiredFault>>,
 }
 
 /// Asks the installed plan whether a fault fires at `site` for this hit.
 ///
-/// With the `inject` feature disabled this is a no-op that always returns
-/// [`Action::None`] — the call compiles away entirely. `Delay` faults sleep
-/// inside the probe and then return `Action::None`.
+/// With no plan installed this is one atomic load that returns
+/// [`Action::None`]; the plan lookup sits behind it, out of line. `Delay`
+/// faults sleep inside the probe and then return `Action::None`.
 #[inline]
 pub fn probe(site: Site) -> Action {
-    #[cfg(feature = "inject")]
-    {
-        active::probe(site, true)
+    if !ENABLED.load(Ordering::Acquire) {
+        return Action::None;
     }
-    #[cfg(not(feature = "inject"))]
-    {
-        let _ = site;
-        Action::None
-    }
+    decide(site, true)
 }
 
 /// Like [`probe`], but for call sites where unwinding is not safe (e.g. a
@@ -285,15 +173,66 @@ pub fn probe(site: Site) -> Action {
 /// panic-safe probe of the same site.
 #[inline]
 pub fn probe_no_panic(site: Site) -> Action {
-    #[cfg(feature = "inject")]
-    {
-        active::probe(site, false)
+    if !ENABLED.load(Ordering::Acquire) {
+        return Action::None;
     }
-    #[cfg(not(feature = "inject"))]
-    {
-        let _ = site;
-        Action::None
+    decide(site, false)
+}
+
+/// The slow path of a probe made while a plan is installed.
+#[cold]
+#[inline(never)]
+fn decide(site: Site, allow_panic: bool) -> Action {
+    let Some(active) = SLOT.lock().unwrap().clone() else {
+        return Action::None;
+    };
+    let hit = active.hits[site as usize].fetch_add(1, Ordering::Relaxed);
+    for (rule_idx, rule) in &active.by_site[site as usize] {
+        let decides = match rule.nth {
+            Some(n) => hit + 1 == n,
+            None => {
+                rule.threshold > 0
+                    && plan::mix(active.seed, site as u64, *rule_idx as u64, hit) <= rule.threshold
+            }
+        };
+        if !decides {
+            continue;
+        }
+        // A panic rule is inert at probes that cannot tolerate an unwind: it
+        // is neither consumed nor logged, so it stays armed for the next
+        // panic-safe probe of this site (e.g. the worksteal worker-loop top
+        // level).
+        if rule.kind == FaultKind::Panic && !allow_panic {
+            continue;
+        }
+        // Network-only kinds have no in-process meaning; they are evaluated
+        // by the simulator's `PlanEval`, never by the global prober.
+        if matches!(rule.kind, FaultKind::Duplicate | FaultKind::Partition) {
+            continue;
+        }
+        if rule.max_fires > 0 && rule.fires.fetch_add(1, Ordering::Relaxed) >= rule.max_fires {
+            continue;
+        }
+        active.fired.lock().unwrap().push(FiredFault {
+            site,
+            kind: rule.kind,
+            hit,
+        });
+        return match rule.kind {
+            FaultKind::Panic => Action::Panic,
+            FaultKind::Delay => {
+                if rule.delay_us > 0 {
+                    std::thread::sleep(std::time::Duration::from_micros(rule.delay_us));
+                }
+                Action::None
+            }
+            FaultKind::StealMiss => Action::StealMiss,
+            FaultKind::TaskDrop => Action::TaskDrop,
+            // Filtered out above before the rule can fire.
+            FaultKind::Duplicate | FaultKind::Partition => Action::None,
+        };
     }
+    Action::None
 }
 
 /// RAII guard over an installed [`FaultPlan`]. Installing replaces any
@@ -308,14 +247,31 @@ pub struct FaultSession {
 }
 
 impl FaultSession {
-    /// Installs `plan` as the process-wide active plan. With the `inject`
-    /// feature disabled this is a no-op shell (probes never fire) so caller
-    /// code needs no feature gates.
+    /// Installs `plan` as the process-wide active plan: from here on every
+    /// probe takes the slow path and asks it.
     pub fn install(plan: &FaultPlan) -> Self {
-        #[cfg(feature = "inject")]
-        active::install(plan);
-        #[cfg(not(feature = "inject"))]
-        let _ = plan;
+        let mut by_site: [Vec<(usize, CompiledRule)>; Site::ALL.len()] = Default::default();
+        for (idx, r) in plan.rules.iter().enumerate() {
+            by_site[r.site as usize].push((
+                idx,
+                CompiledRule {
+                    kind: r.kind,
+                    nth: r.nth,
+                    threshold: plan::prob_threshold(r.probability),
+                    max_fires: r.max_fires,
+                    delay_us: r.delay_us,
+                    fires: AtomicU64::new(0),
+                },
+            ));
+        }
+        let active = Arc::new(ActivePlan {
+            seed: plan.seed,
+            by_site,
+            hits: Default::default(),
+            fired: Mutex::new(Vec::new()),
+        });
+        *SLOT.lock().unwrap() = Some(active);
+        ENABLED.store(true, Ordering::Release);
         FaultSession { done: false }
     }
 
@@ -326,13 +282,14 @@ impl FaultSession {
     }
 
     fn take_report() -> FaultReport {
-        #[cfg(feature = "inject")]
-        {
-            active::uninstall()
-        }
-        #[cfg(not(feature = "inject"))]
-        {
-            FaultReport::default()
+        ENABLED.store(false, Ordering::Release);
+        let taken = SLOT.lock().unwrap().take();
+        match taken {
+            Some(active) => FaultReport {
+                fired: std::mem::take(&mut active.fired.lock().unwrap()),
+                hits: std::array::from_fn(|i| active.hits[i].load(Ordering::Relaxed)),
+            },
+            None => FaultReport::default(),
         }
     }
 }
@@ -377,21 +334,6 @@ mod tests {
         assert_eq!(probe_no_panic(Site::StealAttempt), Action::None);
     }
 
-    #[test]
-    fn compiled_out_probes_do_nothing() {
-        if compiled_in() {
-            return;
-        }
-        let _g = session_lock();
-        let plan = FaultPlan::single(SiteRule::prob(Site::ChunkClaim, FaultKind::Panic, 1.0));
-        let session = FaultSession::install(&plan);
-        assert_eq!(probe(Site::ChunkClaim), Action::None);
-        let report = session.report();
-        assert!(report.fired.is_empty());
-        assert_eq!(report.hits, [0; Site::ALL.len()]);
-    }
-
-    #[cfg(feature = "inject")]
     mod injecting {
         use super::*;
 

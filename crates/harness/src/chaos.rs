@@ -15,10 +15,6 @@
 //!   workload and produces the exact expected result;
 //! * **replay** — running the whole matrix twice under the same plan fires
 //!   the identical fault sequence ([`FaultReport::fired_sorted`]).
-//!
-//! Without a `--features inject` build the probes are compiled out; the
-//! subcommand then prints a notice and exits 0 so default CI can still
-//! invoke it.
 
 use tpm_core::{ExecError, Executor, Model};
 use tpm_fault::{FaultKind, FaultPlan, FaultSession, FiredFault, Site, SiteRule};
@@ -200,13 +196,6 @@ fn run_matrix(
 /// registry); `user_plan` (from `--fault-plan`) replaces the built-in plan
 /// set when given. Returns the process exit code.
 pub fn run(user_plan: Option<FaultPlan>, threads: usize, models: &[Model]) -> i32 {
-    if !tpm_fault::compiled_in() {
-        println!(
-            "[chaos] fault probes are compiled out in this build; \
-             rebuild with `--features inject` to run the matrix"
-        );
-        return 0;
-    }
     // Injected panics are the *expected* outcome of half the matrix; keep
     // them off stderr (backtraces and all) while leaving every organic
     // panic's report intact. Installed once, delegating onward, so the
@@ -324,20 +313,5 @@ mod tests {
         assert_eq!(plan.seed, 9);
         assert_eq!(plan.rules.len(), 1);
         assert_eq!(plan.rules[0].site, Site::ChunkClaim);
-    }
-
-    #[test]
-    fn compiled_out_build_exits_zero_with_a_notice() {
-        if tpm_fault::compiled_in() {
-            return; // inject build: the full matrix is exercised elsewhere
-        }
-        assert_eq!(run(None, 2, &Model::ALL), 0);
-    }
-
-    #[cfg(feature = "inject")]
-    #[test]
-    fn builtin_matrix_passes_and_replays() {
-        let _serial = tpm_fault::session_serial();
-        assert_eq!(run(None, 2, &Model::ALL), 0);
     }
 }

@@ -36,8 +36,7 @@ experiments: table1 table2 table3 fig1..fig10 figures tables all check ht numasi
   metrics            print one raw Prometheus scrape from a running server
   chaos              run the fault-injection matrix (seeded plans x the
                      selected models, default the whole registry) and verify
-                     containment, recovery and replay; needs a build with
-                     --features inject
+                     containment, recovery and replay
   desim [kernel]     run the deterministic whole-service simulator: seeded
                      virtual network + simulated node driving the real
                      tpm-serve state machines, audited by the invariant
@@ -45,8 +44,7 @@ experiments: table1 table2 table3 fig1..fig10 figures tables all check ht numasi
                      replayable seed (default kernel: sum)
   --fault-plan f.json install a fault plan (tpm-fault JSON) for the run;
                      malformed plans are reported with file:line:column and
-                     exit 2. Probes are compiled out without --features
-                     inject (the flag then warns and is ignored)
+                     exit 2
   --trace out.json   capture a scheduler trace of the run and write
                      Chrome-trace JSON loadable in Perfetto
   --json-out f.json  write machine-readable per-kernel/per-model results

@@ -31,21 +31,13 @@ fn main() {
             std::process::exit(2);
         }
     };
-    // The simulator evaluates plans itself, with no global probes needed.
-    if fault_plan.is_some() && !tpm_fault::compiled_in() && cli.experiment != "desim" {
-        eprintln!(
-            "warning: --fault-plan ignored: fault probes are compiled out \
-             (rebuild with --features inject)"
-        );
-    }
     // The `chaos` subcommand installs plans round-by-round itself, and
     // `desim` feeds the plan to its own in-simulator evaluator (a global
     // session would double-fire probes inside the real kernel runs); every
     // other experiment runs under the plan for its whole duration.
-    let _session = match (&cli.experiment[..], fault_plan.as_ref()) {
-        ("chaos", _) | ("desim", _) => None,
-        (_, Some(plan)) if tpm_fault::compiled_in() => Some(tpm_fault::FaultSession::install(plan)),
-        _ => None,
+    let _session = match &cli.experiment[..] {
+        "chaos" | "desim" => None,
+        _ => fault_plan.as_ref().map(tpm_fault::FaultSession::install),
     };
 
     std::process::exit(run(&cli, fault_plan));

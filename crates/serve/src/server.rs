@@ -817,9 +817,11 @@ mod tests {
         w.write_all(b"\n").unwrap();
     }
 
-    // Fault plans are process-global: every test here that drives a server
-    // holds `tpm_fault::session_serial()` so an `inject` test's plan fires
-    // on its own requests, not a neighbour's.
+    // Fault plans are process-global. The `inject` tests' plans fire at
+    // `job-admission`, which only a running server reaches, and every test
+    // in this lib that runs a server is here and holds
+    // `tpm_fault::session_serial()`, so a plan fires on its own test's
+    // requests, not a neighbour's.
 
     fn read_response(r: &mut BufReader<TcpStream>) -> Response {
         let mut line = String::new();
@@ -899,7 +901,6 @@ mod tests {
         handle.shutdown();
     }
 
-    #[cfg(feature = "inject")]
     mod inject {
         use super::*;
         use tpm_fault::{FaultKind, FaultPlan, FaultSession, Site, SiteRule};

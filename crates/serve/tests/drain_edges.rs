@@ -176,7 +176,6 @@ fn drain_racing_deadline_expiry_answers_deadline_not_silence() {
     assert_conserved(&stats);
 }
 
-#[cfg(feature = "inject")]
 mod inject {
     use super::*;
     use tpm_fault::{FaultKind, FaultPlan, FaultSession, Site, SiteRule};

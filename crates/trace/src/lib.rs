@@ -3,10 +3,9 @@
 //!
 //! Every worker thread that records an event gets a thread-local,
 //! single-producer ring buffer (see [`ring::Ring`]) registered in a global
-//! registry. Recording is wait-free and allocation-free; when the `capture`
-//! feature is disabled every recording call compiles to nothing, and when it
-//! is enabled but no [`session::TraceSession`] is active the cost is one
-//! relaxed atomic load.
+//! registry. Recording is wait-free and allocation-free; capture is always
+//! compiled in, and while no [`session::TraceSession`] is active a recording
+//! call costs one relaxed atomic load.
 //!
 //! A [`session::TraceSession`] turns capture on, runs the workload, then
 //! drains all rings at quiescence into a [`session::Trace`], which can be
@@ -49,10 +48,10 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 /// Default per-worker ring capacity in events.
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 
-/// Is event capture currently live (compiled in *and* switched on)?
+/// Is event capture currently live (a [`TraceSession`] switched it on)?
 #[inline]
 pub fn enabled() -> bool {
-    cfg!(feature = "capture") && ENABLED.load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed)
 }
 
 pub(crate) fn set_enabled(on: bool) {
@@ -117,8 +116,7 @@ pub fn emit(stats: &WorkerStats, kind: EventKind, a: u64, b: u64) {
 /// Records one event of a traced-only kind (spans, locks, worker death and
 /// respawn) on the calling thread's log. Counted kinds go through [`emit`].
 ///
-/// With the `capture` feature disabled this is an empty inline function; with
-/// capture on but no active session it is a single relaxed load.
+/// With no active session it is a single relaxed load.
 #[inline]
 pub fn record(kind: EventKind, a: u64, b: u64) {
     debug_assert!(!kind.counted(), "{kind:?} is counted: use tpm_trace::emit");
@@ -127,18 +125,11 @@ pub fn record(kind: EventKind, a: u64, b: u64) {
 
 #[inline]
 fn trace(kind: EventKind, a: u64, b: u64) {
-    #[cfg(feature = "capture")]
-    {
-        if !ENABLED.load(Ordering::Relaxed) {
-            return;
-        }
-        let ts_ns = now_ns();
-        LOCAL_LOG.with(|log| log.ring.push(Event { ts_ns, kind, a, b }));
+    if !ENABLED.load(Ordering::Relaxed) {
+        return;
     }
-    #[cfg(not(feature = "capture"))]
-    {
-        let _ = (kind, a, b);
-    }
+    let ts_ns = now_ns();
+    LOCAL_LOG.with(|log| log.ring.push(Event { ts_ns, kind, a, b }));
 }
 
 /// Interns a region name, returning a stable id usable as an event payload.

@@ -1,7 +1,5 @@
 //! Worker death → respawn on the pool core, driven through [`Runtime`].
 
-#![cfg(feature = "inject")]
-
 use tpm_worksteal::Runtime;
 
 include!("suite/self_healing.rs");

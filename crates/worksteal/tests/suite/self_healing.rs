@@ -1,9 +1,10 @@
 // The self-healing suite of the pool core (`src/pool.rs`), written once
 // and run against each front end: `tests/self_healing.rs` here includes it
 // for `Runtime`, and `tpm-actors`' `tests/self_healing.rs` for
-// `ActorRuntime`. Each includer is a test binary of its own, under the
-// `inject` feature: fault plans are process-global, so no other test's
-// runtime may be alive to take a planned fire.
+// `ActorRuntime`. Each includer is a test binary of its own holding only
+// these tests, and each test holds `tpm_fault::session_serial()`: fault
+// plans are process-global, so no other test's runtime may be alive to
+// take a planned fire.
 //
 // `self_healing_tests!(new, width)`: `new(n)` builds a runtime of `n`
 // workers (with `live_workers`/`worker_deaths`); `width(&rt)` runs one item

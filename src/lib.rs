@@ -18,8 +18,9 @@
 //!   Matmul, Fib; BFS, HotSpot, LUD, LavaMD, SRAD).
 //! * [`serve`] — the cancellable job service (JSON-lines TCP server +
 //!   load generator) over the unified executor.
-//! * [`fault`] — seeded deterministic fault injection (compiled out unless
-//!   the `inject` feature is on) used by the chaos suite.
+//! * [`fault`] — seeded deterministic fault injection (always compiled in;
+//!   one atomic load per probe while no plan is installed) used by the
+//!   chaos suite.
 //! * [`harness`] — experiment definitions for every figure, with claim
 //!   checks.
 //!

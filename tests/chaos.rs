@@ -1,10 +1,10 @@
-//! Chaos matrix: seeded fault plans against all three runtimes.
+//! Chaos matrix: seeded fault plans against all four runtimes.
 //!
-//! Build with `--features inject` for the real matrix; in a default build
-//! every test is a no-op (the probes are compiled out, which
-//! [`compiled_out_build_has_no_probes`] asserts directly).
+//! Fault plans are process-global, so every test here holds
+//! [`fault::session_serial`] for its whole body: no test's runtime is alive
+//! while another test's plan is installed.
 //!
-//! The invariants, per ISSUE: no deadlock under any plan (the tests
+//! The invariants: no deadlock under any plan (the tests
 //! finishing *is* the check), injected panics surface as
 //! [`ExecError::Panic`] with the injected marker, results are
 //! bitwise-correct whenever no fault fired, teams/runtimes stay usable
@@ -62,32 +62,7 @@ fn assert_contained(model: Model, result: Result<u64, ExecError>) -> bool {
 }
 
 #[test]
-fn compiled_out_build_has_no_probes() {
-    if cfg!(feature = "inject") {
-        assert!(fault::compiled_in());
-    } else {
-        assert!(!fault::compiled_in());
-        // Installing a plan in a default build is inert: probes never fire.
-        let session = FaultSession::install(&FaultPlan::single(SiteRule::prob(
-            Site::ChunkClaim,
-            FaultKind::Panic,
-            1.0,
-        )));
-        let exec = Executor::new(2);
-        for model in Model::ALL {
-            assert_eq!(run_sum(&exec, model), Ok(expected_sum()), "{model}");
-        }
-        let report = session.report();
-        assert!(report.fired.is_empty());
-        assert_eq!(report.hits.iter().sum::<u64>(), 0);
-    }
-}
-
-#[test]
 fn injected_chunk_panic_surfaces_and_executor_recovers_for_every_model() {
-    if !fault::compiled_in() {
-        return;
-    }
     let _serial = fault::session_serial();
     let exec = Executor::new(3);
     for model in Model::ALL {
@@ -112,9 +87,6 @@ fn injected_chunk_panic_surfaces_and_executor_recovers_for_every_model() {
 /// the models that claim chunk by chunk, each body call is one claim.
 #[test]
 fn for_and_reduce_drive_the_same_probes_for_every_model() {
-    if !fault::compiled_in() {
-        return;
-    }
     let _serial = fault::session_serial();
     let exec = Executor::new(2);
     let token = threadcmp::sync::CancelToken::new();
@@ -165,9 +137,6 @@ fn for_and_reduce_drive_the_same_probes_for_every_model() {
 
 #[test]
 fn steal_miss_storm_and_delays_never_corrupt_or_deadlock() {
-    if !fault::compiled_in() {
-        return;
-    }
     let _serial = fault::session_serial();
     let plan = FaultPlan {
         seed: 42,
@@ -190,9 +159,6 @@ fn steal_miss_storm_and_delays_never_corrupt_or_deadlock() {
 
 #[test]
 fn matvec_is_bitwise_identical_when_no_fault_fires() {
-    if !fault::compiled_in() {
-        return;
-    }
     let _serial = fault::session_serial();
     let mv = Matvec::native(96);
     let exec = Executor::new(3);
@@ -226,9 +192,6 @@ fn matvec_is_bitwise_identical_when_no_fault_fires() {
 
 #[test]
 fn fib_survives_injected_task_panics_and_runtimes_stay_usable() {
-    if !fault::compiled_in() {
-        return;
-    }
     let _serial = fault::session_serial();
     let fib = Fib::native(18);
     let want = Fib::seq(18);
@@ -283,9 +246,6 @@ fn fib_survives_injected_task_panics_and_runtimes_stay_usable() {
 
 #[test]
 fn task_drops_are_observable_not_silent() {
-    if !fault::compiled_in() {
-        return;
-    }
     let _serial = fault::session_serial();
     let exec = Executor::new(2);
     for model in Model::ALL {
@@ -311,9 +271,6 @@ fn task_drops_are_observable_not_silent() {
 
 #[test]
 fn seeded_plans_replay_the_same_decisions() {
-    if !fault::compiled_in() {
-        return;
-    }
     let _serial = fault::session_serial();
     let plan = FaultPlan {
         seed: 1234,
@@ -351,9 +308,6 @@ fn seeded_plans_replay_the_same_decisions() {
 /// is cached.
 #[test]
 fn injected_panic_during_input_generation_leaves_the_cache_empty() {
-    if !fault::compiled_in() {
-        return;
-    }
     let _serial = fault::session_serial();
     let exec = Executor::new(2);
     let spec = |model| threadcmp::JobSpec {

@@ -5,9 +5,9 @@
 //! `engine::Reply` constructor for that outcome, which is the only place
 //! the words live.
 //!
-//! Two outcomes (admission fault, drop backstop) need fault probes on the
-//! server side; those rows run on the server only under `--features inject`
-//! and on the simulator always (it evaluates plans itself).
+//! Two outcomes (admission fault, drop backstop) are driven by a fault plan:
+//! the server fires it through its probes, the simulator evaluates it
+//! itself.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -217,16 +217,13 @@ fn server_and_simulator_say_the_same_thing_for_every_outcome() {
     // 1. A fault at the admission site (the id travels into the reply).
     let want = Reply::admission_fault(1, FaultKind::Panic).unwrap();
     let plan = vec![SiteRule::nth(Site::JobAdmission, FaultKind::Panic, 1)];
-    #[cfg(feature = "inject")]
-    {
-        let session = tpm_fault::FaultSession::install(&FaultPlan {
-            seed: 0,
-            rules: plan.clone(),
-        });
-        let got = on_server(one_worker(), 1, |c| c.run(1, "sum", 3, ""));
-        drop(session);
-        assert_server("admission fault", &want, got);
-    }
+    let session = tpm_fault::FaultSession::install(&FaultPlan {
+        seed: 0,
+        rules: plan.clone(),
+    });
+    let got = on_server(one_worker(), 1, |c| c.run(1, "sum", 3, ""));
+    drop(session);
+    assert_server("admission fault", &want, got);
     assert_desim("admission fault", &want, &on_desim(plan, |_| {}));
 
     // 2. `engine::admit` refuses: more threads than the node allows.
@@ -334,15 +331,12 @@ fn server_and_simulator_say_the_same_thing_for_every_outcome() {
     // 7. The drop backstop: the worker died holding the request.
     let want = Reply::dropped(1);
     let plan = vec![SiteRule::nth(Site::WorkerPickup, FaultKind::Panic, 1)];
-    #[cfg(feature = "inject")]
-    {
-        let session = tpm_fault::FaultSession::install(&FaultPlan {
-            seed: 0,
-            rules: plan.clone(),
-        });
-        let got = on_server(one_worker(), 1, |c| c.run(1, "sum", 3, ""));
-        drop(session);
-        assert_server("dropped", &want, got);
-    }
+    let session = tpm_fault::FaultSession::install(&FaultPlan {
+        seed: 0,
+        rules: plan.clone(),
+    });
+    let got = on_server(one_worker(), 1, |c| c.run(1, "sum", 3, ""));
+    drop(session);
+    assert_server("dropped", &want, got);
     assert_desim("dropped", &want, &on_desim(plan, |_| {}));
 }

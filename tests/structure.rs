@@ -13,14 +13,14 @@ const ROOT: &str = env!("CARGO_MANIFEST_DIR");
 /// `crates/*/src src tests examples`: every crate's library code plus the
 /// root package's code, tests and examples.
 fn code_dirs() -> Vec<String> {
-    let mut dirs = member_dirs("crates", "src");
+    let mut dirs = member_paths("crates", "src");
     dirs.extend(["src", "tests", "examples"].map(String::from));
     dirs
 }
 
-/// `<parent>/*/<sub>` under the workspace root, sorted.
-fn member_dirs(parent: &str, sub: &str) -> Vec<String> {
-    let mut dirs: Vec<String> = std::fs::read_dir(Path::new(ROOT).join(parent))
+/// `<parent>/*/<sub>` under the workspace root, sorted, where it exists.
+fn member_paths(parent: &str, sub: &str) -> Vec<String> {
+    let mut found: Vec<String> = std::fs::read_dir(Path::new(ROOT).join(parent))
         .expect("workspace directory exists")
         .map(|e| {
             e.expect("readable entry")
@@ -29,10 +29,10 @@ fn member_dirs(parent: &str, sub: &str) -> Vec<String> {
                 .into_owned()
         })
         .map(|name| format!("{parent}/{name}/{sub}"))
-        .filter(|dir| Path::new(ROOT).join(dir).is_dir())
+        .filter(|path| Path::new(ROOT).join(path).exists())
         .collect();
-    dirs.sort();
-    dirs
+    found.sort();
+    found
 }
 
 /// The lines `grep -rnE <opts> <pattern> <paths>` prints from the
@@ -276,6 +276,32 @@ fn no_native_numa_ordering_or_unused_schedules() {
         r"NumaTopology|TPM_NUMA|numa_enabled|VictimPlan|local_victims|Schedule::Guided|Schedule::Auto|next_guided|LockAcquire|LockContended",
         &["--include=*.rs"],
         &code_dirs(),
+        None,
+    );
+}
+
+/// One build: no member manifest declares a Cargo feature and no code
+/// branches on one, so the fault probes and trace capture are always
+/// compiled in and every test runs in the build tier-1 makes.
+#[test]
+fn one_build() {
+    let mut manifests = vec!["Cargo.toml".to_string()];
+    manifests.extend(member_paths("crates", "Cargo.toml"));
+    manifests.extend(member_paths("shims", "Cargo.toml"));
+    forbid(
+        "Cargo feature table",
+        r"^\[features\]",
+        &[],
+        &manifests,
+        None,
+    );
+    let mut dirs = code_dirs();
+    dirs.extend(member_paths("crates", "tests"));
+    forbid(
+        "feature-gated code",
+        r"cfg(_attr)?!?\([^)]*feature|compiled_in\(",
+        &["--include=*.rs"],
+        &dirs,
         None,
     );
 }
