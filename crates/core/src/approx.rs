@@ -4,7 +4,7 @@
 //! reference with exact equality or tiny absolute bounds. That breaks the
 //! moment a kernel body reassociates a floating-point sum — which is exactly
 //! what the [`crate::KernelVariant::Optimized`] data paths do (multi-
-//! accumulator reductions, blocked matmul, tiled stencils). These helpers
+//! accumulator reductions, blocked matmul). These helpers
 //! express "equal up to reassociation": a relative-epsilon test with an ULP
 //! (units-in-the-last-place) fallback for values too close to zero for a
 //! relative bound to be meaningful.

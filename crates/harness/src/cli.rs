@@ -52,8 +52,8 @@ experiments: table1 table2 table3 fig1..fig10 figures tables all check ht numasi
                      ht, or the loadgen report (not accepted by check)
   --pin              pin runtime worker threads to cores (TPM_PIN=1)
   --kernel-variant v run native kernels with the reference (paper-faithful
-                     scalar) or optimized (vectorized/blocked/tiled) data
-                     path; default reference
+                     scalar) or optimized (vectorized/blocked) data path;
+                     default reference
 service flags (serve + loadgen):
   --addr host:port   bind (serve) or connect (loadgen) address
                      [default 127.0.0.1:7171]

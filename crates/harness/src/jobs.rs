@@ -7,7 +7,7 @@
 //! job's own executor, model, variant and token, plus a scalar checksum
 //! (sum, Σ of the output, reached-node count) so clients can sanity-check
 //! results across models. Every job honours `spec.variant` where its kernel
-//! has one (`fib` and `bfs` have a single body).
+//! has one (`fib`, `bfs` and `hotspot` have a single body).
 //!
 //! Where each job polls its token, on top of the one check after prepare
 //! and the executor's own poll at every chunk boundary:
@@ -227,9 +227,8 @@ pub fn register_all(reg: &mut JobRegistry) {
             )
         },
         |ctx, grids| {
-            let (exec, model, variant) = (ctx.exec, ctx.spec.model, ctx.spec.variant);
             let (temp, power) = &**grids;
-            let out = hotspot(ctx).try_run_v(exec, model, variant, temp, power, ctx.token)?;
+            let out = hotspot(ctx).try_run(ctx.exec, ctx.spec.model, temp, power, ctx.token)?;
             Ok(out.iter().sum::<f64>() / out.len() as f64)
         },
     );
@@ -284,6 +283,30 @@ mod tests {
         let k = Sum::native(s.size);
         let want = k.try_run_v(&exec, s.model, s.variant, &k.alloc(), &CancelToken::new());
         assert_eq!(Ok(got.to_bits()), want.map(f64::to_bits));
+    }
+
+    /// HotSpot has one body, so both variants answer the sequential grid's
+    /// mean bit for bit under every model; 96² grids (144 KiB) take the
+    /// cached, parallel first-touch input path.
+    #[test]
+    fn hotspot_job_answers_the_same_under_both_variants() {
+        let reg = registry();
+        let exec = Executor::new(2);
+        let h = HotSpot::native(96, 4);
+        let (t, p) = h.generate();
+        let out = h.seq(&t, &p);
+        let want = (out.iter().sum::<f64>() / out.len() as f64).to_bits();
+        for model in Model::ALL {
+            for variant in KernelVariant::ALL {
+                let s = JobSpec {
+                    model,
+                    variant,
+                    ..spec("hotspot", 96)
+                };
+                let got = reg.run(&exec, &s, &CancelToken::new()).unwrap().value;
+                assert_eq!(got.to_bits(), want, "{model} {variant}");
+            }
+        }
     }
 
     #[test]

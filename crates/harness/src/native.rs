@@ -22,7 +22,8 @@ pub struct NativeConfig {
     /// Timed repetitions (median taken).
     pub reps: usize,
     /// Kernel data-path variant (`--kernel-variant`): paper-faithful scalar
-    /// bodies or the vectorized/blocked/tiled optimized bodies.
+    /// bodies or the vectorized/blocked optimized bodies. The Rodinia apps
+    /// have one body each and ignore it.
     pub variant: KernelVariant,
     /// Models to sweep (`--model all` or a comma list; defaults to the whole
     /// registry).
@@ -156,14 +157,12 @@ pub fn fig6_bfs(cfg: &NativeConfig) -> Figure {
 pub fn fig7_hotspot(cfg: &NativeConfig) -> Figure {
     let h = HotSpot::native(128 * cfg.scale, 10);
     let (t, p) = h.generate();
-    let token = CancelToken::new();
     sweep(
         "Fig.7 Rodinia HotSpot (native)",
         cfg,
         &cfg.models,
         |exec, m| {
-            let r = h.try_run_v(exec, m, cfg.variant, &t, &p, &token);
-            std::hint::black_box(infallible(m, r));
+            std::hint::black_box(h.run(exec, m, &t, &p));
         },
     )
 }
@@ -195,14 +194,12 @@ pub fn fig9_lavamd(cfg: &NativeConfig) -> Figure {
 pub fn fig10_srad(cfg: &NativeConfig) -> Figure {
     let s = Srad::native(96 * cfg.scale, 4);
     let img = s.generate();
-    let token = CancelToken::new();
     sweep(
         "Fig.10 Rodinia SRAD (native)",
         cfg,
         &cfg.models,
         |exec, m| {
-            let r = s.try_run_v(exec, m, cfg.variant, &img, &token);
-            std::hint::black_box(infallible(m, r));
+            std::hint::black_box(s.run(exec, m, &img));
         },
     )
 }

@@ -11,17 +11,17 @@
 //! Each time step runs two dependent parallel loops (compute the new grid
 //! from the 5-point stencil, then commit it), `steps` times — many small
 //! phases, which is what punishes per-region overhead.
+//!
+//! One row body, `step_row`, serves `seq` and every model: as in
+//! Rodinia 3.1's OpenMP HotSpot, the grid boundary is handled apart and the
+//! interior runs branch-free, so the stencil runs at hardware speed and the
+//! comparison between models measures the models.
 
-use tpm_core::{ExecError, Executor, KernelVariant, Model};
+use tpm_core::{ExecError, Executor, Model};
 use tpm_sim::{Imbalance, LoopWorkload, PhasedWorkload};
 use tpm_sync::CancelToken;
 
 use tpm_kernels::util::UnsafeSlice;
-
-/// Column-tile width of the optimized sweep: 512 f64 (4 KiB) per row, so
-/// the three-row stencil window over a tile (~12 KiB) stays L1-resident as
-/// `i` advances, instead of streaming full 64 KiB rows.
-const TILE_J: usize = 512;
 
 /// Physical/model constants (Rodinia's defaults, simplified).
 const T_AMB: f64 = 80.0;
@@ -108,48 +108,32 @@ impl HotSpot {
                 + (T_AMB - t) / RZ)
     }
 
-    /// Optimized stencil body for one row's tile `j0..j1` of the `next`
-    /// grid: boundary rows/columns go through [`Self::step_cell`]'s clamped
-    /// path; interior cells use direct neighbor indexing — the same
-    /// arithmetic expression, so results are bitwise-identical — in a
-    /// branch-free loop the compiler vectorizes.
-    fn step_row_tile(
-        &self,
-        temp: &[f64],
-        power: &[f64],
-        i: usize,
-        j0: usize,
-        j1: usize,
-        out_row: &mut [f64],
-    ) {
+    /// Row `i` of the next grid. Boundary rows and the two edge columns go
+    /// through [`Self::step_cell`]'s clamped path; interior cells use direct
+    /// neighbour indexing with the same expression, so the results are
+    /// bitwise identical, in a branch-free loop the compiler vectorizes.
+    fn step_row(&self, temp: &[f64], power: &[f64], i: usize, out_row: &mut [f64]) {
         let n = self.n;
-        debug_assert_eq!(out_row.len(), j1 - j0);
+        debug_assert_eq!(out_row.len(), n);
         if i == 0 || i + 1 == n {
-            for (jj, cell) in out_row.iter_mut().enumerate() {
-                *cell = self.step_cell(temp, power, i, j0 + jj);
+            for (j, cell) in out_row.iter_mut().enumerate() {
+                *cell = self.step_cell(temp, power, i, j);
             }
             return;
         }
-        if j0 == 0 {
-            out_row[0] = self.step_cell(temp, power, i, 0);
-        }
-        if j1 == n {
-            out_row[n - 1 - j0] = self.step_cell(temp, power, i, n - 1);
-        }
-        let lo = j0.max(1);
-        let hi = j1.min(n - 1);
-        if lo >= hi {
-            return;
-        }
-        let w = hi - lo;
-        let base = i * n;
-        let cur = &temp[base + lo..][..w];
-        let up = &temp[base - n + lo..][..w];
-        let down = &temp[base + n + lo..][..w];
-        let left = &temp[base + lo - 1..][..w];
-        let right = &temp[base + lo + 1..][..w];
-        let pw = &power[base + lo..][..w];
-        let dst = &mut out_row[lo - j0..][..w];
+        // An interior row exists only for n >= 3, so columns 0 and n - 1
+        // are distinct and the interior `1..n - 1` is not empty.
+        out_row[0] = self.step_cell(temp, power, i, 0);
+        out_row[n - 1] = self.step_cell(temp, power, i, n - 1);
+        let w = n - 2;
+        let base = i * n + 1;
+        let cur = &temp[base..][..w];
+        let up = &temp[base - n..][..w];
+        let down = &temp[base + n..][..w];
+        let left = &temp[base - 1..][..w];
+        let right = &temp[base + 1..][..w];
+        let pw = &power[base..][..w];
+        let dst = &mut out_row[1..][..w];
         for j in 0..w {
             let t = cur[j];
             dst[j] = t + CAP
@@ -167,9 +151,7 @@ impl HotSpot {
         let mut next = vec![0.0; n * n];
         for _ in 0..self.steps {
             for i in 0..n {
-                for j in 0..n {
-                    next[i * n + j] = self.step_cell(&cur, power, i, j);
-                }
+                self.step_row(&cur, power, i, &mut next[i * n..(i + 1) * n]);
             }
             std::mem::swap(&mut cur, &mut next);
         }
@@ -177,25 +159,19 @@ impl HotSpot {
     }
 
     /// Runs under `model`: per step, a row-parallel stencil loop then a
-    /// row-parallel commit loop (the two dependent phases; paper-faithful
-    /// [`KernelVariant::Reference`] body), un-cancellable.
+    /// row-parallel commit loop (the two dependent phases), un-cancellable.
     pub fn run(&self, exec: &Executor, model: Model, temp: &[f64], power: &[f64]) -> Vec<f64> {
         let token = CancelToken::new();
-        let r = self.try_run_v(exec, model, KernelVariant::Reference, temp, power, &token);
+        let r = self.try_run(exec, model, temp, power, &token);
         tpm_kernels::util::infallible(model, r)
     }
 
-    /// Runs under `model` with the selected data-path `variant`, stopping at
-    /// the first chunk boundary after `token` fires.
-    ///
-    /// The optimized variant keeps the same row-parallel distribution and
-    /// two-phase structure but sweeps each chunk in `TILE_J`-column tiles
-    /// (cache-resident working set) with a vectorizable interior body.
-    pub fn try_run_v(
+    /// [`Self::run`], stopping at the first chunk boundary after `token`
+    /// fires.
+    pub fn try_run(
         &self,
         exec: &Executor,
         model: Model,
-        variant: KernelVariant,
         temp: &[f64],
         power: &[f64],
         token: &CancelToken,
@@ -207,26 +183,11 @@ impl HotSpot {
             {
                 let out = UnsafeSlice::new(&mut next);
                 let cur_ref = &cur;
-                exec.try_parallel_for(model, 0..n, token, &|rows| match variant {
-                    KernelVariant::Reference => {
-                        for i in rows {
-                            // SAFETY: disjoint row chunks.
-                            let row = unsafe { out.slice_mut(i * n..(i + 1) * n) };
-                            for (j, cell) in row.iter_mut().enumerate() {
-                                *cell = self.step_cell(cur_ref, power, i, j);
-                            }
-                        }
-                    }
-                    KernelVariant::Optimized => {
-                        for j0 in (0..n).step_by(TILE_J) {
-                            let j1 = (j0 + TILE_J).min(n);
-                            for i in rows.clone() {
-                                // SAFETY: disjoint row chunks ⇒ disjoint
-                                // (row, tile) segments.
-                                let seg = unsafe { out.slice_mut(i * n + j0..i * n + j1) };
-                                self.step_row_tile(cur_ref, power, i, j0, j1, seg);
-                            }
-                        }
+                exec.try_parallel_for(model, 0..n, token, &|rows| {
+                    for i in rows {
+                        // SAFETY: disjoint row chunks.
+                        let row = unsafe { out.slice_mut(i * n..(i + 1) * n) };
+                        self.step_row(cur_ref, power, i, row);
                     }
                 })?;
             }
@@ -272,7 +233,6 @@ impl HotSpot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpm_kernels::util::max_abs_diff;
 
     #[test]
     fn parallel_generation_is_bitwise_identical_and_cancellable() {
@@ -290,57 +250,37 @@ mod tests {
 
     #[test]
     fn all_six_versions_match_sequential() {
-        let h = HotSpot::native(32, 4);
-        let (t, p) = h.generate();
-        let expected = h.seq(&t, &p);
         let exec = Executor::new(3);
-        for model in Model::ALL {
-            let got = h.run(&exec, model, &t, &p);
-            assert!(max_abs_diff(&got, &expected) < 1e-9, "{model}");
-        }
-    }
-
-    #[test]
-    fn tiled_variant_is_bitwise_identical_to_reference() {
-        // 37: interior width not a tile multiple; exercises tile edges.
-        let h = HotSpot::native(37, 3);
-        let (t, p) = h.generate();
-        let expected = h.seq(&t, &p);
-        let exec = Executor::new(3);
-        for model in Model::ALL {
-            let got = h
-                .try_run_v(
-                    &exec,
-                    model,
-                    KernelVariant::Optimized,
-                    &t,
-                    &p,
-                    &CancelToken::new(),
-                )
-                .unwrap();
-            // Interior uses the same expression as step_cell — exact match.
-            assert_eq!(got, expected, "{model}");
-        }
-    }
-
-    #[test]
-    fn tiled_variant_tiny_grids() {
-        for n in [1, 2, 3] {
-            let h = HotSpot::native(n, 2);
+        // 1–3: grids with no interior row or a one-cell interior.
+        for n in [1, 2, 3, 32] {
+            let h = HotSpot::native(n, 4);
             let (t, p) = h.generate();
-            let exec = Executor::new(2);
-            assert_eq!(
-                h.try_run_v(
-                    &exec,
-                    Model::OmpFor,
-                    KernelVariant::Optimized,
-                    &t,
-                    &p,
-                    &CancelToken::new()
-                ),
-                Ok(h.seq(&t, &p)),
-                "n={n}"
-            );
+            let expected = h.seq(&t, &p);
+            for model in Model::ALL {
+                let got = h.run(&exec, model, &t, &p);
+                assert_eq!(got, expected, "n={n} {model}");
+            }
+        }
+    }
+
+    /// `seq` shares `step_row` with every model, so it is pinned here to
+    /// an independent oracle: the per-cell clamped sweep, bit for bit.
+    #[test]
+    fn seq_matches_the_per_cell_sweep_bitwise() {
+        for n in [1, 2, 3, 37, 130] {
+            let h = HotSpot::native(n, 3);
+            let (t, p) = h.generate();
+            let mut cur = t.clone();
+            let mut next = vec![0.0; n * n];
+            for _ in 0..h.steps {
+                for i in 0..n {
+                    for j in 0..n {
+                        next[i * n + j] = h.step_cell(&cur, &p, i, j);
+                    }
+                }
+                std::mem::swap(&mut cur, &mut next);
+            }
+            assert_eq!(h.seq(&t, &p), cur, "n={n}");
         }
     }
 

@@ -14,13 +14,12 @@
 //! | [`LavaMd`] | 1 uniform heavy loop | all six variants converge |
 //! | [`Srad`] | 2 uniform phases × iterations | all six variants converge |
 //!
-//! Each application's parallel body exists once and takes the caller's
-//! token: `try_run_v` for the apps with a tiled optimized variant
-//! ([`HotSpot`], [`Srad`]), `try_run` for the rest ([`Bfs`], [`Lud`],
-//! [`LavaMd`]). Every phase is one [`tpm_core::Executor::try_parallel_for`]
-//! region, so a fired token stops the run at the next phase or chunk
-//! boundary and comes back as an `Err`. `run` is the one infallible wrapper
-//! (reference body, fresh token), as in `tpm-kernels`.
+//! Each application's parallel body exists once, as `try_run` under the
+//! caller's token; none of the five has a second, optimized variant. Every
+//! phase is one [`tpm_core::Executor::try_parallel_for`] region, so a fired
+//! token stops the run at the next phase or chunk boundary and comes back
+//! as an `Err`. `run` is the one infallible wrapper (fresh token), as in
+//! `tpm-kernels`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

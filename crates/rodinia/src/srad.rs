@@ -4,21 +4,16 @@
 //! diffusion-coefficient field from local gradients (loop 1) and then
 //! applies the divergence update (loop 2). Uniform, reasonably heavy
 //! per-pixel work with regular access — the paper's "equal workload" class
-//! where all six variants converge.
+//! where all six variants converge. One pair of full-row loop bodies serves
+//! `seq` and every model.
 
 use std::ops::Range;
 
-use tpm_core::{ExecError, Executor, KernelVariant, Model};
+use tpm_core::{ExecError, Executor, Model};
 use tpm_sim::{Imbalance, LoopWorkload, PhasedWorkload};
 use tpm_sync::CancelToken;
 
 use tpm_kernels::util::UnsafeSlice;
-
-/// Column-tile width of the optimized sweep (4 KiB of f64 per row): each
-/// parallel chunk works tile-by-tile so the 4-neighbor window plus the
-/// coefficient row stay cache-resident instead of streaming full-width
-/// rows.
-const TILE_J: usize = 512;
 
 /// SRAD problem instance.
 #[derive(Debug, Clone, Copy)]
@@ -68,91 +63,71 @@ impl Srad {
 
     /// One full diffusion pass, writing coefficient then updating `img`:
     /// sequentially (`par` is `None`), or as two row-parallel loops under
-    /// the caller's model and token. Loop bodies take a `(rows, cols)`
-    /// sub-rectangle so the optimized variant can sweep cache-resident
-    /// column tiles; the reference variant passes full-width rows.
+    /// the caller's model and token.
     fn step(
         &self,
-        par: Option<(&Executor, Model, KernelVariant, &CancelToken)>,
+        par: Option<(&Executor, Model, &CancelToken)>,
         img: &mut [f64],
         c: &mut [f64],
         q0sqr: f64,
     ) -> Result<(), ExecError> {
         let n = self.n;
         // Loop 1: diffusion coefficient per pixel.
-        let compute_c =
-            |rows: Range<usize>, cols: Range<usize>, c_out: &UnsafeSlice<'_, f64>, img: &[f64]| {
-                for i in rows {
-                    for j in cols.clone() {
-                        let idx = i * n + j;
-                        let p = img[idx];
-                        let dn = img[self.clamp(i as isize - 1) * n + j] - p;
-                        let ds = img[self.clamp(i as isize + 1) * n + j] - p;
-                        let dw = img[i * n + self.clamp(j as isize - 1)] - p;
-                        let de = img[i * n + self.clamp(j as isize + 1)] - p;
-                        let g2 = (dn * dn + ds * ds + dw * dw + de * de) / (p * p);
-                        let l = (dn + ds + dw + de) / p;
-                        let num = 0.5 * g2 - (l * l) / 16.0;
-                        let den = 1.0 + 0.25 * l;
-                        let qsqr = num / (den * den);
-                        let coeff = 1.0 / (1.0 + (qsqr - q0sqr) / (q0sqr * (1.0 + q0sqr)));
-                        // SAFETY: disjoint rows.
-                        unsafe { c_out.write(idx, coeff.clamp(0.0, 1.0)) };
-                    }
-                }
-            };
-        // Loop 2: divergence update.
-        let update = |rows: Range<usize>,
-                      cols: Range<usize>,
-                      img_out: &UnsafeSlice<'_, f64>,
-                      img: &[f64],
-                      c: &[f64]| {
+        let compute_c = |rows: Range<usize>, c_out: &UnsafeSlice<'_, f64>, img: &[f64]| {
             for i in rows {
-                for j in cols.clone() {
+                for j in 0..n {
                     let idx = i * n + j;
                     let p = img[idx];
-                    let cn = c[idx];
-                    let cs = c[self.clamp(i as isize + 1) * n + j];
-                    let ce = c[i * n + self.clamp(j as isize + 1)];
                     let dn = img[self.clamp(i as isize - 1) * n + j] - p;
                     let ds = img[self.clamp(i as isize + 1) * n + j] - p;
                     let dw = img[i * n + self.clamp(j as isize - 1)] - p;
                     let de = img[i * n + self.clamp(j as isize + 1)] - p;
-                    let div = cn * (dn + dw) + cs * ds + ce * de;
+                    let g2 = (dn * dn + ds * ds + dw * dw + de * de) / (p * p);
+                    let l = (dn + ds + dw + de) / p;
+                    let num = 0.5 * g2 - (l * l) / 16.0;
+                    let den = 1.0 + 0.25 * l;
+                    let qsqr = num / (den * den);
+                    let coeff = 1.0 / (1.0 + (qsqr - q0sqr) / (q0sqr * (1.0 + q0sqr)));
                     // SAFETY: disjoint rows.
-                    unsafe { img_out.write(idx, p + 0.25 * self.lambda * div) };
+                    unsafe { c_out.write(idx, coeff.clamp(0.0, 1.0)) };
                 }
             }
         };
-        // Same row distribution and two-phase structure either way; per-cell
-        // arithmetic does not depend on the tile, so the variants agree
-        // bitwise.
-        let tile = match par {
-            Some((_, _, KernelVariant::Optimized, _)) => TILE_J,
-            _ => n.max(1),
-        };
-        let sweep = |body: &(dyn Fn(Range<usize>, Range<usize>) + Sync)| {
-            let rows_body = |rows: Range<usize>| {
-                for j0 in (0..n).step_by(tile) {
-                    body(rows.clone(), j0..(j0 + tile).min(n));
+        // Loop 2: divergence update.
+        let update =
+            |rows: Range<usize>, img_out: &UnsafeSlice<'_, f64>, img: &[f64], c: &[f64]| {
+                for i in rows {
+                    for j in 0..n {
+                        let idx = i * n + j;
+                        let p = img[idx];
+                        let cn = c[idx];
+                        let cs = c[self.clamp(i as isize + 1) * n + j];
+                        let ce = c[i * n + self.clamp(j as isize + 1)];
+                        let dn = img[self.clamp(i as isize - 1) * n + j] - p;
+                        let ds = img[self.clamp(i as isize + 1) * n + j] - p;
+                        let dw = img[i * n + self.clamp(j as isize - 1)] - p;
+                        let de = img[i * n + self.clamp(j as isize + 1)] - p;
+                        let div = cn * (dn + dw) + cs * ds + ce * de;
+                        // SAFETY: disjoint rows.
+                        unsafe { img_out.write(idx, p + 0.25 * self.lambda * div) };
+                    }
                 }
             };
-            match par {
-                None => {
-                    rows_body(0..n);
-                    Ok(())
-                }
-                Some((exec, model, _, token)) => {
-                    exec.try_parallel_for(model, 0..n, token, &rows_body)
-                }
+        let sweep = |body: &(dyn Fn(Range<usize>) + Sync)| match par {
+            None => {
+                body(0..n);
+                Ok(())
+            }
+            Some((exec, model, token)) => {
+                exec.try_parallel_for(model, 0..n, token, &|rows| body(rows))
             }
         };
         let img_snapshot = img.to_vec();
         let c_out = UnsafeSlice::new(c);
-        sweep(&|rows, cols| compute_c(rows, cols, &c_out, &img_snapshot))?;
+        sweep(&|rows| compute_c(rows, &c_out, &img_snapshot))?;
         let c: &[f64] = c;
         let img_out = UnsafeSlice::new(img);
-        sweep(&|rows, cols| update(rows, cols, &img_out, &img_snapshot, c))
+        sweep(&|rows| update(rows, &img_out, &img_snapshot, c))
     }
 
     fn q0sqr(&self, img: &[f64]) -> f64 {
@@ -175,7 +150,7 @@ impl Srad {
 
     fn iterate(
         &self,
-        par: Option<(&Executor, Model, KernelVariant, &CancelToken)>,
+        par: Option<(&Executor, Model, &CancelToken)>,
         img: &[f64],
     ) -> Result<Vec<f64>, ExecError> {
         let mut img = img.to_vec();
@@ -193,26 +168,23 @@ impl Srad {
             .expect("a sequential sweep polls no token")
     }
 
-    /// Runs under `model` (paper-faithful [`KernelVariant::Reference`]
-    /// body), un-cancellable.
+    /// Runs under `model`, un-cancellable.
     pub fn run(&self, exec: &Executor, model: Model, img: &[f64]) -> Vec<f64> {
         let token = CancelToken::new();
-        let r = self.try_run_v(exec, model, KernelVariant::Reference, img, &token);
+        let r = self.try_run(exec, model, img, &token);
         tpm_kernels::util::infallible(model, r)
     }
 
-    /// Runs under `model` with the selected data-path `variant` (the
-    /// optimized variant sweeps cache-resident column tiles), stopping at
-    /// the first chunk boundary after `token` fires.
-    pub fn try_run_v(
+    /// [`Self::run`], stopping at the first chunk boundary after `token`
+    /// fires.
+    pub fn try_run(
         &self,
         exec: &Executor,
         model: Model,
-        variant: KernelVariant,
         img: &[f64],
         token: &CancelToken,
     ) -> Result<Vec<f64>, ExecError> {
-        self.iterate(Some((exec, model, variant, token)), img)
+        self.iterate(Some((exec, model, token)), img)
     }
 
     /// Simulator descriptor: `2 × iterations` row-parallel phases of uniform
@@ -245,7 +217,6 @@ impl Srad {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpm_kernels::util::max_abs_diff;
 
     #[test]
     fn all_six_versions_match_sequential() {
@@ -255,27 +226,6 @@ mod tests {
         let exec = Executor::new(3);
         for model in Model::ALL {
             let got = s.run(&exec, model, &img);
-            assert!(max_abs_diff(&got, &expected) < 1e-9, "{model}");
-        }
-    }
-
-    #[test]
-    fn tiled_variant_is_bitwise_identical_to_reference() {
-        // 29: not a tile multiple; clamped borders land inside tiles.
-        let s = Srad::native(29, 3);
-        let img = s.generate();
-        let expected = s.seq(&img);
-        let exec = Executor::new(3);
-        for model in Model::ALL {
-            let got = s
-                .try_run_v(
-                    &exec,
-                    model,
-                    KernelVariant::Optimized,
-                    &img,
-                    &CancelToken::new(),
-                )
-                .unwrap();
             assert_eq!(got, expected, "{model}");
         }
     }

@@ -1,11 +1,12 @@
 //! Property tests: the `Optimized` kernel data path must agree with the
 //! paper-faithful `Reference` path for *every* model, thread count, and —
 //! critically — awkward problem sizes: n = 0 and 1, sizes not divisible by
-//! the unroll width (8 lanes) or the matmul block edges (MB=32, KU=4), and
-//! stencil grids whose interiors don't tile evenly.
+//! the unroll width (8 lanes) or the matmul block edges (MB=32, KU=4).
+//! The stencils (HotSpot, SRAD) have one body each: every model, at 1–4
+//! threads and on grids down to 1×1, must reproduce `seq` exactly.
 //!
-//! Axpy and the tiled stencils evaluate the exact same per-element
-//! expression, so they must match bitwise. Sum/Matvec/Matmul reassociate
+//! Axpy and the stencils evaluate the exact same per-element expression,
+//! so they must match bitwise. Sum/Matvec/Matmul reassociate
 //! floating-point additions, so they are compared with the relative-epsilon
 //! helper from `threadcmp::approx`.
 
@@ -120,38 +121,39 @@ proptest! {
     // Stencils run `steps` full sweeps — keep the case count lower.
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// The tiled HotSpot sweep evaluates step_cell's exact expression on
-    /// interior tiles — bitwise equality with the sequential grid.
+    /// Every model's HotSpot grid equals the sequential one bitwise: the
+    /// row-parallel split must not change a single cell.
     #[test]
-    fn hotspot_tiled_is_bitwise_identical(
+    fn hotspot_every_model_is_bitwise_identical_to_seq(
         n in 1usize..34,
         steps in 0usize..4,
         threads in 1usize..5,
-        model in model_strategy(),
     ) {
         let h = HotSpot::native(n, steps);
         let (t, p) = h.generate();
         let expected = h.seq(&t, &p);
         let exec = Executor::new(threads);
-        let got = h.try_run_v(&exec, model, KernelVariant::Optimized, &t, &p, &CancelToken::new()).unwrap();
-        prop_assert_eq!(got, expected);
+        for model in Model::ALL {
+            let got = h.try_run(&exec, model, &t, &p, &CancelToken::new()).unwrap();
+            prop_assert_eq!(&got, &expected, "{}", model);
+        }
     }
 
-    /// The tiled SRAD sweep reuses the reference closures over sub-ranges —
-    /// bitwise equality.
+    /// Every model's SRAD image equals the sequential one bitwise.
     #[test]
-    fn srad_tiled_is_bitwise_identical(
+    fn srad_every_model_is_bitwise_identical_to_seq(
         n in 1usize..30,
         iters in 1usize..4,
         threads in 1usize..5,
-        model in model_strategy(),
     ) {
         let s = Srad::native(n, iters);
         let img = s.generate();
         let expected = s.seq(&img);
         let exec = Executor::new(threads);
-        let got = s.try_run_v(&exec, model, KernelVariant::Optimized, &img, &CancelToken::new()).unwrap();
-        prop_assert_eq!(got, expected);
+        for model in Model::ALL {
+            let got = s.try_run(&exec, model, &img, &CancelToken::new()).unwrap();
+            prop_assert_eq!(&got, &expected, "{}", model);
+        }
     }
 }
 

@@ -251,6 +251,20 @@ fn one_body_per_kernel() {
     );
 }
 
+/// One stencil body: HotSpot and SRAD each have one row body that `seq` and
+/// every model run, so no column-tile width or kernel-variant switch may
+/// come back under the Rodinia apps.
+#[test]
+fn one_stencil_body() {
+    forbid(
+        "second stencil body",
+        r"KernelVariant|TILE_J",
+        &[],
+        &paths(&["crates/rodinia/src"]),
+        None,
+    );
+}
+
 /// No dead OpenMP surface: locks, task dependences, sections, master and
 /// critical ran in no figure, job or claim and were deleted, and with them
 /// tpm_sync's second spin-then-park lock.
